@@ -210,9 +210,10 @@ class BoundResult:
 
 
 def _numerator(t: float, v0_expected: float, params: ContractionParams,
-               noise: NoiseProfile) -> float:
+               zeta: float) -> float:
+    """Bound numerator at time t, given zeta = zeta_integral(t, ...)."""
     decay = np.exp(-2.0 * params.alpha_s * t)
-    return v0_expected * decay + params.c_s + decay * zeta_integral(t, params, noise)
+    return v0_expected * decay + params.c_s + decay * zeta
 
 
 def evaluate_bound(D: float, t: float, v0_expected: float,
@@ -232,13 +233,12 @@ def evaluate_bound(D: float, t: float, v0_expected: float,
             f"(alpha_bar_c = {check.alpha_bar_c:g}, alpha_bar_e = {check.alpha_bar_e:g})"
         )
     denom = (D * D if squared_distance else D) * params.m_lower_combined
-    numerator = _numerator(t, v0_expected, params, noise)
-    fail_raw = numerator / denom
+    zeta = zeta_integral(t, params, noise)
+    fail_raw = _numerator(t, v0_expected, params, zeta) / denom
     success_raw = 1.0 - fail_raw
     clamp = lambda p: min(1.0, max(0.0, p))
     return BoundResult(clamp(fail_raw), clamp(success_raw), fail_raw,
-                       success_raw, params.c_s, zeta_integral(t, params, noise),
-                       params.m_lower_combined)
+                       success_raw, params.c_s, zeta, params.m_lower_combined)
 
 
 def failure_probability_bound(D, t, v0_expected, params, noise,
@@ -273,7 +273,7 @@ def radius_for_success_probability(p_target: float, T: float,
             "rate-matrix condition violated "
             f"(alpha_bar_c = {check.alpha_bar_c:g}, alpha_bar_e = {check.alpha_bar_e:g})"
         )
-    B = _numerator(T, v0_expected, params, noise)
+    B = _numerator(T, v0_expected, params, zeta_integral(T, params, noise))
     if B == 0.0:
         return 0.0
     return B / ((1.0 - p_target) * params.m_lower_combined)

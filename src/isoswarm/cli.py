@@ -8,6 +8,7 @@ short human summaries; files carry machine-readable data. Exit codes:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -48,25 +49,27 @@ def _json17(obj) -> str:
 
 def _load_swarm(path) -> SwarmConfig:
     """Read a swarm pose file: JSON with "ellipsoid" and a "spacecraft" list."""
+    with open(path) as f:
+        cfg = json.load(f)
+    ell = cfg["ellipsoid"]
+    ellipsoid = UncertaintyEllipsoid(
+        np.asarray(ell.get("center", [0.0, 0.0, 0.0]), dtype=float),
+        tuple(ell["radii"]),
+    )
+    poses = tuple(
+        SpacecraftPose(np.asarray(p["position"], dtype=float),
+                       p["theta"], p["nu"], p["phi"])
+        for p in cfg["spacecraft"]
+    )
+    return SwarmConfig(poses, ellipsoid)
+
+
+def _read(load, path, what):
+    """Load an input file; a missing, unreadable or malformed one is exit 2."""
     try:
-        with open(path) as f:
-            cfg = json.load(f)
-    except json.JSONDecodeError as err:
-        raise CliError(f"{path}: line {err.lineno}: {err.msg}")
-    try:
-        ell = cfg["ellipsoid"]
-        ellipsoid = UncertaintyEllipsoid(
-            np.asarray(ell.get("center", [0.0, 0.0, 0.0]), dtype=float),
-            tuple(ell["radii"]),
-        )
-        poses = tuple(
-            SpacecraftPose(np.asarray(p["position"], dtype=float),
-                           p["theta"], p["nu"], p["phi"])
-            for p in cfg["spacecraft"]
-        )
-        return SwarmConfig(poses, ellipsoid)
-    except (KeyError, TypeError, ValueError) as err:
-        raise CliError(f"{path}: malformed swarm pose file: {err}")
+        return load(path)
+    except (OSError, KeyError, TypeError, ValueError) as err:
+        raise CliError(f"{path}: cannot read {what}: {err}")
 
 
 def cmd_sample_pois(args) -> int:
@@ -76,8 +79,8 @@ def cmd_sample_pois(args) -> int:
         if args.radii is None else \
         UncertaintyEllipsoid(np.asarray(args.center, dtype=float),
                              tuple(args.radii))
-    pois = sample_pois(ellipsoid, args.n, args.seed)
-    out = _output_path(args, "pois.csv")
+    pois = sample_pois(ellipsoid, args.n, args.seed or 0)
+    out = args.output or "pois.csv"
     save_pois(out, pois)
     lo = pois.points.min(axis=0)
     hi = pois.points.max(axis=0)
@@ -88,8 +91,8 @@ def cmd_sample_pois(args) -> int:
 
 
 def cmd_cost(args) -> int:
-    pois = load_pois(args.pois)
-    swarm = _load_swarm(args.swarm)
+    pois = _read(load_pois, args.pois, "POI file")
+    swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     breakdown = information_cost(swarm, pois, kappa_weight=args.kappa_weight)
     print(_json17(breakdown.to_json_dict()))
     if args.output:
@@ -98,12 +101,12 @@ def cmd_cost(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    pois = load_pois(args.pois)
-    swarm = _load_swarm(args.swarm)
+    pois = _read(load_pois, args.pois, "POI file")
+    swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     opts = NelderMeadOptions(max_iterations=args.max_iterations)
     cost_mode = "deterministic"
     if args.position_stddev > 0.0:
-        cost_mode = (args.position_stddev, args.mc_samples, args.seed)
+        cost_mode = (args.position_stddev, args.mc_samples, args.seed or 0)
     best, breakdown, result = optimize_swarm(
         pois, swarm, opts, cost_mode, kappa_weight=args.kappa_weight
     )
@@ -126,10 +129,8 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    try:
-        params, noise = bound_mod.load_bound_config(args.config)
-    except (OSError, ValueError, TypeError) as err:
-        raise CliError(f"{args.config}: {err}")
+    params, noise = _read(bound_mod.load_bound_config, args.config,
+                          "bound config")
     try:
         if args.invert is not None:
             D = bound_mod.radius_for_success_probability(
@@ -148,17 +149,10 @@ def cmd_bound(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    try:
-        config = exp_mod.load_experiment_config(args.config)
-    except (OSError, json.JSONDecodeError) as err:
-        raise CliError(f"{args.config}: {err}")
-    except exp_mod.ConfigError as err:
-        raise CliError(f"{args.config}: {err}")
+    config = _read(exp_mod.load_experiment_config, args.config,
+                   "experiment config")
     if args.seed is not None:
-        config = exp_mod.config_from_dict({
-            **json.loads(Path(args.config).read_text()),
-            "master_seed": args.seed,
-        })
+        config = dataclasses.replace(config, master_seed=args.seed)
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
     report = exp_mod.run_experiment(config, threads=args.threads)
@@ -170,12 +164,6 @@ def cmd_experiment(args) -> int:
         print("  " + "  ".join(f"{k}={v:.4g}" if isinstance(v, float)
                                else f"{k}={v}" for k, v in row.items()))
     return EXIT_OK
-
-
-def _output_path(args, default_name):
-    if args.output:
-        return args.output
-    return default_name
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="per-axis ellipsoid radii (km)")
     p.add_argument("--center", type=float, nargs=3, default=(0.0, 0.0, 0.0))
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0, dest="seed")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="sampling seed (default: the global --seed, else 0)")
     p.set_defaults(func=cmd_sample_pois)
 
     p = sub.add_parser("cost", help="evaluate the information cost of a swarm")
@@ -218,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--position-stddev", type=float, default=0.0,
                    help="enable expected-cost mode with this stddev (km)")
     p.add_argument("--mc-samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0, dest="seed")
+    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                   help="noise seed (default: the global --seed, else 0)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("bound", help="evaluate the encounter probability bound")

@@ -8,16 +8,27 @@ Lower is better; experiment reports use -I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, ConeFov, as_vec3, visible_mask
-from .sampling import PoiSet, UncertaintyEllipsoid
+from .geometry import (TWO_PI, ConeFov, as_vec3, cone_axes, relative_columns,
+                       visible_mask)
+from .sampling import PoiSet
 
 # Perturbation applied when two spacecraft share an orientation, so their
 # overlap registers as (almost) the full interval instead of zero.
 DEFAULT_IDENTICAL_THETA_DELTA = 1e-6
+
+
+def _axes(state: np.ndarray, center, orientation_mode: str) -> np.ndarray:
+    """Cone axes of packed (x, y, z, theta) rows: "aimed" at the center, or
+    "theta_tilt", tilted away from the center direction by theta."""
+    if orientation_mode == "aimed":
+        return cone_axes(state[:, :3], center)
+    if orientation_mode == "theta_tilt":
+        return cone_axes(state[:, :3], center, state[:, 3])
+    raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -38,35 +49,48 @@ class SpacecraftPose:
             raise ValueError("phi must lie in (0, pi)")
 
     def fov(self, center, orientation_mode: str = "aimed") -> ConeFov:
-        """Build this pose's viewing cone relative to the ellipsoid center.
-
-        "aimed" points the axis at the center; "theta_tilt" tilts the axis
-        away from the center direction by theta.
-        """
-        if orientation_mode == "aimed":
-            return ConeFov.aimed(self.position, center, self.phi,
-                                 self.theta, self.nu)
-        if orientation_mode == "theta_tilt":
-            return ConeFov.tilted(self.position, center, self.phi,
-                                  self.theta, self.nu)
-        raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
+        """Build this pose's viewing cone relative to the ellipsoid center."""
+        row = np.append(self.position, self.theta)[None]
+        return ConeFov(self.position,
+                       _axes(row, as_vec3(center), orientation_mode)[0],
+                       self.phi)
 
 
-@dataclass(frozen=True)
 class SwarmConfig:
-    """An ordered swarm of spacecraft observing one uncertainty ellipsoid."""
+    """An ordered swarm of spacecraft observing one uncertainty ellipsoid,
+    packed as the optimizer sees it: `state` rows (x, y, z, theta in
+    [0, 2 pi)), arrays `nu` and `phi`, and `pairs`, the index arrays (i, j)
+    of the pairs i < j in row-major order."""
 
-    spacecraft: tuple[SpacecraftPose, ...]
-    ellipsoid: UncertaintyEllipsoid
-
-    def __post_init__(self):
-        sc = tuple(self.spacecraft)
-        if len(sc) < 1:
+    def __init__(self, spacecraft, ellipsoid):
+        poses = tuple(spacecraft)
+        if len(poses) < 1:
             raise ValueError("swarm needs at least one spacecraft")
-        object.__setattr__(self, "spacecraft", sc)
+        self.state = np.array([[*p.position, p.theta] for p in poses])
+        self.nu, self.phi = np.array([(p.nu, p.phi) for p in poses]).T
+        self.pairs = np.triu_indices(len(poses), 1)
+        self.ellipsoid = ellipsoid
+
+    @classmethod
+    def from_state(cls, x, template: SwarmConfig) -> SwarmConfig:
+        """The template's spacecraft moved to the packed vector x, built
+        without pose objects: positions must be finite, thetas are wrapped."""
+        state = np.array(x, dtype=float).reshape(len(template), 4)
+        if not np.isfinite(state[:, :3]).all():
+            raise ValueError("vector components must be finite")
+        state[:, 3] %= TWO_PI
+        swarm = cls.__new__(cls)
+        vars(swarm).update(vars(template), state=state)
+        return swarm
+
+    @property
+    def spacecraft(self) -> tuple[SpacecraftPose, ...]:
+        """The swarm as pose objects, built on each access."""
+        return tuple(SpacecraftPose(row[:3], row[3], nu, phi) for row, nu, phi
+                     in zip(self.state, self.nu.tolist(), self.phi.tolist()))
 
     def __len__(self):
-        return len(self.spacecraft)
+        return len(self.state)
 
 
 @dataclass(frozen=True)
@@ -76,7 +100,7 @@ class CostBreakdown:
     kappa_total: float
     epsilon_term: float
     information_cost: float
-    visible_poi_indices: frozenset[int]
+    visible_count: int
     n_pois: int
     kappa_weight: float = 1.0
 
@@ -85,7 +109,7 @@ class CostBreakdown:
             "kappa_total": self.kappa_total,
             "epsilon_pct": self.epsilon_term,
             "info_cost": self.information_cost,
-            "visible_count": len(self.visible_poi_indices),
+            "visible_count": self.visible_count,
             "n_pois": self.n_pois,
         }
 
@@ -95,63 +119,71 @@ def fov_interval(pose: SpacecraftPose) -> tuple[float, float]:
     return pose.theta - pose.nu, pose.theta + pose.nu
 
 
+def _arc_overlap(ti, tj, nu_i, nu_j, delta):
+    """Elementwise length of the intersection of the circular arcs
+    [ti +- nu_i] and [tj +- nu_j]; equal orientations are perturbed by delta.
+
+    The arcs can meet across both separations, sep and 2 pi - sep; for equal
+    widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
+    """
+    tj = np.where(ti == tj, tj + delta, tj)
+    d = np.abs(ti - tj) % TWO_PI
+    sep = np.minimum(d, TWO_PI - d)
+    narrow = np.minimum(2.0 * nu_i, 2.0 * nu_j)
+    near = np.minimum(narrow, nu_i + nu_j - sep)
+    far = np.minimum(narrow, nu_i + nu_j - (TWO_PI - sep))
+    return np.maximum(0.0, near) + np.maximum(0.0, far)
+
+
 def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose,
                  delta: float = DEFAULT_IDENTICAL_THETA_DELTA) -> float:
-    """Circular overlap (radians) between the FOV intervals of two spacecraft.
-
-    Identical orientations are perturbed by delta so the overlap reads as
-    2 nu - delta rather than a spurious zero.
-    """
-    nu = pose_i.nu
-    ti, tj = pose_i.theta, pose_j.theta
-    if ti == tj:
-        tj += delta
-    d = abs(ti - tj) % TWO_PI
-    sep = min(d, TWO_PI - d)
-    return max(0.0, 2.0 * nu - sep)
+    """Circular overlap (radians) between the FOV intervals of two spacecraft;
+    identical orientations are perturbed by delta, not read as a zero."""
+    return float(_arc_overlap(pose_i.theta, pose_j.theta, pose_i.nu,
+                              pose_j.nu, delta))
 
 
 def kappa_total(swarm: SwarmConfig,
                 delta: float = DEFAULT_IDENTICAL_THETA_DELTA) -> float:
-    """Sum of pair_overlap over all unordered spacecraft pairs."""
-    sc = swarm.spacecraft
+    """Sum of pair_overlap over all unordered spacecraft pairs, added one at
+    a time in i < j order (a NumPy reduction groups the sum differently)."""
+    i, j = swarm.pairs
+    if len(i) == 0:
+        return 0.0
+    theta = swarm.state[:, 3]
     total = 0.0
-    for i in range(len(sc)):
-        for j in range(i + 1, len(sc)):
-            total += pair_overlap(sc[i], sc[j], delta)
+    for v in _arc_overlap(theta[i], theta[j], swarm.nu[i], swarm.nu[j],
+                          delta).tolist():
+        total += v
     return total
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,
-             orientation_mode: str = "aimed") -> tuple[int, float, frozenset[int]]:
-    """POIs visible to at least one spacecraft: count, percentage, indices."""
+             orientation_mode: str = "aimed") -> tuple[int, float, np.ndarray]:
+    """POIs visible to at least one spacecraft: count, percentage, and the
+    boolean mask over the POIs."""
     if len(pois) == 0:
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center
+    axes = _axes(swarm.state, center, orientation_mode)
+    centered = relative_columns(pois.points, center)
     seen = np.zeros(len(pois), dtype=bool)
-    for pose in swarm.spacecraft:
-        seen |= visible_mask(pois.points, pose.fov(center, orientation_mode),
-                             center)
+    for k in range(len(swarm)):
+        seen |= visible_mask(pois.points, swarm.state[k, :3], axes[k],
+                             swarm.phi[k], center, centered)
     count = int(np.count_nonzero(seen))
-    pct = 100.0 * count / len(pois)
-    return count, pct, frozenset(np.flatnonzero(seen).tolist())
+    return count, 100.0 * count / len(pois), seen
 
 
 def information_cost(swarm: SwarmConfig, pois: PoiSet,
                      kappa_weight: float = 1.0,
                      delta: float = DEFAULT_IDENTICAL_THETA_DELTA,
-                     orientation_mode: str = "aimed",
-                     coverage_as_count: bool = False) -> CostBreakdown:
-    """Evaluate I = w * kappa_total - coverage for one configuration.
-
-    The coverage term is the percentage of POIs seen (0-100) by default;
-    coverage_as_count switches it to the raw visible count for sensitivity
-    studies.
-    """
+                     orientation_mode: str = "aimed") -> CostBreakdown:
+    """Evaluate I = w * kappa_total - coverage for one configuration, with
+    coverage as the percentage of POIs seen (0-100)."""
     kappa = kappa_total(swarm, delta)
-    count, pct, idx = coverage(swarm, pois, orientation_mode)
-    eps = float(count) if coverage_as_count else pct
-    return CostBreakdown(kappa, eps, kappa_weight * kappa - eps, idx,
+    count, pct, _ = coverage(swarm, pois, orientation_mode)
+    return CostBreakdown(kappa, pct, kappa_weight * kappa - pct, count,
                          len(pois), kappa_weight)
 
 
@@ -175,13 +207,8 @@ def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(n_samples):
-        noise = rng.normal(0.0, position_stddev, (len(swarm), 3))
-        perturbed = SwarmConfig(
-            tuple(
-                SpacecraftPose(p.position + noise[k], p.theta, p.nu, p.phi)
-                for k, p in enumerate(swarm.spacecraft)
-            ),
-            swarm.ellipsoid,
-        )
+        state = swarm.state.copy()
+        state[:, :3] += rng.normal(0.0, position_stddev, (len(swarm), 3))
+        perturbed = SwarmConfig.from_state(state, swarm)
         total += information_cost(perturbed, pois, **cost_kwargs).information_cost
     return total / n_samples

@@ -1,4 +1,4 @@
-"""Conal field-of-view geometry: axis construction, cone containment, hemisphere culling.
+"""Conal field-of-view geometry: cone axes and the array visibility kernel.
 
 Positions are in kilometers, angles in radians. Points are numpy arrays of
 shape (3,); point sets are arrays of shape (n, 3). All functions are pure.
@@ -25,37 +25,66 @@ def as_vec3(v) -> np.ndarray:
     a = np.asarray(v, dtype=float)
     if a.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("vector components must be finite")
     return a
 
 
+def relative_columns(points: np.ndarray, origin) -> np.ndarray:
+    """(points - origin).T as a C-ordered (3, n) array, so each coordinate is
+    one contiguous row (iterating (n, 3) points in memory order would loop
+    over 3 elements at a time)."""
+    return np.subtract(points.T, origin[:, None], order="C")
+
+
+def _dot3(a, b):
+    """a . b over three components indexed first (3-vectors or (3, n) rows),
+    elementwise: a point gets the same bits alone or in any batch, which a
+    BLAS matrix-vector product (fusing multiply-adds per row) does not give."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def cone_axes(apexes, center, tilts=None) -> np.ndarray:
+    """Unit axes of cones at apexes (n, 3) pointing at the center, each
+    rotated by its tilt (n,) about a fixed perpendicular axis (from the z
+    axis, x near the poles) when tilts are given, so the angle to the center
+    direction is the tilt's circular distance from zero."""
+    toward = center - apexes
+    norm = np.linalg.norm(toward, axis=1, keepdims=True)
+    if not norm.all():
+        raise DegenerateGeometryError("cone apex coincides with ellipsoid center")
+    toward = toward / norm
+    if tilts is None:
+        return toward
+    ref = np.where(np.abs(toward[:, 2:]) < 0.9, _Z_HAT, _X_HAT)
+    u = np.cross(toward, ref)
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return (toward * np.cos(tilts)[:, None]
+            + np.cross(u, toward) * np.sin(tilts)[:, None])
+
+
 def cone_axis(apex, ellipsoid_center) -> np.ndarray:
     """Unit direction from the cone apex toward the ellipsoid center."""
-    apex = as_vec3(apex)
-    center = as_vec3(ellipsoid_center)
-    d = center - apex
-    n = np.linalg.norm(d)
-    if n == 0.0:
-        raise DegenerateGeometryError("cone apex coincides with ellipsoid center")
-    return d / n
+    return cone_axes(as_vec3(apex)[None], as_vec3(ellipsoid_center))[0]
 
 
-def tilted_axis(apex, ellipsoid_center, tilt: float) -> np.ndarray:
-    """Toward-center direction rotated by `tilt` radians about a fixed
-    perpendicular axis.
+def in_cone(rel, axis, aperture_phi):
+    """Forward-cone test of offsets rel = point - apex (a 3-vector or
+    relative_columns), boundary in: d = rel . axis > 0 and
+    |rel|^2 cos^2(phi / 2) <= d^2."""
+    d = _dot3(rel, axis)
+    c = np.cos(aperture_phi / 2.0)
+    return (d > 0.0) & (_dot3(rel, rel) * (c * c) <= d * d)
 
-    The rotation axis is chosen deterministically (perpendicular to the
-    toward-center direction, derived from the z axis with an x-axis fallback
-    near the poles), so the angle between the result and the toward-center
-    direction equals the circular distance of `tilt` from zero.
-    """
-    toward = cone_axis(apex, ellipsoid_center)
-    ref = _Z_HAT if abs(toward @ _Z_HAT) < 0.9 else _X_HAT
-    u = np.cross(toward, ref)
-    u /= np.linalg.norm(u)
-    # rotate `toward` about u (u is perpendicular to toward)
-    return toward * np.cos(tilt) + np.cross(u, toward) * np.sin(tilt)
+
+def visible_mask(points, apex, axis, aperture_phi, center, centered=None):
+    """Cone test and near half-space (point - center) . (apex - center) >= 0,
+    so points on the center plane count as visible. Callers testing several
+    cones pass centered = relative_columns(points, center) once."""
+    if centered is None:
+        centered = relative_columns(points, center)
+    return (in_cone(relative_columns(points, apex), axis, aperture_phi)
+            & (_dot3(centered, apex - center) >= 0.0))
 
 
 @dataclass(frozen=True)
@@ -63,16 +92,12 @@ class ConeFov:
     """A camera field-of-view cone.
 
     apex: spacecraft position (km); axis: unit viewing direction;
-    aperture_phi: full aperture angle; angular_position_theta: azimuthal FOV
-    orientation used for overlap costs; angular_halfwidth_nu: angular
-    half-width of the FOV interval (defaults to aperture_phi / 2).
+    aperture_phi: full aperture angle.
     """
 
     apex: np.ndarray
     axis: np.ndarray
     aperture_phi: float
-    angular_position_theta: float = 0.0
-    angular_halfwidth_nu: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "apex", as_vec3(self.apex))
@@ -83,26 +108,11 @@ class ConeFov:
         object.__setattr__(self, "axis", axis)
         if not 0.0 < self.aperture_phi < np.pi:
             raise ValueError("aperture_phi must lie in (0, pi)")
-        theta = float(self.angular_position_theta) % TWO_PI
-        object.__setattr__(self, "angular_position_theta", theta)
-        nu = self.angular_halfwidth_nu
-        if nu is None:
-            nu = self.aperture_phi / 2.0
-        if not 0.0 < nu < np.pi:
-            raise ValueError("angular_halfwidth_nu must lie in (0, pi)")
-        object.__setattr__(self, "angular_halfwidth_nu", float(nu))
 
     @classmethod
-    def aimed(cls, apex, ellipsoid_center, aperture_phi, theta=0.0, nu=None):
+    def aimed(cls, apex, ellipsoid_center, aperture_phi):
         """Cone whose axis points from the apex at the ellipsoid center."""
-        return cls(as_vec3(apex), cone_axis(apex, ellipsoid_center),
-                   aperture_phi, theta, nu)
-
-    @classmethod
-    def tilted(cls, apex, ellipsoid_center, aperture_phi, theta, nu=None):
-        """Cone whose axis is the toward-center direction tilted by theta."""
-        return cls(as_vec3(apex), tilted_axis(apex, ellipsoid_center, theta),
-                   aperture_phi, theta, nu)
+        return cls(apex, cone_axis(apex, ellipsoid_center), aperture_phi)
 
 
 def axial_distance(poi, fov: ConeFov) -> float:
@@ -125,10 +135,7 @@ def orthogonal_distance(poi, fov: ConeFov) -> float:
 
 def in_fov(poi, fov: ConeFov) -> bool:
     """Whether the POI lies inside the (forward) cone; boundary counts as in."""
-    d = axial_distance(poi, fov)
-    if d <= 0.0:
-        return False
-    return orthogonal_distance(poi, fov) <= cone_radius_at(d, fov.aperture_phi)
+    return bool(in_cone(as_vec3(poi) - fov.apex, fov.axis, fov.aperture_phi))
 
 
 def in_near_hemisphere(poi, apex, center) -> bool:
@@ -138,25 +145,9 @@ def in_near_hemisphere(poi, apex, center) -> bool:
     center = as_vec3(center)
     if np.array_equal(apex, center):
         raise DegenerateGeometryError("apex coincides with center")
-    return float((as_vec3(poi) - center) @ (apex - center)) >= 0.0
+    return bool(_dot3(as_vec3(poi) - center, apex - center) >= 0.0)
 
 
 def visible(poi, fov: ConeFov, center) -> bool:
     """In the cone and in the near hemisphere of the ellipsoid."""
     return in_fov(poi, fov) and in_near_hemisphere(poi, fov.apex, center)
-
-
-def in_fov_mask(points: np.ndarray, fov: ConeFov) -> np.ndarray:
-    """Vectorized in_fov over an (n, 3) array of points."""
-    rel = np.atleast_2d(points) - fov.apex
-    d = rel @ fov.axis
-    orth = np.linalg.norm(rel - d[:, None] * fov.axis, axis=1)
-    return (d > 0.0) & (orth <= d * np.tan(fov.aperture_phi / 2.0))
-
-
-def visible_mask(points: np.ndarray, fov: ConeFov, center) -> np.ndarray:
-    """Vectorized visible() over an (n, 3) array of points."""
-    center = as_vec3(center)
-    pts = np.atleast_2d(points)
-    near = (pts - center) @ (fov.apex - center) >= 0.0
-    return in_fov_mask(pts, fov) & near

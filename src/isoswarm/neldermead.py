@@ -12,8 +12,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .cost import (SpacecraftPose, SwarmConfig, expected_information_cost,
-                   information_cost)
+from .cost import SwarmConfig, expected_information_cost, information_cost
 from .geometry import TWO_PI
 from .sampling import PoiSet
 
@@ -167,18 +166,12 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
 def pack_swarm(swarm: SwarmConfig) -> np.ndarray:
     """Flatten a swarm into the (x, y, z, theta) * N decision vector."""
-    return np.concatenate([
-        np.append(p.position, p.theta) for p in swarm.spacecraft
-    ])
+    return swarm.state.flatten()
 
 
 def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
     """Rebuild a swarm from a decision vector, keeping each pose's nu and phi."""
-    poses = []
-    for k, p in enumerate(template.spacecraft):
-        chunk = x[4 * k:4 * k + 4]
-        poses.append(SpacecraftPose(chunk[:3], chunk[3], p.nu, p.phi))
-    return SwarmConfig(tuple(poses), template.ellipsoid)
+    return SwarmConfig.from_state(x, template)
 
 
 def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministic",
@@ -187,11 +180,10 @@ def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministi
     center = template.ellipsoid.center
 
     def objective(x: np.ndarray) -> float:
-        for k in range(len(template)):
-            pos = x[4 * k:4 * k + 3]
-            if np.linalg.norm(pos - center) < DEGENERACY_RADIUS_KM:
-                return DEGENERACY_PENALTY
-        swarm = unpack_swarm(x, template)
+        offsets = x.reshape(-1, 4)[:, :3] - center
+        if np.any(np.linalg.norm(offsets, axis=1) < DEGENERACY_RADIUS_KM):
+            return DEGENERACY_PENALTY
+        swarm = SwarmConfig.from_state(x, template)
         if cost_mode == "deterministic":
             return information_cost(swarm, pois, **cost_kwargs).information_cost
         stddev, n_samples, seed = cost_mode

@@ -238,3 +238,65 @@ def test_unknown_subcommand(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+@pytest.mark.parametrize("pois_text", [None, "", "# seed=1\nx,y,z\n1,2\n",
+                                       "no header\n"])
+def test_cost_bad_pois_file_usage_error(tmp_path, capsys, pois_text):
+    pois_path = tmp_path / "pois.csv"
+    if pois_text is not None:
+        pois_path.write_text(pois_text)
+    swarm_path = tmp_path / "swarm.json"
+    write_swarm(swarm_path, [{"position": [400.0, 0.0, 0.0], "theta": 0.0,
+                              "nu": 0.5, "phi": 1.0}])
+    code, _, stderr = run(capsys, "cost", "--pois", str(pois_path),
+                          "--swarm", str(swarm_path))
+    assert code == EXIT_USAGE
+    assert str(pois_path) in stderr
+
+
+@pytest.mark.parametrize("swarm_text", [None, '{"spacecraft": []}',
+                                        '{"ellipsoid": {"radii": [1, 1, 1]}}'])
+def test_optimize_bad_swarm_file_usage_error(tmp_path, capsys, swarm_text):
+    pois_path = tmp_path / "pois.csv"
+    run(capsys, "-o", str(pois_path), "sample-pois", "--n", "10")
+    swarm_path = tmp_path / "swarm.json"
+    if swarm_text is not None:
+        swarm_path.write_text(swarm_text)
+    code, _, stderr = run(capsys, "optimize", "--pois", str(pois_path),
+                          "--swarm", str(swarm_path))
+    assert code == EXIT_USAGE
+    assert str(swarm_path) in stderr
+
+
+def test_global_seed_reaches_sample_pois(tmp_path, capsys):
+    paths = {}
+    for name, argv in [("global", ["--seed", "5", "sample-pois"]),
+                       ("sub", ["sample-pois", "--seed", "5"]),
+                       ("default", ["sample-pois"])]:
+        paths[name] = tmp_path / f"{name}.csv"
+        code, _, _ = run(capsys, "-o", str(paths[name]), *argv, "--n", "3")
+        assert code == EXIT_OK
+    assert load_pois(paths["global"]).seed == 5
+    assert paths["global"].read_bytes() == paths["sub"].read_bytes()
+    assert load_pois(paths["default"]).seed == 0
+
+
+def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
+    pois_path = tmp_path / "pois.csv"
+    run(capsys, "-o", str(pois_path), "sample-pois", "--n", "100",
+        "--radius", "50", "--seed", "2")
+    swarm_path = tmp_path / "swarm.json"
+    write_swarm(swarm_path, [{"position": [250.0, 100.0, 0.0], "theta": 1.0,
+                              "nu": np.pi / 6, "phi": np.pi / 3}])
+    outputs = []
+    for argv in (["--seed", "5", "optimize"], ["optimize", "--seed", "5"],
+                 ["optimize"]):
+        code, stdout, _ = run(capsys, *argv, "--pois", str(pois_path),
+                              "--swarm", str(swarm_path), "--max-iterations",
+                              "5", "--position-stddev", "3",
+                              "--mc-samples", "2")
+        assert code == EXIT_OK
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0] != outputs[2]

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
                            expected_information_cost, fov_interval,
                            information_cost, kappa_total, pair_overlap)
-from isoswarm.geometry import visible
+from isoswarm.geometry import in_fov, visible
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 
 NU = 0.3
@@ -97,8 +97,8 @@ def test_coverage_tiny_aperture_zero():
     e = UncertaintyEllipsoid.sphere(50.0)
     pois = sample_pois(e, 500, 2)
     s = SwarmConfig((pose(0.0, (400.0, 1.7, 0), phi=1e-4),), e)
-    count, pct, idx = coverage(s, pois)
-    assert count == 0 and pct == 0.0 and idx == frozenset()
+    count, pct, seen = coverage(s, pois)
+    assert count == 0 and pct == 0.0 and not seen.any()
 
 
 def test_coverage_matches_brute_force_oracle(rng):
@@ -106,14 +106,14 @@ def test_coverage_matches_brute_force_oracle(rng):
     pois = sample_pois(e, 300, 5)
     s = swarm(pose(0.2, (250.0, 40.0, -10.0)), pose(4.0, (-100.0, 200.0, 90.0)),
               radius=80.0)
-    count, pct, idx = coverage(s, pois)
+    count, pct, seen = coverage(s, pois)
     expected = set()
     for i, p in enumerate(pois.points):
         for sc in s.spacecraft:
             if visible(p, sc.fov(e.center), e.center):
                 expected.add(i)
                 break
-    assert idx == frozenset(expected)
+    assert set(np.flatnonzero(seen).tolist()) == expected
     assert count == len(expected)
 
 
@@ -221,3 +221,83 @@ def test_json_record_fields():
     d = information_cost(swarm(pose(0.1), radius=50.0), pois).to_json_dict()
     assert set(d) == {"kappa_total", "epsilon_pct", "info_cost",
                       "visible_count", "n_pois"}
+
+
+def test_pair_overlap_mixed_widths_examples():
+    # the narrower interval inside the wider one: the same either way round
+    a, b = pose(1.0, nu=0.2), pose(1.3, nu=0.6)
+    assert pair_overlap(a, b) == pair_overlap(b, a) == pytest.approx(0.4)
+    # nu = 2 intervals half a turn apart meet in two pieces of 4 - pi each
+    assert pair_overlap(pose(0.0, nu=2.0), pose(np.pi, nu=2.0)) == \
+        pytest.approx(2.0 * (4.0 - np.pi))
+
+
+def test_pair_overlap_mixed_widths_brute_force():
+    rng = np.random.default_rng(7)
+    step = 1e-4
+    grid = np.arange(0.0, 2.0 * np.pi, step)
+    for _ in range(300):
+        ti, tj = rng.uniform(0.0, 2.0 * np.pi, 2)
+        nu_i, nu_j = rng.uniform(0.01, np.pi - 0.01, 2)
+        in_i = np.abs((grid - ti + np.pi) % (2.0 * np.pi) - np.pi) <= nu_i
+        in_j = np.abs((grid - tj + np.pi) % (2.0 * np.pi) - np.pi) <= nu_j
+        brute = np.count_nonzero(in_i & in_j) * step
+        a, b = pose(ti, nu=nu_i), pose(tj, nu=nu_j)
+        assert pair_overlap(a, b) == pair_overlap(b, a)
+        assert pair_overlap(a, b) == pytest.approx(brute, abs=4 * step)
+
+
+def test_kappa_total_matches_equal_width_pair_loop(rng):
+    # reference: the equal-width formula max(0, 2 nu - sep), summed pair by
+    # pair in i < j order; the pair-array kappa must reproduce it bit for bit
+    def reference(poses, delta=1e-6):
+        total = 0.0
+        for i in range(len(poses)):
+            for j in range(i + 1, len(poses)):
+                ti, tj = poses[i].theta, poses[j].theta
+                if ti == tj:
+                    tj += delta
+                d = abs(ti - tj) % (2 * np.pi)
+                total += max(0.0, 2.0 * poses[i].nu - min(d, 2 * np.pi - d))
+        return total
+
+    for _ in range(300):
+        nu = rng.uniform(0.01, np.pi / 2)
+        poses = [pose(t, nu=nu) for t in rng.uniform(0, 2 * np.pi,
+                                                     rng.integers(1, 9))]
+        poses.append(poses[0])  # an identical orientation
+        assert kappa_total(swarm(*poses)) == reference(poses)
+
+
+@pytest.mark.parametrize("mode", ["aimed", "theta_tilt"])
+def test_boundary_ties_kernel_matches_scalar(mode):
+    # POIs built on the cone surface (up to rounding) and exactly on the
+    # center plane: the coverage kernel and the scalar visible() must agree
+    # on each, and center-plane points inside the cone count as visible
+    center = np.array([1.0, 2.0, 3.0])
+    e = UncertaintyEllipsoid.sphere(60.0, center)
+    sc = pose(0.25, center + [30.0, 40.0, 0.0], phi=1.0)
+    fov = sc.fov(center, mode)
+    e1 = np.cross(fov.axis, [0.0, 0.0, 1.0])
+    e1 /= np.linalg.norm(e1)
+    e2 = np.cross(fov.axis, e1)
+    tan = np.tan(sc.phi / 2.0)
+    radial = [np.cos(a) * e1 + np.sin(a) * e2
+              for a in np.linspace(0.0, 2 * np.pi, 36, endpoint=False)]
+
+    def cone(scale):
+        return [fov.apex + d * fov.axis + d * tan * scale * r
+                for d in np.linspace(1.0, 120.0, 40) for r in radial]
+
+    plane = [center + k * np.array([4.0, -3.0, 0.0]) + [0.0, 0.0, m]
+             for k in range(-6, 7) for m in range(-6, 7)]
+    points = np.array(cone(1.0) + plane)
+    _, _, seen = coverage(SwarmConfig((sc,), e), PoiSet(points, 0, e), mode)
+    scalar = [visible(p, fov, center) for p in points]
+    np.testing.assert_array_equal(seen, scalar)
+    on_plane_in_cone = np.array([in_fov(p, fov) for p in plane])
+    assert on_plane_in_cone.sum() > 50
+    assert seen[-len(plane):][on_plane_in_cone].all()
+    # the boundary sits on the cone surface: a relative nudge decides it
+    assert all(in_fov(p, fov) for p in cone(1.0 - 1e-9))
+    assert not any(in_fov(p, fov) for p in cone(1.0 + 1e-9))

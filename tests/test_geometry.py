@@ -142,7 +142,7 @@ def test_visible_mask_matches_scalar(rng):
     apex = center + rng.uniform(5, 30) * np.array([1, 0.2, -0.3])
     fov = ConeFov.aimed(apex, center, 1.2)
     pts = rng.uniform(-40, 40, (500, 3))
-    mask = visible_mask(pts, fov, center)
+    mask = visible_mask(pts, fov.apex, fov.axis, fov.aperture_phi, center)
     for p, m in zip(pts, mask):
         assert visible(p, fov, center) == m
 
@@ -195,7 +195,7 @@ def test_tilted_axis_angle_equals_tilt(rng):
             continue
         tilt = rng.uniform(0, np.pi)
         toward = cone_axis(apex, center)
-        tilted = geometry.tilted_axis(apex, center, tilt)
+        tilted = geometry.cone_axes(apex[None], center, np.array([tilt]))[0]
         assert np.linalg.norm(tilted) == pytest.approx(1.0, abs=1e-12)
         assert np.arccos(np.clip(toward @ tilted, -1, 1)) == pytest.approx(
             tilt, abs=1e-9)

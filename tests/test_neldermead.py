@@ -130,6 +130,15 @@ def test_pack_unpack_round_trip():
         assert (a.theta, a.nu, a.phi) == (b.theta, b.nu, b.phi)
 
 
+def test_unpack_rejects_nonfinite_position():
+    e = UncertaintyEllipsoid.sphere(10.0)
+    s = SwarmConfig((SpacecraftPose(np.array([5.0, 0.0, 0.0]), 0.0, 0.3, 1.0),), e)
+    x = pack_swarm(s)
+    x[1] = np.inf
+    with pytest.raises(ValueError):
+        unpack_swarm(x, s)
+
+
 def test_degeneracy_penalty_at_center():
     e = UncertaintyEllipsoid.sphere(10.0)
     pois = sample_pois(e, 50, 1)
