@@ -86,34 +86,29 @@ class RateMatrixCheck(NamedTuple):
     alpha_bar_e: float
 
 
+def _effective_rates(params: ContractionParams) -> tuple[float, float]:
+    """The effective rates (alpha_bar_c, alpha_bar_e)."""
+    return (params.alpha_c * params.m_c_lower - params.gamma_c / 2.0,
+            params.alpha_e * params.m_e_lower
+            - params.m_e_upper * params.eps_e * params.h_bar)
+
+
 def check_rate_matrix(params: ContractionParams) -> RateMatrixCheck:
-    """Feasibility of the 2x2 coupled rate-matrix condition.
-
-    Computes the effective rates alpha_bar_c = alpha_c * m_c_lower - gamma_c/2
-    and alpha_bar_e = alpha_e * m_e_lower - m_e_upper * eps_e * h_bar, and
-    requires both to be positive with
-
-        [[-2 a_c, k], [k, -2 lam a_e]] + 2 alpha_s diag(m_c_upper, lam m_e_upper)
-
-    negative semidefinite (k = m_c_upper * g_bar * u_bar), checked via
-    trace <= 0 and determinant >= 0.
-    """
-    a_c = params.alpha_c * params.m_c_lower - params.gamma_c / 2.0
-    a_e = params.alpha_e * params.m_e_lower - params.m_e_upper * params.eps_e * params.h_bar
+    """The 2x2 coupled rate-matrix condition: both effective rates positive,
+    shifted_rate_matrix negative semidefinite (trace <= 0, determinant >= 0)."""
+    a_c, a_e = _effective_rates(params)
     if a_c <= 0.0 or a_e <= 0.0:
         return RateMatrixCheck(False, a_c, a_e)
-    k = params.m_c_upper * params.g_bar * params.u_bar
-    d11 = -2.0 * a_c + 2.0 * params.alpha_s * params.m_c_upper
-    d22 = -2.0 * params.lam * a_e + 2.0 * params.alpha_s * params.lam * params.m_e_upper
-    trace = d11 + d22
-    det = d11 * d22 - k * k
-    return RateMatrixCheck(trace <= 0.0 and det >= 0.0, a_c, a_e)
+    (d11, k), (_, d22) = shifted_rate_matrix(params).tolist()
+    return RateMatrixCheck(d11 + d22 <= 0.0 and d11 * d22 - k * k >= 0.0,
+                           a_c, a_e)
 
 
 def shifted_rate_matrix(params: ContractionParams) -> np.ndarray:
-    """The 2x2 matrix whose negative semidefiniteness check_rate_matrix tests."""
-    a_c = params.alpha_c * params.m_c_lower - params.gamma_c / 2.0
-    a_e = params.alpha_e * params.m_e_lower - params.m_e_upper * params.eps_e * params.h_bar
+    """[[-2 a_c, k], [k, -2 lam a_e]] + 2 alpha_s diag(m_c_upper, lam m_e_upper)
+    with the effective rates a_c, a_e and k = m_c_upper * g_bar * u_bar: the
+    matrix whose negative semidefiniteness check_rate_matrix tests."""
+    a_c, a_e = _effective_rates(params)
     k = params.m_c_upper * params.g_bar * params.u_bar
     return np.array([
         [-2.0 * a_c + 2.0 * params.alpha_s * params.m_c_upper, k],
@@ -291,11 +286,6 @@ def ellipsoid_radii_from_weights(D: float, axis_weights) -> tuple[float, float, 
     return tuple(D / w)
 
 
-def params_from_dict(d: dict) -> ContractionParams:
-    fields = {k: float(v) for k, v in d.items() if k != "noise"}
-    return ContractionParams(**fields)
-
-
 def load_bound_config(path) -> tuple[ContractionParams, NoiseProfile]:
     """Read a JSON config: flat scalar keys plus a "noise" array of [t, zeta]."""
     with open(path) as f:
@@ -303,4 +293,5 @@ def load_bound_config(path) -> tuple[ContractionParams, NoiseProfile]:
     if "noise" not in cfg:
         raise ValueError(f"{path}: missing 'noise' array of [t, zeta] pairs")
     noise = NoiseProfile.from_pairs(cfg["noise"])
-    return params_from_dict(cfg), noise
+    return ContractionParams(**{k: float(v) for k, v in cfg.items()
+                                if k != "noise"}), noise

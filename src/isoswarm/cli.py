@@ -176,8 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the master seed where applicable")
     parser.add_argument("--output", "-o", default=None,
                         help="output file or directory")
-    parser.add_argument("--format", choices=("csv", "json"), default="json",
-                        help="preferred machine-readable output format")
     parser.add_argument("--threads", type=int, default=1,
                         help="worker threads for experiment cells")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -218,10 +216,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time", "-T", type=float, default=0.0)
     p.add_argument("--v0", type=float, default=0.0,
                    help="expected initial Lyapunov value")
-    p.add_argument("--invert", type=float, default=None, metavar="P",
-                   help="print the radius certifying success probability P")
-    p.add_argument("--squared", action="store_true",
-                   help="use the squared-distance denominator")
+    only = p.add_mutually_exclusive_group()
+    only.add_argument("--invert", type=float, default=None, metavar="P",
+                      help="print the radius certifying success probability P")
+    only.add_argument("--squared", action="store_true",
+                      help="use the squared-distance denominator")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("experiment", help="run a simulation campaign")

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import (TWO_PI, ConeFov, as_vec3, cone_axes, relative_columns,
-                       visible_mask)
+from .geometry import TWO_PI, ConeFov, as_vec3, cone_axes, visible_mask
 from .sampling import PoiSet
 
 # Perturbation applied when two spacecraft share an orientation, so their
@@ -166,11 +165,11 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center
     axes = _axes(swarm.state, center, orientation_mode)
-    centered = relative_columns(pois.points, center)
+    centered, radius = pois.centered(center)
     seen = np.zeros(len(pois), dtype=bool)
     for k in range(len(swarm)):
         seen |= visible_mask(pois.points, swarm.state[k, :3], axes[k],
-                             swarm.phi[k], center, centered)
+                             swarm.phi[k], center, centered, radius)
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 

@@ -41,6 +41,14 @@ def _cell_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([master_seed, *key]).generate_state(1)[0])
 
 
+def _map(fn, cells, threads: int) -> list:
+    """fn over the cells in order, on a thread pool when threads > 1."""
+    if threads <= 1:
+        return [fn(c) for c in cells]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, cells))
+
+
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
@@ -199,13 +207,8 @@ def run_view_probability(config: ViewProbabilityConfig,
         for r_idx, radius in enumerate(config.sphere_radii)
         for trial in range(config.trials_per_radius)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trials = list(pool.map(
-                lambda c: _run_view_probability_trial(config, *c), cells
-            ))
-    else:
-        trials = [_run_view_probability_trial(config, *c) for c in cells]
+    trials = _map(lambda c: _run_view_probability_trial(config, *c), cells,
+                  threads)
 
     report = ExperimentReport("view_probability", _config_dict(config), trials)
     report.aggregates = aggregate(report)
@@ -266,11 +269,7 @@ def run_swarm_size_sweep(config: SwarmSizeConfig,
         rec["poi_seed"] = poi_seed
         return rec
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            trials = list(pool.map(run_cell, cells))
-    else:
-        trials = [run_cell(c) for c in cells]
+    trials = _map(run_cell, cells, threads)
 
     report = ExperimentReport("swarm_size", _config_dict(config), trials)
     report.aggregates = aggregate(report)

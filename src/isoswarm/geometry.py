@@ -6,6 +6,7 @@ shape (3,); point sets are arrays of shape (n, 3). All functions are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,7 +42,16 @@ def _dot3(a, b):
     """a . b over three components indexed first (3-vectors or (3, n) rows),
     elementwise: a point gets the same bits alone or in any batch, which a
     BLAS matrix-vector product (fusing multiply-adds per row) does not give."""
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
+
+
+def _cross(a, b):
+    """Row-wise a x b of (n, 3) arrays: np.cross's bits, not its set-up."""
+    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
+    return np.array((a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0)).T
 
 
 def cone_axes(apexes, center, tilts=None) -> np.ndarray:
@@ -57,10 +67,10 @@ def cone_axes(apexes, center, tilts=None) -> np.ndarray:
     if tilts is None:
         return toward
     ref = np.where(np.abs(toward[:, 2:]) < 0.9, _Z_HAT, _X_HAT)
-    u = np.cross(toward, ref)
+    u = _cross(toward, ref)
     u /= np.linalg.norm(u, axis=1, keepdims=True)
     return (toward * np.cos(tilts)[:, None]
-            + np.cross(u, toward) * np.sin(tilts)[:, None])
+            + _cross(u, toward) * np.sin(tilts)[:, None])
 
 
 def cone_axis(apex, ellipsoid_center) -> np.ndarray:
@@ -77,14 +87,43 @@ def in_cone(rel, axis, aperture_phi):
     return (d > 0.0) & (_dot3(rel, rel) * (c * c) <= d * d)
 
 
-def visible_mask(points, apex, axis, aperture_phi, center, centered=None):
-    """Cone test and near half-space (point - center) . (apex - center) >= 0,
-    so points on the center plane count as visible. Callers testing several
-    cones pass centered = relative_columns(points, center) once."""
+def _cone_holds_ball(to_center, axis, aperture_phi, radius):
+    """True if the cone holds every point within radius of the center, False
+    if none, None if it cuts that ball or its apex lies in it. The ball spans
+    alpha +- asin(radius / D) from the axis; the margins (README) make every
+    verdict the answer the full test gives each point."""
+    (vx, vy, vz), (ax, ay, az) = to_center, axis
+    dist, n2 = math.hypot(vx, vy, vz), ax * ax + ay * ay + az * az
+    if not (dist > radius and n2 > 0.0):
+        return None
+    alpha = math.atan2(
+        math.hypot(ay * vz - az * vy, az * vx - ax * vz, ax * vy - ay * vx),
+        ax * vx + ay * vy + az * vz)
+    spread = math.asin(radius / dist) + 1e-9 + 1e-12 * radius / (dist - radius)
+    c2 = math.cos(aperture_phi / 2.0) ** 2 / n2
+    hi, lo = alpha + spread, alpha - spread
+    if hi < math.pi / 2.0 and math.cos(hi) ** 2 - c2 > 1e-12:
+        return True
+    if lo > 0.0 and c2 - max(math.cos(lo), 0.0) ** 2 > 1e-12:
+        return False
+    return None
+
+
+def visible_mask(points, apex, axis, aperture_phi, center, centered=None,
+                 radius=None):
+    """Cone test and near half-space (point - center) . (apex - center) >= 0
+    (center-plane points are visible). With centered and radius from
+    PoiSet.centered, a cone holding all points runs only the half-space test."""
     if centered is None:
         centered = relative_columns(points, center)
-    return (in_cone(relative_columns(points, apex), axis, aperture_phi)
-            & (_dot3(centered, apex - center) >= 0.0))
+    to_apex = apex - center
+    verdict = None if radius is None else _cone_holds_ball(
+        (-to_apex).tolist(), axis.tolist(), aperture_phi, radius)
+    if verdict is False:
+        return np.zeros(len(points), dtype=bool)
+    near = _dot3(centered, to_apex) >= 0.0
+    return near if verdict else near & in_cone(
+        relative_columns(points, apex), axis, aperture_phi)
 
 
 @dataclass(frozen=True)

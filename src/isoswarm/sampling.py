@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vec3
+from .geometry import as_vec3, relative_columns
 
 
 class EmptySampleError(ValueError):
@@ -59,6 +59,18 @@ class PoiSet:
             raise ValueError("points must have shape (n, 3)")
         object.__setattr__(self, "points", pts)
 
+    def centered(self, center) -> tuple[np.ndarray, float]:
+        """Read-only relative_columns(points, center) and max |point - center|,
+        kept for the last center asked for (threads share them)."""
+        key = np.asarray(center, dtype=float).tobytes()
+        cached = getattr(self, "_centered", (None,))
+        if cached[0] != key:
+            cols = relative_columns(self.points, center)
+            cols.flags.writeable = False
+            cached = key, cols, float(np.sqrt((cols**2).sum(0).max(initial=0)))
+            object.__setattr__(self, "_centered", cached)
+        return cached[1:]
+
     def __len__(self):
         return self.points.shape[0]
 
@@ -84,13 +96,11 @@ def save_pois(path, pois: PoiSet) -> None:
     """Write a POI set as columnar text: a provenance header then x,y,z rows."""
     e = pois.ellipsoid
     with open(path, "w") as f:
-        f.write(
-            "# seed=%d radii=%.17g,%.17g,%.17g center=%.17g,%.17g,%.17g\n"
-            % ((pois.seed,) + e.radii + tuple(e.center))
-        )
-        f.write("x,y,z\n")
-        for p in pois.points:
-            f.write("%.17g,%.17g,%.17g\n" % tuple(p))
+        f.write("# seed=%d radii=%.17g,%.17g,%.17g center=%.17g,%.17g,%.17g\n"
+                "x,y,z\n" % ((pois.seed,) + e.radii + tuple(e.center)))
+        blocks = np.split(pois.points, range(4096, len(pois), 4096))
+        f.writelines("%.17g,%.17g,%.17g\n" * len(b) % tuple(b.ravel().tolist())
+                     for b in blocks)
 
 
 def load_pois(path) -> PoiSet:
@@ -106,6 +116,9 @@ def load_pois(path) -> PoiSet:
         columns = f.readline().strip()
         if columns != "x,y,z":
             raise ValueError(f"{path}: expected 'x,y,z' column line")
-        pts = [[float(v) for v in line.split(",")] for line in f if line.strip()]
+        rows = [line for line in f if line.strip()]
+        if not rows:
+            raise ValueError(f"{path}: no POI rows")
+        pts = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
     ellipsoid = UncertaintyEllipsoid(center, radii)
-    return PoiSet(np.asarray(pts), seed, ellipsoid)
+    return PoiSet(pts, seed, ellipsoid)

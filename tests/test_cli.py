@@ -153,6 +153,27 @@ def test_bound_invert_hand_case(tmp_path, capsys):
     assert json.loads(stdout)["radius"] == pytest.approx(1.0)
 
 
+def test_bound_invert_rejects_squared(tmp_path, capsys):
+    # the inversion has no squared-distance form: refuse, do not ignore
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps(BOUND_CFG))
+    code, stdout, stderr = run(capsys, "bound", "--config", str(cfg),
+                               "--invert", "0.5", "-T", "0", "--v0", "1",
+                               "--squared")
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "--squared" in stderr
+
+
+def test_global_format_flag_removed(tmp_path, capsys):
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps(BOUND_CFG))
+    code, stdout, _ = run(capsys, "--format", "csv", "bound", "--config",
+                          str(cfg), "-D", "1", "-T", "0")
+    assert code == EXIT_USAGE
+    assert stdout == ""
+
+
 def test_bound_time_out_of_range(tmp_path, capsys):
     cfg = tmp_path / "bound.json"
     cfg.write_text(json.dumps(BOUND_CFG))
@@ -241,7 +262,10 @@ def test_help_exits_zero(capsys):
 
 
 @pytest.mark.parametrize("pois_text", [None, "", "# seed=1\nx,y,z\n1,2\n",
-                                       "no header\n"])
+                                       "no header\n"] + [
+    "# seed=1 radii=1,1,1 center=0,0,0\nx,y,z\n" + rows
+    for rows in ("", "  \n", "1,2,3\n4,5\n", "1,a,3\n", "1,2,3,4\n",
+                 "1,2,3\n# note\n", "1,2,3 # note\n")])
 def test_cost_bad_pois_file_usage_error(tmp_path, capsys, pois_text):
     pois_path = tmp_path / "pois.csv"
     if pois_text is not None:

@@ -84,3 +84,23 @@ def test_poi_file_byte_identical(tmp_path):
     save_pois(p1, sample_pois(e, 100, 5))
     save_pois(p2, sample_pois(e, 100, 5))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_poi_file_matches_row_loop_reference(tmp_path):
+    # the block writer and the loadtxt reader against the one-row-at-a-time
+    # formatting and float() parsing, across a write-block boundary
+    e = UncertaintyEllipsoid(np.array([4e7, -9e7, 1.5]), (100.0, 70.0, 40.0))
+    pts = sample_pois(e, 5000, 3).points.copy()
+    pts[:4] = [[-0.0, 0.0, 1e-300], [5e-324, 1e308, -1.5],
+               [1 / 3, 2 / 3, 1e22], [np.pi, np.e, -np.pi]]
+    path = tmp_path / "pois.csv"
+    save_pois(path, PoiSet(pts, 3, e))
+    header, columns, *rows = path.read_text().splitlines(keepends=True)
+    assert columns == "x,y,z\n"
+    assert rows == ["%.17g,%.17g,%.17g\n" % tuple(p) for p in pts]
+    # blank and whitespace-only lines between rows are skipped
+    path.write_text(header + columns + "\n".join(rows[:3]) + "\n  \t\n"
+                    + "".join(rows[3:]) + "\n")
+    loaded = load_pois(path)
+    reference = [[float(v) for v in line.split(",")] for line in rows]
+    assert loaded.points.tobytes() == np.array(reference).tobytes()
