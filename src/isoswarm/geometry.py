@@ -16,6 +16,17 @@ TWO_PI = 2.0 * np.pi
 _Z_HAT = np.array([0.0, 0.0, 1.0])
 _X_HAT = np.array([1.0, 0.0, 0.0])
 
+# Visibility slack, relative to D = |apex - center|: a point counts as behind
+# the camera unless d = (point - apex) . axis > _SLACK * D, and as on the
+# center plane (so visible) when it lies within _SLACK * D of it. Moving every
+# input by one common vector rounds each coordinate by up to half an ulp;
+# while the coordinates stay below 1e5 * D and the points within D of the
+# center, that moves d and the plane distance by less than half the slack, so
+# no answer hinges on the last bits of a coordinate (a POI 1e-66 km behind the
+# plane, or ahead of the apex, is on it). The slack stays far below the POI
+# spacing, so an optimizer cannot gain POIs by parking them in it.
+_SLACK = 2.0 ** -30
+
 
 class DegenerateGeometryError(ValueError):
     """Cone apex coincides with the ellipsoid center."""
@@ -78,13 +89,19 @@ def cone_axis(apex, ellipsoid_center) -> np.ndarray:
     return cone_axes(as_vec3(apex)[None], as_vec3(ellipsoid_center))[0]
 
 
-def in_cone(rel, axis, aperture_phi):
+def in_cone(rel, axis, aperture_phi, min_axial=0.0):
     """Forward-cone test of offsets rel = point - apex (a 3-vector or
-    relative_columns), boundary in: d = rel . axis > 0 and
+    relative_columns), boundary in: d = rel . axis > min_axial and
     |rel|^2 cos^2(phi / 2) <= d^2."""
     d = _dot3(rel, axis)
     c = np.cos(aperture_phi / 2.0)
-    return (d > 0.0) & (_dot3(rel, rel) * (c * c) <= d * d)
+    return (d > min_axial) & (_dot3(rel, rel) * (c * c) <= d * d)
+
+
+def _near(centered, to_apex, dist):
+    """Near half-space with the plane slack: (point - center) . (apex - center)
+    >= -_SLACK D^2, with dist = D = |apex - center|."""
+    return _dot3(centered, to_apex) >= -_SLACK * dist * dist
 
 
 def _cone_holds_ball(to_center, axis, aperture_phi, radius):
@@ -102,7 +119,8 @@ def _cone_holds_ball(to_center, axis, aperture_phi, radius):
     spread = math.asin(radius / dist) + 1e-9 + 1e-12 * radius / (dist - radius)
     c2 = math.cos(aperture_phi / 2.0) ** 2 / n2
     hi, lo = alpha + spread, alpha - spread
-    if hi < math.pi / 2.0 and math.cos(hi) ** 2 - c2 > 1e-12:
+    if (hi < math.pi / 2.0 and math.cos(hi) ** 2 - c2 > 1e-12
+            and (dist - radius) * math.cos(hi) > 2.0 * _SLACK * dist):
         return True
     if lo > 0.0 and c2 - max(math.cos(lo), 0.0) ** 2 > 1e-12:
         return False
@@ -111,19 +129,22 @@ def _cone_holds_ball(to_center, axis, aperture_phi, radius):
 
 def visible_mask(points, apex, axis, aperture_phi, center, centered=None,
                  radius=None):
-    """Cone test and near half-space (point - center) . (apex - center) >= 0
-    (center-plane points are visible). With centered and radius from
-    PoiSet.centered, a cone holding all points runs only the half-space test."""
+    """Cone test and near half-space (point - center) . (apex - center) >= 0,
+    both with the slack of _SLACK (center-plane points are visible). With
+    centered and radius from PoiSet.centered, a cone holding all points runs
+    only the half-space test."""
     if centered is None:
         centered = relative_columns(points, center)
     to_apex = apex - center
+    tx, ty, tz = to_apex.tolist()
+    dist = math.hypot(tx, ty, tz)
     verdict = None if radius is None else _cone_holds_ball(
-        (-to_apex).tolist(), axis.tolist(), aperture_phi, radius)
+        (-tx, -ty, -tz), axis.tolist(), aperture_phi, radius)
     if verdict is False:
         return np.zeros(len(points), dtype=bool)
-    near = _dot3(centered, to_apex) >= 0.0
+    near = _near(centered, to_apex, dist)
     return near if verdict else near & in_cone(
-        relative_columns(points, apex), axis, aperture_phi)
+        relative_columns(points, apex), axis, aperture_phi, _SLACK * dist)
 
 
 @dataclass(frozen=True)
@@ -173,20 +194,29 @@ def orthogonal_distance(poi, fov: ConeFov) -> float:
 
 
 def in_fov(poi, fov: ConeFov) -> bool:
-    """Whether the POI lies inside the (forward) cone; boundary counts as in."""
+    """Whether the POI lies inside the (forward) cone; boundary counts as in
+    (with no center there is no D, so no apex slack)."""
     return bool(in_cone(as_vec3(poi) - fov.apex, fov.axis, fov.aperture_phi))
 
 
 def in_near_hemisphere(poi, apex, center) -> bool:
     """Whether the POI lies in the half-space of the center-plane containing
-    the spacecraft; points on the dividing plane count as visible."""
+    the spacecraft; points on the dividing plane (up to the slack) count as
+    visible."""
     apex = as_vec3(apex)
     center = as_vec3(center)
     if np.array_equal(apex, center):
         raise DegenerateGeometryError("apex coincides with center")
-    return bool(_dot3(as_vec3(poi) - center, apex - center) >= 0.0)
+    to_apex = apex - center
+    return bool(_near(as_vec3(poi) - center, to_apex,
+                      math.hypot(*to_apex.tolist())))
 
 
 def visible(poi, fov: ConeFov, center) -> bool:
-    """In the cone and in the near hemisphere of the ellipsoid."""
-    return in_fov(poi, fov) and in_near_hemisphere(poi, fov.apex, center)
+    """In the cone and in the near hemisphere of the ellipsoid: visible_mask
+    for one POI."""
+    center = as_vec3(center)
+    if np.array_equal(fov.apex, center):
+        raise DegenerateGeometryError("apex coincides with center")
+    return bool(visible_mask(as_vec3(poi)[None], fov.apex, fov.axis,
+                             fov.aperture_phi, center)[0])

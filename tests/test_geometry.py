@@ -158,6 +158,54 @@ def test_visibility_translation_invariant(poi, apex, center, shift, phi):
     assert visible(poi, fov, center) == visible(poi + shift, fov2, center + shift)
 
 
+# (poi, apex, center, shift, phi) where the shift rounds away an offset far
+# below its ulp: a POI 2e-66 km behind the center plane, POIs just ahead of
+# the apex, and a plane normal tilted by a 4e-31 km component
+SUB_ULP_CASES = [
+    ([0.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 2.35932156846007e-66, 0.0],
+     [0.0, 1.0, 0.0], 1.0),
+    ([775.0966000076996, -1.1125369292536007e-308, 1.1754943508222875e-38],
+     [775.0966000076996, -1.1125369292536007e-308, -8.43280147952504e-258],
+     [-8.43280147952504e-258, 327.23259712368895, 1000.0],
+     [-8.43280147952504e-258, 327.23259712368895, 1000.0],
+     2.9095046349782847),
+    ([-1.0210756639336937e-159, 0.0, -453.9988966076461],
+     [0.0, 0.0, -453.9988966076461],
+     [-454.504967833813, 0.0, -453.9988966076461],
+     [-454.504967833813, 0.0, -453.9988966076461], 2.989467342525218),
+    ([-344.9910658777834, -344.9910658777834, -1.1],
+     [-615.964555786315, 3.919861539639913e-31, 20.58452393989785],
+     [-344.9910658777834, 2.4323073058338956e-83, -1.1],
+     [3.8519403650785274e-66, 514.4817194835366, -212.29710552921176], 2.0),
+]
+
+
+@pytest.mark.parametrize("poi, apex, center, shift, phi", SUB_ULP_CASES)
+def test_visibility_ignores_sub_ulp_offsets(poi, apex, center, shift, phi):
+    poi, apex, center, shift = map(np.array, (poi, apex, center, shift))
+    fov = ConeFov.aimed(apex, center, phi)
+    fov2 = ConeFov.aimed(apex + shift, center + shift, phi)
+    assert visible(poi, fov, center) == visible(poi + shift, fov2, center + shift)
+
+
+def test_slack_scales_with_spacecraft_distance():
+    # a POI must stand more than the slack s D ahead of the apex to be in
+    # view, and within s D behind the center plane it counts as on the plane
+    center = np.zeros(3)
+    for dist in (1e-3, 1.0, 1e6):
+        apex = np.array([0.0, 0.0, dist])
+        fov = ConeFov.aimed(apex, center, 1.0)
+        step = np.array([0.0, 0.0, dist * geometry._SLACK])
+        assert not visible(apex - 0.5 * step, fov, center)
+        assert visible(apex - 2.0 * step, fov, center)
+        # the apex slack does not apply without a center
+        assert in_fov(apex - 0.5 * step, fov)
+        assert visible(center - 0.5 * step, fov, center)
+        assert not visible(center - 2.0 * step, fov, center)
+        assert in_near_hemisphere(center - 0.5 * step, apex, center)
+        assert not in_near_hemisphere(center - 2.0 * step, apex, center)
+
+
 @settings(max_examples=100, deadline=None)
 @given(poi=vec3, apex=vec3, center=vec3,
        scale=st.floats(1e-3, 1e3), phi=st.floats(0.1, 3.0))
