@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -72,13 +73,29 @@ def _read(load, path, what):
         raise CliError(f"{path}: cannot read {what}: {err}")
 
 
+def _positive_int(text) -> int:
+    """argparse type for counts: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _finite_float(text) -> float:
+    """argparse type for weights: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+    return value
+
+
 def cmd_sample_pois(args) -> int:
-    if args.n < 1:
-        raise CliError("--n must be at least 1")
-    ellipsoid = UncertaintyEllipsoid.sphere(args.radius, tuple(args.center)) \
-        if args.radii is None else \
-        UncertaintyEllipsoid(np.asarray(args.center, dtype=float),
-                             tuple(args.radii))
+    radii = (args.radius,) * 3 if args.radii is None else tuple(args.radii)
+    try:
+        ellipsoid = UncertaintyEllipsoid(np.asarray(args.center, dtype=float),
+                                         radii)
+    except ValueError as err:
+        raise CliError(f"bad ellipsoid: {err}")
     pois = sample_pois(ellipsoid, args.n, args.seed or 0)
     out = args.output or "pois.csv"
     save_pois(out, pois)
@@ -101,6 +118,8 @@ def cmd_cost(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if not 0.0 <= args.position_stddev < math.inf:
+        raise CliError("--position-stddev must be finite and non-negative")
     pois = _read(load_pois, args.pois, "POI file")
     swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     opts = NelderMeadOptions(max_iterations=args.max_iterations)
@@ -176,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the master seed where applicable")
     parser.add_argument("--output", "-o", default=None,
                         help="output file or directory")
-    parser.add_argument("--threads", type=int, default=1,
+    parser.add_argument("--threads", type=_positive_int, default=1,
                         help="worker threads for experiment cells")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -186,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--radii", type=float, nargs=3, default=None,
                    help="per-axis ellipsoid radii (km)")
     p.add_argument("--center", type=float, nargs=3, default=(0.0, 0.0, 0.0))
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="sampling seed (default: the global --seed, else 0)")
     p.set_defaults(func=cmd_sample_pois)
@@ -194,17 +213,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("cost", help="evaluate the information cost of a swarm")
     p.add_argument("--pois", required=True, help="POI file from sample-pois")
     p.add_argument("--swarm", required=True, help="swarm pose JSON file")
-    p.add_argument("--kappa-weight", type=float, default=1.0)
+    p.add_argument("--kappa-weight", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_cost)
 
     p = sub.add_parser("optimize", help="optimize swarm positions/orientations")
     p.add_argument("--pois", required=True)
     p.add_argument("--swarm", required=True, help="initial swarm pose JSON")
-    p.add_argument("--kappa-weight", type=float, default=1.0)
-    p.add_argument("--max-iterations", type=int, default=None)
+    p.add_argument("--kappa-weight", type=_finite_float, default=1.0)
+    p.add_argument("--max-iterations", type=_positive_int, default=None)
     p.add_argument("--position-stddev", type=float, default=0.0,
                    help="enable expected-cost mode with this stddev (km)")
-    p.add_argument("--mc-samples", type=int, default=100)
+    p.add_argument("--mc-samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
                    help="noise seed (default: the global --seed, else 0)")
     p.set_defaults(func=cmd_optimize)

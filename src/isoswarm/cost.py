@@ -9,10 +9,11 @@ Lower is better; experiment reports use -I.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
-from .geometry import TWO_PI, ConeFov, as_vec3, cone_axes, visible_mask
+from .geometry import TWO_PI, ConeFov, as_vec3, unit_axis, visible_mask
 from .sampling import PoiSet
 
 # Perturbation applied when two spacecraft share an orientation, so their
@@ -20,13 +21,13 @@ from .sampling import PoiSet
 DEFAULT_IDENTICAL_THETA_DELTA = 1e-6
 
 
-def _axes(state: np.ndarray, center, orientation_mode: str) -> np.ndarray:
-    """Cone axes of packed (x, y, z, theta) rows: "aimed" at the center, or
-    "theta_tilt", tilted away from the center direction by theta."""
+def _axis(row, center, orientation_mode: str):
+    """Cone axis of a packed (x, y, z, theta) row of floats: "aimed" at the
+    center, or "theta_tilt", tilted away from the center direction by theta."""
     if orientation_mode == "aimed":
-        return cone_axes(state[:, :3], center)
+        return unit_axis(row[:3], center)
     if orientation_mode == "theta_tilt":
-        return cone_axes(state[:, :3], center, state[:, 3])
+        return unit_axis(row[:3], center, row[3])
     raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
 
 
@@ -49,17 +50,17 @@ class SpacecraftPose:
 
     def fov(self, center, orientation_mode: str = "aimed") -> ConeFov:
         """Build this pose's viewing cone relative to the ellipsoid center."""
-        row = np.append(self.position, self.theta)[None]
+        row = [*self.position.tolist(), self.theta]
         return ConeFov(self.position,
-                       _axes(row, as_vec3(center), orientation_mode)[0],
+                       _axis(row, as_vec3(center).tolist(), orientation_mode),
                        self.phi)
 
 
 class SwarmConfig:
     """An ordered swarm of spacecraft observing one uncertainty ellipsoid,
     packed as the optimizer sees it: `state` rows (x, y, z, theta in
-    [0, 2 pi)), arrays `nu` and `phi`, and `pairs`, the index arrays (i, j)
-    of the pairs i < j in row-major order."""
+    [0, 2 pi)), arrays `nu` and `phi`, and `pairs`, the index pairs (i, j)
+    with i < j in row-major order."""
 
     def __init__(self, spacecraft, ellipsoid):
         poses = tuple(spacecraft)
@@ -67,7 +68,7 @@ class SwarmConfig:
             raise ValueError("swarm needs at least one spacecraft")
         self.state = np.array([[*p.position, p.theta] for p in poses])
         self.nu, self.phi = np.array([(p.nu, p.phi) for p in poses]).T
-        self.pairs = np.triu_indices(len(poses), 1)
+        self.pairs = tuple(combinations(range(len(poses)), 2))
         self.ellipsoid = ellipsoid
 
     @classmethod
@@ -119,19 +120,22 @@ def fov_interval(pose: SpacecraftPose) -> tuple[float, float]:
 
 
 def _arc_overlap(ti, tj, nu_i, nu_j, delta):
-    """Elementwise length of the intersection of the circular arcs
-    [ti +- nu_i] and [tj +- nu_j]; equal orientations are perturbed by delta.
+    """Length of the intersection of the circular arcs [ti +- nu_i] and
+    [tj +- nu_j]; equal orientations are perturbed by delta.
 
     The arcs can meet across both separations, sep and 2 pi - sep; for equal
     widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
+    A NaN orientation stays NaN: min and max keep their first argument when
+    it is NaN, so it goes first.
     """
-    tj = np.where(ti == tj, tj + delta, tj)
-    d = np.abs(ti - tj) % TWO_PI
-    sep = np.minimum(d, TWO_PI - d)
-    narrow = np.minimum(2.0 * nu_i, 2.0 * nu_j)
-    near = np.minimum(narrow, nu_i + nu_j - sep)
-    far = np.minimum(narrow, nu_i + nu_j - (TWO_PI - sep))
-    return np.maximum(0.0, near) + np.maximum(0.0, far)
+    if ti == tj:
+        tj += delta
+    d = abs(ti - tj) % TWO_PI
+    sep = min(d, TWO_PI - d)
+    narrow = min(2.0 * nu_i, 2.0 * nu_j)
+    near = min(nu_i + nu_j - sep, narrow)
+    far = min(nu_i + nu_j - (TWO_PI - sep), narrow)
+    return max(near, 0.0) + max(far, 0.0)
 
 
 def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose,
@@ -146,14 +150,12 @@ def kappa_total(swarm: SwarmConfig,
                 delta: float = DEFAULT_IDENTICAL_THETA_DELTA) -> float:
     """Sum of pair_overlap over all unordered spacecraft pairs, added one at
     a time in i < j order (a NumPy reduction groups the sum differently)."""
-    i, j = swarm.pairs
-    if len(i) == 0:
+    if not swarm.pairs:
         return 0.0
-    theta = swarm.state[:, 3]
+    theta, nu = swarm.state[:, 3].tolist(), swarm.nu.tolist()
     total = 0.0
-    for v in _arc_overlap(theta[i], theta[j], swarm.nu[i], swarm.nu[j],
-                          delta).tolist():
-        total += v
+    for i, j in swarm.pairs:
+        total += _arc_overlap(theta[i], theta[j], nu[i], nu[j], delta)
     return total
 
 
@@ -164,12 +166,15 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
     if len(pois) == 0:
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center
-    axes = _axes(swarm.state, center, orientation_mode)
     centered, radius = pois.centered(center)
-    seen = np.zeros(len(pois), dtype=bool)
-    for k in range(len(swarm)):
-        seen |= visible_mask(pois.points, swarm.state[k, :3], axes[k],
-                             swarm.phi[k], center, centered, radius)
+    rows, c = swarm.state.tolist(), center.tolist()
+    masks = (visible_mask(pois.points, apex, _axis(row, c, orientation_mode),
+                          phi, center, centered, radius)
+             for apex, row, phi in zip(swarm.state[:, :3], rows,
+                                       swarm.phi.tolist()))
+    seen = next(masks)
+    for mask in masks:
+        seen |= mask
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 

@@ -13,9 +13,6 @@ import numpy as np
 
 TWO_PI = 2.0 * np.pi
 
-_Z_HAT = np.array([0.0, 0.0, 1.0])
-_X_HAT = np.array([1.0, 0.0, 0.0])
-
 # Visibility slack, relative to D = |apex - center|: a point counts as behind
 # the camera unless d = (point - apex) . axis > _SLACK * D, and as on the
 # center plane (so visible) when it lies within _SLACK * D of it. Moving every
@@ -59,34 +56,44 @@ def _dot3(a, b):
     return out
 
 
-def _cross(a, b):
-    """Row-wise a x b of (n, 3) arrays: np.cross's bits, not its set-up."""
-    (a0, a1, a2), (b0, b1, b2) = a.T, b.T
-    return np.array((a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0)).T
+def unit_axis(apex, center, tilt=None) -> tuple[float, float, float]:
+    """Unit axis (x, y, z) of the cone at apex pointing at center, rotated by
+    tilt when given about a fixed perpendicular axis (from the z axis, x near
+    the poles), so the angle to the center direction is the tilt's circular
+    distance from zero. Apex and center are float 3-sequences; the products
+    are np.cross's, in its order."""
+    (ax, ay, az), (cx, cy, cz) = apex, center
+    x, y, z = cx - ax, cy - ay, cz - az
+    norm = math.sqrt(x * x + y * y + z * z)
+    if norm == 0.0:
+        raise DegenerateGeometryError(
+            "cone apex coincides with ellipsoid center")
+    x, y, z = x / norm, y / norm, z / norm
+    if tilt is None:
+        return x, y, z
+    r0, r1, r2 = (0.0, 0.0, 1.0) if abs(z) < 0.9 else (1.0, 0.0, 0.0)
+    ux, uy, uz = y * r2 - z * r1, z * r0 - x * r2, x * r1 - y * r0
+    norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+    ux, uy, uz = ux / norm, uy / norm, uz / norm
+    c, s = math.cos(tilt), math.sin(tilt)
+    return (x * c + (uy * z - uz * y) * s, y * c + (uz * x - ux * z) * s,
+            z * c + (ux * y - uy * x) * s)
 
 
 def cone_axes(apexes, center, tilts=None) -> np.ndarray:
-    """Unit axes of cones at apexes (n, 3) pointing at the center, each
-    rotated by its tilt (n,) about a fixed perpendicular axis (from the z
-    axis, x near the poles) when tilts are given, so the angle to the center
-    direction is the tilt's circular distance from zero."""
-    toward = center - apexes
-    norm = np.linalg.norm(toward, axis=1, keepdims=True)
-    if not norm.all():
-        raise DegenerateGeometryError("cone apex coincides with ellipsoid center")
-    toward = toward / norm
-    if tilts is None:
-        return toward
-    ref = np.where(np.abs(toward[:, 2:]) < 0.9, _Z_HAT, _X_HAT)
-    u = _cross(toward, ref)
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    return (toward * np.cos(tilts)[:, None]
-            + _cross(u, toward) * np.sin(tilts)[:, None])
+    """unit_axis of each apex row (n, 3), with its tilt (n,) when given."""
+    apexes = np.asarray(apexes, dtype=float).tolist()
+    center = np.asarray(center, dtype=float).tolist()
+    tilts = [None] * len(apexes) if tilts is None else np.asarray(
+        tilts, dtype=float).tolist()
+    return np.array([unit_axis(a, center, t) for a, t in zip(apexes, tilts)],
+                    dtype=float).reshape(-1, 3)
 
 
 def cone_axis(apex, ellipsoid_center) -> np.ndarray:
     """Unit direction from the cone apex toward the ellipsoid center."""
-    return cone_axes(as_vec3(apex)[None], as_vec3(ellipsoid_center))[0]
+    return np.array(unit_axis(as_vec3(apex).tolist(),
+                              as_vec3(ellipsoid_center).tolist()))
 
 
 def in_cone(rel, axis, aperture_phi, min_axial=0.0):
@@ -132,14 +139,13 @@ def visible_mask(points, apex, axis, aperture_phi, center, centered=None,
     """Cone test and near half-space (point - center) . (apex - center) >= 0,
     both with the slack of _SLACK (center-plane points are visible). With
     centered and radius from PoiSet.centered, a cone holding all points runs
-    only the half-space test."""
+    only the half-space test. The axis is any float 3-sequence."""
     if centered is None:
         centered = relative_columns(points, center)
-    to_apex = apex - center
-    tx, ty, tz = to_apex.tolist()
+    to_apex = tx, ty, tz = (apex - center).tolist()
     dist = math.hypot(tx, ty, tz)
     verdict = None if radius is None else _cone_holds_ball(
-        (-tx, -ty, -tz), axis.tolist(), aperture_phi, radius)
+        (-tx, -ty, -tz), axis, aperture_phi, radius)
     if verdict is False:
         return np.zeros(len(points), dtype=bool)
     near = _near(centered, to_apex, dist)

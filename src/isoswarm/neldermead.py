@@ -7,8 +7,9 @@ stay on [0, 2 pi).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -46,6 +47,8 @@ class NelderMeadOptions:
             raise ValueError("need expansion > 1 > contraction > 0")
         if not 0.0 < self.shrink < 1.0:
             raise ValueError("shrink coefficient must lie in (0, 1)")
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -65,11 +68,10 @@ class OptResult:
     trace: list[tuple[int, float, float]] = field(default_factory=list)
 
 
-def _wrap(x: np.ndarray, theta_idx: Sequence[int]) -> np.ndarray:
-    if theta_idx:
+def _wrap(x: np.ndarray, theta_idx: np.ndarray) -> np.ndarray:
+    if theta_idx.size:
         x = x.copy()
-        idx = list(theta_idx)
-        x[idx] = np.mod(x[idx], TWO_PI)
+        x[theta_idx] %= TWO_PI
     return x
 
 
@@ -84,7 +86,7 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dimension,):
         raise ValueError(f"x0 must have length {problem.dimension}")
-    theta_idx = sorted(problem.theta_indices)
+    theta_idx = np.array(sorted(problem.theta_indices), dtype=np.intp)
     max_iter = opts.max_iterations
     if max_iter is None:
         max_iter = 200 * problem.dimension
@@ -96,7 +98,7 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
         x = _wrap(x, theta_idx)
         v = float(problem.objective(x))
         evals += 1
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ObjectiveDomainError(f"objective non-finite at {x.tolist()}")
         return x, v
 
@@ -104,9 +106,8 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     simplex = np.empty((n + 1, n))
     values = np.empty(n + 1)
     simplex[0], values[0] = f(x0)
-    theta_set = set(theta_idx)
     for i in range(n):
-        if i in theta_set and opts.theta_initial_step is not None:
+        if i in problem.theta_indices and opts.theta_initial_step is not None:
             step = opts.theta_initial_step
         else:
             step = opts.initial_simplex_scale * max(abs(x0[i]), 1.0)
@@ -177,12 +178,13 @@ def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
 def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministic",
                     **cost_kwargs) -> Callable[[np.ndarray], float]:
     """Objective over the packed decision vector, with the degeneracy penalty."""
-    center = template.ellipsoid.center
+    cx, cy, cz = template.ellipsoid.center.tolist()
 
     def objective(x: np.ndarray) -> float:
-        offsets = x.reshape(-1, 4)[:, :3] - center
-        if np.any(np.linalg.norm(offsets, axis=1) < DEGENERACY_RADIUS_KM):
-            return DEGENERACY_PENALTY
+        for px, py, pz, _ in x.reshape(-1, 4).tolist():
+            dx, dy, dz = px - cx, py - cy, pz - cz
+            if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
+                return DEGENERACY_PENALTY
         swarm = SwarmConfig.from_state(x, template)
         if cost_mode == "deterministic":
             return information_cost(swarm, pois, **cost_kwargs).information_cost

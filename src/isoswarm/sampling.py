@@ -6,6 +6,7 @@ The generator is numpy's PCG64 (``np.random.default_rng``), so identical
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,8 +32,9 @@ class UncertaintyEllipsoid:
     def __post_init__(self):
         object.__setattr__(self, "center", as_vec3(self.center))
         radii = tuple(float(r) for r in np.asarray(self.radii).ravel())
-        if len(radii) != 3 or any(r <= 0.0 for r in radii):
-            raise ValueError("ellipsoid radii must be three positive reals")
+        if len(radii) != 3 or not all(0.0 < r < math.inf for r in radii):
+            raise ValueError(
+                "ellipsoid radii must be three finite positive reals")
         object.__setattr__(self, "radii", radii)
 
     @classmethod

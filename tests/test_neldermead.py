@@ -195,3 +195,9 @@ def test_optimize_swarm_mc_mode_runs():
         cost_mode=(2.0, 8, 123))
     assert np.isfinite(res.best_value)
     assert len(best) == 1
+
+
+@pytest.mark.parametrize("max_iterations", [0, -3])
+def test_options_reject_empty_budget(max_iterations):
+    with pytest.raises(ValueError, match="max_iterations"):
+        NelderMeadOptions(max_iterations=max_iterations)
