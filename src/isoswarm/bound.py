@@ -11,7 +11,7 @@ and the inversion of the success bound to an ellipsoid radius.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -104,6 +104,16 @@ def check_rate_matrix(params: ContractionParams) -> RateMatrixCheck:
                            a_c, a_e)
 
 
+def _require_feasible(params: ContractionParams) -> None:
+    """Raise InfeasibleParamsError unless check_rate_matrix holds."""
+    check = check_rate_matrix(params)
+    if not check.feasible:
+        raise InfeasibleParamsError(
+            "rate-matrix condition violated "
+            f"(alpha_bar_c = {check.alpha_bar_c:g}, alpha_bar_e = {check.alpha_bar_e:g})"
+        )
+
+
 def shifted_rate_matrix(params: ContractionParams) -> np.ndarray:
     """[[-2 a_c, k], [k, -2 lam a_e]] + 2 alpha_s diag(m_c_upper, lam m_e_upper)
     with the effective rates a_c, a_e and k = m_c_upper * g_bar * u_bar: the
@@ -146,11 +156,15 @@ class NoiseProfile:
         arr = np.asarray(pairs, dtype=float)
         return cls(arr[:, 0], arr[:, 1])
 
-    def zeta_at(self, t: float) -> float:
-        if t < self.times[0] or t > self.times[-1]:
+    def _check_time(self, t: float) -> None:
+        """Raise ExtrapolationError unless 0 <= t <= the last sample time."""
+        if t < 0.0 or t > self.times[-1]:
             raise ExtrapolationError(
                 f"t = {t} outside recorded noise history [0, {self.times[-1]}]"
             )
+
+    def zeta_at(self, t: float) -> float:
+        self._check_time(t)
         return float(np.interp(t, self.times, self.zetas))
 
 
@@ -161,10 +175,7 @@ def zeta_integral(t: float, params: ContractionParams,
     Trapezoidal quadrature on the noise sample grid restricted to [0, t],
     with zeta linearly interpolated at the endpoint.
     """
-    if t < 0.0 or t > noise.times[-1]:
-        raise ExtrapolationError(
-            f"t = {t} outside recorded noise history [0, {noise.times[-1]}]"
-        )
+    noise._check_time(t)
     if t == 0.0:
         return 0.0
     inner = noise.times[noise.times < t]
@@ -193,15 +204,7 @@ class BoundResult:
     m_lower_combined: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "failure_prob_upper": self.failure_prob_upper,
-            "success_prob_lower": self.success_prob_lower,
-            "failure_prob_raw": self.failure_prob_raw,
-            "success_prob_raw": self.success_prob_raw,
-            "c_s": self.c_s,
-            "zeta_integral": self.zeta_integral,
-            "m_lower_combined": self.m_lower_combined,
-        }
+        return asdict(self)
 
 
 def _numerator(t: float, v0_expected: float, params: ContractionParams,
@@ -221,12 +224,7 @@ def evaluate_bound(D: float, t: float, v0_expected: float,
     """
     if D <= 0.0:
         raise ValueError("failure distance D must be positive")
-    check = check_rate_matrix(params)
-    if not check.feasible:
-        raise InfeasibleParamsError(
-            "rate-matrix condition violated "
-            f"(alpha_bar_c = {check.alpha_bar_c:g}, alpha_bar_e = {check.alpha_bar_e:g})"
-        )
+    _require_feasible(params)
     denom = (D * D if squared_distance else D) * params.m_lower_combined
     zeta = zeta_integral(t, params, noise)
     fail_raw = _numerator(t, v0_expected, params, zeta) / denom
@@ -262,12 +260,7 @@ def radius_for_success_probability(p_target: float, T: float,
     if not 0.0 < p_target < 1.0:
         raise ValueError("target probability must lie in (0, 1); the bound "
                          "never certifies probability 1 with a nonzero numerator")
-    check = check_rate_matrix(params)
-    if not check.feasible:
-        raise InfeasibleParamsError(
-            "rate-matrix condition violated "
-            f"(alpha_bar_c = {check.alpha_bar_c:g}, alpha_bar_e = {check.alpha_bar_e:g})"
-        )
+    _require_feasible(params)
     B = _numerator(T, v0_expected, params, zeta_integral(T, params, noise))
     if B == 0.0:
         return 0.0

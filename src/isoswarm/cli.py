@@ -33,21 +33,6 @@ class CliError(Exception):
         self.code = code
 
 
-def _json17(obj) -> str:
-    """Serialize with 17 significant digits so floats round-trip."""
-
-    def enc(x):
-        if isinstance(x, float):
-            return float(f"{x:.17g}")
-        if isinstance(x, dict):
-            return {k: enc(v) for k, v in x.items()}
-        if isinstance(x, (list, tuple)):
-            return [enc(v) for v in x]
-        return x
-
-    return json.dumps(enc(obj), indent=2)
-
-
 def _load_swarm(path) -> SwarmConfig:
     """Read a swarm pose file: JSON with "ellipsoid" and a "spacecraft" list."""
     with open(path) as f:
@@ -111,9 +96,10 @@ def cmd_cost(args) -> int:
     pois = _read(load_pois, args.pois, "POI file")
     swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     breakdown = information_cost(swarm, pois, kappa_weight=args.kappa_weight)
-    print(_json17(breakdown.to_json_dict()))
+    text = json.dumps(breakdown.to_json_dict(), indent=2)
+    print(text)
     if args.output:
-        Path(args.output).write_text(_json17(breakdown.to_json_dict()) + "\n")
+        Path(args.output).write_text(text + "\n")
     return EXIT_OK
 
 
@@ -140,7 +126,7 @@ def cmd_optimize(args) -> int:
         "evaluations": result.evaluation_count,
         "converged": result.converged,
     }
-    text = _json17(payload)
+    text = json.dumps(payload, indent=2)
     print(text)
     if args.output:
         Path(args.output).write_text(text + "\n")
@@ -154,12 +140,13 @@ def cmd_bound(args) -> int:
         if args.invert is not None:
             D = bound_mod.radius_for_success_probability(
                 args.invert, args.time, args.v0, params, noise)
-            print(_json17({"target_probability": args.invert, "radius": D}))
+            print(json.dumps({"target_probability": args.invert, "radius": D},
+                             indent=2))
         else:
             result = bound_mod.evaluate_bound(
                 args.distance, args.time, args.v0, params, noise,
                 squared_distance=args.squared)
-            print(_json17(result.to_json_dict()))
+            print(json.dumps(result.to_json_dict(), indent=2))
     except bound_mod.InfeasibleParamsError as err:
         raise CliError(f"infeasible parameters: {err}", EXIT_COMPUTE)
     except bound_mod.ExtrapolationError as err:

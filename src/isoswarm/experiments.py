@@ -41,12 +41,13 @@ def _cell_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([master_seed, *key]).generate_state(1)[0])
 
 
-def _map(fn, cells, threads: int) -> list:
-    """fn over the cells in order, on a thread pool when threads > 1."""
+def _map(fn, config, cells, threads: int) -> list:
+    """fn(config, *cell) over the cells in order, on a thread pool when
+    threads > 1."""
     if threads <= 1:
-        return [fn(c) for c in cells]
+        return [fn(config, *c) for c in cells]
     with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, cells))
+        return list(pool.map(fn, [config] * len(cells), *zip(*cells)))
 
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
@@ -119,13 +120,9 @@ class ExperimentReport:
     trials: list[dict]
     aggregates: list[dict] = field(default_factory=list)
 
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "config": self.config,
-                "trials": self.trials, "aggregates": self.aggregates}
-
     def write_json(self, path) -> None:
         with open(path, "w") as f:
-            json.dump(self.to_json_dict(), f, indent=2)
+            json.dump(asdict(self), f, indent=2)
             f.write("\n")
 
     def write_summary_csv(self, path) -> None:
@@ -140,9 +137,7 @@ class ExperimentReport:
 
 
 def _config_dict(config) -> dict:
-    d = asdict(config)
-    d["nm_options"] = asdict(config.nm_options)
-    return json.loads(json.dumps(d, default=list))
+    return json.loads(json.dumps(asdict(config)))
 
 
 def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
@@ -207,8 +202,7 @@ def run_view_probability(config: ViewProbabilityConfig,
         for r_idx, radius in enumerate(config.sphere_radii)
         for trial in range(config.trials_per_radius)
     ]
-    trials = _map(lambda c: _run_view_probability_trial(config, *c), cells,
-                  threads)
+    trials = _map(_run_view_probability_trial, config, cells, threads)
 
     report = ExperimentReport("view_probability", _config_dict(config), trials)
     report.aggregates = aggregate(report)
@@ -216,7 +210,7 @@ def run_view_probability(config: ViewProbabilityConfig,
 
 
 def _run_swarm_size_cell(config: SwarmSizeConfig, trial: int, n_sc: int,
-                         pois) -> dict:
+                         pois, poi_seed: int) -> dict:
     rng = _cell_rng(config.master_seed, 2, trial, n_sc)
     r = config.sphere_radius
     lo, hi = config.initial_distance_factors
@@ -241,6 +235,7 @@ def _run_swarm_size_cell(config: SwarmSizeConfig, trial: int, n_sc: int,
             for p in best.spacecraft
         ],
         "evaluations": result.evaluation_count,
+        "poi_seed": poi_seed,
     }
 
 
@@ -263,83 +258,71 @@ def run_swarm_size_sweep(config: SwarmSizeConfig,
         for n_sc in range(lo_n, hi_n + 1):
             cells.append((trial, n_sc, pois, poi_seed))
 
-    def run_cell(cell):
-        trial, n_sc, pois, poi_seed = cell
-        rec = _run_swarm_size_cell(config, trial, n_sc, pois)
-        rec["poi_seed"] = poi_seed
-        return rec
-
-    trials = _map(run_cell, cells, threads)
+    trials = _map(_run_swarm_size_cell, config, cells, threads)
 
     report = ExperimentReport("swarm_size", _config_dict(config), trials)
     report.aggregates = aggregate(report)
     return report
 
 
+# Per report kind: the trial field that keys a summary row, whether a row has
+# p_pct (the percentage of successful trials), and the fields that get a mean
+# and a standard deviation.
+_AGGREGATES = {
+    "view_probability": ("radius", True, ("coverage_pct",)),
+    "swarm_size": ("n_spacecraft", False, ("coverage_pct", "minus_info_cost")),
+}
+
+
 def aggregate(report: ExperimentReport) -> list[dict]:
     """Per-cell mean and standard deviation, recomputed from per-trial rows."""
     if not report.trials:
         raise ValueError("report has no trials")
-    if report.kind == "view_probability":
-        rows = []
-        for radius in sorted({t["radius"] for t in report.trials}):
-            cell = [t for t in report.trials if t["radius"] == radius]
-            successes = sum(t["success"] for t in cell)
-            cov = [t["coverage_pct"] for t in cell]
-            rows.append({
-                "radius": radius,
-                "trials": len(cell),
-                "p_pct": 100.0 * successes / len(cell),
-                "mean_coverage_pct": float(np.mean(cov)),
-                "std_coverage_pct": float(np.std(cov)),
-            })
-        return rows
-    if report.kind == "swarm_size":
-        rows = []
-        for n_sc in sorted({t["n_spacecraft"] for t in report.trials}):
-            cell = [t for t in report.trials if t["n_spacecraft"] == n_sc]
-            cov = [t["coverage_pct"] for t in cell]
-            mi = [t["minus_info_cost"] for t in cell]
-            rows.append({
-                "n_spacecraft": n_sc,
-                "trials": len(cell),
-                "mean_coverage_pct": float(np.mean(cov)),
-                "std_coverage_pct": float(np.std(cov)),
-                "mean_minus_info_cost": float(np.mean(mi)),
-                "std_minus_info_cost": float(np.std(mi)),
-            })
-        return rows
-    raise ValueError(f"unknown report kind {report.kind!r}")
+    if report.kind not in _AGGREGATES:
+        raise ValueError(f"unknown report kind {report.kind!r}")
+    key, with_p, fields = _AGGREGATES[report.kind]
+    rows = []
+    for value in sorted({t[key] for t in report.trials}):
+        cell = [t for t in report.trials if t[key] == value]
+        row = {key: value, "trials": len(cell)}
+        if with_p:
+            row["p_pct"] = 100.0 * sum(t["success"] for t in cell) / len(cell)
+        for name in fields:
+            xs = [t[name] for t in cell]
+            row[f"mean_{name}"] = float(np.mean(xs))
+            row[f"std_{name}"] = float(np.std(xs))
+        rows.append(row)
+    return rows
+
+
+_CONFIG_TYPES = {"view_probability": ViewProbabilityConfig,
+                 "swarm_size": SwarmSizeConfig}
 
 
 def config_from_dict(cfg: dict):
-    """Parse an experiment config dict with a versioned schema."""
+    """Parse an experiment config dict with a versioned schema: "type" picks
+    the config class, tuple fields take JSON lists, "nm_options" is a dict of
+    NelderMeadOptions fields."""
     cfg = dict(cfg)
     version = cfg.pop("schema_version", None)
     if version != 1:
         raise ConfigError(f"unsupported schema_version: {version!r}")
     kind = cfg.pop("type", None)
-    nm = cfg.pop("nm_options", None)
-    if kind == "view_probability":
-        cls, tuple_fields = ViewProbabilityConfig, (
-            "iso_terminal_position", "sphere_radii", "initial_distance_range")
-    elif kind == "swarm_size":
-        cls, tuple_fields = SwarmSizeConfig, (
-            "spacecraft_range", "initial_distance_factors")
-    else:
+    cls = _CONFIG_TYPES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
         raise ConfigError(f"unknown experiment type: {kind!r}")
-    allowed = set(cls.__dataclass_fields__) - {"nm_options"}
-    unknown = set(cfg) - allowed
+    unknown = set(cfg) - set(cls.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    for name in tuple_fields:
-        if name in cfg:
-            cfg[name] = tuple(cfg[name])
-    if nm is not None:
-        cfg["nm_options"] = NelderMeadOptions(**nm)
+    nm = cfg.pop("nm_options", None)
     try:
+        for name, f in cls.__dataclass_fields__.items():
+            if name in cfg and f.type.startswith("tuple"):
+                cfg[name] = tuple(cfg[name])
+        if nm is not None:
+            cfg["nm_options"] = NelderMeadOptions(**nm)
         return cls(**cfg)
-    except TypeError as err:
+    except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err
 
 

@@ -80,16 +80,6 @@ def unit_axis(apex, center, tilt=None) -> tuple[float, float, float]:
             z * c + (ux * y - uy * x) * s)
 
 
-def cone_axes(apexes, center, tilts=None) -> np.ndarray:
-    """unit_axis of each apex row (n, 3), with its tilt (n,) when given."""
-    apexes = np.asarray(apexes, dtype=float).tolist()
-    center = np.asarray(center, dtype=float).tolist()
-    tilts = [None] * len(apexes) if tilts is None else np.asarray(
-        tilts, dtype=float).tolist()
-    return np.array([unit_axis(a, center, t) for a, t in zip(apexes, tilts)],
-                    dtype=float).reshape(-1, 3)
-
-
 def cone_axis(apex, ellipsoid_center) -> np.ndarray:
     """Unit direction from the cone apex toward the ellipsoid center."""
     return np.array(unit_axis(as_vec3(apex).tolist(),

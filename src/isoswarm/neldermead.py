@@ -22,6 +22,14 @@ from .sampling import PoiSet
 DEGENERACY_PENALTY = 1e9
 DEGENERACY_RADIUS_KM = 1e-6
 
+# Standard simplex coefficients, and the initial step relative to a
+# coordinate's magnitude (at least 1) when no absolute step applies.
+REFLECTION = 1.0
+EXPANSION = 2.0
+CONTRACTION = 0.5
+SHRINK = 0.5
+INITIAL_SIMPLEX_SCALE = 0.05
+
 
 class ObjectiveDomainError(ValueError):
     """The objective returned a non-finite value."""
@@ -29,24 +37,13 @@ class ObjectiveDomainError(ValueError):
 
 @dataclass(frozen=True)
 class NelderMeadOptions:
-    reflection: float = 1.0
-    expansion: float = 2.0
-    contraction: float = 0.5
-    shrink: float = 0.5
     f_tolerance: float = 1e-8
     x_tolerance: float = 1e-8
     max_iterations: int | None = None  # defaults to 200 * dimension
-    initial_simplex_scale: float = 0.05
     # Absolute simplex step for angle coordinates; None keeps the relative rule.
     theta_initial_step: float | None = None
 
     def __post_init__(self):
-        if self.reflection <= 0.0:
-            raise ValueError("reflection coefficient must be positive")
-        if not self.expansion > 1.0 > self.contraction > 0.0:
-            raise ValueError("need expansion > 1 > contraction > 0")
-        if not 0.0 < self.shrink < 1.0:
-            raise ValueError("shrink coefficient must lie in (0, 1)")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
 
@@ -110,7 +107,7 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
         if i in problem.theta_indices and opts.theta_initial_step is not None:
             step = opts.theta_initial_step
         else:
-            step = opts.initial_simplex_scale * max(abs(x0[i]), 1.0)
+            step = INITIAL_SIMPLEX_SCALE * max(abs(x0[i]), 1.0)
         xi = x0.copy()
         xi[i] += step
         simplex[i + 1], values[i + 1] = f(xi)
@@ -133,9 +130,9 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
             break
 
         centroid = np.mean(simplex[:-1], axis=0)
-        xr, fr = f(centroid + opts.reflection * (centroid - simplex[-1]))
+        xr, fr = f(centroid + REFLECTION * (centroid - simplex[-1]))
         if fr < values[0]:
-            xe, fe = f(centroid + opts.expansion * (xr - centroid))
+            xe, fe = f(centroid + EXPANSION * (xr - centroid))
             if fe < fr:
                 simplex[-1], values[-1] = xe, fe
             else:
@@ -145,18 +142,18 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
         else:
             if fr < values[-1]:
                 # outside contraction
-                xc, fc = f(centroid + opts.contraction * (xr - centroid))
+                xc, fc = f(centroid + CONTRACTION * (xr - centroid))
                 accept = fc <= fr
             else:
                 # inside contraction
-                xc, fc = f(centroid - opts.contraction * (centroid - simplex[-1]))
+                xc, fc = f(centroid - CONTRACTION * (centroid - simplex[-1]))
                 accept = fc < values[-1]
             if accept:
                 simplex[-1], values[-1] = xc, fc
             else:
                 for i in range(1, n + 1):
                     simplex[i], values[i] = f(
-                        simplex[0] + opts.shrink * (simplex[i] - simplex[0])
+                        simplex[0] + SHRINK * (simplex[i] - simplex[0])
                     )
 
     order = np.argsort(values, kind="stable")

@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from isoswarm.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
+from isoswarm import bound
+from isoswarm.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _load_swarm, main
+from isoswarm.cost import information_cost
+from isoswarm.neldermead import NelderMeadOptions, optimize_swarm
 from isoswarm.sampling import load_pois
 
 
@@ -364,3 +367,73 @@ def test_bad_numeric_flag_usage_error(tmp_path, capsys, before, command,
                           command, *inputs[command], *flags)
     assert code == EXIT_USAGE
     assert "error" in stderr
+
+
+def assert_same_floats(got, want):
+    """got (parsed JSON) has want's structure, and each float the same bits."""
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_floats(got[key], want[key])
+    elif isinstance(want, (list, tuple)):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_floats(g, w)
+    elif isinstance(want, float):
+        assert float(got).hex() == float(want).hex()
+    else:
+        assert got == want
+
+
+def test_printed_floats_round_trip_bit_for_bit(tmp_path, capsys):
+    pois_path, swarm_path = tmp_path / "pois.csv", tmp_path / "swarm.json"
+    run(capsys, "-o", str(pois_path), "sample-pois", "--n", "400",
+        "--radius", "80", "--seed", "5")
+    write_swarm(swarm_path, [
+        {"position": [400.0, 10.0, -3.0], "theta": 0.3, "nu": 0.5, "phi": 1.0},
+        {"position": [-300.0, 120.0, 50.0], "theta": 0.6, "nu": 0.4,
+         "phi": 1.1},
+    ], radius=80.0)
+    pois, swarm = load_pois(pois_path), _load_swarm(swarm_path)
+    weight = "57.29577951308232"
+
+    code, stdout, _ = run(capsys, "cost", "--pois", str(pois_path),
+                          "--swarm", str(swarm_path), "--kappa-weight", weight)
+    assert code == EXIT_OK
+    want = information_cost(swarm, pois, kappa_weight=float(weight))
+    assert want.kappa_total > 0.0
+    assert_same_floats(json.loads(stdout), want.to_json_dict())
+
+    code, stdout, _ = run(capsys, "optimize", "--pois", str(pois_path),
+                          "--swarm", str(swarm_path), "--max-iterations", "8",
+                          "--kappa-weight", weight)
+    assert code == EXIT_OK
+    best, breakdown, _ = optimize_swarm(
+        pois, swarm, NelderMeadOptions(max_iterations=8),
+        kappa_weight=float(weight))
+    payload = json.loads(stdout)
+    assert_same_floats(payload["cost"], breakdown.to_json_dict())
+    assert_same_floats(
+        [[*p["position"], p["theta"]] for p in payload["spacecraft"]],
+        best.state.tolist())
+
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps({
+        **BOUND_CFG, "m_c_lower": 0.5, "m_e_lower": 0.5, "eps_c": 0.02,
+        "gamma_c": 0.1, "alpha_s": 0.1,
+        "noise": [[0.0, 0.01], [5.0, 0.02], [10.0, 0.01]]}))
+    params, noise = bound.load_bound_config(cfg)
+    code, stdout, _ = run(capsys, "bound", "--config", str(cfg),
+                          "-D", "0.3", "-T", "7.5", "--v0", "0.2", "--squared")
+    assert code == EXIT_OK
+    want = bound.evaluate_bound(0.3, 7.5, 0.2, params, noise,
+                                squared_distance=True)
+    assert want.failure_prob_raw > 1.0
+    assert_same_floats(json.loads(stdout), want.to_json_dict())
+    code, stdout, _ = run(capsys, "bound", "--config", str(cfg),
+                          "-T", "3.3", "--v0", "1.5", "--invert", "0.9")
+    assert code == EXIT_OK
+    assert_same_floats(json.loads(stdout), {
+        "target_probability": 0.9,
+        "radius": bound.radius_for_success_probability(0.9, 3.3, 1.5, params,
+                                                       noise)})

@@ -13,7 +13,7 @@ import pytest
 
 from isoswarm import geometry
 from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
-from isoswarm.geometry import cone_axes, relative_columns, visible_mask
+from isoswarm.geometry import relative_columns, unit_axis, visible_mask
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
@@ -28,6 +28,12 @@ def full_test(points, apex, axis, phi, center):
 
 def unit(v):
     return v / np.linalg.norm(v)
+
+
+def axis_of(apex, center, tilt=None):
+    """unit_axis of a float apex and center, as an array."""
+    return np.array(unit_axis(apex.tolist(), center.tolist(),
+                              None if tilt is None else float(tilt)))
 
 
 def cloud(rng, center, n=400):
@@ -83,12 +89,12 @@ def scene(rng, center, phi, margin, inside, tilted):
         alpha = half - beta if inside else half + beta
         dist = radius / np.sin(beta)
         apex = center - dist * e0
-        axis = cone_axes(apex[None], center, np.array([alpha]))[0]
+        axis = axis_of(apex, center, alpha)
     else:
         half = phi / 2.0 - margin if inside else phi / 2.0 + margin
         dist = radius / np.sin(min(half, np.pi / 2.0))
         apex = center - dist * e0
-        axis = cone_axes(apex[None], center)[0]
+        axis = axis_of(apex, center)
     return with_tangents(points, center, apex, axis), apex, axis
 
 
@@ -136,8 +142,7 @@ def test_cull_apex_on_or_inside_ball(rng):
                            points[rng.integers(len(points))]])
         if np.array_equal(apex, center):
             continue
-        axis = cone_axes(apex[None], center,
-                         np.array([rng.uniform(-np.pi, np.pi)]))[0]
+        axis = axis_of(apex, center, rng.uniform(-np.pi, np.pi))
         phi = rng.uniform(0.05, 3.0)
         if np.linalg.norm(apex - center) < 0.999 * radius:
             assert verdict(points, apex, axis, phi, center) is None
@@ -163,9 +168,9 @@ def test_coverage_cull_matches_full_test(rng, mode):
                 0.5, rng.choice([np.pi / 3.0, rng.uniform(0.1, 3.0)]))
                 for _ in range(n)]
             swarm = SwarmConfig(poses, e)
-            axes = geometry.cone_axes(
-                swarm.state[:, :3], center,
-                swarm.state[:, 3] if mode == "theta_tilt" else None)
+            axes = [axis_of(row[:3], center,
+                            row[3] if mode == "theta_tilt" else None)
+                    for row in swarm.state]
             want = np.zeros(len(pois), dtype=bool)
             for row, axis, phi in zip(swarm.state, axes, swarm.phi):
                 want |= full_test(pois.points, row[:3], axis, phi, center)

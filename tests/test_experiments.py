@@ -191,17 +191,25 @@ def test_aggregate_empty_rejected():
 
 
 def test_report_files(tmp_path):
-    report = run_swarm_size_sweep(small_sweep_config())
-    jpath, cpath = tmp_path / "report.json", tmp_path / "summary.csv"
-    report.write_json(jpath)
-    report.write_summary_csv(cpath)
     import json as _json
-    loaded = _json.loads(jpath.read_text())
-    assert loaded["kind"] == "swarm_size"
-    assert len(loaded["trials"]) == 6
-    lines = cpath.read_text().strip().splitlines()
-    assert lines[0].startswith("n_spacecraft,")
-    assert len(lines) == 4
+    headers = {
+        "swarm_size": "n_spacecraft,trials,mean_coverage_pct,std_coverage_pct,"
+                      "mean_minus_info_cost,std_minus_info_cost",
+        "view_probability": "radius,trials,p_pct,mean_coverage_pct,"
+                            "std_coverage_pct",
+    }
+    for report in (run_swarm_size_sweep(small_sweep_config()),
+                   run_view_probability(small_view_config(trials_per_radius=1))):
+        jpath, cpath = tmp_path / "report.json", tmp_path / "summary.csv"
+        report.write_json(jpath)
+        report.write_summary_csv(cpath)
+        loaded = _json.loads(jpath.read_text())
+        assert list(loaded) == ["kind", "config", "trials", "aggregates"]
+        assert loaded["kind"] == report.kind
+        assert loaded["trials"] == report.trials
+        lines = cpath.read_text().strip().splitlines()
+        assert lines[0] == headers[report.kind]
+        assert len(lines) == 1 + len(report.aggregates)
 
 
 def test_config_from_dict_round_trip():
@@ -240,9 +248,15 @@ def test_config_rejects_unknown_keys_and_versions():
     with pytest.raises(ConfigError):
         config_from_dict({**base, "type": "unknown"})
     with pytest.raises(ConfigError):
+        config_from_dict({**base, "type": ["swarm_size"]})
+    with pytest.raises(ConfigError):
         config_from_dict({**base, "bogus_key": 1})
     with pytest.raises(ConfigError):
         config_from_dict({**base, "trials": 0})
+    for nm in ({"bogus": 1}, {"expansion": 0.9}, {"shrink": 0.5},
+               {"max_iterations": 0}):
+        with pytest.raises(ConfigError):
+            config_from_dict({**base, "nm_options": nm})
 
 
 def test_load_experiment_config(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, kappa_total,
                            pair_overlap)
-from isoswarm.geometry import TWO_PI, cone_axes
+from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
                                  swarm_objective)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
@@ -17,8 +17,15 @@ def _cross(a, b):
     return np.array((a1*b2 - a2*b1, a2*b0 - a0*b2, a0*b1 - a1*b0)).T
 
 
+def axes_per_row(apexes, center, tilts=None):
+    """unit_axis of each apex row, with its tilt when given."""
+    tilts = [None] * len(apexes) if tilts is None else tilts.tolist()
+    return np.array([unit_axis(a, center.tolist(), t)
+                     for a, t in zip(apexes.tolist(), tilts)]).reshape(-1, 3)
+
+
 def array_cone_axes(apexes, center, tilts=None):
-    """The array cone_axes: unit axes toward the center, tilted about
+    """The array axes formula: unit axes toward the center, tilted about
     toward x ref (ref = z, or x near the poles)."""
     toward = center - apexes
     toward = toward / np.linalg.norm(toward, axis=1, keepdims=True)
@@ -87,7 +94,7 @@ def test_cone_axes_match_array_formula_bit_for_bit():
                      np.nextafter(TWO_PI, 0)]
         for t in (None, tilts):
             want = array_cone_axes(apexes, center, t)
-            got = cone_axes(apexes, center, t)
+            got = axes_per_row(apexes, center, t)
             assert got.shape == want.shape
             np.testing.assert_array_equal(bits(got), bits(want))
         z = np.abs(array_cone_axes(apexes, center)[:, 2])

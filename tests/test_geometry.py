@@ -243,7 +243,8 @@ def test_tilted_axis_angle_equals_tilt(rng):
             continue
         tilt = rng.uniform(0, np.pi)
         toward = cone_axis(apex, center)
-        tilted = geometry.cone_axes(apex[None], center, np.array([tilt]))[0]
+        tilted = np.array(geometry.unit_axis(apex.tolist(), center.tolist(),
+                                             tilt))
         assert np.linalg.norm(tilted) == pytest.approx(1.0, abs=1e-12)
         assert np.arccos(np.clip(toward @ tilted, -1, 1)) == pytest.approx(
             tilt, abs=1e-9)

@@ -111,13 +111,6 @@ def test_nonfinite_objective_raises():
         solve(lambda x: float("nan"), [1.0])
 
 
-def test_bad_options_rejected():
-    with pytest.raises(ValueError):
-        NelderMeadOptions(expansion=0.9)
-    with pytest.raises(ValueError):
-        NelderMeadOptions(shrink=1.0)
-
-
 def test_pack_unpack_round_trip():
     e = UncertaintyEllipsoid.sphere(10.0)
     s = SwarmConfig((
