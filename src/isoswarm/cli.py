@@ -161,7 +161,7 @@ def cmd_experiment(args) -> int:
         config = dataclasses.replace(config, master_seed=args.seed)
     outdir = Path(args.output or ".")
     outdir.mkdir(parents=True, exist_ok=True)
-    report = exp_mod.run_experiment(config, threads=args.threads)
+    report = exp_mod.run_experiment(config)
     report.write_json(outdir / "report.json")
     report.write_summary_csv(outdir / "summary.csv")
     print(f"{report.kind}: {len(report.trials)} trials -> "
@@ -182,8 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the master seed where applicable")
     parser.add_argument("--output", "-o", default=None,
                         help="output file or directory")
-    parser.add_argument("--threads", type=_positive_int, default=1,
-                        help="worker threads for experiment cells")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample-pois", help="sample POIs inside an ellipsoid")

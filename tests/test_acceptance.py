@@ -61,7 +61,7 @@ def swarm_size_report():
         nm_options=NelderMeadOptions(theta_initial_step=0.5,
                                      max_iterations=1200),
     )
-    return run_swarm_size_sweep(config, threads=8)
+    return run_swarm_size_sweep(config)
 
 
 def test_criterion_01_cone_containment_oracle():
@@ -263,7 +263,7 @@ def test_criterion_09_view_probability_trend():
             n_pois=2000,
             master_seed=master_seed,
         )
-        report = run_view_probability(config, threads=8)
+        report = run_view_probability(config)
         per_seed.append({row["radius"]: row["p_pct"]
                          for row in report.aggregates})
     p50 = float(np.mean([s[50.0] for s in per_seed]))

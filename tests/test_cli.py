@@ -177,6 +177,25 @@ def test_global_format_flag_removed(tmp_path, capsys):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("value", ["2", "0", "-4"])
+def test_global_threads_flag_removed(tmp_path, capsys, value):
+    """Campaign cells run serially; --threads is an unknown argument (its
+    value is then read as the subcommand), not a value accepted and
+    ignored."""
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
+        "n_pois": 20, "spacecraft_range": [1, 1], "trials": 1,
+        "master_seed": 1, "nm_options": {"max_iterations": 2}}))
+    outdir = tmp_path / "out"
+    code, stdout, stderr = run(capsys, "--threads", value, "-o", str(outdir),
+                               "experiment", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "error" in stderr
+    assert not outdir.exists()
+
+
 def test_bound_time_out_of_range(tmp_path, capsys):
     cfg = tmp_path / "bound.json"
     cfg.write_text(json.dumps(BOUND_CFG))
@@ -338,10 +357,8 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     ([], "optimize", ["--position-stddev", "-1"]),
     ([], "optimize", ["--max-iterations", "-3"]),
     ([], "cost", ["--kappa-weight", "nan"]),
-    (["--threads", "0"], "experiment", []),
-    (["--threads", "-4"], "experiment", []),
 ], ids=["radius", "radius-nan", "radii", "mc-samples", "position-stddev",
-        "max-iterations", "kappa-weight", "threads-0", "threads-negative"])
+        "max-iterations", "kappa-weight"])
 def test_bad_numeric_flag_usage_error(tmp_path, capsys, before, command,
                                       flags):
     """Every input but the one flag is valid (the flag comes last, so it

@@ -57,12 +57,6 @@ def test_view_probability_reproducible():
     assert a.aggregates == b.aggregates
 
 
-def test_view_probability_threaded_matches_serial():
-    a = run_view_probability(small_view_config())
-    b = run_view_probability(small_view_config(), threads=4)
-    assert a.trials == b.trials
-
-
 def test_view_probability_seed_changes_trials():
     a = run_view_probability(small_view_config())
     b = run_view_probability(small_view_config(master_seed=8))
@@ -133,10 +127,11 @@ def test_swarm_size_report_shape():
         assert r["trials"] == 2
 
 
-def test_swarm_size_reproducible_and_threaded():
+def test_swarm_size_reproducible():
     a = run_swarm_size_sweep(small_sweep_config())
-    b = run_swarm_size_sweep(small_sweep_config(), threads=4)
+    b = run_swarm_size_sweep(small_sweep_config())
     assert a.trials == b.trials
+    assert a.aggregates == b.aggregates
 
 
 def test_swarm_size_shared_pois_within_trial():
@@ -276,3 +271,18 @@ def test_run_experiment_dispatch():
     assert report.kind == "swarm_size"
     with pytest.raises(ConfigError):
         run_experiment(object())
+
+
+@pytest.mark.parametrize("threads", [0, -2])
+def test_run_experiment_rejects_threads_below_one(threads):
+    with pytest.raises(ConfigError, match="threads"):
+        run_experiment(small_sweep_config(trials=1, spacecraft_range=(1, 1)),
+                       threads=threads)
+
+
+def test_run_experiment_threads_warns_and_runs_serially():
+    config = small_sweep_config(trials=1, spacecraft_range=(1, 2))
+    serial = run_experiment(config)
+    with pytest.warns(DeprecationWarning, match="serially"):
+        report = run_experiment(config, threads=2)
+    assert report.trials == serial.trials
