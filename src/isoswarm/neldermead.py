@@ -2,13 +2,14 @@
 
 The decision vector packs (x, y, z, theta) per spacecraft; theta coordinates
 are wrapped modulo 2 pi before every objective evaluation so orientations
-stay on [0, 2 pi).
+stay on [0, 2 pi). The simplex itself keeps unwrapped thetas, so vertices on
+either side of the 0 / 2 pi seam stay close and the simplex can shrink.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -62,13 +63,11 @@ class OptResult:
     iterations: int
     converged: bool
     evaluation_count: int
-    trace: list[tuple[int, float, float]] = field(default_factory=list)
 
 
 def _wrap(x: np.ndarray, theta_idx: np.ndarray) -> np.ndarray:
-    if theta_idx.size:
-        x = x.copy()
-        x[theta_idx] %= TWO_PI
+    x = x.copy()
+    x[theta_idx] %= TWO_PI
     return x
 
 
@@ -78,7 +77,9 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
     Terminates when the objective spread over the simplex falls below
     f_tolerance, the simplex diameter falls below x_tolerance, or the
-    iteration budget runs out. Deterministic given (x0, opts).
+    iteration budget runs out. Deterministic given (x0, opts). trace_sink,
+    when given, gets (iteration, best value, diameter) once per iteration.
+    The best point comes back with its thetas wrapped.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dimension,):
@@ -91,12 +92,14 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     evals = 0
 
     def f(x: np.ndarray) -> tuple[np.ndarray, float]:
+        """x and its objective value; only the objective sees x wrapped."""
         nonlocal evals
-        x = _wrap(x, theta_idx)
-        v = float(problem.objective(x))
+        wrapped = _wrap(x, theta_idx)
+        v = float(problem.objective(wrapped))
         evals += 1
         if not math.isfinite(v):
-            raise ObjectiveDomainError(f"objective non-finite at {x.tolist()}")
+            raise ObjectiveDomainError(
+                f"objective non-finite at {wrapped.tolist()}")
         return x, v
 
     n = problem.dimension
@@ -112,7 +115,6 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
         xi[i] += step
         simplex[i + 1], values[i + 1] = f(xi)
 
-    trace = []
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
@@ -122,9 +124,7 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
         diameter = float(np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1)))
         spread = float(values[-1] - values[0])
         if trace_sink is not None:
-            rec = (iteration, float(values[0]), diameter)
-            trace.append(rec)
-            trace_sink(*rec)
+            trace_sink(iteration, float(values[0]), diameter)
         if spread < opts.f_tolerance or diameter < opts.x_tolerance:
             converged = True
             break
@@ -158,8 +158,8 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
     order = np.argsort(values, kind="stable")
     best = int(order[0])
-    return OptResult(simplex[best].copy(), float(values[best]), iteration,
-                     converged, evals, trace)
+    return OptResult(_wrap(simplex[best], theta_idx), float(values[best]),
+                     iteration, converged, evals)
 
 
 def pack_swarm(swarm: SwarmConfig) -> np.ndarray:
