@@ -44,6 +44,24 @@ def draw_feasible_params(rng: np.random.Generator) -> ContractionParams:
             return params
 
 
+def arc_mask(grid, centers, nus):
+    """Whether each grid angle lies within nus of centers on the circle:
+    np.abs((grid - centers + pi) % (2 pi) - pi) <= nus bit for bit, with
+    centers and nus scalars or (k, 1) columns. Angles lie in [0, 2 pi), so
+    x = grid - centers + pi lies in (-pi, 3 pi) and the modulo is one of two
+    corrections, each exact or rounded as np.mod rounds it: x - 2 pi for
+    x >= 2 pi (exact by Sterbenz, as fmod's result is) and x + 2 pi for
+    x < 0. The work is in place, with no temporaries of the grid's size
+    beyond the masks."""
+    x = np.subtract(grid, centers)
+    x += np.pi
+    np.subtract(x, 2.0 * np.pi, out=x, where=x >= 2.0 * np.pi)
+    np.add(x, 2.0 * np.pi, out=x, where=x < 0.0)
+    x -= np.pi
+    np.abs(x, out=x)
+    return x <= nus
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -8,6 +8,7 @@ from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
                            information_cost, kappa_total, pair_overlap)
 from isoswarm.geometry import in_fov, visible
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
+from tests.conftest import arc_mask
 
 NU = 0.3
 PHI = 1.0
@@ -239,9 +240,9 @@ def test_pair_overlap_mixed_widths_brute_force():
     for _ in range(300):
         ti, tj = rng.uniform(0.0, 2.0 * np.pi, 2)
         nu_i, nu_j = rng.uniform(0.01, np.pi - 0.01, 2)
-        in_i = np.abs((grid - ti + np.pi) % (2.0 * np.pi) - np.pi) <= nu_i
-        in_j = np.abs((grid - tj + np.pi) % (2.0 * np.pi) - np.pi) <= nu_j
-        brute = np.count_nonzero(in_i & in_j) * step
+        in_i = arc_mask(grid, ti, nu_i)
+        in_i &= arc_mask(grid, tj, nu_j)
+        brute = np.count_nonzero(in_i) * step
         a, b = pose(ti, nu=nu_i), pose(tj, nu=nu_j)
         assert pair_overlap(a, b) == pair_overlap(b, a)
         assert pair_overlap(a, b) == pytest.approx(brute, abs=4 * step)
