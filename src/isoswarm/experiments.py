@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import numbers
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -41,6 +42,21 @@ def _cell_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([master_seed, *key]).generate_state(1)[0])
 
 
+def _check_fields(config) -> None:
+    """Checks both config classes share: every int field (or int pair) holds
+    integers, not floats or bools, and the camera angles phi and nu lie in
+    (0, pi), as each spacecraft pose requires."""
+    for name, f in config.__dataclass_fields__.items():
+        value = getattr(config, name)
+        if "int" in f.type and not all(
+                isinstance(v, numbers.Integral) and not isinstance(v, bool)
+                for v in (value if isinstance(value, tuple) else (value,))):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
+    for name in ("phi", "nu"):
+        if not 0.0 < getattr(config, name) < np.pi:
+            raise ConfigError(f"{name} must lie in (0, pi)")
+
+
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
@@ -63,6 +79,7 @@ class ViewProbabilityConfig:
         default_factory=lambda: NelderMeadOptions(theta_initial_step=0.5))
 
     def __post_init__(self):
+        _check_fields(self)
         if self.trials_per_radius < 1:
             raise ConfigError("trials_per_radius must be at least 1")
         lo, hi = self.initial_distance_range
@@ -91,6 +108,7 @@ class SwarmSizeConfig:
         default_factory=lambda: NelderMeadOptions(theta_initial_step=0.5))
 
     def __post_init__(self):
+        _check_fields(self)
         lo, hi = self.spacecraft_range
         if not 1 <= lo <= hi <= 32:
             raise ConfigError("spacecraft_range must lie within [1, 32]")

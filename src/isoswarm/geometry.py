@@ -26,7 +26,8 @@ _SLACK = 2.0 ** -30
 
 
 class DegenerateGeometryError(ValueError):
-    """Cone apex coincides with the ellipsoid center."""
+    """Cone apex coincides with the ellipsoid center, or lies so far from it
+    (beyond about 1.3e154 km) that its squared distance overflows."""
 
 
 def as_vec3(v) -> np.ndarray:
@@ -68,6 +69,10 @@ def unit_axis(apex, center, tilt=None) -> tuple[float, float, float]:
     if norm == 0.0:
         raise DegenerateGeometryError(
             "cone apex coincides with ellipsoid center")
+    if norm == math.inf:
+        raise DegenerateGeometryError(
+            "cone apex too far from ellipsoid center: squared distance "
+            "overflows")
     x, y, z = x / norm, y / norm, z / norm
     if tilt is None:
         return x, y, z

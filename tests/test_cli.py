@@ -275,6 +275,22 @@ def test_experiment_bad_config(tmp_path, capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize("entry", [{"n_pois": 2.5}, {"trials": 1.5},
+                                   {"trials": True}, {"phi": -1.0},
+                                   {"nu": 0.0}])
+def test_experiment_bad_config_value(tmp_path, capsys, entry):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
+        "n_pois": 20, "spacecraft_range": [1, 1], "trials": 1,
+        "nm_options": {"max_iterations": 2}, **entry}))
+    code, stdout, stderr = run(capsys, "-o", str(tmp_path / "out"),
+                               "experiment", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert next(iter(entry)) in stderr
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 

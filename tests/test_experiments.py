@@ -254,6 +254,35 @@ def test_config_rejects_unknown_keys_and_versions():
             config_from_dict({**base, "nm_options": nm})
 
 
+SWARM_BASE = {"schema_version": 1, "type": "swarm_size",
+              "sphere_radius": 100.0, "n_pois": 10}
+VIEW_BASE = {"schema_version": 1, "type": "view_probability",
+             "iso_terminal_position": [0.0, 0.0, 0.0],
+             "sphere_radii": [50.0], "trials_per_radius": 2}
+
+
+@pytest.mark.parametrize("base, key", [
+    (SWARM_BASE, "n_pois"), (SWARM_BASE, "trials"),
+    (SWARM_BASE, "master_seed"), (VIEW_BASE, "n_pois"),
+    (VIEW_BASE, "trials_per_radius"), (VIEW_BASE, "master_seed")],
+    ids=["swarm-n_pois", "swarm-trials", "swarm-master_seed", "view-n_pois",
+         "view-trials_per_radius", "view-master_seed"])
+@pytest.mark.parametrize("value", [2.5, 3.0, True, "3"])
+def test_config_rejects_non_integer_counts(base, key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({**base, key: value})
+
+
+@pytest.mark.parametrize("base", [SWARM_BASE, VIEW_BASE],
+                         ids=["swarm", "view"])
+@pytest.mark.parametrize("key, value", [
+    ("phi", -1.0), ("phi", 0.0), ("phi", np.pi), ("phi", float("nan")),
+    ("nu", 0.0), ("nu", -0.5), ("nu", np.pi), ("nu", float("nan"))])
+def test_config_rejects_bad_camera_angles(base, key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({**base, key: value})
+
+
 def test_load_experiment_config(tmp_path):
     import json as _json
 

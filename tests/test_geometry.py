@@ -26,6 +26,16 @@ def test_cone_axis_degenerate():
         cone_axis([1, 2, 3], [1, 2, 3])
 
 
+@pytest.mark.parametrize("tilt", [None, 0.5])
+@pytest.mark.parametrize("apex", [[1e200, 0.0, 0.0], [0.0, -2e154, 0.0],
+                                  [1e300, 1e300, 1e300]])
+def test_unit_axis_overflowing_norm_is_degenerate(apex, tilt):
+    # beyond about 1.3e154 km the squared norm overflows to inf, and the
+    # axis would come out as zeros (or divide by a zero norm when tilted)
+    with pytest.raises(DegenerateGeometryError):
+        geometry.unit_axis(apex, [0.0, 0.0, 0.0], tilt)
+
+
 def _fov(apex=(0, 0, 0), axis=(1, 0, 0), phi=np.pi / 2):
     return ConeFov(np.array(apex, float), np.array(axis, float), phi)
 
