@@ -26,8 +26,7 @@ _SLACK = 2.0 ** -30
 
 
 class DegenerateGeometryError(ValueError):
-    """Cone apex coincides with the ellipsoid center, or lies so far from it
-    (beyond about 1.3e154 km) that its squared distance overflows."""
+    """Cone apex at the ellipsoid center, or too far for a finite norm."""
 
 
 def as_vec3(v) -> np.ndarray:
@@ -66,13 +65,9 @@ def unit_axis(apex, center, tilt=None) -> tuple[float, float, float]:
     (ax, ay, az), (cx, cy, cz) = apex, center
     x, y, z = cx - ax, cy - ay, cz - az
     norm = math.sqrt(x * x + y * y + z * z)
-    if norm == 0.0:
+    if not 0.0 < norm < math.inf:
         raise DegenerateGeometryError(
-            "cone apex coincides with ellipsoid center")
-    if norm == math.inf:
-        raise DegenerateGeometryError(
-            "cone apex too far from ellipsoid center: squared distance "
-            "overflows")
+            "cone apex at, or too far from, the ellipsoid center")
     x, y, z = x / norm, y / norm, z / norm
     if tilt is None:
         return x, y, z

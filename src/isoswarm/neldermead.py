@@ -91,16 +91,14 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
     evals = 0
 
-    def f(x: np.ndarray) -> tuple[np.ndarray, float]:
-        """x and its objective value; only the objective sees x wrapped."""
+    def f(point: np.ndarray) -> tuple[np.ndarray, float]:
         nonlocal evals
-        wrapped = _wrap(x, theta_idx)
-        v = float(problem.objective(wrapped))
+        x = _wrap(point, theta_idx)
+        v = float(problem.objective(x))
         evals += 1
         if not math.isfinite(v):
-            raise ObjectiveDomainError(
-                f"objective non-finite at {wrapped.tolist()}")
-        return x, v
+            raise ObjectiveDomainError(f"objective non-finite at {x.tolist()}")
+        return point, v
 
     n = problem.dimension
     simplex = np.empty((n + 1, n))

@@ -63,7 +63,7 @@ class PoiSet:
 
     def centered(self, center) -> tuple[np.ndarray, float]:
         """Read-only relative_columns(points, center) and max |point - center|,
-        kept for the last center asked for (threads share them)."""
+        kept for the last center asked for."""
         key = np.asarray(center, dtype=float).tobytes()
         cached = getattr(self, "_centered", (None,))
         if cached[0] != key:
