@@ -46,7 +46,7 @@ def _check_fields(config) -> None:
     or bools), counts are at least 1, and phi and nu lie in (0, pi)."""
     for name, f in config.__dataclass_fields__.items():
         value = getattr(config, name)
-        if "int" in f.type and not all(
+        if f.type in ("int", "tuple[int, int]") and not all(
                 isinstance(v, (int, np.integer)) and not isinstance(v, bool)
                 for v in (value if isinstance(value, tuple) else (value,))):
             raise ConfigError(f"{name} must be an integer, got {value!r}")

@@ -365,18 +365,17 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
 
 
 
-@pytest.mark.parametrize("before, command, flags", [
-    ([], "sample-pois", ["--radius", "-5"]),
-    ([], "sample-pois", ["--radius", "nan"]),
-    ([], "sample-pois", ["--radii", "1", "2", "-3"]),
-    ([], "optimize", ["--position-stddev", "1", "--mc-samples", "0"]),
-    ([], "optimize", ["--position-stddev", "-1"]),
-    ([], "optimize", ["--max-iterations", "-3"]),
-    ([], "cost", ["--kappa-weight", "nan"]),
+@pytest.mark.parametrize("command, flags", [
+    ("sample-pois", ["--radius", "-5"]),
+    ("sample-pois", ["--radius", "nan"]),
+    ("sample-pois", ["--radii", "1", "2", "-3"]),
+    ("optimize", ["--position-stddev", "1", "--mc-samples", "0"]),
+    ("optimize", ["--position-stddev", "-1"]),
+    ("optimize", ["--max-iterations", "-3"]),
+    ("cost", ["--kappa-weight", "nan"]),
 ], ids=["radius", "radius-nan", "radii", "mc-samples", "position-stddev",
         "max-iterations", "kappa-weight"])
-def test_bad_numeric_flag_usage_error(tmp_path, capsys, before, command,
-                                      flags):
+def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
     """Every input but the one flag is valid (the flag comes last, so it
     wins over a default given here), so the exit code is the flag's: 2,
     not a computation error or a silently ignored value."""
@@ -386,18 +385,12 @@ def test_bad_numeric_flag_usage_error(tmp_path, capsys, before, command,
     swarm_path = tmp_path / "swarm.json"
     write_swarm(swarm_path, [{"position": [250.0, 100.0, 0.0], "theta": 1.0,
                               "nu": np.pi / 6, "phi": np.pi / 3}])
-    cfg = tmp_path / "exp.json"
-    cfg.write_text(json.dumps({
-        "schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
-        "n_pois": 20, "spacecraft_range": [1, 1], "trials": 1,
-        "master_seed": 1, "nm_options": {"max_iterations": 2}}))
     inputs = {"sample-pois": ["--n", "10"],
               "cost": ["--pois", str(pois_path), "--swarm", str(swarm_path)],
               "optimize": ["--pois", str(pois_path), "--swarm",
-                           str(swarm_path), "--max-iterations", "2"],
-              "experiment": ["--config", str(cfg)]}
-    code, _, stderr = run(capsys, "-o", str(tmp_path / "out"), *before,
-                          command, *inputs[command], *flags)
+                           str(swarm_path), "--max-iterations", "2"]}
+    code, _, stderr = run(capsys, "-o", str(tmp_path / "out"), command,
+                          *inputs[command], *flags)
     assert code == EXIT_USAGE
     assert "error" in stderr
 
