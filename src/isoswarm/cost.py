@@ -166,15 +166,10 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
     if len(pois) == 0:
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center
-    centered, radius = pois.centered(center)
-    rows, c = swarm.state.tolist(), center.tolist()
-    masks = (visible_mask(pois.points, apex, _axis(row, c, orientation_mode),
-                          phi, center, centered, radius)
-             for apex, row, phi in zip(swarm.state[:, :3], rows,
-                                       swarm.phi.tolist()))
-    seen = next(masks)
-    for mask in masks:
-        seen |= mask
+    c = center.tolist()
+    axes = [_axis(row, c, orientation_mode) for row in swarm.state.tolist()]
+    seen = visible_mask(pois.points, swarm.state[:, :3], axes,
+                        swarm.phi.tolist(), center, *pois.centered(center))
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 

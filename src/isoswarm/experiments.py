@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, asdict
 
@@ -43,13 +45,19 @@ def _cell_seed(master_seed: int, *key: int) -> int:
 
 def _check_fields(config) -> None:
     """Checks both config classes share: int fields hold integers (no floats
-    or bools), counts are at least 1, and phi and nu lie in (0, pi)."""
+    or bools), float fields finite reals, counts are at least 1, and phi and
+    nu lie in (0, pi)."""
     for name, f in config.__dataclass_fields__.items():
         value = getattr(config, name)
+        values = value if isinstance(value, tuple) else (value,)
         if f.type in ("int", "tuple[int, int]") and not all(
                 isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                for v in (value if isinstance(value, tuple) else (value,))):
+                for v in values):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
+        if f.type.startswith(("float", "tuple[float")) and not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                and math.isfinite(v) for v in values):
+            raise ConfigError(f"{name} must hold finite reals, got {value!r}")
         if name in ("n_pois", "trials", "trials_per_radius") and value < 1:
             raise ConfigError(f"{name} must be at least 1")
         if name in ("phi", "nu") and not 0.0 < value < np.pi:
@@ -79,9 +87,15 @@ class ViewProbabilityConfig:
 
     def __post_init__(self):
         _check_fields(self)
+        if len(self.iso_terminal_position) != 3:
+            raise ConfigError("iso_terminal_position must have 3 components")
+        if not self.sphere_radii or min(self.sphere_radii) <= 0.0:
+            raise ConfigError("sphere_radii must be one or more positive radii")
         lo, hi = self.initial_distance_range
-        if not lo < hi:
-            raise ConfigError("initial_distance_range must satisfy min < max")
+        if not 1 <= lo < hi:
+            # a start distance of 0 puts the spacecraft at the center
+            raise ConfigError(
+                "initial_distance_range must satisfy 1 <= min < max")
         if self.success_criterion not in ("center", "sampled_truth"):
             raise ConfigError(f"unknown success criterion {self.success_criterion!r}")
 
@@ -109,6 +123,10 @@ class SwarmSizeConfig:
             raise ConfigError("spacecraft_range must lie within [1, 32]")
         if self.sphere_radius <= 0.0:
             raise ConfigError("sphere_radius must be positive")
+        lo, hi = self.initial_distance_factors
+        if not 0.0 < lo <= hi:
+            raise ConfigError(
+                "initial_distance_factors must satisfy 0 < min <= max")
 
 
 @dataclass

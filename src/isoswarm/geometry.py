@@ -24,6 +24,11 @@ TWO_PI = 2.0 * np.pi
 # spacing, so an optimizer cannot gain POIs by parking them in it.
 _SLACK = 2.0 ** -30
 
+# POIs per block of visible_mask's plane product: bounds its (cones, block)
+# temporaries (7 cones x 8192 POIs is 0.5 MB) while a block still amortizes
+# the product's fixed cost.
+_BLOCK = 8192
+
 
 class DegenerateGeometryError(ValueError):
     """Cone apex at the ellipsoid center, or too far for a finite norm."""
@@ -95,10 +100,13 @@ def in_cone(rel, axis, aperture_phi, min_axial=0.0):
     return (d > min_axial) & (_dot3(rel, rel) * (c * c) <= d * d)
 
 
-def _near(centered, to_apex, dist):
-    """Near half-space with the plane slack: (point - center) . (apex - center)
-    >= -_SLACK D^2, with dist = D = |apex - center|."""
-    return _dot3(centered, to_apex) >= -_SLACK * dist * dist
+def _near(to_apex, thr, centered):
+    """Near half-spaces of k cones with the plane slack, as one matrix
+    product: (k, n) booleans (point - center) . (apex - center) >= thr, with
+    rows to_apex = apex - center (k, 3), thr = -_SLACK D^2 (k,) and centered
+    (3, n) columns. BLAS may round a product unlike _dot3 by a few ulps of
+    |point - center| D, far inside the slack."""
+    return to_apex @ centered >= thr[:, None]
 
 
 def _cone_holds_ball(to_center, axis, aperture_phi, radius):
@@ -124,23 +132,42 @@ def _cone_holds_ball(to_center, axis, aperture_phi, radius):
     return None
 
 
-def visible_mask(points, apex, axis, aperture_phi, center, centered=None,
+def visible_mask(points, apexes, axes, apertures, center, centered=None,
                  radius=None):
-    """Cone test and near half-space (point - center) . (apex - center) >= 0,
-    both with the slack of _SLACK (center-plane points are visible). With
-    centered and radius from PoiSet.centered, a cone holding all points runs
-    only the half-space test. The axis is any float 3-sequence."""
+    """POIs seen by at least one of k cones: the cone test and the near
+    half-space (point - center) . (apex - center) >= 0, both with the slack
+    of _SLACK (center-plane points are visible). apexes is (k, 3), axes k
+    float 3-sequences, apertures k floats. With centered and radius from
+    PoiSet.centered, a cone holding all points runs only the half-space test
+    and a cone missing them all is dropped; the half-spaces of the other
+    cones are one product per block of _BLOCK POIs."""
     if centered is None:
         centered = relative_columns(points, center)
-    to_apex = tx, ty, tz = (apex - center).tolist()
-    dist = math.hypot(tx, ty, tz)
-    verdict = None if radius is None else _cone_holds_ball(
-        (-tx, -ty, -tz), axis, aperture_phi, radius)
-    if verdict is False:
-        return np.zeros(len(points), dtype=bool)
-    near = _near(centered, to_apex, dist)
-    return near if verdict else near & in_cone(
-        relative_columns(points, apex), axis, aperture_phi, _SLACK * dist)
+    (cx, cy, cz), n = center.tolist(), len(points)
+    rows, thr, cut = [], [], []
+    for apex, axis, phi in zip(apexes.tolist(), axes, apertures):
+        tx, ty, tz = apex[0] - cx, apex[1] - cy, apex[2] - cz
+        dist = math.hypot(tx, ty, tz)
+        verdict = None if radius is None else _cone_holds_ball(
+            (-tx, -ty, -tz), axis, phi, radius)
+        if verdict is False:
+            continue
+        if verdict is None:
+            cut.append((len(rows), np.array(apex), axis, phi, _SLACK * dist))
+        rows.append((tx, ty, tz))
+        thr.append(-_SLACK * dist * dist)
+    seen = np.zeros(n, dtype=bool)
+    if not rows:
+        return seen
+    rows, thr = np.array(rows), np.array(thr)
+    for lo in range(0, n, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        near = _near(rows, thr, centered[:, block])
+        for i, apex, axis, phi, min_axial in cut:
+            near[i] &= in_cone(relative_columns(points[block], apex), axis,
+                               phi, min_axial)
+        near.any(axis=0, out=seen[block])
+    return seen
 
 
 @dataclass(frozen=True)
@@ -204,8 +231,9 @@ def in_near_hemisphere(poi, apex, center) -> bool:
     if np.array_equal(apex, center):
         raise DegenerateGeometryError("apex coincides with center")
     to_apex = apex - center
-    return bool(_near(as_vec3(poi) - center, to_apex,
-                      math.hypot(*to_apex.tolist())))
+    dist = math.hypot(*to_apex.tolist())
+    return bool(_near(to_apex[None], np.array([-_SLACK * dist * dist]),
+                      relative_columns(as_vec3(poi)[None], center))[0, 0])
 
 
 def visible(poi, fov: ConeFov, center) -> bool:
@@ -214,5 +242,5 @@ def visible(poi, fov: ConeFov, center) -> bool:
     center = as_vec3(center)
     if np.array_equal(fov.apex, center):
         raise DegenerateGeometryError("apex coincides with center")
-    return bool(visible_mask(as_vec3(poi)[None], fov.apex, fov.axis,
-                             fov.aperture_phi, center)[0])
+    return bool(visible_mask(as_vec3(poi)[None], fov.apex[None], [fov.axis],
+                             [fov.aperture_phi], center)[0])

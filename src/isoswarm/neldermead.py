@@ -45,8 +45,17 @@ class NelderMeadOptions:
     theta_initial_step: float | None = None
 
     def __post_init__(self):
-        if self.max_iterations is not None and self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
+        n = self.max_iterations
+        if n is not None and (not isinstance(n, (int, np.integer))
+                              or isinstance(n, bool) or n < 1):
+            raise ValueError(
+                f"max_iterations must be an integer of at least 1, got {n!r}")
+        for name in ("f_tolerance", "x_tolerance"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
+        step = self.theta_initial_step
+        if step is not None and not 0.0 < step < math.inf:
+            raise ValueError("theta_initial_step must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -277,7 +277,11 @@ def test_experiment_bad_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("entry", [{"n_pois": 2.5}, {"trials": 1.5},
                                    {"trials": True}, {"phi": -1.0},
-                                   {"nu": 0.0}])
+                                   {"nu": 0.0},
+                                   {"sphere_radius": float("nan")},
+                                   {"kappa_weight": float("inf")},
+                                   {"initial_distance_factors": [
+                                       float("nan"), 3.0]}])
 def test_experiment_bad_config_value(tmp_path, capsys, entry):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({

@@ -21,9 +21,14 @@ CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
 MARGINS = [0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]
 
 
+def one_cone(points, apex, axis, phi, center, *cull):
+    """visible_mask of one cone; culled when cull is (centered, radius)."""
+    return visible_mask(points, apex[None], [axis], [phi], center, *cull)
+
+
 def full_test(points, apex, axis, phi, center):
     """The un-culled kernel: cone test and near half-space for every POI."""
-    return visible_mask(points, apex, axis, phi, center)
+    return one_cone(points, apex, axis, phi, center)
 
 
 def unit(v):
@@ -108,8 +113,8 @@ def test_cull_matches_full_test_near_the_ball(rng, tilted):
         margin = MARGINS[rng.integers(len(MARGINS))]
         inside = bool(rng.random() < 0.5)
         points, apex, axis = scene(rng, center, phi, margin, inside, tilted)
-        mask = visible_mask(points, apex, axis, phi, center,
-                            *centered(points, center))
+        mask = one_cone(points, apex, axis, phi, center,
+                        *centered(points, center))
         np.testing.assert_array_equal(
             mask, full_test(points, apex, axis, phi, center))
         v = verdict(points, apex, axis, phi, center)
@@ -147,8 +152,8 @@ def test_cull_apex_on_or_inside_ball(rng):
         if np.linalg.norm(apex - center) < 0.999 * radius:
             assert verdict(points, apex, axis, phi, center) is None
         np.testing.assert_array_equal(
-            visible_mask(points, apex, axis, phi, center,
-                         *centered(points, center)),
+            one_cone(points, apex, axis, phi, center,
+                     *centered(points, center)),
             full_test(points, apex, axis, phi, center))
 
 

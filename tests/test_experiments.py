@@ -11,6 +11,7 @@ from isoswarm.experiments import (ConfigError, ExperimentReport,
 from isoswarm.neldermead import NelderMeadOptions
 from isoswarm.sampling import UncertaintyEllipsoid
 
+NAN, INF = float("nan"), float("inf")
 FAST_NM = NelderMeadOptions(theta_initial_step=0.5, max_iterations=60)
 
 
@@ -249,8 +250,12 @@ def test_config_rejects_unknown_keys_and_versions():
     with pytest.raises(ConfigError):
         config_from_dict({**base, "trials": 0})
     for nm in ({"bogus": 1}, {"expansion": 0.9}, {"shrink": 0.5},
-               {"max_iterations": 0}):
-        with pytest.raises(ConfigError):
+               {"max_iterations": 0}, {"max_iterations": 2.5},
+               {"max_iterations": True}, {"f_tolerance": NAN},
+               {"f_tolerance": -1e-8}, {"x_tolerance": NAN},
+               {"x_tolerance": INF}, {"theta_initial_step": 0.0},
+               {"theta_initial_step": -0.5}, {"theta_initial_step": NAN}):
+        with pytest.raises(ConfigError, match=next(iter(nm))):
             config_from_dict({**base, "nm_options": nm})
 
 
@@ -279,6 +284,28 @@ def test_config_rejects_non_integer_counts(base, key, value):
     ("phi", -1.0), ("phi", 0.0), ("phi", np.pi), ("phi", float("nan")),
     ("nu", 0.0), ("nu", -0.5), ("nu", np.pi), ("nu", float("nan"))])
 def test_config_rejects_bad_camera_angles(base, key, value):
+    with pytest.raises(ConfigError, match=key):
+        config_from_dict({**base, key: value})
+
+
+@pytest.mark.parametrize("base, key, value", [
+    (SWARM_BASE, "sphere_radius", NAN), (SWARM_BASE, "sphere_radius", INF),
+    (SWARM_BASE, "kappa_weight", NAN), (SWARM_BASE, "kappa_weight", INF),
+    (SWARM_BASE, "initial_distance_factors", [NAN, 3.0]),
+    (SWARM_BASE, "initial_distance_factors", [6.0, 3.0]),
+    (SWARM_BASE, "initial_distance_factors", [0.0, 0.0]),
+    (VIEW_BASE, "sphere_radii", []), (VIEW_BASE, "sphere_radii", [NAN]),
+    (VIEW_BASE, "sphere_radii", [50.0, 0.0]),
+    (VIEW_BASE, "sphere_radii", [-50.0]),
+    (VIEW_BASE, "iso_terminal_position", [NAN, 0.0, 0.0]),
+    (VIEW_BASE, "iso_terminal_position", [0.0, 0.0]),
+    (VIEW_BASE, "initial_distance_range", [0, 600])],
+    ids=["sphere_radius-nan", "sphere_radius-inf", "kappa_weight-nan",
+         "kappa_weight-inf", "factors-nan", "factors-reversed", "factors-zero",
+         "sphere_radii-empty", "sphere_radii-nan", "sphere_radii-zero",
+         "sphere_radii-negative", "iso_position-nan", "iso_position-2d",
+         "distance_range-low-0"])
+def test_config_rejects_bad_values(base, key, value):
     with pytest.raises(ConfigError, match=key):
         config_from_dict({**base, key: value})
 

@@ -152,7 +152,8 @@ def test_visible_mask_matches_scalar(rng):
     apex = center + rng.uniform(5, 30) * np.array([1, 0.2, -0.3])
     fov = ConeFov.aimed(apex, center, 1.2)
     pts = rng.uniform(-40, 40, (500, 3))
-    mask = visible_mask(pts, fov.apex, fov.axis, fov.aperture_phi, center)
+    mask = visible_mask(pts, fov.apex[None], [fov.axis], [fov.aperture_phi],
+                        center)
     for p, m in zip(pts, mask):
         assert visible(p, fov, center) == m
 
