@@ -145,29 +145,31 @@ def visible_mask(points, apexes, axes, apertures, center, centered=None,
         centered = relative_columns(points, center)
     (cx, cy, cz), n = center.tolist(), len(points)
     rows, thr, cut = [], [], []
-    for apex, axis, phi in zip(apexes.tolist(), axes, apertures):
-        tx, ty, tz = apex[0] - cx, apex[1] - cy, apex[2] - cz
+    for j, ((ax, ay, az), axis, phi) in enumerate(
+            zip(apexes.tolist(), axes, apertures)):
+        tx, ty, tz = ax - cx, ay - cy, az - cz
         dist = math.hypot(tx, ty, tz)
         verdict = None if radius is None else _cone_holds_ball(
             (-tx, -ty, -tz), axis, phi, radius)
         if verdict is False:
             continue
         if verdict is None:
-            cut.append((len(rows), np.array(apex), axis, phi, _SLACK * dist))
+            cut.append((len(rows), j, axis, phi, _SLACK * dist))
         rows.append((tx, ty, tz))
         thr.append(-_SLACK * dist * dist)
-    seen = np.zeros(n, dtype=bool)
-    if not rows:
-        return seen
+    if not (rows and n):
+        return np.zeros(n, dtype=bool)
     rows, thr = np.array(rows), np.array(thr)
+    seen = []
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         near = _near(rows, thr, centered[:, block])
-        for i, apex, axis, phi, min_axial in cut:
-            near[i] &= in_cone(relative_columns(points[block], apex), axis,
-                               phi, min_axial)
-        near.any(axis=0, out=seen[block])
-    return seen
+        for i, j, axis, phi, min_axial in cut:
+            near[i] &= in_cone(relative_columns(points[block], apexes[j]),
+                               axis, phi, min_axial)
+        # one cone's row is the union; a reduction would only copy it
+        seen.append(near[0] if len(near) == 1 else near.any(axis=0))
+    return seen[0] if len(seen) == 1 else np.concatenate(seen)
 
 
 @dataclass(frozen=True)
