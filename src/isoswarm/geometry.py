@@ -136,11 +136,11 @@ def visible_mask(points, apexes, axes, apertures, center, centered=None,
                  radius=None):
     """POIs seen by at least one of k cones: the cone test and the near
     half-space (point - center) . (apex - center) >= 0, both with the slack
-    of _SLACK (center-plane points are visible). apexes is (k, 3), axes k
-    float 3-sequences, apertures k floats. With centered and radius from
-    PoiSet.centered, a cone holding all points runs only the half-space test
-    and a cone missing them all is dropped; the half-spaces of the other
-    cones are one product per block of _BLOCK POIs."""
+    of _SLACK (center-plane points are visible). apexes is a (k, 3) array,
+    axes k float 3-sequences, apertures k floats. With centered and radius
+    from PoiSet.centered, a cone holding all points runs only the half-space
+    test and a cone missing them all is dropped; the half-spaces of the
+    other cones are one product per block of _BLOCK POIs."""
     if centered is None:
         centered = relative_columns(points, center)
     (cx, cy, cz), n = center.tolist(), len(points)
