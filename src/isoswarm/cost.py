@@ -169,7 +169,8 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
     c = center.tolist()
     axes = [_axis(row, c, orientation_mode) for row in swarm.state.tolist()]
     seen = visible_mask(pois.points, swarm.state[:, :3], axes,
-                        swarm.phi.tolist(), center, *pois.centered(center))
+                        swarm.phi.tolist(), center, *pois.centered(center),
+                        pois.augmented)
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 

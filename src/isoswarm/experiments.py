@@ -92,10 +92,11 @@ class ViewProbabilityConfig:
         if not self.sphere_radii or min(self.sphere_radii) <= 0.0:
             raise ConfigError("sphere_radii must be one or more positive radii")
         lo, hi = self.initial_distance_range
-        if not 1 <= lo < hi:
-            # a start distance of 0 puts the spacecraft at the center
+        if not 1 <= lo < hi < 2 ** 63:
+            # a start distance of 0 puts the spacecraft at the center; the
+            # draw takes max + 1 as an int64
             raise ConfigError(
-                "initial_distance_range must satisfy 1 <= min < max")
+                "initial_distance_range must satisfy 1 <= min < max < 2^63")
         if self.success_criterion not in ("center", "sampled_truth"):
             raise ConfigError(f"unknown success criterion {self.success_criterion!r}")
 
@@ -127,6 +128,11 @@ class SwarmSizeConfig:
         if not 0.0 < lo <= hi:
             raise ConfigError(
                 "initial_distance_factors must satisfy 0 < min <= max")
+        far = self.sphere_radius * hi
+        if not math.isfinite(far * far):
+            # the cone axes need the squared start distance
+            raise ConfigError("sphere_radius times the largest "
+                              "initial_distance_factors must square finite")
 
 
 @dataclass

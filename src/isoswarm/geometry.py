@@ -24,10 +24,19 @@ TWO_PI = 2.0 * np.pi
 # spacing, so an optimizer cannot gain POIs by parking them in it.
 _SLACK = 2.0 ** -30
 
-# POIs per block of visible_mask's plane product: bounds its (cones, block)
+# POIs per block of visible_mask's plane product: bounds its (rows, block)
 # temporaries (7 cones x 8192 POIs is 0.5 MB) while a block still amortizes
 # the product's fixed cost.
 _BLOCK = 8192
+
+# Error filter of a cut cone's test (README): with L = R + D, the product
+# decides a POI whose d lies more than _FILTER L |axis|_1 from s D and whose
+# d^2 lies more than _FILTER L^2 (|axis|_1^2 + C + 1) from C |rel|^2, about
+# 100 times the rounding of either computation of them; the elementwise test
+# decides the rest. Widths outside (1 / _RANGE, _RANGE) could overflow an
+# intermediate or drown in underflow, so such a cone skips the filter.
+_FILTER = 2.0 ** -40
+_RANGE = 2.0 ** 900
 
 
 class DegenerateGeometryError(ValueError):
@@ -49,6 +58,16 @@ def relative_columns(points: np.ndarray, origin) -> np.ndarray:
     one contiguous row (iterating (n, 3) points in memory order would loop
     over 3 elements at a time)."""
     return np.subtract(points.T, origin[:, None], order="C")
+
+
+def augmented_columns(centered: np.ndarray) -> np.ndarray:
+    """(5, n) columns [centered; |centered|^2; 1]: a row (b, c, e) times one
+    gives b . (point - center) + c |point - center|^2 + e."""
+    out = np.empty((5, centered.shape[1]))
+    out[:3] = centered
+    out[3] = _dot3(centered, centered)
+    out[4] = 1.0
+    return out
 
 
 def _dot3(a, b):
@@ -132,19 +151,42 @@ def _cone_holds_ball(to_center, axis, aperture_phi, radius):
     return None
 
 
+def _cut_rows(plane, axis, phi, reach):
+    """The augmented product's rows for a cone that cuts the POI ball, with
+    plane = apex - center and reach = L, and the filter width e_d of d; ([],
+    None) when a width falls outside the filter's range. With rel = point -
+    apex and C = cos^2(phi / 2) the rows give d = rel . axis and C |rel|^2 +-
+    e, e the filter width of d^2."""
+    (tx, ty, tz), (ax, ay, az) = plane, axis
+    c = math.cos(phi / 2.0)
+    c2, l1 = c * c, abs(ax) + abs(ay) + abs(az)
+    e_d = _FILTER * reach * l1
+    e = _FILTER * reach * reach * (l1 * l1 + c2 + 1.0)
+    if not (1.0 / _RANGE < e_d and 1.0 / _RANGE < e < _RANGE):
+        return [], None
+    k, q = -2.0 * c2, c2 * (tx * tx + ty * ty + tz * tz)
+    return ([(ax, ay, az, 0.0, -(ax * tx + ay * ty + az * tz)),
+             (k * tx, k * ty, k * tz, c2, q + e),
+             (k * tx, k * ty, k * tz, c2, q - e)], e_d)
+
+
 def visible_mask(points, apexes, axes, apertures, center, centered=None,
-                 radius=None):
+                 radius=None, augmented=None):
     """POIs seen by at least one of k cones: the cone test and the near
     half-space (point - center) . (apex - center) >= 0, both with the slack
     of _SLACK (center-plane points are visible). apexes is a (k, 3) array,
     axes k float 3-sequences, apertures k floats. With centered and radius
     from PoiSet.centered, a cone holding all points runs only the half-space
     test and a cone missing them all is dropped; the half-spaces of the
-    other cones are one product per block of _BLOCK POIs."""
+    other cones are one product per block of _BLOCK POIs. For cones that
+    cut the ball (all, without radius) the product reads augmented(center)
+    (PoiSet.augmented; augmented_columns of centered when None) and also
+    gives each one's d and C |rel|^2, from which the filter decides every
+    POI but those near the cone's surface: only they run in_cone."""
     if centered is None:
         centered = relative_columns(points, center)
     (cx, cy, cz), n = center.tolist(), len(points)
-    rows, thr, cut = [], [], []
+    planes, thr, cut = [], [], []
     for j, ((ax, ay, az), axis, phi) in enumerate(
             zip(apexes.tolist(), axes, apertures)):
         tx, ty, tz = ax - cx, ay - cy, az - cz
@@ -154,19 +196,43 @@ def visible_mask(points, apexes, axes, apertures, center, centered=None,
         if verdict is False:
             continue
         if verdict is None:
-            cut.append((len(rows), j, axis, phi, _SLACK * dist))
-        rows.append((tx, ty, tz))
+            cut.append((len(planes), j, axis, phi, dist))
+        planes.append((tx, ty, tz))
         thr.append(-_SLACK * dist * dist)
-    if not (rows and n):
+    if not (planes and n):
         return np.zeros(n, dtype=bool)
-    rows, thr = np.array(rows), np.array(thr)
+    k, thr, tests, rows = len(planes), np.array(thr)[:, None], [], []
+    if cut:
+        aug = augmented(center) if augmented else augmented_columns(centered)
+        reach = math.sqrt(aug[3].max()) if radius is None else radius
+        for i, j, axis, phi, dist in cut:
+            cone_rows, e_d = _cut_rows(planes[i], axis, phi, reach + dist)
+            tests.append((i, j, axis, phi, _SLACK * dist, k + len(rows), e_d))
+            rows += cone_rows
+    if rows:
+        rows, cols = np.array([(*p, 0.0, 0.0) for p in planes] + rows), aug
+    else:  # no filtered cone: |point - center|^2 is not needed (or finite)
+        rows, cols = np.array(planes), centered
     seen = []
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        near = _near(rows, thr, centered[:, block])
-        for i, j, axis, phi, min_axial in cut:
-            near[i] &= in_cone(relative_columns(points[block], apexes[j]),
-                               axis, phi, min_axial)
+        prod = rows @ cols[:, block]
+        near = prod[:k] >= thr
+        for i, j, axis, phi, m, r, e_d in tests:
+            if e_d is None:  # out of the filter's range: test every POI
+                near[i] &= in_cone(relative_columns(points[block], apexes[j]),
+                                   axis, phi, m)
+                continue
+            d, over, under = prod[r:r + 3]
+            dd = d * d
+            sure = (dd > over) & (d > m + e_d)
+            maybe = (dd >= under) & (d >= m - e_d)
+            # sure implies maybe, so equal counts leave nothing undecided
+            if np.count_nonzero(maybe) != np.count_nonzero(sure):
+                idx = np.flatnonzero(maybe & ~sure)
+                sure[idx] = in_cone(relative_columns(points[lo + idx],
+                                                     apexes[j]), axis, phi, m)
+            near[i] &= sure
         # one cone's row is the union; a reduction would only copy it
         seen.append(near[0] if len(near) == 1 else near.any(axis=0))
     return seen[0] if len(seen) == 1 else np.concatenate(seen)

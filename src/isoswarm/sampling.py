@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vec3, relative_columns
+from .geometry import as_vec3, augmented_columns, relative_columns
 
 
 class EmptySampleError(ValueError):
@@ -71,7 +71,18 @@ class PoiSet:
             cols.flags.writeable = False
             cached = key, cols, float(np.sqrt((cols**2).sum(0).max(initial=0)))
             object.__setattr__(self, "_centered", cached)
+            object.__setattr__(self, "_augmented", None)
         return cached[1:]
+
+    def augmented(self, center) -> np.ndarray:
+        """Read-only augmented_columns of centered(center), (5, n), built the
+        first time a cone cuts the POI ball and kept with centered."""
+        cols = self.centered(center)[0]
+        if self._augmented is None:
+            aug = augmented_columns(cols)
+            aug.flags.writeable = False
+            object.__setattr__(self, "_augmented", aug)
+        return self._augmented
 
     def __len__(self):
         return self.points.shape[0]

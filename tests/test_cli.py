@@ -281,7 +281,9 @@ def test_experiment_bad_config(tmp_path, capsys):
                                    {"sphere_radius": float("nan")},
                                    {"kappa_weight": float("inf")},
                                    {"initial_distance_factors": [
-                                       float("nan"), 3.0]}])
+                                       float("nan"), 3.0]},
+                                   {"sphere_radius": 1e300},
+                                   {"initial_distance_factors": [3.0, 1e307]}])
 def test_experiment_bad_config_value(tmp_path, capsys, entry):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
@@ -293,6 +295,22 @@ def test_experiment_bad_config_value(tmp_path, capsys, entry):
     assert code == EXIT_USAGE
     assert stdout == ""
     assert next(iter(entry)) in stderr
+
+
+@pytest.mark.parametrize("high", [2 ** 63, 10 ** 20])
+def test_experiment_distance_range_beyond_int64(tmp_path, capsys, high):
+    # the start distance is drawn from [min, max + 1) as an int64
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "type": "view_probability",
+        "iso_terminal_position": [0.0, 0.0, 0.0], "sphere_radii": [50.0],
+        "trials_per_radius": 1, "n_pois": 20,
+        "initial_distance_range": [1, high]}))
+    code, stdout, stderr = run(capsys, "-o", str(tmp_path / "out"),
+                               "experiment", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "initial_distance_range" in stderr
 
 
 def test_unknown_subcommand(capsys):

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from isoswarm import cost, geometry
+from isoswarm import cost, geometry, sampling
 from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
 from isoswarm.geometry import relative_columns, unit_axis
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
@@ -149,3 +149,144 @@ def test_coverage_peak_memory_is_blocked(rng):
     finally:
         tracemalloc.stop()
     assert peak < 1.5e6, f"coverage peaked at {peak / 1e6:.2f} MB"
+
+
+def surface_scene(rng, center, factor, r0=100.0):
+    """(points, apex, axis, phi): a ball of POIs about center, the apex at
+    factor * r0 from it (inside, on or outside the ball), and POIs on the
+    cone surface, at the apex, on the axis at the apex slack s D, and a few
+    ulps off each of these."""
+    d = rng.standard_normal((300, 3))
+    d /= np.linalg.norm(d, axis=1, keepdims=True)
+    ball = center + d * r0 * rng.random((300, 1)) ** (1 / 3)
+    apex = center + factor * r0 * unit(rng.standard_normal(3))
+    axis = np.array(unit_axis(apex.tolist(), center.tolist(),
+                              float(rng.uniform(-0.3, 0.3))))
+    phi = rng.uniform(0.3, 1.5)
+    side = unit(np.cross(axis, rng.standard_normal(3)))
+    psi = rng.uniform(0.0, 2.0 * np.pi, (400, 1))
+    rays = np.cos(phi / 2.0) * axis + np.sin(phi / 2.0) * (
+        np.cos(psi) * side + np.sin(psi) * np.cross(axis, side))
+    surface = apex + rng.uniform(0.0, (factor + 1.0) * r0, (400, 1)) * rays
+    surface = surface[np.linalg.norm(surface - center, axis=1) < r0]
+    m = geometry._SLACK * np.linalg.norm(apex - center)
+    special = np.vstack([apex, apex + m * axis])
+    exact = np.vstack([surface, special])
+    ulps = [np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)]
+    ulps.append(np.nextafter(ulps[0], np.inf))
+    return np.vstack([ball, exact, *ulps]), apex, axis, phi
+
+
+def count_fallback(monkeypatch):
+    """Record the number of columns each in_cone call of visible_mask takes."""
+    columns, kernel = [], geometry.in_cone
+
+    def spy(rel, *args):
+        columns.append(rel.shape[-1])
+        return kernel(rel, *args)
+
+    monkeypatch.setattr(geometry, "in_cone", spy)
+    return columns
+
+
+@pytest.mark.parametrize("factor", [0.5, 1.0, 2.0],
+                         ids=["apex-inside", "apex-on", "apex-outside"])
+@pytest.mark.parametrize("center", CENTERS, ids=["0", "near", "iso", "1e8"])
+def test_filter_matches_elementwise_at_the_cone_surface(monkeypatch, rng,
+                                                        center, factor):
+    columns = count_fallback(monkeypatch)
+    for _ in range(8):
+        points, apex, axis, phi = surface_scene(rng, center, factor)
+        pois = PoiSet(points, 0, UncertaintyEllipsoid.sphere(100.0, center))
+        cols, radius = pois.centered(center)
+        verdicts = {True: 0, False: 0, None: 0}
+        want = elementwise_mask(points, apex, axis.tolist(), phi, center,
+                                cols, radius, verdicts)
+        assert verdicts[None] == 1  # the cone cuts the ball
+        for cull in ((cols, radius, pois.augmented), ()):
+            np.testing.assert_array_equal(
+                geometry.visible_mask(points, apex[None], [axis.tolist()],
+                                      [phi], center, *cull), want)
+    # at the origin a surface POI is within the filter's widths; far from
+    # it, rounding the coordinates moves POIs off the surface by more
+    if not center.any():
+        assert sum(columns) > 0
+
+
+def test_scalar_visible_matches_elementwise_at_the_cone_surface(rng):
+    center = np.array([-350.0, 20.0, 910.0])
+    points, apex, axis, phi = surface_scene(rng, center, 1.0)
+    fov = geometry.ConeFov(apex, axis, phi)
+    verdicts = {True: 0, False: 0, None: 0}
+    for p in points[300:]:
+        one = PoiSet(p[None], 0, UncertaintyEllipsoid.sphere(100.0, center))
+        want = elementwise_mask(p[None], apex, axis.tolist(), phi, center,
+                                *one.centered(center), verdicts)
+        assert geometry.visible(p, fov, center) == want[0]
+    assert verdicts[None] > 0
+
+
+@pytest.mark.parametrize("scale", [1e145, 1e-145])
+def test_cones_beyond_the_filter_range_test_every_poi(monkeypatch, rng, scale):
+    # L^2 near 2^+-963 puts the filter's width of d^2 out of its range
+    columns = count_fallback(monkeypatch)
+    center = scale * np.array([0.3, -0.2, 0.5])
+    points, apex, axis, phi = surface_scene(rng, center, 0.5, r0=scale)
+    pois = PoiSet(points, 0, UncertaintyEllipsoid.sphere(scale, center))
+    cols, radius = pois.centered(center)
+    verdicts = {True: 0, False: 0, None: 0}
+    want = elementwise_mask(points, apex, axis.tolist(), phi, center, cols,
+                            radius, verdicts)
+    got = geometry.visible_mask(points, apex[None], [axis.tolist()], [phi],
+                                center, cols, radius)
+    np.testing.assert_array_equal(got, want)
+    assert columns == [len(points)]
+
+
+def test_filter_decides_every_poi_of_a_random_scene(monkeypatch):
+    # one tilted cone 300 km from the center of a 500 km sphere, as in the
+    # view-probability campaign: the cone cuts the ball
+    columns = count_fallback(monkeypatch)
+    e = UncertaintyEllipsoid.sphere(500.0)
+    pois = sample_pois(e, 5000, 7)
+    pose = SpacecraftPose(300.0 * unit(np.array([0.3, -0.8, 0.5])), 0.4, 0.5,
+                          np.pi / 3.0)
+    count, _, seen = coverage(SwarmConfig((pose,), e), pois, "theta_tilt")
+    assert 0 < count < 5000
+    assert columns == []
+    verdicts = {True: 0, False: 0, None: 0}
+    want = elementwise_union(SwarmConfig((pose,), e), pois, "theta_tilt",
+                             verdicts)
+    assert verdicts[None] == 1
+    np.testing.assert_array_equal(seen, want)
+
+
+def test_holding_cones_build_no_augmented_columns(monkeypatch, rng):
+    builds = []
+    monkeypatch.setattr(sampling, "augmented_columns",
+                        lambda cols: builds.append(cols.shape) or
+                        geometry.augmented_columns(cols))
+    e = UncertaintyEllipsoid.sphere(100.0)
+    pois = sample_pois(e, 100_000, 4)
+    radius = pois.centered(e.center)[1]
+    poses = [SpacecraftPose(radius * f * unit(rng.standard_normal(3)),
+                            0.0, np.pi / 6.0, np.pi / 3.0)
+             for f in (3.0, 3.5, 4.0, 5.0, 6.0, 3.0, 4.5)]
+    coverage(SwarmConfig(poses, e), pois, "aimed")
+    assert builds == []
+    # a cone that cuts the ball builds them once per POI set and center
+    near = SwarmConfig([SpacecraftPose([50.0, 0.0, 0.0], 0.0, 0.5, 1.0)], e)
+    coverage(near, pois, "aimed")
+    coverage(near, pois, "aimed")
+    assert builds == [(3, 100_000)]
+
+
+def test_augmented_cache_follows_center():
+    e = UncertaintyEllipsoid.sphere(10.0)
+    pois = sample_pois(e, 200, 1)
+    for center in (np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3)):
+        aug = pois.augmented(center)
+        cols = relative_columns(pois.points, center)
+        np.testing.assert_array_equal(aug[:3], cols)
+        np.testing.assert_array_equal(aug[3], dot3(cols, cols))
+        assert (aug[4] == 1.0).all() and not aug.flags.writeable
