@@ -119,15 +119,6 @@ def in_cone(rel, axis, aperture_phi, min_axial=0.0):
     return (d > min_axial) & (_dot3(rel, rel) * (c * c) <= d * d)
 
 
-def _near(to_apex, thr, centered):
-    """Near half-spaces of k cones with the plane slack, as one matrix
-    product: (k, n) booleans (point - center) . (apex - center) >= thr, with
-    rows to_apex = apex - center (k, 3), thr = -_SLACK D^2 (k,) and centered
-    (3, n) columns. BLAS may round a product unlike _dot3 by a few ulps of
-    |point - center| D, far inside the slack."""
-    return to_apex @ centered >= thr[:, None]
-
-
 def _cone_holds_ball(to_center, axis, aperture_phi, radius):
     """True if the cone holds every point within radius of the center, False
     if none, None if it cuts that ball or its apex lies in it. The ball spans
@@ -300,8 +291,9 @@ def in_near_hemisphere(poi, apex, center) -> bool:
         raise DegenerateGeometryError("apex coincides with center")
     to_apex = apex - center
     dist = math.hypot(*to_apex.tolist())
-    return bool(_near(to_apex[None], np.array([-_SLACK * dist * dist]),
-                      relative_columns(as_vec3(poi)[None], center))[0, 0])
+    # the plane product of visible_mask for one cone and one POI
+    return bool(to_apex[None] @ relative_columns(as_vec3(poi)[None], center)
+                >= -_SLACK * dist * dist)
 
 
 def visible(poi, fov: ConeFov, center) -> bool:
