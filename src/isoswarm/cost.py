@@ -21,6 +21,14 @@ from .sampling import PoiSet
 DEFAULT_IDENTICAL_THETA_DELTA = 1e-6
 
 
+def wrap_theta(theta):
+    """theta (a float or an array) modulo 2 pi, in [0, 2 pi): a tiny negative
+    theta's remainder rounds up to 2 pi, which the second one maps to 0.0."""
+    theta = theta % TWO_PI
+    theta %= TWO_PI  # in place on an array
+    return theta
+
+
 def _axis(row, center, orientation_mode: str):
     """Cone axis of a packed (x, y, z, theta) row of floats: "aimed" at the
     center, or "theta_tilt", tilted away from the center direction by theta."""
@@ -42,7 +50,7 @@ class SpacecraftPose:
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
-        object.__setattr__(self, "theta", float(self.theta) % TWO_PI)
+        object.__setattr__(self, "theta", wrap_theta(float(self.theta)))
         if not 0.0 < self.nu < np.pi:
             raise ValueError("nu must lie in (0, pi)")
         if not 0.0 < self.phi < np.pi:
@@ -78,7 +86,7 @@ class SwarmConfig:
         state = np.array(x, dtype=float).reshape(len(template), 4)
         if not np.isfinite(state[:, :3]).all():
             raise ValueError("vector components must be finite")
-        state[:, 3] %= TWO_PI
+        state[:, 3] = wrap_theta(state[:, 3])
         swarm = cls.__new__(cls)
         vars(swarm).update(vars(template), state=state)
         return swarm
@@ -119,23 +127,38 @@ def fov_interval(pose: SpacecraftPose) -> tuple[float, float]:
     return pose.theta - pose.nu, pose.theta + pose.nu
 
 
-def _arc_overlap(ti, tj, nu_i, nu_j, delta):
-    """Length of the intersection of the circular arcs [ti +- nu_i] and
-    [tj +- nu_j]; equal orientations are perturbed by delta.
+def _overlap_sum(theta, nu, pairs, delta, total=0.0):
+    """total plus, for each index pair (i, j) in order, the length of the
+    intersection of the circular arcs [theta[i] +- nu[i]] and [theta[j] +-
+    nu[j]]; equal orientations are perturbed by delta.
 
     The arcs can meet across both separations, sep and 2 pi - sep; for equal
     widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
-    A NaN orientation stays NaN: min and max keep their first argument when
-    it is NaN, so it goes first.
-    """
-    if ti == tj:
-        tj += delta
-    d = abs(ti - tj) % TWO_PI
-    sep = min(d, TWO_PI - d)
-    narrow = min(2.0 * nu_i, 2.0 * nu_j)
-    near = min(nu_i + nu_j - sep, narrow)
-    far = min(nu_i + nu_j - (TWO_PI - sep), narrow)
-    return max(near, 0.0) + max(far, 0.0)
+    `b if b < a else a` is min(a, b) to the bit: it keeps a when either is
+    NaN (a carries a NaN orientation) or both are zeros, and `0.0 if a < 0.0
+    else a` is max(a, 0.0) alike."""
+    for i, j in pairs:
+        ti, tj, nu_i, nu_j = theta[i], theta[j], nu[i], nu[j]
+        if ti == tj:
+            tj += delta
+        d = abs(ti - tj) % TWO_PI
+        sep = TWO_PI - d
+        sep = sep if sep < d else d
+        narrow, wide = 2.0 * nu_i, 2.0 * nu_j
+        narrow = wide if wide < narrow else narrow
+        near = nu_i + nu_j - sep
+        near = narrow if narrow < near else near
+        far = nu_i + nu_j - (TWO_PI - sep)
+        far = narrow if narrow < far else far
+        total += (0.0 if near < 0.0 else near) + (0.0 if far < 0.0 else far)
+    return total
+
+
+def _arc_overlap(ti, tj, nu_i, nu_j, delta):
+    """Length of the intersection of the circular arcs [ti +- nu_i] and
+    [tj +- nu_j]: the one-pair _overlap_sum, started at -0.0, which adds
+    nothing to any float (0.0 would turn a -0.0 overlap into 0.0)."""
+    return _overlap_sum((ti, tj), (nu_i, nu_j), ((0, 1),), delta, -0.0)
 
 
 def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose,
@@ -152,11 +175,8 @@ def kappa_total(swarm: SwarmConfig,
     a time in i < j order (a NumPy reduction groups the sum differently)."""
     if not swarm.pairs:
         return 0.0
-    theta, nu = swarm.state[:, 3].tolist(), swarm.nu.tolist()
-    total = 0.0
-    for i, j in swarm.pairs:
-        total += _arc_overlap(theta[i], theta[j], nu[i], nu[j], delta)
-    return total
+    return _overlap_sum(swarm.state[:, 3].tolist(), swarm.nu.tolist(),
+                        swarm.pairs, delta)
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,

@@ -14,8 +14,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import SwarmConfig, expected_information_cost, information_cost
-from .geometry import TWO_PI
+from .cost import (SwarmConfig, expected_information_cost, information_cost,
+                   wrap_theta)
 from .sampling import PoiSet
 
 # Objective value substituted when a candidate position degenerates onto the
@@ -76,7 +76,7 @@ class OptResult:
 
 def _wrap(x: np.ndarray, theta_idx: np.ndarray) -> np.ndarray:
     x = x.copy()
-    x[theta_idx] %= TWO_PI
+    x[theta_idx] = wrap_theta(x[theta_idx])
     return x
 
 
@@ -111,7 +111,7 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
     n = problem.dimension
     simplex = np.empty((n + 1, n))
-    values = np.empty(n + 1)
+    values = [0.0] * (n + 1)
     simplex[0], values[0] = f(x0)
     for i in range(n):
         if i in problem.theta_indices and opts.theta_initial_step is not None:
@@ -122,21 +122,25 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
         xi[i] += step
         simplex[i + 1], values[i + 1] = f(xi)
 
+    # The bits of NumPy's bookkeeping at less cost: values are finite, so the
+    # stable sort is argsort(kind="stable"); np.mean is add.reduce / n, and
+    # np.linalg.norm the root of add.reduce of squares (a monotone root).
     converged = False
     iteration = 0
     for iteration in range(1, max_iter + 1):
-        order = np.argsort(values, kind="stable")
-        simplex, values = simplex[order], values[order]
+        order = sorted(range(n + 1), key=values.__getitem__)
+        simplex, values = simplex.take(order, 0), [values[i] for i in order]
 
-        diameter = float(np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1)))
-        spread = float(values[-1] - values[0])
+        dev = simplex[1:] - simplex[0]
+        diameter = math.sqrt(np.add.reduce(dev * dev, axis=1).max())
+        spread = values[-1] - values[0]
         if trace_sink is not None:
-            trace_sink(iteration, float(values[0]), diameter)
+            trace_sink(iteration, values[0], diameter)
         if spread < opts.f_tolerance or diameter < opts.x_tolerance:
             converged = True
             break
 
-        centroid = np.mean(simplex[:-1], axis=0)
+        centroid = np.add.reduce(simplex[:-1], axis=0) / n
         xr, fr = f(centroid + REFLECTION * (centroid - simplex[-1]))
         if fr < values[0]:
             xe, fe = f(centroid + EXPANSION * (xr - centroid))
@@ -163,9 +167,8 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
                         simplex[0] + SHRINK * (simplex[i] - simplex[0])
                     )
 
-    order = np.argsort(values, kind="stable")
-    best = int(order[0])
-    return OptResult(_wrap(simplex[best], theta_idx), float(values[best]),
+    best = min(range(n + 1), key=values.__getitem__)
+    return OptResult(_wrap(simplex[best], theta_idx), values[best],
                      iteration, converged, evals)
 
 

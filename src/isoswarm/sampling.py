@@ -76,11 +76,14 @@ class PoiSet:
 
     def augmented(self, center) -> np.ndarray:
         """Read-only augmented_columns of centered(center), (5, n), built the
-        first time a cone cuts the POI ball and kept with centered."""
+        first time a cone cuts the POI ball and kept with centered, which
+        from then on returns its first three rows instead of a copy."""
         cols = self.centered(center)[0]
         if self._augmented is None:
             aug = augmented_columns(cols)
             aug.flags.writeable = False
+            key, _, radius = self._centered
+            object.__setattr__(self, "_centered", (key, aug[:3], radius))
             object.__setattr__(self, "_augmented", aug)
         return self._augmented
 

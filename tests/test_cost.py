@@ -5,8 +5,9 @@ from hypothesis import strategies as st
 
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
                            expected_information_cost, fov_interval,
-                           information_cost, kappa_total, pair_overlap)
-from isoswarm.geometry import in_fov, visible
+                           information_cost, kappa_total, pair_overlap,
+                           wrap_theta)
+from isoswarm.geometry import TWO_PI, in_fov, visible
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import arc_mask
 
@@ -36,6 +37,36 @@ def test_fov_interval_three_halves_pi():
     s, e = fov_interval(pose(3 * np.pi / 2, nu=np.pi / 6))
     assert s == pytest.approx(4.18879, abs=1e-5)
     assert e == pytest.approx(5.23599, abs=1e-5)
+
+
+# Negative thetas whose remainder modulo 2 pi rounds up to exactly 2 pi.
+TINY_NEGATIVE = [-1e-17, -1e-300, -5e-324, -2.0 ** -53, -4e-16]
+
+
+def test_theta_wraps_into_half_open_range():
+    assert all(t % TWO_PI == TWO_PI for t in TINY_NEGATIVE)
+    assert SpacecraftPose([300, 0, 0], -1e-17, 0.5, 1.0).theta == 0.0
+    for t in TINY_NEGATIVE:
+        assert wrap_theta(t) == 0.0
+        assert pose(t).theta == 0.0
+    template = SwarmConfig([pose(0.0)] * len(TINY_NEGATIVE),
+                           UncertaintyEllipsoid.sphere(10.0))
+    x = template.state.copy()
+    x[:, 3] = TINY_NEGATIVE
+    assert (SwarmConfig.from_state(x, template).state[:, 3] == 0.0).all()
+
+
+def test_wrap_theta_keeps_other_remainders(rng):
+    """Every remainder below 2 pi comes back as %'s, bit for bit."""
+    theta = np.concatenate([rng.uniform(-50, 50, 5000),
+                            -np.logspace(-15, 2, 500),
+                            [0.0, -0.0, TWO_PI, -TWO_PI,
+                             np.nextafter(TWO_PI, 0)]])
+    want = theta % TWO_PI
+    assert (want < TWO_PI).all()
+    np.testing.assert_array_equal(wrap_theta(theta).view(np.uint64),
+                                  want.view(np.uint64))
+    assert [wrap_theta(t) for t in theta.tolist()] == want.tolist()
 
 
 def test_pair_overlap_touching():

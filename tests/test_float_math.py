@@ -4,8 +4,8 @@ formulas it replaced, which are kept here as the reference."""
 import numpy as np
 import pytest
 
-from isoswarm.cost import (SpacecraftPose, SwarmConfig, kappa_total,
-                           pair_overlap)
+from isoswarm.cost import (SpacecraftPose, SwarmConfig, _arc_overlap,
+                           kappa_total, pair_overlap)
 from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
                                  swarm_objective)
@@ -159,6 +159,69 @@ def test_overlap_keeps_nan():
     bad = SpacecraftPose(np.ones(3), np.nan, 0.5, 1.0)
     assert np.isnan(array_arc_overlap(bad.theta, ok.theta, 0.5, 0.5, 1e-6))
     assert np.isnan(pair_overlap(bad, ok)) and np.isnan(pair_overlap(ok, bad))
+
+
+# Orientations and widths whose overlaps hit the fused pair loop's edges:
+# equal thetas (the delta path), NaN orientations, zero widths of either sign
+# (-0.0 overlaps), widths above pi / 2 (the far piece, up to 6 for a far
+# piece wider than the near one) and widths a hair below pi.
+EDGE_THETAS = [0.0, 1e-300, 0.5, 1.0, np.pi / 2, np.pi, 4.0, 1.5 * np.pi,
+               np.nextafter(TWO_PI, 0), np.nan]
+EDGE_NUS = [-0.0, 0.0, 1e-9, 0.5, np.pi / 2, 2.0, 3.0,
+            np.nextafter(np.pi, 0), 6.0]
+
+
+def edge_rows():
+    """Every (ti, tj, nu_i, nu_j) combination of the edge values."""
+    grid = np.meshgrid(EDGE_THETAS, EDGE_THETAS, EDGE_NUS, EDGE_NUS,
+                       indexing="ij")
+    return [g.ravel() for g in grid]
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3])
+def test_overlap_edge_cases_match_array_formula_bit_for_bit(delta):
+    ti, tj, nu_i, nu_j = edge_rows()
+    want = array_arc_overlap(ti, tj, nu_i, nu_j, delta)
+    got = [_arc_overlap(*row, delta)
+           for row in zip(ti.tolist(), tj.tolist(), nu_i.tolist(),
+                          nu_j.tolist())]
+    np.testing.assert_array_equal(bits(got), bits(want))
+    # pair_overlap on the rows poses admit (widths in (0, pi))
+    valid = np.flatnonzero((0 < nu_i) & (nu_i < np.pi)
+                           & (0 < nu_j) & (nu_j < np.pi))
+    got = [pair_overlap(SpacecraftPose(np.ones(3), ti[k], nu_i[k], 1.0),
+                        SpacecraftPose(np.ones(3), tj[k], nu_j[k], 1.0),
+                        delta) for k in valid.tolist()]
+    np.testing.assert_array_equal(bits(got), bits(want[valid]))
+    # every edge occurs
+    d = np.abs(ti - tj) % TWO_PI
+    narrow = np.minimum(2 * nu_i, 2 * nu_j)
+    far = np.minimum(narrow, nu_i + nu_j - (TWO_PI - np.minimum(d, TWO_PI - d)))
+    assert np.count_nonzero((ti == tj) & (want > 0)) > 100
+    assert np.count_nonzero(np.isnan(want[valid])) > 100
+    assert np.count_nonzero(np.signbit(want) & (want == 0)) > 10
+    assert np.count_nonzero(far[valid] > 0) > 100
+
+
+def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():
+    """kappa_total over swarms of edge rows, widths set on the swarm
+    directly so zero widths of either sign reach the loop too."""
+    rng = np.random.default_rng(79)
+    theta = np.array(EDGE_THETAS)
+    nu = np.array(EDGE_NUS)
+    ellipsoid = UncertaintyEllipsoid.sphere(10.0)
+    for _ in range(600):
+        n = int(rng.integers(2, 9))
+        t, v = rng.choice(theta, n), rng.choice(nu, n)
+        swarm = SwarmConfig([SpacecraftPose(np.ones(3), x, 1.0, 1.0)
+                             for x in t], ellipsoid)
+        swarm.nu = v
+        delta = float(rng.choice([0.0, 1e-6, 0.3]))
+        i, j = np.triu_indices(n, 1)
+        want = 0.0
+        for w in array_arc_overlap(t[i], t[j], v[i], v[j], delta).tolist():
+            want += w
+        assert bits(kappa_total(swarm, delta)) == bits(want)
 
 
 @pytest.mark.parametrize("n_craft", [1, 3])

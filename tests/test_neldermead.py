@@ -5,8 +5,10 @@ import pytest
 
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, _arc_overlap, _axis,
                            information_cost)
-from isoswarm.neldermead import (DEGENERACY_PENALTY, NelderMeadOptions,
-                                 ObjectiveDomainError, OptimizationProblem,
+from isoswarm.neldermead import (CONTRACTION, DEGENERACY_PENALTY, EXPANSION,
+                                 INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
+                                 NelderMeadOptions, ObjectiveDomainError,
+                                 OptimizationProblem, OptResult, _wrap,
                                  nelder_mead, optimize_swarm, pack_swarm,
                                  swarm_objective, unpack_swarm)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
@@ -73,21 +75,15 @@ SEAM_TARGET = (300.0, 40.0, -20.0)
 SEAM_THETA = 0.05
 
 
-@pytest.mark.parametrize("mode", ["aimed", "theta_tilt"])
-def test_simplex_continuous_across_theta_seam(mode):
+def seam_objective(mode):
     """A (x, y, z, theta) objective with its minimum 0 at SEAM_TARGET and
     theta = 0.05, from the cost's own theta terms: the squared shortfall of
     the FOV-interval overlap with an interval centred on 0.05 ("aimed"), or
-    the tilted camera axis against the axis tilted by 0.05 ("theta_tilt").
-    Started at theta = 6.0 with a 0.5 step, the simplex straddles 2 pi from
-    the first vertex on. With wrapped vertices it stalls near 0.2; kept
-    continuous, it converges to the minimum inside its budget."""
+    the tilted camera axis against the axis tilted by 0.05 ("theta_tilt")."""
     nu, center = math.pi / 6.0, [0.0, 0.0, 0.0]
     ref = _axis([*SEAM_TARGET, SEAM_THETA], center, "theta_tilt")
-    seen = []
 
     def objective(x):
-        seen.append(x[3])
         row = x.tolist()
         miss = sum((a - b) ** 2 for a, b in zip(row[:3], SEAM_TARGET)) / 1e4
         if mode == "aimed":
@@ -95,6 +91,21 @@ def test_simplex_continuous_across_theta_seam(mode):
             return miss + (2.0 * nu - overlap) ** 2
         axis = _axis(row, center, mode)
         return miss + 1.0 - sum(a * b for a, b in zip(axis, ref))
+
+    return objective
+
+
+@pytest.mark.parametrize("mode", ["aimed", "theta_tilt"])
+def test_simplex_continuous_across_theta_seam(mode):
+    """seam_objective started at theta = 6.0 with a 0.5 step: the simplex
+    straddles 2 pi from the first vertex on. With wrapped vertices it stalls
+    near 0.2; kept continuous, it converges to the minimum inside its
+    budget."""
+    seam, seen = seam_objective(mode), []
+
+    def objective(x):
+        seen.append(x[3])
+        return seam(x)
 
     res = solve(objective, [250.0, 0.0, 0.0, 6.0], theta=frozenset({3}),
                 theta_initial_step=0.5, max_iterations=400)
@@ -235,3 +246,159 @@ def test_optimize_swarm_mc_mode_runs():
 def test_options_reject_empty_budget(max_iterations):
     with pytest.raises(ValueError, match="max_iterations"):
         NelderMeadOptions(max_iterations=max_iterations)
+
+
+def reference_nelder_mead(problem, x0, opts, trace_sink=None):
+    """nelder_mead with its NumPy bookkeeping (argsort, a fancy-indexed
+    reorder, np.mean, np.linalg.norm), kept as the reference that the
+    list-backed order must reproduce bit for bit."""
+    x0 = np.asarray(x0, dtype=float)
+    theta_idx = np.array(sorted(problem.theta_indices), dtype=np.intp)
+    max_iter = opts.max_iterations or 200 * problem.dimension
+    evals = 0
+
+    def f(point):
+        nonlocal evals
+        x = _wrap(point, theta_idx)
+        v = float(problem.objective(x))
+        evals += 1
+        assert math.isfinite(v)
+        return point, v
+
+    n = problem.dimension
+    simplex = np.empty((n + 1, n))
+    values = np.empty(n + 1)
+    simplex[0], values[0] = f(x0)
+    for i in range(n):
+        if i in problem.theta_indices and opts.theta_initial_step is not None:
+            step = opts.theta_initial_step
+        else:
+            step = INITIAL_SIMPLEX_SCALE * max(abs(x0[i]), 1.0)
+        xi = x0.copy()
+        xi[i] += step
+        simplex[i + 1], values[i + 1] = f(xi)
+
+    converged = False
+    iteration = 0
+    for iteration in range(1, max_iter + 1):
+        order = np.argsort(values, kind="stable")
+        simplex, values = simplex[order], values[order]
+
+        diameter = float(np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1)))
+        spread = float(values[-1] - values[0])
+        if trace_sink is not None:
+            trace_sink(iteration, float(values[0]), diameter)
+        if spread < opts.f_tolerance or diameter < opts.x_tolerance:
+            converged = True
+            break
+
+        centroid = np.mean(simplex[:-1], axis=0)
+        xr, fr = f(centroid + REFLECTION * (centroid - simplex[-1]))
+        if fr < values[0]:
+            xe, fe = f(centroid + EXPANSION * (xr - centroid))
+            if fe < fr:
+                simplex[-1], values[-1] = xe, fe
+            else:
+                simplex[-1], values[-1] = xr, fr
+        elif fr < values[-2]:
+            simplex[-1], values[-1] = xr, fr
+        else:
+            if fr < values[-1]:
+                xc, fc = f(centroid + CONTRACTION * (xr - centroid))
+                accept = fc <= fr
+            else:
+                xc, fc = f(centroid - CONTRACTION * (centroid - simplex[-1]))
+                accept = fc < values[-1]
+            if accept:
+                simplex[-1], values[-1] = xc, fc
+            else:
+                for i in range(1, n + 1):
+                    simplex[i], values[i] = f(
+                        simplex[0] + SHRINK * (simplex[i] - simplex[0])
+                    )
+
+    order = np.argsort(values, kind="stable")
+    best = int(order[0])
+    return OptResult(_wrap(simplex[best], theta_idx), float(values[best]),
+                     iteration, converged, evals)
+
+
+def swarm_case(n_craft):
+    """swarm_objective of n_craft aimed spacecraft 3 to 6 radii out around a
+    100 km sphere with 500 POIs, and its packed start."""
+    rng = np.random.default_rng(n_craft + 1)
+    e = UncertaintyEllipsoid.sphere(100.0)
+    d = rng.standard_normal((n_craft, 3))
+    d *= rng.uniform(300.0, 600.0, (n_craft, 1)) / np.linalg.norm(
+        d, axis=1, keepdims=True)
+    init = SwarmConfig([SpacecraftPose(p, t, np.pi / 6, np.pi / 3) for p, t
+                        in zip(d, rng.uniform(0, 2 * np.pi, n_craft))], e)
+    return swarm_objective(sample_pois(e, 500, n_craft), init), pack_swarm(init)
+
+
+def oracle_case(name):
+    """(objective, x0, theta indices, options) of each oracle run."""
+    if name == "quadratic":
+        return lambda x: float(np.sum((x - 3.0) ** 2)), [0.0] * 3, (), {}
+    if name == "rosenbrock":
+        return (lambda x: float(100 * (x[1] - x[0] ** 2) ** 2
+                                + (1 - x[0]) ** 2),
+                [-1.2, 1.0], (), dict(max_iterations=2000, f_tolerance=1e-12,
+                                      x_tolerance=1e-12))
+    if name == "ties":  # piecewise constant: most values tie
+        return (lambda x: float(np.floor(np.sum((x - 0.3) ** 2))),
+                [4.0, -3.0, 2.0, 1.0], (),
+                dict(max_iterations=300, f_tolerance=0.0))
+    if name == "seam":
+        return (seam_objective("aimed"), [250.0, 0.0, 0.0, 6.0], (3,),
+                dict(theta_initial_step=0.5, max_iterations=400))
+    if name == "shrink":  # fine stairs: contractions onto a tie fail
+        return (lambda x: float(np.floor(np.sum((x - 0.3) ** 2) * 16)),
+                [3.0, -2.0, 1.0, 0.0, 5.0], (),
+                dict(max_iterations=400, f_tolerance=0.0))
+    objective, x0 = swarm_case(int(name[-1]))
+    return (objective, x0, range(3, len(x0), 4),
+            dict(theta_initial_step=0.5, max_iterations=150))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "ties", "seam",
+                                  "shrink", "swarm N=1", "swarm N=7"])
+def test_matches_reference_loop_bit_for_bit(name):
+    objective, x0, theta, opts = oracle_case(name)
+    runs = []
+    for solver in (nelder_mead, reference_nelder_mead):
+        points, trace, values = [], [], []
+
+        def f(x):
+            points.append(x.copy())
+            values.append(objective(x))
+            return values[-1]
+
+        problem = OptimizationProblem(len(x0), f, frozenset(theta))
+        res = solver(problem, np.asarray(x0, float), NelderMeadOptions(**opts),
+                     lambda i, b, d: trace.append((i, b.hex(), d.hex(),
+                                                   len(points))))
+        runs.append((res, np.array(points), trace, values))
+    (got, points, trace, values), (want, want_points, want_trace, _) = runs
+    assert trace == want_trace
+    np.testing.assert_array_equal(points.view(np.uint64),
+                                  want_points.view(np.uint64))
+    assert (got.evaluation_count, got.iterations, got.converged) == \
+        (want.evaluation_count, want.iterations, want.converged)
+    assert got.best_value.hex() == want.best_value.hex()
+    np.testing.assert_array_equal(got.best_point.view(np.uint64),
+                                  want.best_point.view(np.uint64))
+    # each case exercises what it is named for
+    shrinks = sum(b - a > 2 for (*_, a), (*_, b) in zip(trace, trace[1:]))
+    if name == "ties":
+        assert len(set(values)) * 5 < len(values)
+    if name == "shrink":  # shrink steps make over a third of the evaluations
+        assert shrinks * len(x0) * 3 > got.evaluation_count
+    if name == "seam":
+        assert min(points[:, 3]) < 0.5 and max(points[:, 3]) > 5.5
+
+
+def test_best_point_theta_stays_below_two_pi():
+    """A start a hair below 0 wraps to 0.0, not to 2 pi."""
+    res = solve(lambda x: 0.0, [-1e-17, 5.0], theta=frozenset({0}))
+    assert res.converged and res.best_point[0] == 0.0

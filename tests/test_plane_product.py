@@ -290,3 +290,22 @@ def test_augmented_cache_follows_center():
         np.testing.assert_array_equal(aug[:3], cols)
         np.testing.assert_array_equal(aug[3], dot3(cols, cols))
         assert (aug[4] == 1.0).all() and not aug.flags.writeable
+
+
+def test_centered_reads_augmented_rows_once_built():
+    """After augmented(center) is built, centered(center) returns its first
+    three rows, equal to the copy it replaces, and the cache still follows
+    the center."""
+    e = UncertaintyEllipsoid.sphere(10.0)
+    pois = sample_pois(e, 200, 1)
+    for center in (np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3)):
+        cols, radius = pois.centered(center)
+        aug = pois.augmented(center)
+        assert not np.shares_memory(cols, aug)
+        view, same_radius = pois.centered(center)
+        assert np.shares_memory(view, aug) and view.shape == cols.shape
+        assert view.flags.c_contiguous and not view.flags.writeable
+        np.testing.assert_array_equal(view.view(np.uint64),
+                                      cols.view(np.uint64))
+        assert same_radius == radius
+        assert pois.augmented(center) is aug
