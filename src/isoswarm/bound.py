@@ -11,6 +11,7 @@ and the inversion of the success bound to an ellipsoid radius.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
@@ -59,11 +60,11 @@ class ContractionParams:
                              "m_e_lower", "m_e_upper", "gamma_c", "lam",
                              "alpha_s")
         for name in strictly_positive:
-            if getattr(self, name) <= 0.0:
-                raise ValueError(f"{name} must be positive")
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         for name in ("eps_c", "eps_e", "g_bar", "u_bar", "h_bar", "ell_bar"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be non-negative")
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative")
         if self.m_c_lower > self.m_c_upper or self.m_e_lower > self.m_e_upper:
             raise ValueError("metric eigenvalue bounds must satisfy lower <= upper")
 
@@ -138,6 +139,8 @@ class NoiseProfile:
         z = np.asarray(self.zetas, dtype=float)
         if t.ndim != 1 or t.shape != z.shape or t.size < 1:
             raise ValueError("times and zetas must be matching 1-D arrays")
+        if not (np.isfinite(t).all() and np.isfinite(z).all()):
+            raise ValueError("noise times and zetas must be finite")
         if t[0] != 0.0:
             raise ValueError("noise history must start at t = 0")
         if t.size > 1 and not np.all(np.diff(t) > 0.0):
@@ -158,7 +161,7 @@ class NoiseProfile:
 
     def _check_time(self, t: float) -> None:
         """Raise ExtrapolationError unless 0 <= t <= the last sample time."""
-        if t < 0.0 or t > self.times[-1]:
+        if not 0.0 <= t <= self.times[-1]:
             raise ExtrapolationError(
                 f"t = {t} outside recorded noise history [0, {self.times[-1]}]"
             )
@@ -222,8 +225,8 @@ def evaluate_bound(D: float, t: float, v0_expected: float,
     The denominator is D * m_lower as printed in the source bound;
     squared_distance switches to the dimensionally conventional D**2 form.
     """
-    if D <= 0.0:
-        raise ValueError("failure distance D must be positive")
+    if not 0.0 < D < math.inf:
+        raise ValueError("failure distance D must be finite and positive")
     _require_feasible(params)
     denom = (D * D if squared_distance else D) * params.m_lower_combined
     zeta = zeta_integral(t, params, noise)

@@ -47,7 +47,10 @@ def _load_swarm(path) -> SwarmConfig:
                        p["theta"], p["nu"], p["phi"])
         for p in cfg["spacecraft"]
     )
-    return SwarmConfig(poses, ellipsoid)
+    swarm = SwarmConfig(poses, ellipsoid)
+    if not np.isfinite(swarm.state[:, 3]).all():
+        raise ValueError("spacecraft theta must be finite")
+    return swarm
 
 
 def _read(load, path, what):
@@ -66,12 +69,23 @@ def _positive_int(text) -> int:
     return value
 
 
-def _finite_float(text) -> float:
-    """argparse type for weights: a finite float."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {value}")
-    return value
+def _float_type(ok, what):
+    """argparse type for a float value with ok(value), described by what."""
+    def parse(text) -> float:
+        value = float(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+    parse.__name__ = "float"  # argparse names the type in its errors
+    return parse
+
+
+_finite_float = _float_type(math.isfinite, "finite")
+_positive_float = _float_type(lambda v: 0.0 < v < math.inf,
+                              "finite and positive")
+_nonnegative_float = _float_type(lambda v: 0.0 <= v < math.inf,
+                                 "finite and non-negative")
+_probability = _float_type(lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def cmd_sample_pois(args) -> int:
@@ -104,8 +118,6 @@ def cmd_cost(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if not 0.0 <= args.position_stddev < math.inf:
-        raise CliError("--position-stddev must be finite and non-negative")
     pois = _read(load_pois, args.pois, "POI file")
     swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     opts = NelderMeadOptions(max_iterations=args.max_iterations)
@@ -206,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swarm", required=True, help="initial swarm pose JSON")
     p.add_argument("--kappa-weight", type=_finite_float, default=1.0)
     p.add_argument("--max-iterations", type=_positive_int, default=None)
-    p.add_argument("--position-stddev", type=float, default=0.0,
+    p.add_argument("--position-stddev", type=_nonnegative_float, default=0.0,
                    help="enable expected-cost mode with this stddev (km)")
     p.add_argument("--mc-samples", type=_positive_int, default=100)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
@@ -216,12 +228,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate the encounter probability bound")
     p.add_argument("--config", required=True,
                    help="JSON with contraction scalars and a noise history")
-    p.add_argument("--distance", "-D", type=float, default=1.0)
-    p.add_argument("--time", "-T", type=float, default=0.0)
-    p.add_argument("--v0", type=float, default=0.0,
+    p.add_argument("--distance", "-D", type=_positive_float, default=1.0)
+    p.add_argument("--time", "-T", type=_finite_float, default=0.0)
+    p.add_argument("--v0", type=_nonnegative_float, default=0.0,
                    help="expected initial Lyapunov value")
     only = p.add_mutually_exclusive_group()
-    only.add_argument("--invert", type=float, default=None, metavar="P",
+    only.add_argument("--invert", type=_probability, default=None, metavar="P",
                       help="print the radius certifying success probability P")
     only.add_argument("--squared", action="store_true",
                       help="use the squared-distance denominator")

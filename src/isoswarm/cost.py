@@ -189,8 +189,7 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
     c = center.tolist()
     axes = [_axis(row, c, orientation_mode) for row in swarm.state.tolist()]
     seen = visible_mask(pois.points, swarm.state[:, :3], axes,
-                        swarm.phi.tolist(), center, *pois.centered(center),
-                        pois.augmented)
+                        swarm.phi.tolist(), center, pois.columns(center))
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 

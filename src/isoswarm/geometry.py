@@ -60,14 +60,16 @@ def relative_columns(points: np.ndarray, origin) -> np.ndarray:
     return np.subtract(points.T, origin[:, None], order="C")
 
 
-def augmented_columns(centered: np.ndarray) -> np.ndarray:
-    """(5, n) columns [centered; |centered|^2; 1]: a row (b, c, e) times one
-    gives b . (point - center) + c |point - center|^2 + e."""
-    out = np.empty((5, centered.shape[1]))
-    out[:3] = centered
-    out[3] = _dot3(centered, centered)
+def poi_columns(points, center) -> tuple[np.ndarray, float]:
+    """The read-only (5, n) columns [rel; |rel|^2; 1], rel = point - center
+    (a row (b, c, e) times them gives b . rel + c |rel|^2 + e), and the POIs'
+    bounding radius max |rel|."""
+    out = np.empty((5, len(points)))
+    rel = np.subtract(points.T, center[:, None], out=out[:3])
+    out[3] = _dot3(rel, rel)
     out[4] = 1.0
-    return out
+    out.flags.writeable = False
+    return out, math.sqrt(out[3].max(initial=0.0))
 
 
 def _dot3(a, b):
@@ -119,13 +121,13 @@ def in_cone(rel, axis, aperture_phi, min_axial=0.0):
     return (d > min_axial) & (_dot3(rel, rel) * (c * c) <= d * d)
 
 
-def _cone_holds_ball(to_center, axis, aperture_phi, radius):
+def _cone_holds_ball(to_center, dist, axis, aperture_phi, radius):
     """True if the cone holds every point within radius of the center, False
     if none, None if it cuts that ball or its apex lies in it. The ball spans
-    alpha +- asin(radius / D) from the axis; the margins (README) make every
-    verdict the answer the full test gives each point."""
+    alpha +- asin(radius / dist) from the axis, dist = |to_center|; the
+    margins (README) make every verdict the answer the full test gives."""
     (vx, vy, vz), (ax, ay, az) = to_center, axis
-    dist, n2 = math.hypot(vx, vy, vz), ax * ax + ay * ay + az * az
+    n2 = ax * ax + ay * ay + az * az
     if not (dist > radius and n2 > 0.0):
         return None
     alpha = math.atan2(
@@ -143,7 +145,7 @@ def _cone_holds_ball(to_center, axis, aperture_phi, radius):
 
 
 def _cut_rows(plane, axis, phi, reach):
-    """The augmented product's rows for a cone that cuts the POI ball, with
+    """The poi_columns product's rows for a cone that cuts the POI ball, with
     plane = apex - center and reach = L, and the filter width e_d of d; ([],
     None) when a width falls outside the filter's range. With rel = point -
     apex and C = cos^2(phi / 2) the rows give d = rel . axis and C |rel|^2 +-
@@ -161,49 +163,40 @@ def _cut_rows(plane, axis, phi, reach):
              (k * tx, k * ty, k * tz, c2, q - e)], e_d)
 
 
-def visible_mask(points, apexes, axes, apertures, center, centered=None,
-                 radius=None, augmented=None):
+def visible_mask(points, apexes, axes, apertures, center, columns=None):
     """POIs seen by at least one of k cones: the cone test and the near
     half-space (point - center) . (apex - center) >= 0, both with the slack
     of _SLACK (center-plane points are visible). apexes is a (k, 3) array,
-    axes k float 3-sequences, apertures k floats. With centered and radius
-    from PoiSet.centered, a cone holding all points runs only the half-space
-    test and a cone missing them all is dropped; the half-spaces of the
-    other cones are one product per block of _BLOCK POIs. For cones that
-    cut the ball (all, without radius) the product reads augmented(center)
-    (PoiSet.augmented; augmented_columns of centered when None) and also
-    gives each one's d and C |rel|^2, from which the filter decides every
-    POI but those near the cone's surface: only they run in_cone."""
-    if centered is None:
-        centered = relative_columns(points, center)
+    axes k float 3-sequences, apertures k floats, columns poi_columns(points,
+    center) (computed when None). A cone holding all points runs only the
+    half-space test and one missing them all is dropped; the half-spaces of
+    the rest are one product with the columns per block of _BLOCK POIs. It
+    also gives each cut cone's d and C |rel|^2, from which the filter decides
+    every POI but those near the cone's surface: only they run in_cone."""
+    cols, radius = poi_columns(points, center) if columns is None else columns
     (cx, cy, cz), n = center.tolist(), len(points)
-    planes, thr, cut = [], [], []
+    planes, thr, rows, tests = [], [], [], []
     for j, ((ax, ay, az), axis, phi) in enumerate(
             zip(apexes.tolist(), axes, apertures)):
         tx, ty, tz = ax - cx, ay - cy, az - cz
         dist = math.hypot(tx, ty, tz)
-        verdict = None if radius is None else _cone_holds_ball(
-            (-tx, -ty, -tz), axis, phi, radius)
+        verdict = _cone_holds_ball((-tx, -ty, -tz), dist, axis, phi, radius)
         if verdict is False:
             continue
-        if verdict is None:
-            cut.append((len(planes), j, axis, phi, dist))
+        if verdict is None:  # its rows follow the k plane rows
+            cone_rows, e_d = _cut_rows((tx, ty, tz), axis, phi, radius + dist)
+            tests.append((len(planes), j, axis, phi, _SLACK * dist, len(rows),
+                          e_d))
+            rows += cone_rows
         planes.append((tx, ty, tz))
         thr.append(-_SLACK * dist * dist)
     if not (planes and n):
         return np.zeros(n, dtype=bool)
-    k, thr, tests, rows = len(planes), np.array(thr)[:, None], [], []
-    if cut:
-        aug = augmented(center) if augmented else augmented_columns(centered)
-        reach = math.sqrt(aug[3].max()) if radius is None else radius
-        for i, j, axis, phi, dist in cut:
-            cone_rows, e_d = _cut_rows(planes[i], axis, phi, reach + dist)
-            tests.append((i, j, axis, phi, _SLACK * dist, k + len(rows), e_d))
-            rows += cone_rows
+    k, thr = len(planes), np.array(thr)[:, None]
     if rows:
-        rows, cols = np.array([(*p, 0.0, 0.0) for p in planes] + rows), aug
+        rows = np.array([(*p, 0.0, 0.0) for p in planes] + rows)
     else:  # no filtered cone: |point - center|^2 is not needed (or finite)
-        rows, cols = np.array(planes), centered
+        rows, cols = np.array(planes), cols[:3]
     seen = []
     for lo in range(0, n, _BLOCK):
         block = slice(lo, lo + _BLOCK)
@@ -214,7 +207,7 @@ def visible_mask(points, apexes, axes, apertures, center, centered=None,
                 near[i] &= in_cone(relative_columns(points[block], apexes[j]),
                                    axis, phi, m)
                 continue
-            d, over, under = prod[r:r + 3]
+            d, over, under = prod[k + r:k + r + 3]
             dd = d * d
             sure = (dd > over) & (d > m + e_d)
             maybe = (dd >= under) & (d >= m - e_d)

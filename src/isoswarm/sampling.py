@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import as_vec3, augmented_columns, relative_columns
+from .geometry import as_vec3, poi_columns
 
 
 class EmptySampleError(ValueError):
@@ -59,33 +59,18 @@ class PoiSet:
         pts = np.asarray(self.points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 3:
             raise ValueError("points must have shape (n, 3)")
+        if not np.isfinite(pts).all():
+            raise ValueError("POI coordinates must be finite")
         object.__setattr__(self, "points", pts)
 
-    def centered(self, center) -> tuple[np.ndarray, float]:
-        """Read-only relative_columns(points, center) and max |point - center|,
-        kept for the last center asked for."""
-        key = np.asarray(center, dtype=float).tobytes()
-        cached = getattr(self, "_centered", (None,))
-        if cached[0] != key:
-            cols = relative_columns(self.points, center)
-            cols.flags.writeable = False
-            cached = key, cols, float(np.sqrt((cols**2).sum(0).max(initial=0)))
-            object.__setattr__(self, "_centered", cached)
-            object.__setattr__(self, "_augmented", None)
-        return cached[1:]
-
-    def augmented(self, center) -> np.ndarray:
-        """Read-only augmented_columns of centered(center), (5, n), built the
-        first time a cone cuts the POI ball and kept with centered, which
-        from then on returns its first three rows instead of a copy."""
-        cols = self.centered(center)[0]
-        if self._augmented is None:
-            aug = augmented_columns(cols)
-            aug.flags.writeable = False
-            key, _, radius = self._centered
-            object.__setattr__(self, "_centered", (key, aug[:3], radius))
-            object.__setattr__(self, "_augmented", aug)
-        return self._augmented
+    def columns(self, center) -> tuple[np.ndarray, float]:
+        """poi_columns(points, center), kept for the last center asked for."""
+        center = np.asarray(center, dtype=float)
+        cached = getattr(self, "_columns", (None,))
+        if cached[0] != center.tobytes():
+            cached = center.tobytes(), poi_columns(self.points, center)
+            object.__setattr__(self, "_columns", cached)
+        return cached[1]
 
     def __len__(self):
         return self.points.shape[0]

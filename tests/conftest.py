@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from isoswarm.bound import ContractionParams, check_rate_matrix
+from isoswarm.geometry import _SLACK, relative_columns
 
 
 def draw_feasible_params(rng: np.random.Generator) -> ContractionParams:
@@ -60,6 +63,33 @@ def arc_mask(grid, centers, nus):
     x -= np.pi
     np.abs(x, out=x)
     return x <= nus
+
+
+def dot3(a, b):
+    """a . b over three components indexed first, elementwise."""
+    out = a[0] * b[0]
+    out += a[1] * b[1]
+    out += a[2] * b[2]
+    return out
+
+
+def unculled_mask(points, apexes, axes, apertures, center):
+    """The visibility kernel with no whole-cone cull, plane product or
+    filter: the union over the cones of the elementwise near half-space
+    (point - center) . (apex - center) >= -s D^2 AND the elementwise cone
+    test d = (point - apex) . axis > s D, |point - apex|^2 cos^2(phi / 2) <=
+    d^2, with the slack s = _SLACK and D = |apex - center|."""
+    centered = relative_columns(points, center)
+    seen = np.zeros(len(points), dtype=bool)
+    for apex, axis, phi in zip(apexes, axes, apertures):
+        to_apex = (apex - center).tolist()
+        dist = math.hypot(*to_apex)
+        rel = relative_columns(points, apex)
+        d = dot3(rel, axis)
+        c = np.cos(phi / 2.0)
+        seen |= ((dot3(centered, to_apex) >= -_SLACK * dist * dist)
+                 & (d > _SLACK * dist) & (dot3(rel, rel) * (c * c) <= d * d))
+    return seen
 
 
 @pytest.fixture

@@ -84,6 +84,32 @@ def test_noise_profile_validation():
         NoiseProfile(np.array([0.0, 1.0]), np.array([0.1, -0.1]))
 
 
+@pytest.mark.parametrize("name", ["alpha_c", "eps_c", "u_bar", "alpha_s"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        base_params(**{name: value})
+
+
+@pytest.mark.parametrize("pairs", [[[0.0, 0.1], [1.0, np.nan]],
+                                   [[0.0, 0.1], [np.inf, 0.1]],
+                                   [[0.0, np.inf], [1.0, 0.1]]])
+def test_noise_profile_rejects_non_finite(pairs):
+    with pytest.raises(ValueError, match="finite"):
+        NoiseProfile.from_pairs(pairs)
+
+
+def test_non_finite_distance_and_time_rejected():
+    noise = NoiseProfile.constant(0.0, 10.0)
+    for D in (np.nan, np.inf, 0.0, -1.0):
+        with pytest.raises(ValueError, match="finite and positive"):
+            evaluate_bound(D, 1.0, 1.0, base_params(), noise)
+    with pytest.raises(ExtrapolationError):
+        evaluate_bound(1.0, np.nan, 1.0, base_params(), noise)
+    with pytest.raises(ExtrapolationError):
+        noise.zeta_at(np.nan)
+
+
 def test_zeta_at_interpolates_and_extrapolation_errors():
     noise = NoiseProfile.from_pairs([[0.0, 0.0], [2.0, 4.0]])
     assert noise.zeta_at(1.0) == pytest.approx(2.0)

@@ -325,7 +325,8 @@ def test_help_exits_zero(capsys):
                                        "no header\n"] + [
     "# seed=1 radii=1,1,1 center=0,0,0\nx,y,z\n" + rows
     for rows in ("", "  \n", "1,2,3\n4,5\n", "1,a,3\n", "1,2,3,4\n",
-                 "1,2,3\n# note\n", "1,2,3 # note\n")])
+                 "1,2,3\n# note\n", "1,2,3 # note\n", "1,2,3\nnan,0,0\n",
+                 "inf,1,1\n")])
 def test_cost_bad_pois_file_usage_error(tmp_path, capsys, pois_text):
     pois_path = tmp_path / "pois.csv"
     if pois_text is not None:
@@ -340,7 +341,11 @@ def test_cost_bad_pois_file_usage_error(tmp_path, capsys, pois_text):
 
 
 @pytest.mark.parametrize("swarm_text", [None, '{"spacecraft": []}',
-                                        '{"ellipsoid": {"radii": [1, 1, 1]}}'])
+                                        '{"ellipsoid": {"radii": [1, 1, 1]}}'
+                                        ] + [
+    '{"ellipsoid": {"radii": [1, 1, 1]}, "spacecraft": [{"position": '
+    '[5, 0, 0], "theta": %s, "nu": 0.5, "phi": 1.0}]}' % theta
+    for theta in ("NaN", "Infinity")])
 def test_optimize_bad_swarm_file_usage_error(tmp_path, capsys, swarm_text):
     pois_path = tmp_path / "pois.csv"
     run(capsys, "-o", str(pois_path), "sample-pois", "--n", "10")
@@ -395,8 +400,19 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     ("optimize", ["--position-stddev", "-1"]),
     ("optimize", ["--max-iterations", "-3"]),
     ("cost", ["--kappa-weight", "nan"]),
+    ("bound", ["-D", "nan"]),
+    ("bound", ["-D", "inf"]),
+    ("bound", ["-D", "-1"]),
+    ("bound", ["-D", "0"]),
+    ("bound", ["-T", "nan"]),
+    ("bound", ["--v0", "nan"]),
+    ("bound", ["--v0", "-1"]),
+    ("bound", ["--invert", "1.5"]),
+    ("bound", ["--invert", "0.9", "--v0", "nan"]),
 ], ids=["radius", "radius-nan", "radii", "mc-samples", "position-stddev",
-        "max-iterations", "kappa-weight"])
+        "max-iterations", "kappa-weight", "distance-nan", "distance-inf",
+        "distance-negative", "distance-zero", "time-nan", "v0-nan",
+        "v0-negative", "invert", "invert-v0-nan"])
 def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
     """Every input but the one flag is valid (the flag comes last, so it
     wins over a default given here), so the exit code is the flag's: 2,
@@ -407,7 +423,10 @@ def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
     swarm_path = tmp_path / "swarm.json"
     write_swarm(swarm_path, [{"position": [250.0, 100.0, 0.0], "theta": 1.0,
                               "nu": np.pi / 6, "phi": np.pi / 3}])
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps(BOUND_CFG))
     inputs = {"sample-pois": ["--n", "10"],
+              "bound": ["--config", str(cfg), "-T", "5"],
               "cost": ["--pois", str(pois_path), "--swarm", str(swarm_path)],
               "optimize": ["--pois", str(pois_path), "--swarm",
                            str(swarm_path), "--max-iterations", "2"]}
@@ -415,6 +434,20 @@ def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
                           *inputs[command], *flags)
     assert code == EXIT_USAGE
     assert "error" in stderr
+
+
+@pytest.mark.parametrize("entry", [
+    {"alpha_c": float("nan")}, {"eps_c": float("inf")},
+    {"noise": [[0.0, 0.0], [10.0, float("nan")]]},
+    {"noise": [[0.0, 0.0], [float("inf"), 0.0]]}],
+    ids=["alpha_c-nan", "eps_c-inf", "zeta-nan", "time-inf"])
+def test_bound_non_finite_config_usage_error(tmp_path, capsys, entry):
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps({**BOUND_CFG, **entry}))
+    code, _, stderr = run(capsys, "bound", "--config", str(cfg), "-D", "1",
+                          "-T", "5")
+    assert code == EXIT_USAGE
+    assert str(cfg) in stderr
 
 
 def assert_same_floats(got, want):

@@ -8,27 +8,30 @@ cone surface, are added to the POIs. Every mask must equal the full cone
 and half-space test bit for bit.
 """
 
+import math
+
 import numpy as np
 import pytest
 
 from isoswarm import geometry
 from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
-from isoswarm.geometry import relative_columns, unit_axis, visible_mask
+from isoswarm.geometry import unit_axis, visible_mask
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
+from tests.conftest import unculled_mask
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
 MARGINS = [0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]
 
 
-def one_cone(points, apex, axis, phi, center, *cull):
-    """visible_mask of one cone; culled when cull is (centered, radius)."""
-    return visible_mask(points, apex[None], [axis], [phi], center, *cull)
+def one_cone(points, apex, axis, phi, center, columns=None):
+    """visible_mask of one cone."""
+    return visible_mask(points, apex[None], [axis], [phi], center, columns)
 
 
 def full_test(points, apex, axis, phi, center):
     """The un-culled kernel: cone test and near half-space for every POI."""
-    return one_cone(points, apex, axis, phi, center)
+    return unculled_mask(points, apex[None], [axis], [phi], center)
 
 
 def unit(v):
@@ -49,19 +52,21 @@ def cloud(rng, center, n=400):
     return center + d * r0 * rng.random(n)[:, None] ** (1.0 / 3.0)
 
 
-def centered(points, center):
-    """The centered rows and bounding radius that coverage passes."""
+def columns(points, center):
+    """The POI columns and bounding radius that coverage passes."""
     return PoiSet(points, 0, UncertaintyEllipsoid.sphere(1.0, center)
-                  ).centered(center)
+                  ).columns(center)
 
 
 def bounding_radius(points, center):
-    return centered(points, center)[1]
+    return columns(points, center)[1]
 
 
 def verdict(points, apex, axis, phi, center):
-    return geometry._cone_holds_ball((center - apex).tolist(), axis.tolist(),
-                                     phi, bounding_radius(points, center))
+    to_center = (center - apex).tolist()
+    return geometry._cone_holds_ball(to_center, math.hypot(*to_center),
+                                     axis.tolist(), phi,
+                                     bounding_radius(points, center))
 
 
 def with_tangents(points, center, apex, axis):
@@ -114,7 +119,7 @@ def test_cull_matches_full_test_near_the_ball(rng, tilted):
         inside = bool(rng.random() < 0.5)
         points, apex, axis = scene(rng, center, phi, margin, inside, tilted)
         mask = one_cone(points, apex, axis, phi, center,
-                        *centered(points, center))
+                        columns(points, center))
         np.testing.assert_array_equal(
             mask, full_test(points, apex, axis, phi, center))
         v = verdict(points, apex, axis, phi, center)
@@ -152,8 +157,7 @@ def test_cull_apex_on_or_inside_ball(rng):
         if np.linalg.norm(apex - center) < 0.999 * radius:
             assert verdict(points, apex, axis, phi, center) is None
         np.testing.assert_array_equal(
-            one_cone(points, apex, axis, phi, center,
-                     *centered(points, center)),
+            one_cone(points, apex, axis, phi, center),
             full_test(points, apex, axis, phi, center))
 
 
@@ -165,7 +169,7 @@ def test_coverage_cull_matches_full_test(rng, mode):
             center = CENTERS[rng.integers(len(CENTERS))]
             e = UncertaintyEllipsoid.sphere(100.0, center)
             pois = PoiSet(cloud(rng, center, 1000), 0, e)
-            radius = pois.centered(center)[1]
+            radius = pois.columns(center)[1]
             poses = [SpacecraftPose(
                 center + radius * rng.choice([1.01, 1.5, 3.0, 6.0, 0.5])
                 * unit(rng.standard_normal(3)),
@@ -197,7 +201,7 @@ def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
     monkeypatch.setattr(geometry, "_cone_holds_ball", spy)
     e = UncertaintyEllipsoid.sphere(100.0)
     pois = sample_pois(e, 5000, 3)
-    radius = pois.centered(e.center)[1]
+    radius = pois.columns(e.center)[1]
     poses = [SpacecraftPose(radius * f * unit(rng.standard_normal(3)),
                             0.0, np.pi / 6.0, np.pi / 3.0)
              for f in (3.0, 3.5, 4.0, 5.0, 6.0, 3.0, 4.5)]
@@ -205,12 +209,30 @@ def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
     assert seen == [True] * 7
 
 
-def test_centered_cache_follows_center():
-    e = UncertaintyEllipsoid.sphere(10.0)
-    pois = sample_pois(e, 200, 1)
-    for center in (np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3)):
-        cols, radius = pois.centered(center)
-        np.testing.assert_array_equal(cols,
-                                      relative_columns(pois.points, center))
-        assert radius == np.max(np.linalg.norm(pois.points - center, axis=1))
-        assert not cols.flags.writeable
+def test_scalar_visible_culls_holding_and_missing_cones(monkeypatch, rng):
+    # one POI is a ball of radius |poi - center|: an aimed cone 100 radii
+    # out holds it, a cone tilted 2 rad away from the center misses it
+    seen = []
+    cull = geometry._cone_holds_ball
+
+    def spy(*args):
+        seen.append(cull(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(geometry, "_cone_holds_ball", spy)
+    center = np.array([-350.0, 20.0, 910.0])
+    apex = center + 100.0 * unit(rng.standard_normal(3))
+    cones = {True: geometry.ConeFov.aimed(apex, center, np.pi / 3.0),
+             False: geometry.ConeFov(apex, axis_of(apex, center, 2.0),
+                                     np.pi / 3.0)}
+    for holds, fov in cones.items():
+        hits = 0
+        for poi in center + rng.uniform(-1.0, 1.0, (50, 3)):
+            seen.clear()
+            got = geometry.visible(poi, fov, center)
+            assert seen == [holds]
+            assert got == full_test(poi[None], fov.apex, fov.axis,
+                                    fov.aperture_phi, center)[0]
+            hits += got
+        # the holding cone sees the POIs on its side of the center plane
+        assert 0 < hits < 50 if holds else hits == 0

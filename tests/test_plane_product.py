@@ -14,6 +14,7 @@ from isoswarm import cost, geometry, sampling
 from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
 from isoswarm.geometry import relative_columns, unit_axis
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
+from tests.conftest import dot3, unculled_mask
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
@@ -23,43 +24,24 @@ FACTORS = [0.5, 0.99, 1.01, 1.5, 3.0, 6.0]
 SMALL_BLOCK = 64
 
 
-def dot3(a, b):
-    out = a[0] * b[0]
-    out += a[1] * b[1]
-    out += a[2] * b[2]
-    return out
-
-
-def elementwise_mask(points, apex, axis, phi, center, centered, radius,
-                     verdicts):
-    """The replaced per-cone kernel: the whole-cone verdict, then the
-    elementwise near half-space and, for a cone that cuts the ball, the
-    elementwise cone test."""
-    to_apex = tx, ty, tz = (apex - center).tolist()
-    dist = math.hypot(tx, ty, tz)
-    verdict = geometry._cone_holds_ball((-tx, -ty, -tz), axis, phi, radius)
-    verdicts[verdict] += 1
-    if verdict is False:
-        return np.zeros(len(points), dtype=bool)
-    near = dot3(centered, to_apex) >= -geometry._SLACK * dist * dist
-    if verdict:
-        return near
-    rel = relative_columns(points, apex)
-    d = dot3(rel, axis)
-    c = np.cos(phi / 2.0)
-    return near & (d > geometry._SLACK * dist) & (dot3(rel, rel) * (c * c)
-                                                 <= d * d)
+def elementwise_mask(points, apex, axis, phi, center, verdicts):
+    """The un-culled kernel for one cone, counting the whole-cone verdict
+    visible_mask takes for it."""
+    to_center = (center - apex).tolist()
+    radius = geometry.poi_columns(points, center)[1]
+    verdicts[geometry._cone_holds_ball(to_center, math.hypot(*to_center),
+                                       axis, phi, radius)] += 1
+    return unculled_mask(points, apex[None], [axis], [phi], center)
 
 
 def elementwise_union(swarm, pois, mode, verdicts):
     center = swarm.ellipsoid.center
-    centered, radius = pois.centered(center)
     seen = np.zeros(len(pois), dtype=bool)
     for row, phi in zip(swarm.state, swarm.phi.tolist()):
         tilt = float(row[3]) if mode == "theta_tilt" else None
         axis = unit_axis(row[:3].tolist(), center.tolist(), tilt)
         seen |= elementwise_mask(pois.points, row[:3], axis, phi, center,
-                                 centered, radius, verdicts)
+                                 verdicts)
     return seen
 
 
@@ -97,7 +79,7 @@ def test_plane_product_matches_elementwise_union(monkeypatch, rng, mode,
             r0 = 10.0 ** rng.uniform(-1.0, 3.0)
             pois = PoiSet(center + d * r0 * rng.random((n_pois, 1)) ** (1 / 3),
                           0, e)
-            radius = pois.centered(center)[1]
+            radius = pois.columns(center)[1]
             swarm = random_swarm(rng, n, center, max(radius, 1e-3 * r0), e)
             inside += int(np.sum(np.linalg.norm(
                 swarm.state[:, :3] - center, axis=1) < radius))
@@ -135,7 +117,7 @@ def test_coverage_peak_memory_is_blocked(rng):
     # plane product alone would take 5.6 MB
     e = UncertaintyEllipsoid.sphere(100.0)
     pois = sample_pois(e, 100_000, 4)
-    radius = pois.centered(e.center)[1]  # cached per POI set, not per call
+    radius = pois.columns(e.center)[1]  # cached per POI set, not per call
     poses = [SpacecraftPose(radius * f * unit(rng.standard_normal(3)),
                             0.0, np.pi / 6.0, np.pi / 3.0)
              for f in (3.0, 3.5, 4.0, 5.0, 6.0, 3.0, 4.5)]
@@ -198,15 +180,14 @@ def test_filter_matches_elementwise_at_the_cone_surface(monkeypatch, rng,
     for _ in range(8):
         points, apex, axis, phi = surface_scene(rng, center, factor)
         pois = PoiSet(points, 0, UncertaintyEllipsoid.sphere(100.0, center))
-        cols, radius = pois.centered(center)
         verdicts = {True: 0, False: 0, None: 0}
         want = elementwise_mask(points, apex, axis.tolist(), phi, center,
-                                cols, radius, verdicts)
+                                verdicts)
         assert verdicts[None] == 1  # the cone cuts the ball
-        for cull in ((cols, radius, pois.augmented), ()):
+        for cols in (pois.columns(center), None):
             np.testing.assert_array_equal(
                 geometry.visible_mask(points, apex[None], [axis.tolist()],
-                                      [phi], center, *cull), want)
+                                      [phi], center, cols), want)
     # at the origin a surface POI is within the filter's widths; far from
     # it, rounding the coordinates moves POIs off the surface by more
     if not center.any():
@@ -219,9 +200,8 @@ def test_scalar_visible_matches_elementwise_at_the_cone_surface(rng):
     fov = geometry.ConeFov(apex, axis, phi)
     verdicts = {True: 0, False: 0, None: 0}
     for p in points[300:]:
-        one = PoiSet(p[None], 0, UncertaintyEllipsoid.sphere(100.0, center))
         want = elementwise_mask(p[None], apex, axis.tolist(), phi, center,
-                                *one.centered(center), verdicts)
+                                verdicts)
         assert geometry.visible(p, fov, center) == want[0]
     assert verdicts[None] > 0
 
@@ -233,12 +213,11 @@ def test_cones_beyond_the_filter_range_test_every_poi(monkeypatch, rng, scale):
     center = scale * np.array([0.3, -0.2, 0.5])
     points, apex, axis, phi = surface_scene(rng, center, 0.5, r0=scale)
     pois = PoiSet(points, 0, UncertaintyEllipsoid.sphere(scale, center))
-    cols, radius = pois.centered(center)
     verdicts = {True: 0, False: 0, None: 0}
-    want = elementwise_mask(points, apex, axis.tolist(), phi, center, cols,
-                            radius, verdicts)
+    want = elementwise_mask(points, apex, axis.tolist(), phi, center,
+                            verdicts)
     got = geometry.visible_mask(points, apex[None], [axis.tolist()], [phi],
-                                center, cols, radius)
+                                center, pois.columns(center))
     np.testing.assert_array_equal(got, want)
     assert columns == [len(points)]
 
@@ -261,51 +240,48 @@ def test_filter_decides_every_poi_of_a_random_scene(monkeypatch):
     np.testing.assert_array_equal(seen, want)
 
 
-def test_holding_cones_build_no_augmented_columns(monkeypatch, rng):
+def test_columns_built_once_per_set_and_center(monkeypatch, rng):
     builds = []
-    monkeypatch.setattr(sampling, "augmented_columns",
-                        lambda cols: builds.append(cols.shape) or
-                        geometry.augmented_columns(cols))
+    monkeypatch.setattr(sampling, "poi_columns",
+                        lambda points, center: builds.append(len(points)) or
+                        geometry.poi_columns(points, center))
     e = UncertaintyEllipsoid.sphere(100.0)
-    pois = sample_pois(e, 100_000, 4)
-    radius = pois.centered(e.center)[1]
-    poses = [SpacecraftPose(radius * f * unit(rng.standard_normal(3)),
-                            0.0, np.pi / 6.0, np.pi / 3.0)
-             for f in (3.0, 3.5, 4.0, 5.0, 6.0, 3.0, 4.5)]
-    coverage(SwarmConfig(poses, e), pois, "aimed")
-    assert builds == []
-    # a cone that cuts the ball builds them once per POI set and center
-    near = SwarmConfig([SpacecraftPose([50.0, 0.0, 0.0], 0.0, 0.5, 1.0)], e)
-    coverage(near, pois, "aimed")
-    coverage(near, pois, "aimed")
-    assert builds == [(3, 100_000)]
+    pois = sample_pois(e, 2000, 4)
+    radius = pois.columns(e.center)[1]
+    holding = SwarmConfig([SpacecraftPose(
+        radius * f * unit(rng.standard_normal(3)), 0.0, np.pi / 6.0,
+        np.pi / 3.0) for f in (3.0, 4.5)], e)
+    cutting = SwarmConfig([SpacecraftPose([50.0, 0.0, 0.0], 0.0, 0.5, 1.0)],
+                          e)
+    for swarm in (holding, cutting, holding, cutting):
+        coverage(swarm, pois, "aimed")
+    assert builds == [2000]
+    # a new set, or a new center, builds them again
+    other = sample_pois(e, 300, 5)
+    coverage(cutting, other, "aimed")
+    coverage(cutting, other, "aimed")
+    pois.columns(np.array([1.0, 0.0, 0.0]))
+    assert builds == [2000, 300, 2000]
 
 
-def test_augmented_cache_follows_center():
+def test_columns_cache_follows_center():
     e = UncertaintyEllipsoid.sphere(10.0)
     pois = sample_pois(e, 200, 1)
+    built = []
     for center in (np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3)):
-        aug = pois.augmented(center)
-        cols = relative_columns(pois.points, center)
-        np.testing.assert_array_equal(aug[:3], cols)
-        np.testing.assert_array_equal(aug[3], dot3(cols, cols))
-        assert (aug[4] == 1.0).all() and not aug.flags.writeable
-
-
-def test_centered_reads_augmented_rows_once_built():
-    """After augmented(center) is built, centered(center) returns its first
-    three rows, equal to the copy it replaces, and the cache still follows
-    the center."""
-    e = UncertaintyEllipsoid.sphere(10.0)
-    pois = sample_pois(e, 200, 1)
-    for center in (np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3)):
-        cols, radius = pois.centered(center)
-        aug = pois.augmented(center)
-        assert not np.shares_memory(cols, aug)
-        view, same_radius = pois.centered(center)
-        assert np.shares_memory(view, aug) and view.shape == cols.shape
-        assert view.flags.c_contiguous and not view.flags.writeable
-        np.testing.assert_array_equal(view.view(np.uint64),
-                                      cols.view(np.uint64))
-        assert same_radius == radius
-        assert pois.augmented(center) is aug
+        cols, radius = pois.columns(center)
+        assert all(cols is not old for old in built)
+        built.append(cols)
+        assert pois.columns(center.copy())[0] is cols
+        assert cols.shape == (5, 200) and not cols.flags.writeable
+        rel = relative_columns(pois.points, center)
+        np.testing.assert_array_equal(cols[:3].view(np.uint64),
+                                      rel.view(np.uint64))
+        np.testing.assert_array_equal(cols[3].view(np.uint64),
+                                      dot3(rel, rel).view(np.uint64))
+        assert (cols[4] == 1.0).all()
+        # bit-equal to the sum of squares and to the largest norm
+        want = float(np.sqrt((rel ** 2).sum(0).max()))
+        assert np.float64(radius).view(np.uint64) == np.float64(
+            want).view(np.uint64)
+        assert radius == np.max(np.linalg.norm(pois.points - center, axis=1))
