@@ -35,6 +35,9 @@ class UncertaintyEllipsoid:
         if len(radii) != 3 or not all(0.0 < r < math.inf for r in radii):
             raise ValueError(
                 "ellipsoid radii must be three finite positive reals")
+        if not all(abs(c) + r < math.inf
+                   for c, r in zip(self.center.tolist(), radii)):
+            raise ValueError("ellipsoid must lie within the float range")
         object.__setattr__(self, "radii", radii)
 
     @classmethod

@@ -396,6 +396,7 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     ("sample-pois", ["--radius", "-5"]),
     ("sample-pois", ["--radius", "nan"]),
     ("sample-pois", ["--radii", "1", "2", "-3"]),
+    ("sample-pois", ["--radius", "1e308", "--center", "1.5e308", "0", "0"]),
     ("optimize", ["--position-stddev", "1", "--mc-samples", "0"]),
     ("optimize", ["--position-stddev", "-1"]),
     ("optimize", ["--max-iterations", "-3"]),
@@ -409,10 +410,10 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     ("bound", ["--v0", "-1"]),
     ("bound", ["--invert", "1.5"]),
     ("bound", ["--invert", "0.9", "--v0", "nan"]),
-], ids=["radius", "radius-nan", "radii", "mc-samples", "position-stddev",
-        "max-iterations", "kappa-weight", "distance-nan", "distance-inf",
-        "distance-negative", "distance-zero", "time-nan", "v0-nan",
-        "v0-negative", "invert", "invert-v0-nan"])
+], ids=["radius", "radius-nan", "radii", "extent-overflow", "mc-samples",
+        "position-stddev", "max-iterations", "kappa-weight", "distance-nan",
+        "distance-inf", "distance-negative", "distance-zero", "time-nan",
+        "v0-nan", "v0-negative", "invert", "invert-v0-nan"])
 def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
     """Every input but the one flag is valid (the flag comes last, so it
     wins over a default given here), so the exit code is the flag's: 2,
