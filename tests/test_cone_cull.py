@@ -15,7 +15,7 @@ import pytest
 
 from isoswarm import geometry
 from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
-from isoswarm.geometry import unit_axis, visible_mask
+from isoswarm.geometry import relative_columns, unit_axis, visible_mask
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import unculled_mask
 
@@ -186,6 +186,22 @@ def test_coverage_cull_matches_full_test(rng, mode):
             count, _, seen = coverage(swarm, pois, mode)
             np.testing.assert_array_equal(seen, want)
             assert count == want.sum()
+
+
+def test_centered_cache_follows_center():
+    e = UncertaintyEllipsoid.sphere(10.0)
+    pois = sample_pois(e, 200, 1)
+    for center in (np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3)):
+        cols, radius = pois.columns(center)
+        rel = relative_columns(pois.points, center)
+        np.testing.assert_array_equal(cols[:3].view(np.uint64),
+                                      rel.view(np.uint64))
+        assert not cols.flags.writeable
+        # bit-equal to the sum of squares and to the largest norm
+        want = float(np.sqrt((rel ** 2).sum(0).max()))
+        assert np.float64(radius).view(np.uint64) == np.float64(
+            want).view(np.uint64)
+        assert radius == np.max(np.linalg.norm(pois.points - center, axis=1))
 
 
 def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
