@@ -6,11 +6,9 @@ from .bound import (BoundResult, ContractionParams, NoiseProfile,
                     radius_for_success_probability, success_probability,
                     zeta_integral)
 from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig, coverage,
-                   expected_information_cost, fov_interval, information_cost,
-                   kappa_total, pair_overlap)
-from .geometry import (ConeFov, axial_distance, cone_axis, cone_radius_at,
-                       in_fov, in_near_hemisphere, orthogonal_distance,
-                       visible, visible_mask)
+                   expected_information_cost, information_cost, kappa_total,
+                   pair_overlap)
+from .geometry import ConeFov, cone_axis, in_fov, visible, visible_mask
 from .neldermead import (NelderMeadOptions, OptimizationProblem, OptResult,
                          nelder_mead, optimize_swarm)
 from .sampling import (PoiSet, UncertaintyEllipsoid, load_pois, sample_pois,

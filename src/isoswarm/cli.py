@@ -88,6 +88,15 @@ _nonnegative_float = _float_type(lambda v: 0.0 <= v < math.inf,
 _probability = _float_type(lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
+def _emit(payload, output) -> int:
+    """Print the payload as JSON and, with -o, write it to that file."""
+    text = json.dumps(payload, indent=2)
+    print(text)
+    if output:
+        Path(output).write_text(text + "\n")
+    return EXIT_OK
+
+
 def cmd_sample_pois(args) -> int:
     radii = (args.radius,) * 3 if args.radii is None else tuple(args.radii)
     try:
@@ -110,11 +119,7 @@ def cmd_cost(args) -> int:
     pois = _read(load_pois, args.pois, "POI file")
     swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     breakdown = information_cost(swarm, pois, kappa_weight=args.kappa_weight)
-    text = json.dumps(breakdown.to_json_dict(), indent=2)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    return EXIT_OK
+    return _emit(breakdown.to_json_dict(), args.output)
 
 
 def cmd_optimize(args) -> int:
@@ -138,11 +143,7 @@ def cmd_optimize(args) -> int:
         "evaluations": result.evaluation_count,
         "converged": result.converged,
     }
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.output:
-        Path(args.output).write_text(text + "\n")
-    return EXIT_OK
+    return _emit(payload, args.output)
 
 
 def cmd_bound(args) -> int:
@@ -152,18 +153,16 @@ def cmd_bound(args) -> int:
         if args.invert is not None:
             D = bound_mod.radius_for_success_probability(
                 args.invert, args.time, args.v0, params, noise)
-            print(json.dumps({"target_probability": args.invert, "radius": D},
-                             indent=2))
+            payload = {"target_probability": args.invert, "radius": D}
         else:
-            result = bound_mod.evaluate_bound(
+            payload = bound_mod.evaluate_bound(
                 args.distance, args.time, args.v0, params, noise,
-                squared_distance=args.squared)
-            print(json.dumps(result.to_json_dict(), indent=2))
+                squared_distance=args.squared).to_json_dict()
     except bound_mod.InfeasibleParamsError as err:
         raise CliError(f"infeasible parameters: {err}", EXIT_COMPUTE)
     except bound_mod.ExtrapolationError as err:
         raise CliError(str(err), EXIT_COMPUTE)
-    return EXIT_OK
+    return _emit(payload, args.output)
 
 
 def cmd_experiment(args) -> int:
@@ -197,10 +196,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample-pois", help="sample POIs inside an ellipsoid")
-    p.add_argument("--radius", type=float, default=100.0,
-                   help="sphere radius (km); ignored if --radii is given")
-    p.add_argument("--radii", type=float, nargs=3, default=None,
-                   help="per-axis ellipsoid radii (km)")
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--radius", type=float, default=100.0,
+                       help="sphere radius (km)")
+    shape.add_argument("--radii", type=float, nargs=3, default=None,
+                       help="per-axis ellipsoid radii (km)")
     p.add_argument("--center", type=float, nargs=3, default=(0.0, 0.0, 0.0))
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=int, default=argparse.SUPPRESS,

@@ -8,6 +8,7 @@ Lower is better; experiment reports use -I.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -20,6 +21,11 @@ from .sampling import PoiSet
 # overlap registers as (almost) the full interval instead of zero.
 DEFAULT_IDENTICAL_THETA_DELTA = 1e-6
 
+# Objective value substituted when a candidate position degenerates onto the
+# ellipsoid center; keeps the simplex search well-posed with finite values.
+DEGENERACY_PENALTY = 1e9
+DEGENERACY_RADIUS_KM = 1e-6
+
 
 def wrap_theta(theta):
     """theta (a float or an array) modulo 2 pi, in [0, 2 pi): a tiny negative
@@ -29,14 +35,12 @@ def wrap_theta(theta):
     return theta
 
 
-def _axis(row, center, orientation_mode: str):
-    """Cone axis of a packed (x, y, z, theta) row of floats: "aimed" at the
-    center, or "theta_tilt", tilted away from the center direction by theta."""
-    if orientation_mode == "aimed":
-        return unit_axis(row[:3], center)
-    if orientation_mode == "theta_tilt":
-        return unit_axis(row[:3], center, row[3])
-    raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
+def _tilted(orientation_mode: str) -> bool:
+    """Whether cone axes are tilted away from the center direction by theta
+    ("theta_tilt") rather than aimed at the center ("aimed")."""
+    if orientation_mode not in ("aimed", "theta_tilt"):
+        raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
+    return orientation_mode == "theta_tilt"
 
 
 @dataclass(frozen=True)
@@ -58,10 +62,9 @@ class SpacecraftPose:
 
     def fov(self, center, orientation_mode: str = "aimed") -> ConeFov:
         """Build this pose's viewing cone relative to the ellipsoid center."""
-        row = [*self.position.tolist(), self.theta]
-        return ConeFov(self.position,
-                       _axis(row, as_vec3(center).tolist(), orientation_mode),
-                       self.phi)
+        tilt = self.theta if _tilted(orientation_mode) else None
+        return ConeFov(self.position, unit_axis(
+            self.position.tolist(), as_vec3(center).tolist(), tilt), self.phi)
 
 
 class SwarmConfig:
@@ -122,11 +125,6 @@ class CostBreakdown:
         }
 
 
-def fov_interval(pose: SpacecraftPose) -> tuple[float, float]:
-    """Un-normalized angular FOV interval (theta - nu, theta + nu)."""
-    return pose.theta - pose.nu, pose.theta + pose.nu
-
-
 def _overlap_sum(theta, nu, pairs, delta, total=0.0):
     """total plus, for each index pair (i, j) in order, the length of the
     intersection of the circular arcs [theta[i] +- nu[i]] and [theta[j] +-
@@ -173,23 +171,67 @@ def kappa_total(swarm: SwarmConfig,
                 delta: float = DEFAULT_IDENTICAL_THETA_DELTA) -> float:
     """Sum of pair_overlap over all unordered spacecraft pairs, added one at
     a time in i < j order (a NumPy reduction groups the sum differently)."""
-    if not swarm.pairs:
-        return 0.0
     return _overlap_sum(swarm.state[:, 3].tolist(), swarm.nu.tolist(),
                         swarm.pairs, delta)
+
+
+class EvalPlan:
+    """The constants of the cost of one swarm layout on one POI set: the
+    template's center, nu, phi and pairs, the POI columns, the checked
+    orientation mode and the cost options."""
+
+    def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
+                 delta=DEFAULT_IDENTICAL_THETA_DELTA, orientation_mode="aimed"):
+        if len(pois) == 0:
+            raise ValueError("POI set is empty")
+        self.tilted = _tilted(orientation_mode)
+        self.center = swarm.ellipsoid.center
+        self.c = self.center.tolist()
+        self.points, self.columns = pois.points, pois.columns(self.center)
+        self.nu, self.phi = swarm.nu.tolist(), swarm.phi.tolist()
+        self.pairs = swarm.pairs
+        self.kappa_weight, self.delta, self.n = kappa_weight, delta, len(pois)
+
+
+def _cost(plan: EvalPlan, state: np.ndarray, rows) -> float:
+    """w * kappa_total - coverage of a packed (N, 4) state and its rows."""
+    for px, py, pz, _ in rows:
+        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
+            raise ValueError("vector components must be finite")
+    kappa = _overlap_sum([row[3] for row in rows], plan.nu, plan.pairs,
+                         plan.delta)
+    count = int(np.count_nonzero(_seen(plan, state, rows)))
+    return plan.kappa_weight * kappa - 100.0 * count / plan.n
+
+
+def evaluate(plan: EvalPlan, x: np.ndarray, cost=_cost) -> float:
+    """cost(plan, state, rows) of the plan's swarm at the packed vector x,
+    whose thetas are already wrapped, or DEGENERACY_PENALTY when a
+    spacecraft stands within DEGENERACY_RADIUS_KM of the center."""
+    state = x.reshape(-1, 4)
+    rows = state.tolist()
+    cx, cy, cz = plan.c
+    for px, py, pz, _ in rows:
+        dx, dy, dz = px - cx, py - cy, pz - cz
+        if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
+            return DEGENERACY_PENALTY
+    return cost(plan, state, rows)
+
+
+def _seen(plan: EvalPlan, state: np.ndarray, rows) -> np.ndarray:
+    """The mask of POIs that a spacecraft of the state sees."""
+    c, tilted = plan.c, plan.tilted
+    axes = [unit_axis(row[:3], c, row[3] if tilted else None) for row in rows]
+    return visible_mask(plan.points, state[:, :3], axes, plan.phi,
+                        plan.center, plan.columns)
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,
              orientation_mode: str = "aimed") -> tuple[int, float, np.ndarray]:
     """POIs visible to at least one spacecraft: count, percentage, and the
     boolean mask over the POIs."""
-    if len(pois) == 0:
-        raise ValueError("POI set is empty")
-    center = swarm.ellipsoid.center
-    c = center.tolist()
-    axes = [_axis(row, c, orientation_mode) for row in swarm.state.tolist()]
-    seen = visible_mask(pois.points, swarm.state[:, :3], axes,
-                        swarm.phi.tolist(), center, pois.columns(center))
+    plan = EvalPlan(swarm, pois, orientation_mode=orientation_mode)
+    seen = _seen(plan, swarm.state, swarm.state.tolist())
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 
@@ -223,11 +265,11 @@ def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
         # every sample is the unperturbed swarm; skip the averaging so the
         # result is bitwise equal to the deterministic cost
         return information_cost(swarm, pois, **cost_kwargs).information_cost
+    plan = EvalPlan(swarm, pois, **cost_kwargs)
     rng = np.random.default_rng(seed)
     total = 0.0
     for _ in range(n_samples):
         state = swarm.state.copy()
         state[:, :3] += rng.normal(0.0, position_stddev, (len(swarm), 3))
-        perturbed = SwarmConfig.from_state(state, swarm)
-        total += information_cost(perturbed, pois, **cost_kwargs).information_cost
+        total += _cost(plan, state, state.tolist())
     return total / n_samples

@@ -250,43 +250,10 @@ class ConeFov:
         return cls(apex, cone_axis(apex, ellipsoid_center), aperture_phi)
 
 
-def axial_distance(poi, fov: ConeFov) -> float:
-    """Signed projection of (poi - apex) onto the cone axis, in km."""
-    return float((as_vec3(poi) - fov.apex) @ fov.axis)
-
-
-def cone_radius_at(d: float, aperture_phi: float) -> float:
-    """Cone radius d * tan(phi / 2) at axial distance d >= 0."""
-    if d < 0.0:
-        raise ValueError("axial distance must be non-negative")
-    return d * np.tan(aperture_phi / 2.0)
-
-
-def orthogonal_distance(poi, fov: ConeFov) -> float:
-    """Distance (km, >= 0) of the POI from the cone axis line."""
-    rel = as_vec3(poi) - fov.apex
-    return float(np.linalg.norm(rel - (rel @ fov.axis) * fov.axis))
-
-
 def in_fov(poi, fov: ConeFov) -> bool:
     """Whether the POI lies inside the (forward) cone; boundary counts as in
     (with no center there is no D, so no apex slack)."""
     return bool(in_cone(as_vec3(poi) - fov.apex, fov.axis, fov.aperture_phi))
-
-
-def in_near_hemisphere(poi, apex, center) -> bool:
-    """Whether the POI lies in the half-space of the center-plane containing
-    the spacecraft; points on the dividing plane (up to the slack) count as
-    visible."""
-    apex = as_vec3(apex)
-    center = as_vec3(center)
-    if np.array_equal(apex, center):
-        raise DegenerateGeometryError("apex coincides with center")
-    to_apex = apex - center
-    dist = math.hypot(*to_apex.tolist())
-    # the plane product of visible_mask for one cone and one POI
-    return bool(to_apex[None] @ relative_columns(as_vec3(poi)[None], center)
-                >= -_SLACK * dist * dist)
 
 
 def visible(poi, fov: ConeFov, center) -> bool:

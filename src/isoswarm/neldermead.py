@@ -10,18 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
-from .cost import (SwarmConfig, expected_information_cost, information_cost,
-                   wrap_theta)
+from .cost import (EvalPlan, SwarmConfig, evaluate, expected_information_cost,
+                   information_cost, wrap_theta)
 from .sampling import PoiSet
-
-# Objective value substituted when a candidate position degenerates onto the
-# ellipsoid center; keeps the simplex search well-posed with finite values.
-DEGENERACY_PENALTY = 1e9
-DEGENERACY_RADIUS_KM = 1e-6
 
 # Standard simplex coefficients, and the initial step relative to a
 # coordinate's magnitude (at least 1) when no absolute step applies.
@@ -184,22 +180,19 @@ def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
 
 def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministic",
                     **cost_kwargs) -> Callable[[np.ndarray], float]:
-    """Objective over the packed decision vector, with the degeneracy penalty."""
-    cx, cy, cz = template.ellipsoid.center.tolist()
+    """Objective over the wrapped decision vector, with the degeneracy
+    penalty; its evaluation plan is built once, here."""
+    plan = EvalPlan(template, pois, **cost_kwargs)
+    if cost_mode == "deterministic":
+        return partial(evaluate, plan)
+    stddev, n_samples, seed = cost_mode
 
-    def objective(x: np.ndarray) -> float:
-        for px, py, pz, _ in x.reshape(-1, 4).tolist():
-            dx, dy, dz = px - cx, py - cy, pz - cz
-            if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
-                return DEGENERACY_PENALTY
-        swarm = SwarmConfig.from_state(x, template)
-        if cost_mode == "deterministic":
-            return information_cost(swarm, pois, **cost_kwargs).information_cost
-        stddev, n_samples, seed = cost_mode
+    def expected(_plan, state, _rows):
+        swarm = SwarmConfig.from_state(state, template)
         return expected_information_cost(swarm, pois, stddev, n_samples, seed,
                                          **cost_kwargs)
 
-    return objective
+    return partial(evaluate, plan, cost=expected)
 
 
 def optimize_swarm(pois: PoiSet, initial: SwarmConfig,

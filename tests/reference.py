@@ -1,0 +1,116 @@
+"""Test-only oracles: scalar cone helpers, the FOV interval, and the swarm
+objective as it was computed before the evaluation plan."""
+
+import math
+
+import numpy as np
+
+from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
+                           DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig,
+                           kappa_total)
+from isoswarm.geometry import (_SLACK, ConeFov, DegenerateGeometryError,
+                               as_vec3, relative_columns, unit_axis,
+                               visible_mask)
+
+
+def axial_distance(poi, fov: ConeFov) -> float:
+    """Signed projection of (poi - apex) onto the cone axis, in km."""
+    return float((as_vec3(poi) - fov.apex) @ fov.axis)
+
+
+def cone_radius_at(d: float, aperture_phi: float) -> float:
+    """Cone radius d * tan(phi / 2) at axial distance d >= 0."""
+    if d < 0.0:
+        raise ValueError("axial distance must be non-negative")
+    return d * np.tan(aperture_phi / 2.0)
+
+
+def orthogonal_distance(poi, fov: ConeFov) -> float:
+    """Distance (km, >= 0) of the POI from the cone axis line."""
+    rel = as_vec3(poi) - fov.apex
+    return float(np.linalg.norm(rel - (rel @ fov.axis) * fov.axis))
+
+
+def in_near_hemisphere(poi, apex, center) -> bool:
+    """Whether the POI lies in the half-space of the center-plane containing
+    the spacecraft; points on the dividing plane (up to the slack) count as
+    visible."""
+    apex = as_vec3(apex)
+    center = as_vec3(center)
+    if np.array_equal(apex, center):
+        raise DegenerateGeometryError("apex coincides with center")
+    to_apex = apex - center
+    dist = math.hypot(*to_apex.tolist())
+    # the plane product of visible_mask for one cone and one POI
+    return bool(to_apex[None] @ relative_columns(as_vec3(poi)[None], center)
+                >= -_SLACK * dist * dist)
+
+
+def fov_interval(pose: SpacecraftPose) -> tuple[float, float]:
+    """Un-normalized angular FOV interval (theta - nu, theta + nu)."""
+    return pose.theta - pose.nu, pose.theta + pose.nu
+
+
+def row_axis(row, center, orientation_mode: str):
+    """Cone axis of a packed (x, y, z, theta) row of floats: "aimed" at the
+    center, or "theta_tilt", tilted away from the center direction by theta."""
+    if orientation_mode == "aimed":
+        return unit_axis(row[:3], center)
+    if orientation_mode == "theta_tilt":
+        return unit_axis(row[:3], center, row[3])
+    raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
+
+
+def reference_cost(swarm, pois, kappa_weight=1.0,
+                   delta=DEFAULT_IDENTICAL_THETA_DELTA,
+                   orientation_mode="aimed") -> float:
+    """information_cost's value from the swarm object: kappa_total, then the
+    coverage from the center, an axis per state row and one kernel call."""
+    kappa = kappa_total(swarm, delta)
+    if len(pois) == 0:
+        raise ValueError("POI set is empty")
+    center = swarm.ellipsoid.center
+    c = center.tolist()
+    axes = [row_axis(row, c, orientation_mode)
+            for row in swarm.state.tolist()]
+    seen = visible_mask(pois.points, swarm.state[:, :3], axes,
+                        swarm.phi.tolist(), center, pois.columns(center))
+    pct = 100.0 * int(np.count_nonzero(seen)) / len(pois)
+    return kappa_weight * kappa - pct
+
+
+def reference_expected_cost(swarm, pois, position_stddev, n_samples, seed,
+                            **cost_kwargs) -> float:
+    """expected_information_cost with a swarm object per sample."""
+    if position_stddev == 0.0:
+        return reference_cost(swarm, pois, **cost_kwargs)
+    rng = np.random.default_rng(seed)
+    total = 0.0
+    for _ in range(n_samples):
+        state = swarm.state.copy()
+        state[:, :3] += rng.normal(0.0, position_stddev, (len(swarm), 3))
+        perturbed = SwarmConfig.from_state(state, swarm)
+        total += reference_cost(perturbed, pois, **cost_kwargs)
+    return total / n_samples
+
+
+def reference_objective(pois, template, cost_mode="deterministic",
+                        **cost_kwargs):
+    """The swarm objective with the degeneracy loop, then a swarm built by
+    SwarmConfig.from_state (which wraps the thetas again), then the cost of
+    that swarm."""
+    cx, cy, cz = template.ellipsoid.center.tolist()
+
+    def objective(x):
+        for px, py, pz, _ in x.reshape(-1, 4).tolist():
+            dx, dy, dz = px - cx, py - cy, pz - cz
+            if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
+                return DEGENERACY_PENALTY
+        swarm = SwarmConfig.from_state(x, template)
+        if cost_mode == "deterministic":
+            return reference_cost(swarm, pois, **cost_kwargs)
+        stddev, n_samples, seed = cost_mode
+        return reference_expected_cost(swarm, pois, stddev, n_samples, seed,
+                                       **cost_kwargs)
+
+    return objective

@@ -156,6 +156,20 @@ def test_bound_invert_hand_case(tmp_path, capsys):
     assert json.loads(stdout)["radius"] == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("flags", [["-D", "10"], ["--invert", "0.5"]],
+                         ids=["distance", "invert"])
+def test_bound_writes_output_file(tmp_path, capsys, flags):
+    """-o gets the printed JSON, as it does for cost and optimize."""
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps(BOUND_CFG))
+    out = tmp_path / "b.json"
+    code, stdout, _ = run(capsys, "-o", str(out), "bound", "--config",
+                          str(cfg), *flags, "-T", "5", "--v0", "0.3")
+    assert code == EXIT_OK
+    assert json.loads(stdout)
+    assert out.read_text() == stdout
+
+
 def test_bound_invert_rejects_squared(tmp_path, capsys):
     # the inversion has no squared-distance form: refuse, do not ignore
     cfg = tmp_path / "bound.json"
@@ -410,10 +424,15 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     ("bound", ["--v0", "-1"]),
     ("bound", ["--invert", "1.5"]),
     ("bound", ["--invert", "0.9", "--v0", "nan"]),
+    ("sample-pois", ["--radius", "5", "--radii", "1", "1", "1"]),
+    ("sample-pois", ["--radius", "-5", "--radii", "1", "1", "1"]),
+    ("sample-pois", ["--radii", "1", "1", "1", "--radius", "nan"]),
 ], ids=["radius", "radius-nan", "radii", "extent-overflow", "mc-samples",
         "position-stddev", "max-iterations", "kappa-weight", "distance-nan",
         "distance-inf", "distance-negative", "distance-zero", "time-nan",
-        "v0-nan", "v0-negative", "invert", "invert-v0-nan"])
+        "v0-nan", "v0-negative", "invert", "invert-v0-nan",
+        "radius-with-radii", "negative-radius-with-radii",
+        "radii-with-nan-radius"])
 def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
     """Every input but the one flag is valid (the flag comes last, so it
     wins over a default given here), so the exit code is the flag's: 2,

@@ -4,12 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
-                           expected_information_cost, fov_interval,
-                           information_cost, kappa_total, pair_overlap,
-                           wrap_theta)
+                           expected_information_cost, information_cost,
+                           kappa_total, pair_overlap, wrap_theta)
 from isoswarm.geometry import TWO_PI, in_fov, visible
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import arc_mask
+from tests.reference import fov_interval
 
 NU = 0.3
 PHI = 1.0

@@ -4,11 +4,11 @@ formulas it replaced, which are kept here as the reference."""
 import numpy as np
 import pytest
 
-from isoswarm.cost import (SpacecraftPose, SwarmConfig, _arc_overlap,
+from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
+                           SpacecraftPose, SwarmConfig, _arc_overlap,
                            kappa_total, pair_overlap)
 from isoswarm.geometry import TWO_PI, unit_axis
-from isoswarm.neldermead import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
-                                 swarm_objective)
+from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
 
 

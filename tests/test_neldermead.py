@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from isoswarm.cost import (SpacecraftPose, SwarmConfig, _arc_overlap, _axis,
-                           information_cost)
-from isoswarm.neldermead import (CONTRACTION, DEGENERACY_PENALTY, EXPANSION,
+from isoswarm.cost import (DEGENERACY_PENALTY, SpacecraftPose, SwarmConfig,
+                           _arc_overlap, information_cost)
+from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
                                  NelderMeadOptions, ObjectiveDomainError,
                                  OptimizationProblem, OptResult, _wrap,
                                  nelder_mead, optimize_swarm, pack_swarm,
                                  swarm_objective, unpack_swarm)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
+from tests.reference import row_axis
 
 
 def solve(func, x0, dim=None, theta=frozenset(), **opt_kw):
@@ -81,7 +82,7 @@ def seam_objective(mode):
     the FOV-interval overlap with an interval centred on 0.05 ("aimed"), or
     the tilted camera axis against the axis tilted by 0.05 ("theta_tilt")."""
     nu, center = math.pi / 6.0, [0.0, 0.0, 0.0]
-    ref = _axis([*SEAM_TARGET, SEAM_THETA], center, "theta_tilt")
+    ref = row_axis([*SEAM_TARGET, SEAM_THETA], center, "theta_tilt")
 
     def objective(x):
         row = x.tolist()
@@ -89,7 +90,7 @@ def seam_objective(mode):
         if mode == "aimed":
             overlap = _arc_overlap(row[3], SEAM_THETA, nu, nu, 0.0)
             return miss + (2.0 * nu - overlap) ** 2
-        axis = _axis(row, center, mode)
+        axis = row_axis(row, center, mode)
         return miss + 1.0 - sum(a * b for a, b in zip(axis, ref))
 
     return objective
