@@ -193,6 +193,14 @@ class EvalPlan:
         self.kappa_weight, self.delta, self.n = kappa_weight, delta, len(pois)
 
 
+def _seen(plan: EvalPlan, state: np.ndarray, rows) -> np.ndarray:
+    """The mask of POIs that a spacecraft of the state sees."""
+    c, tilted = plan.c, plan.tilted
+    axes = [unit_axis(row[:3], c, row[3] if tilted else None) for row in rows]
+    return visible_mask(plan.points, state[:, :3], axes, plan.phi,
+                        plan.center, plan.columns)
+
+
 def _cost(plan: EvalPlan, state: np.ndarray, rows) -> float:
     """w * kappa_total - coverage of a packed (N, 4) state and its rows."""
     for px, py, pz, _ in rows:
@@ -205,9 +213,9 @@ def _cost(plan: EvalPlan, state: np.ndarray, rows) -> float:
 
 
 def evaluate(plan: EvalPlan, x: np.ndarray, cost=_cost) -> float:
-    """cost(plan, state, rows) of the plan's swarm at the packed vector x,
-    whose thetas are already wrapped, or DEGENERACY_PENALTY when a
-    spacecraft stands within DEGENERACY_RADIUS_KM of the center."""
+    """The cost of the plan's swarm at the packed vector x, whose thetas are
+    already wrapped: DEGENERACY_PENALTY when a spacecraft stands within
+    DEGENERACY_RADIUS_KM of the center, else cost(plan, state, rows)."""
     state = x.reshape(-1, 4)
     rows = state.tolist()
     cx, cy, cz = plan.c
@@ -216,14 +224,6 @@ def evaluate(plan: EvalPlan, x: np.ndarray, cost=_cost) -> float:
         if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
             return DEGENERACY_PENALTY
     return cost(plan, state, rows)
-
-
-def _seen(plan: EvalPlan, state: np.ndarray, rows) -> np.ndarray:
-    """The mask of POIs that a spacecraft of the state sees."""
-    c, tilted = plan.c, plan.tilted
-    axes = [unit_axis(row[:3], c, row[3] if tilted else None) for row in rows]
-    return visible_mask(plan.points, state[:, :3], axes, plan.phi,
-                        plan.center, plan.columns)
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,
