@@ -166,10 +166,6 @@ class NoiseProfile:
                 f"t = {t} outside recorded noise history [0, {self.times[-1]}]"
             )
 
-    def zeta_at(self, t: float) -> float:
-        self._check_time(t)
-        return float(np.interp(t, self.times, self.zetas))
-
 
 def zeta_integral(t: float, params: ContractionParams,
                   noise: NoiseProfile) -> float:
@@ -268,18 +264,6 @@ def radius_for_success_probability(p_target: float, T: float,
     if B == 0.0:
         return 0.0
     return B / ((1.0 - p_target) * params.m_lower_combined)
-
-
-def ellipsoid_radii_from_weights(D: float, axis_weights) -> tuple[float, float, float]:
-    """Scale a certified radius into per-axis radii via diagonal norm weights.
-
-    A weighted norm ||W x|| <= D with W = diag(w) certifies the ellipsoid with
-    semi-axes D / w_i.
-    """
-    w = np.asarray(axis_weights, dtype=float)
-    if w.shape != (3,) or np.any(w <= 0.0):
-        raise ValueError("axis weights must be three positive reals")
-    return tuple(D / w)
 
 
 def load_bound_config(path) -> tuple[ContractionParams, NoiseProfile]:

@@ -61,31 +61,26 @@ def _read(load, path, what):
         raise CliError(f"{path}: cannot read {what}: {err}")
 
 
-def _positive_int(text) -> int:
-    """argparse type for counts: an integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _float_type(ok, what):
-    """argparse type for a float value with ok(value), described by what."""
-    def parse(text) -> float:
-        value = float(text)
+def _checked(cast, ok, what):
+    """argparse type for a value cast(text) with ok(value), described by
+    what."""
+    def parse(text):
+        value = cast(text)
         if not ok(value):
             raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
         return value
-    parse.__name__ = "float"  # argparse names the type in its errors
+    parse.__name__ = cast.__name__  # argparse names the type in its errors
     return parse
 
 
-_finite_float = _float_type(math.isfinite, "finite")
-_positive_float = _float_type(lambda v: 0.0 < v < math.inf,
-                              "finite and positive")
-_nonnegative_float = _float_type(lambda v: 0.0 <= v < math.inf,
-                                 "finite and non-negative")
-_probability = _float_type(lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_positive_int = _checked(int, lambda v: v >= 1, "at least 1")  # counts
+_seed = _checked(int, lambda v: v >= 0, "non-negative")
+_finite_float = _checked(float, math.isfinite, "finite")
+_positive_float = _checked(float, lambda v: 0.0 < v < math.inf,
+                           "finite and positive")
+_nonnegative_float = _checked(float, lambda v: 0.0 <= v < math.inf,
+                              "finite and non-negative")
+_probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _emit(payload, output) -> int:
@@ -123,12 +118,15 @@ def cmd_cost(args) -> int:
 
 
 def cmd_optimize(args) -> int:
+    if args.mc_samples is not None and not args.position_stddev > 0.0:
+        raise CliError("--mc-samples needs a positive --position-stddev")
     pois = _read(load_pois, args.pois, "POI file")
     swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     opts = NelderMeadOptions(max_iterations=args.max_iterations)
     cost_mode = "deterministic"
     if args.position_stddev > 0.0:
-        cost_mode = (args.position_stddev, args.mc_samples, args.seed or 0)
+        cost_mode = (args.position_stddev, args.mc_samples or 100,
+                     args.seed or 0)
     best, breakdown, result = optimize_swarm(
         pois, swarm, opts, cost_mode, kappa_weight=args.kappa_weight
     )
@@ -189,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Encounter-uncertainty ellipsoids and information-optimal "
                     "swarm positioning",
     )
-    parser.add_argument("--seed", type=int, default=None,
+    parser.add_argument("--seed", type=_seed, default=None,
                         help="override the master seed where applicable")
     parser.add_argument("--output", "-o", default=None,
                         help="output file or directory")
@@ -203,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="per-axis ellipsoid radii (km)")
     p.add_argument("--center", type=float, nargs=3, default=(0.0, 0.0, 0.0))
     p.add_argument("--n", type=_positive_int, required=True)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                    help="sampling seed (default: the global --seed, else 0)")
     p.set_defaults(func=cmd_sample_pois)
 
@@ -220,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=_positive_int, default=None)
     p.add_argument("--position-stddev", type=_nonnegative_float, default=0.0,
                    help="enable expected-cost mode with this stddev (km)")
-    p.add_argument("--mc-samples", type=_positive_int, default=100)
-    p.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+    p.add_argument("--mc-samples", type=_positive_int, default=None,
+                   help="expected-cost samples (default 100)")
+    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                    help="noise seed (default: the global --seed, else 0)")
     p.set_defaults(func=cmd_optimize)
 

@@ -45,8 +45,8 @@ def _cell_seed(master_seed: int, *key: int) -> int:
 
 def _check_fields(config) -> None:
     """Checks both config classes share: int fields hold integers (no floats
-    or bools), float fields finite reals, counts are at least 1, and phi and
-    nu lie in (0, pi)."""
+    or bools), float fields finite reals, counts are at least 1, the master
+    seed is non-negative, and phi and nu lie in (0, pi)."""
     for name, f in config.__dataclass_fields__.items():
         value = getattr(config, name)
         values = value if isinstance(value, tuple) else (value,)
@@ -60,6 +60,8 @@ def _check_fields(config) -> None:
             raise ConfigError(f"{name} must hold finite reals, got {value!r}")
         if name in ("n_pois", "trials", "trials_per_radius") and value < 1:
             raise ConfigError(f"{name} must be at least 1")
+        if name == "master_seed" and value < 0:
+            raise ConfigError(f"{name} must be non-negative, got {value}")
         if name in ("phi", "nu") and not 0.0 < value < np.pi:
             raise ConfigError(f"{name} must lie in (0, pi)")
 

@@ -30,11 +30,11 @@ _SLACK = 2.0 ** -30
 _BLOCK = 8192
 
 # Error filter of a cut cone's test (README): with L = R + D, the product
-# decides a POI whose d lies more than _FILTER L |axis|_1 from s D and whose
-# d^2 lies more than _FILTER L^2 (|axis|_1^2 + C + 1) from C |rel|^2, about
-# 100 times the rounding of either computation of them; the elementwise test
-# decides the rest. Widths outside (1 / _RANGE, _RANGE) could overflow an
-# intermediate or drown in underflow, so such a cone skips the filter.
+# decides a POI whose signed square d |d| lies more than _FILTER L^2
+# (|axis|_1^2 + C + 1) from C |rel|^2, about 100 times the rounding of either
+# computation of d^2 - C |rel|^2; the elementwise test decides the rest.
+# Widths outside (1 / _RANGE, _RANGE) could overflow an intermediate or drown
+# in underflow, so such a cone skips the filter.
 _FILTER = 2.0 ** -40
 _RANGE = 2.0 ** 900
 
@@ -146,21 +146,19 @@ def _cone_holds_ball(to_center, dist, axis, aperture_phi, radius):
 
 def _cut_rows(plane, axis, phi, reach):
     """The poi_columns product's rows for a cone that cuts the POI ball, with
-    plane = apex - center and reach = L, and the filter width e_d of d; ([],
-    None) when a width falls outside the filter's range. With rel = point -
-    apex and C = cos^2(phi / 2) the rows give d = rel . axis and C |rel|^2 +-
-    e, e the filter width of d^2."""
+    plane = apex - center and reach = L; [] when the filter width falls
+    outside its range. With rel = point - apex and C = cos^2(phi / 2) the
+    rows give d = rel . axis and C |rel|^2 +- e, e the filter width."""
     (tx, ty, tz), (ax, ay, az) = plane, axis
     c = math.cos(phi / 2.0)
     c2, l1 = c * c, abs(ax) + abs(ay) + abs(az)
-    e_d = _FILTER * reach * l1
     e = _FILTER * reach * reach * (l1 * l1 + c2 + 1.0)
-    if not (1.0 / _RANGE < e_d and 1.0 / _RANGE < e < _RANGE):
-        return [], None
+    if not 1.0 / _RANGE < e < _RANGE:
+        return []
     k, q = -2.0 * c2, c2 * (tx * tx + ty * ty + tz * tz)
-    return ([(ax, ay, az, 0.0, -(ax * tx + ay * ty + az * tz)),
-             (k * tx, k * ty, k * tz, c2, q + e),
-             (k * tx, k * ty, k * tz, c2, q - e)], e_d)
+    return [(ax, ay, az, 0.0, -(ax * tx + ay * ty + az * tz)),
+            (k * tx, k * ty, k * tz, c2, q + e),
+            (k * tx, k * ty, k * tz, c2, q - e)]
 
 
 def visible_mask(points, apexes, axes, apertures, center, columns=None):
@@ -172,7 +170,8 @@ def visible_mask(points, apexes, axes, apertures, center, columns=None):
     half-space test and one missing them all is dropped; the half-spaces of
     the rest are one product with the columns per block of _BLOCK POIs. It
     also gives each cut cone's d and C |rel|^2, from which the filter decides
-    every POI but those near the cone's surface: only they run in_cone."""
+    every POI but those near the cone's surface or its apex: only they run
+    in_cone."""
     cols, radius = poi_columns(points, center) if columns is None else columns
     (cx, cy, cz), n = center.tolist(), len(points)
     planes, thr, rows, tests = [], [], [], []
@@ -184,9 +183,9 @@ def visible_mask(points, apexes, axes, apertures, center, columns=None):
         if verdict is False:
             continue
         if verdict is None:  # its rows follow the k plane rows
-            cone_rows, e_d = _cut_rows((tx, ty, tz), axis, phi, radius + dist)
-            tests.append((len(planes), j, axis, phi, _SLACK * dist, len(rows),
-                          e_d))
+            cone_rows = _cut_rows((tx, ty, tz), axis, phi, radius + dist)
+            tests.append((len(planes), j, axis, phi, _SLACK * dist,
+                          len(rows) if cone_rows else None))
             rows += cone_rows
         planes.append((tx, ty, tz))
         thr.append(-_SLACK * dist * dist)
@@ -202,15 +201,15 @@ def visible_mask(points, apexes, axes, apertures, center, columns=None):
         block = slice(lo, lo + _BLOCK)
         prod = rows @ cols[:, block]
         near = prod[:k] >= thr
-        for i, j, axis, phi, m, r, e_d in tests:
-            if e_d is None:  # out of the filter's range: test every POI
+        for i, j, axis, phi, m, r in tests:
+            if r is None:  # out of the filter's range: test every POI
                 near[i] &= in_cone(relative_columns(points[block], apexes[j]),
                                    axis, phi, m)
                 continue
             d, over, under = prod[k + r:k + r + 3]
-            dd = d * d
-            sure = (dd > over) & (d > m + e_d)
-            maybe = (dd >= under) & (d >= m - e_d)
+            d *= np.abs(d)  # d |d| > C |rel|^2 + E also certifies d > m
+            sure = d > over
+            maybe = d >= under
             # sure implies maybe, so equal counts leave nothing undecided
             if np.count_nonzero(maybe) != np.count_nonzero(sure):
                 idx = np.flatnonzero(maybe & ~sure)

@@ -70,10 +70,13 @@ class OptResult:
     evaluation_count: int
 
 
-def _wrap(x: np.ndarray, theta_idx: np.ndarray) -> np.ndarray:
-    x = x.copy()
-    x[theta_idx] = wrap_theta(x[theta_idx])
-    return x
+def _wrap(x: np.ndarray, theta_idx) -> np.ndarray:
+    """x with its thetas wrapped, on Python floats (float % gives the bits
+    of np.remainder)."""
+    x = x.tolist()
+    for i in theta_idx:
+        x[i] = wrap_theta(x[i])
+    return np.array(x)
 
 
 def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
@@ -89,7 +92,7 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dimension,):
         raise ValueError(f"x0 must have length {problem.dimension}")
-    theta_idx = np.array(sorted(problem.theta_indices), dtype=np.intp)
+    theta_idx = sorted(problem.theta_indices)
     max_iter = opts.max_iterations
     if max_iter is None:
         max_iter = 200 * problem.dimension
@@ -128,7 +131,8 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
         simplex, values = simplex.take(order, 0), [values[i] for i in order]
 
         dev = simplex[1:] - simplex[0]
-        diameter = math.sqrt(np.add.reduce(dev * dev, axis=1).max())
+        dev *= dev
+        diameter = math.sqrt(np.maximum.reduce(np.add.reduce(dev, axis=1)))
         spread = values[-1] - values[0]
         if trace_sink is not None:
             trace_sink(iteration, values[0], diameter)

@@ -44,11 +44,6 @@ class UncertaintyEllipsoid:
     def sphere(cls, radius: float, center=(0.0, 0.0, 0.0)):
         return cls(np.asarray(center, dtype=float), (radius, radius, radius))
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Boolean mask: which points satisfy the ellipsoid inequality."""
-        rel = (np.atleast_2d(points) - self.center) / np.asarray(self.radii)
-        return np.sum(rel**2, axis=1) <= 1.0
-
 
 @dataclass(frozen=True)
 class PoiSet:
@@ -84,16 +79,19 @@ def sample_pois(ellipsoid: UncertaintyEllipsoid, n: int, seed: int) -> PoiSet:
 
     Uses the direction-radius construction: a normalized Gaussian triple for
     the direction, radius u**(1/3) for uniformity in the unit ball, then a
-    componentwise stretch by the semi-axes.
+    componentwise stretch by the semi-axes. It works on contiguous x, y, z
+    rows, with np.linalg.norm's order of sums; the points are their transpose.
     """
     if n < 1:
         raise EmptySampleError("need at least one POI")
     rng = np.random.default_rng(seed)
-    dirs = rng.standard_normal((n, 3))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    r = rng.random(n) ** (1.0 / 3.0)
-    pts = dirs * r[:, None] * np.asarray(ellipsoid.radii) + ellipsoid.center
-    return PoiSet(pts, int(seed), ellipsoid)
+    rows = rng.standard_normal((n, 3)).T.copy()
+    x, y, z = rows
+    rows /= np.sqrt(x * x + y * y + z * z)
+    rows *= rng.random(n) ** (1.0 / 3.0)
+    rows *= np.array(ellipsoid.radii)[:, None]
+    rows += ellipsoid.center[:, None]
+    return PoiSet(rows.T, int(seed), ellipsoid)
 
 
 def save_pois(path, pois: PoiSet) -> None:

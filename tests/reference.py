@@ -1,5 +1,7 @@
-"""Test-only oracles: scalar cone helpers, the FOV interval, and the swarm
-objective as it was computed before the evaluation plan."""
+"""Test-only oracles: scalar cone helpers, the FOV interval, the swarm
+objective as it was computed before the evaluation plan, the array theta
+wrap and POI sampling formula the float and row-wise versions replaced, and
+the ellipsoid, noise-history and weight helpers only tests call."""
 
 import math
 
@@ -7,7 +9,7 @@ import numpy as np
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
                            DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig,
-                           kappa_total)
+                           kappa_total, wrap_theta)
 from isoswarm.geometry import (_SLACK, ConeFov, DegenerateGeometryError,
                                as_vec3, relative_columns, unit_axis,
                                visible_mask)
@@ -114,3 +116,46 @@ def reference_objective(pois, template, cost_mode="deterministic",
                                        **cost_kwargs)
 
     return objective
+
+
+def array_wrap(x, theta_idx):
+    """A copy of x with x[theta_idx] wrapped by wrap_theta as an array."""
+    x = x.copy()
+    x[theta_idx] = wrap_theta(x[theta_idx])
+    return x
+
+
+def reference_sample_points(ellipsoid, n, seed):
+    """sample_pois' points by the (n, 3) formula: directions normalized by
+    np.linalg.norm over rows, scaled by u**(1/3), the radii and the center."""
+    rng = np.random.default_rng(seed)
+    dirs = rng.standard_normal((n, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    r = rng.random(n) ** (1.0 / 3.0)
+    return dirs * r[:, None] * np.asarray(ellipsoid.radii) + ellipsoid.center
+
+
+def ellipsoid_contains(ellipsoid, points):
+    """Boolean mask: which points satisfy the ellipsoid inequality."""
+    rel = (np.atleast_2d(points) - ellipsoid.center) / np.asarray(
+        ellipsoid.radii)
+    return np.sum(rel**2, axis=1) <= 1.0
+
+
+def zeta_at(noise, t):
+    """The noise history's zeta at t, linearly interpolated; t outside it
+    raises ExtrapolationError."""
+    noise._check_time(t)
+    return float(np.interp(t, noise.times, noise.zetas))
+
+
+def ellipsoid_radii_from_weights(D, axis_weights):
+    """Scale a certified radius into per-axis radii via diagonal norm weights.
+
+    A weighted norm ||W x|| <= D with W = diag(w) certifies the ellipsoid with
+    semi-axes D / w_i.
+    """
+    w = np.asarray(axis_weights, dtype=float)
+    if w.shape != (3,) or np.any(w <= 0.0):
+        raise ValueError("axis weights must be three positive reals")
+    return tuple(D / w)

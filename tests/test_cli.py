@@ -297,7 +297,8 @@ def test_experiment_bad_config(tmp_path, capsys):
                                    {"initial_distance_factors": [
                                        float("nan"), 3.0]},
                                    {"sphere_radius": 1e300},
-                                   {"initial_distance_factors": [3.0, 1e307]}])
+                                   {"initial_distance_factors": [3.0, 1e307]},
+                                   {"master_seed": -4}])
 def test_experiment_bad_config_value(tmp_path, capsys, entry):
     cfg = tmp_path / "exp.json"
     cfg.write_text(json.dumps({
@@ -427,16 +428,24 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     ("sample-pois", ["--radius", "5", "--radii", "1", "1", "1"]),
     ("sample-pois", ["--radius", "-5", "--radii", "1", "1", "1"]),
     ("sample-pois", ["--radii", "1", "1", "1", "--radius", "nan"]),
+    ("--seed -1 experiment", []),
+    ("sample-pois", ["--seed", "-3"]),
+    ("optimize", ["--position-stddev", "1", "--seed", "-2"]),
+    ("optimize", ["--mc-samples", "7"]),
+    ("optimize", ["--position-stddev", "0", "--mc-samples", "7"]),
 ], ids=["radius", "radius-nan", "radii", "extent-overflow", "mc-samples",
         "position-stddev", "max-iterations", "kappa-weight", "distance-nan",
         "distance-inf", "distance-negative", "distance-zero", "time-nan",
         "v0-nan", "v0-negative", "invert", "invert-v0-nan",
         "radius-with-radii", "negative-radius-with-radii",
-        "radii-with-nan-radius"])
+        "radii-with-nan-radius", "global-seed-negative",
+        "sample-pois-seed-negative", "optimize-seed-negative",
+        "mc-samples-without-noise", "mc-samples-zero-noise"])
 def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
     """Every input but the one flag is valid (the flag comes last, so it
-    wins over a default given here), so the exit code is the flag's: 2,
-    not a computation error or a silently ignored value."""
+    wins over a default given here; a global flag leads the command), so
+    the exit code is the flag's: 2, not a computation error or a silently
+    ignored value."""
     pois_path = tmp_path / "pois.csv"
     run(capsys, "-o", str(pois_path), "sample-pois", "--n", "20",
         "--radius", "50")
@@ -445,13 +454,20 @@ def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
                               "nu": np.pi / 6, "phi": np.pi / 3}])
     cfg = tmp_path / "bound.json"
     cfg.write_text(json.dumps(BOUND_CFG))
+    experiment = tmp_path / "exp.json"
+    experiment.write_text(json.dumps({
+        "schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
+        "n_pois": 20, "spacecraft_range": [1, 1], "trials": 1,
+        "nm_options": {"max_iterations": 2}}))
     inputs = {"sample-pois": ["--n", "10"],
               "bound": ["--config", str(cfg), "-T", "5"],
               "cost": ["--pois", str(pois_path), "--swarm", str(swarm_path)],
               "optimize": ["--pois", str(pois_path), "--swarm",
-                           str(swarm_path), "--max-iterations", "2"]}
-    code, _, stderr = run(capsys, "-o", str(tmp_path / "out"), command,
-                          *inputs[command], *flags)
+                           str(swarm_path), "--max-iterations", "2"],
+              "experiment": ["--config", str(experiment)]}
+    *lead, command = command.split()
+    code, _, stderr = run(capsys, "-o", str(tmp_path / "out"), *lead,
+                          command, *inputs[command], *flags)
     assert code == EXIT_USAGE
     assert "error" in stderr
 

@@ -12,7 +12,7 @@ from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  nelder_mead, optimize_swarm, pack_swarm,
                                  swarm_objective, unpack_swarm)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
-from tests.reference import row_axis
+from tests.reference import array_wrap, row_axis
 
 
 def solve(func, x0, dim=None, theta=frozenset(), **opt_kw):
@@ -59,6 +59,27 @@ def test_theta_coordinate_wrapped():
                 theta=frozenset({0}), max_iterations=500)
     assert 0.0 <= res.best_point[0] < 2 * np.pi
     assert res.best_point[0] == pytest.approx(5.5, abs=1e-3)
+
+
+def test_float_wrap_matches_array_wrap():
+    # float % and np.remainder agree bit for bit, on tiny negatives, signed
+    # zeros, the seam, huge magnitudes and theta sets of any spacing
+    rng = np.random.default_rng(8)
+    specials = [-1e-17, -0.0, 0.0, 2 * np.pi, np.nextafter(2 * np.pi, 0.0),
+                -2 * np.pi, 1e300, -1e300, -7.3e15, 5e-324, -5e-324]
+    cases = [(np.array(specials), list(range(len(specials))))]
+    for dim in (1, 4, 9, 28):
+        for _ in range(50):
+            idx = sorted(rng.choice(dim, rng.integers(1, dim + 1),
+                                    replace=False).tolist())
+            cases.append((rng.choice([*specials, *rng.uniform(-50, 50, 8),
+                                      *(10.0 ** rng.uniform(-20, 20, 4))],
+                                     dim), idx))
+    for x, idx in cases:
+        before = x.tobytes()
+        got = _wrap(x, idx)
+        assert got.tobytes() == array_wrap(x, np.array(idx)).tobytes()
+        assert x.tobytes() == before
 
 
 def test_wrap_applied_before_every_evaluation():
@@ -260,7 +281,7 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
 
     def f(point):
         nonlocal evals
-        x = _wrap(point, theta_idx)
+        x = array_wrap(point, theta_idx)
         v = float(problem.objective(x))
         evals += 1
         assert math.isfinite(v)
@@ -320,8 +341,8 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
 
     order = np.argsort(values, kind="stable")
     best = int(order[0])
-    return OptResult(_wrap(simplex[best], theta_idx), float(values[best]),
-                     iteration, converged, evals)
+    return OptResult(array_wrap(simplex[best], theta_idx),
+                     float(values[best]), iteration, converged, evals)
 
 
 def swarm_case(n_craft):

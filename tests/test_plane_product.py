@@ -133,17 +133,18 @@ def test_coverage_peak_memory_is_blocked(rng):
     assert peak < 1.5e6, f"coverage peaked at {peak / 1e6:.2f} MB"
 
 
-def surface_scene(rng, center, factor, r0=100.0):
+def surface_scene(rng, center, factor, r0=100.0, turn=0.0):
     """(points, apex, axis, phi): a ball of POIs about center, the apex at
-    factor * r0 from it (inside, on or outside the ball), and POIs on the
-    cone surface, at the apex, on the axis at the apex slack s D, and a few
-    ulps off each of these."""
+    factor * r0 from it (inside, on or outside the ball), the axis tilted
+    from the center direction by turn +- 0.3, and POIs on the cone surface,
+    at the apex, on the axis at the apex slack s D, and a few ulps off each
+    of these."""
     d = rng.standard_normal((300, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     ball = center + d * r0 * rng.random((300, 1)) ** (1 / 3)
     apex = center + factor * r0 * unit(rng.standard_normal(3))
     axis = np.array(unit_axis(apex.tolist(), center.tolist(),
-                              float(rng.uniform(-0.3, 0.3))))
+                              turn + float(rng.uniform(-0.3, 0.3))))
     phi = rng.uniform(0.3, 1.5)
     side = unit(np.cross(axis, rng.standard_normal(3)))
     psi = rng.uniform(0.0, 2.0 * np.pi, (400, 1))
@@ -192,6 +193,37 @@ def test_filter_matches_elementwise_at_the_cone_surface(monkeypatch, rng,
     # it, rounding the coordinates moves POIs off the surface by more
     if not center.any():
         assert sum(columns) > 0
+
+
+@pytest.mark.parametrize("center", CENTERS[:2], ids=["0", "near"])
+def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
+                                                                  center):
+    # R >> D: the apex within 2^-20 R of the center, the cone facing away
+    # from it. The product's d rounds on the scale of L = R + D and the
+    # elementwise d on that of |point - apex|, so where d is near zero their
+    # signs can differ; POIs on the axis just past the apex slack are added
+    flips = 0
+    for k in (21, 30, 40):
+        for _ in range(4):
+            points, apex, axis, phi = surface_scene(rng, center, 2.0 ** -k,
+                                                    turn=np.pi)
+            plane = (apex - center).tolist()
+            m = geometry._SLACK * math.hypot(*plane)
+            points = np.vstack([points, apex + m * 2.0 ** rng.uniform(
+                0.0, 16.0, (100, 1)) * axis])
+            cols, radius = geometry.poi_columns(points, center)
+            rows = np.array(geometry._cut_rows(plane, axis.tolist(), phi,
+                                               radius + math.hypot(*plane)))
+            d = dot3(relative_columns(points, apex), axis)
+            flips += np.count_nonzero(np.sign((rows @ cols)[0]) != np.sign(d))
+            verdicts = {True: 0, False: 0, None: 0}
+            want = elementwise_mask(points, apex, axis.tolist(), phi, center,
+                                    verdicts)
+            assert verdicts[None] == 1 and want.any()
+            np.testing.assert_array_equal(geometry.visible_mask(
+                points, apex[None], [axis.tolist()], [phi], center,
+                (cols, radius)), want)
+    assert flips > 0
 
 
 def test_scalar_visible_matches_elementwise_at_the_cone_surface(rng):

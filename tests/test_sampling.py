@@ -3,6 +3,7 @@ import pytest
 
 from isoswarm.sampling import (EmptySampleError, PoiSet, UncertaintyEllipsoid,
                                load_pois, sample_pois, save_pois)
+from tests.reference import ellipsoid_contains, reference_sample_points
 
 
 def test_single_point_in_unit_sphere():
@@ -14,7 +15,22 @@ def test_single_point_in_unit_sphere():
 def test_all_points_inside():
     e = UncertaintyEllipsoid(np.array([1.0, -2.0, 3.0]), (100.0, 50.0, 25.0))
     pois = sample_pois(e, 5000, 7)
-    assert np.all(e.contains(pois.points))
+    assert np.all(ellipsoid_contains(e, pois.points))
+
+
+@pytest.mark.parametrize("n", [1, 5000])
+def test_sample_pois_matches_the_row_formula(n):
+    # bit for bit, on centers near 4e7 km and radii from 1e-3 to 7e5 km
+    rng = np.random.default_rng(4)
+    for seed in range(60):
+        center = 4e7 * rng.choice([-1.0, 1.0], 3) + rng.uniform(-1e4, 1e4, 3)
+        radii = 10.0 ** rng.uniform(-3.0, np.log10(7e5), 3)
+        if seed < 4:
+            radii[rng.integers(3)] = (1e-3, 7e5)[seed % 2]
+        e = UncertaintyEllipsoid(center, radii)
+        got = sample_pois(e, n, seed).points
+        assert got.shape == (n, 3)
+        assert got.tobytes() == reference_sample_points(e, n, seed).tobytes()
 
 
 def test_volume_fraction_half_radius():
