@@ -118,15 +118,17 @@ def cmd_cost(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    if args.mc_samples is not None and not args.position_stddev > 0.0:
-        raise CliError("--mc-samples needs a positive --position-stddev")
+    for flag, value in (("--mc-samples", args.mc_samples),
+                        ("--seed", args.noise_seed)):
+        if value is not None and not args.position_stddev > 0.0:
+            raise CliError(f"{flag} needs a positive --position-stddev")
     pois = _read(load_pois, args.pois, "POI file")
     swarm = _read(_load_swarm, args.swarm, "swarm pose file")
     opts = NelderMeadOptions(max_iterations=args.max_iterations)
     cost_mode = "deterministic"
     if args.position_stddev > 0.0:
-        cost_mode = (args.position_stddev, args.mc_samples or 100,
-                     args.seed or 0)
+        seed = args.seed if args.noise_seed is None else args.noise_seed
+        cost_mode = (args.position_stddev, args.mc_samples or 100, seed or 0)
     best, breakdown, result = optimize_swarm(
         pois, swarm, opts, cost_mode, kappa_weight=args.kappa_weight
     )
@@ -220,8 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="enable expected-cost mode with this stddev (km)")
     p.add_argument("--mc-samples", type=_positive_int, default=None,
                    help="expected-cost samples (default 100)")
-    p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
-                   help="noise seed (default: the global --seed, else 0)")
+    p.add_argument("--seed", dest="noise_seed", type=_seed, default=None,
+                   help="noise seed, with --position-stddev (default: the "
+                        "global --seed, else 0)")
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("bound", help="evaluate the encounter probability bound")

@@ -24,19 +24,24 @@ TWO_PI = 2.0 * np.pi
 # spacing, so an optimizer cannot gain POIs by parking them in it.
 _SLACK = 2.0 ** -30
 
-# POIs per block of visible_mask's plane product: bounds its (rows, block)
-# temporaries (7 cones x 8192 POIs is 0.5 MB) while a block still amortizes
+# POIs per block of visible_mask's product: bounds its (rows, block) float32
+# temporaries (7 cones x 8192 POIs is 0.23 MB) while a block still amortizes
 # the product's fixed cost.
 _BLOCK = 8192
 
-# Error filter of a cut cone's test (README): with L = R + D, the product
-# decides a POI whose signed square d |d| lies more than _FILTER L^2
-# (|axis|_1^2 + C + 1) from C |rel|^2, about 100 times the rounding of either
-# computation of d^2 - C |rel|^2; the elementwise test decides the rest.
-# Widths outside (1 / _RANGE, _RANGE) could overflow an intermediate or drown
-# in underflow, so such a cone skips the filter.
-_FILTER = 2.0 ** -40
-_RANGE = 2.0 ** 900
+# Error width of visible_mask's float32 scores (README): a cone's plane row
+# is divided by 2^-19 (|apex - center|_1 R + s D^2), and a cut cone's d row
+# by the root and its C |rel|^2 row by the whole of 2^-19 L^2 (|axis|_1^2 +
+# C + 1), L = R + D. Each width is more than twice the rounding of the
+# float32 score plus that of the float64 test, so a score of at least 1 is
+# seen and one below -1 is not; the POIs in between run the float64 test.
+_WIDTH = 2.0 ** -19
+# Float32 columns exist only for a bounding radius R inside _RADII (km), and
+# a cone takes float32 rows only while D / R lies inside _SPAN: every
+# float32 entry then stays below 2^80 and an underflowing entry moves a
+# score by less than 2^-40. Other POI sets and cones run the float64 test.
+_RADII = (2.0 ** -30, 2.0 ** 40)
+_SPAN = (2.0 ** -500, 2.0 ** 450)
 
 
 class DegenerateGeometryError(ValueError):
@@ -60,16 +65,27 @@ def relative_columns(points: np.ndarray, origin) -> np.ndarray:
     return np.subtract(points.T, origin[:, None], order="C")
 
 
-def poi_columns(points, center) -> tuple[np.ndarray, float]:
-    """The read-only (5, n) columns [rel; |rel|^2; 1], rel = point - center
-    (a row (b, c, e) times them gives b . rel + c |rel|^2 + e), and the POIs'
-    bounding radius max |rel|."""
-    out = np.empty((5, len(points)))
-    rel = np.subtract(points.T, center[:, None], out=out[:3])
-    out[3] = _dot3(rel, rel)
-    out[4] = 1.0
+def poi_columns(points, center) -> tuple[np.ndarray | None, float]:
+    """The read-only float32 (5, n) columns [u; 1; |u|^2] of u = point -
+    center (a row (b, e, c) times them gives b . u + e + c |u|^2; a row of
+    four reads the prefix [u; 1]) and the POIs' bounding radius R = max |u|,
+    both from the float64 u, built a block at a time. None in place of the
+    columns when R lies outside _RADII, where float32 would overflow or
+    underflow."""
+    out = np.empty((5, len(points)), dtype=np.float32)
+    out[3], top = 1.0, 0.0
+    for lo in range(0, len(points), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        rel = relative_columns(points[block], center)
+        sq = _dot3(rel, rel)
+        top = max(top, sq.max())
+        if top < _RADII[1] ** 2:  # so the casts cannot overflow
+            out[:3, block], out[4, block] = rel, sq
+    radius = math.sqrt(top)
+    if not _RADII[0] < radius < _RADII[1]:
+        return None, radius
     out.flags.writeable = False
-    return out, math.sqrt(out[3].max(initial=0.0))
+    return out, radius
 
 
 def _dot3(a, b):
@@ -145,20 +161,51 @@ def _cone_holds_ball(to_center, dist, axis, aperture_phi, radius):
 
 
 def _cut_rows(plane, axis, phi, reach):
-    """The poi_columns product's rows for a cone that cuts the POI ball, with
-    plane = apex - center and reach = L; [] when the filter width falls
-    outside its range. With rel = point - apex and C = cos^2(phi / 2) the
-    rows give d = rel . axis and C |rel|^2 +- e, e the filter width."""
+    """The float64 rows, over the poi_columns [u; 1; |u|^2], of a cone that
+    cuts the POI ball, with plane = apex - center and reach = L: with rel =
+    point - apex and C = cos^2(phi / 2) they give d / sqrt(W) and C |rel|^2
+    / W for d = rel . axis and the width W = _WIDTH L^2 (|axis|_1^2 + C +
+    1), so the cone's score is d |d| / W - C |rel|^2 / W."""
     (tx, ty, tz), (ax, ay, az) = plane, axis
     c = math.cos(phi / 2.0)
     c2, l1 = c * c, abs(ax) + abs(ay) + abs(az)
-    e = _FILTER * reach * reach * (l1 * l1 + c2 + 1.0)
-    if not 1.0 / _RANGE < e < _RANGE:
-        return []
-    k, q = -2.0 * c2, c2 * (tx * tx + ty * ty + tz * tz)
-    return [(ax, ay, az, 0.0, -(ax * tx + ay * ty + az * tz)),
-            (k * tx, k * ty, k * tz, c2, q + e),
-            (k * tx, k * ty, k * tz, c2, q - e)]
+    w = _WIDTH * reach * reach * (l1 * l1 + c2 + 1.0)
+    h, k = 1.0 / math.sqrt(w), -2.0 * c2 / w
+    return [(ax * h, ay * h, az * h, -(ax * tx + ay * ty + az * tz) * h, 0.0),
+            (k * tx, k * ty, k * tz, c2 * (tx * tx + ty * ty + tz * tz) / w,
+             c2 / w)]
+
+
+def _exact(points, center, cones):
+    """The float64 test of the cones (apex - center, D, apex, axis, phi,
+    cut) on points (float 3-sequences), one bool each: the near half-space
+    (point - center) . (apex - center) >= -s D^2 and, for a cone that cuts
+    the ball, in_cone's test with the apex slack s D. These are the IEEE
+    operations of tests/conftest.py's unculled_mask, in its order, so they
+    give its bits; on Python floats a POI or two (the usual band) costs a
+    few us, where NumPy's calls on such short arrays cost tens."""
+    tests = []
+    for plane, dist, apex, axis, phi, cut in cones:
+        c = np.cos(phi / 2.0)  # in_cone's cosine, not math.cos
+        tests.append((plane, -_SLACK * dist * dist, apex,
+                      [float(a) for a in axis], float(c * c), _SLACK * dist,
+                      cut))
+    (cx, cy, cz), seen = center, []
+    for px, py, pz in points:
+        ux, uy, uz = px - cx, py - cy, pz - cz
+        hit = False
+        for (tx, ty, tz), low, (ax, ay, az), (bx, by, bz), c2, m, cut in tests:
+            if not ux * tx + uy * ty + uz * tz >= low:
+                continue
+            if cut:
+                rx, ry, rz = px - ax, py - ay, pz - az
+                d = rx * bx + ry * by + rz * bz
+                if not (d > m and (rx * rx + ry * ry + rz * rz) * c2 <= d * d):
+                    continue
+            hit = True
+            break
+        seen.append(hit)
+    return seen
 
 
 def visible_mask(points, apexes, axes, apertures, center, columns=None):
@@ -166,58 +213,62 @@ def visible_mask(points, apexes, axes, apertures, center, columns=None):
     half-space (point - center) . (apex - center) >= 0, both with the slack
     of _SLACK (center-plane points are visible). apexes is a (k, 3) array,
     axes k float 3-sequences, apertures k floats, columns poi_columns(points,
-    center) (computed when None). A cone holding all points runs only the
-    half-space test and one missing them all is dropped; the half-spaces of
-    the rest are one product with the columns per block of _BLOCK POIs. It
-    also gives each cut cone's d and C |rel|^2, from which the filter decides
-    every POI but those near the cone's surface or its apex: only they run
-    in_cone."""
+    center) (computed when None). A cone missing all points is dropped. The
+    rest are one float32 product with the columns per block of _BLOCK POIs,
+    its rows scaled by their error widths: a cone's score is its plane value
+    or, if it cuts the ball, the lesser of that and its cone value d |d| - C
+    |rel|^2, and a POI's score is the greatest over the cones. A POI scoring
+    1 or more is seen, one below -1 is not, and only those in between run
+    the float64 test; a POI set or cone out of float32's range runs it on
+    every POI. So the mask is the float64 test's, bit for bit."""
     cols, radius = poi_columns(points, center) if columns is None else columns
     (cx, cy, cz), n = center.tolist(), len(points)
-    planes, thr, rows, tests = [], [], [], []
-    for j, ((ax, ay, az), axis, phi) in enumerate(
-            zip(apexes.tolist(), axes, apertures)):
+    cones, planes, cuts, tests = [], [], [], []
+    exact = cols is None
+    for (ax, ay, az), axis, phi in zip(apexes.tolist(), axes, apertures):
         tx, ty, tz = ax - cx, ay - cy, az - cz
         dist = math.hypot(tx, ty, tz)
         verdict = _cone_holds_ball((-tx, -ty, -tz), dist, axis, phi, radius)
         if verdict is False:
             continue
+        cones.append(((tx, ty, tz), dist, (ax, ay, az), axis, phi,
+                      verdict is None))
+        if exact or not _SPAN[0] * radius < dist < _SPAN[1] * radius:
+            exact = True
+            continue
+        bias = _SLACK * dist * dist
+        w = _WIDTH * ((abs(tx) + abs(ty) + abs(tz)) * radius + bias)
+        planes.append((tx / w, ty / w, tz / w, bias / w))
         if verdict is None:  # its rows follow the k plane rows
-            cone_rows = _cut_rows((tx, ty, tz), axis, phi, radius + dist)
-            tests.append((len(planes), j, axis, phi, _SLACK * dist,
-                          len(rows) if cone_rows else None))
-            rows += cone_rows
-        planes.append((tx, ty, tz))
-        thr.append(-_SLACK * dist * dist)
-    if not (planes and n):
+            tests.append((len(planes) - 1, len(cuts)))
+            cuts += _cut_rows((tx, ty, tz), axis, phi, radius + dist)
+    if not (cones and n):
         return np.zeros(n, dtype=bool)
-    k, thr = len(planes), np.array(thr)[:, None]
-    if rows:
-        rows = np.array([(*p, 0.0, 0.0) for p in planes] + rows)
-    else:  # no filtered cone: |point - center|^2 is not needed (or finite)
-        rows, cols = np.array(planes), cols[:3]
+    if exact:
+        return np.array(_exact(points.tolist(), (cx, cy, cz), cones),
+                        dtype=bool)
+    k = len(planes)
+    if cuts:
+        rows = np.array([p + (0.0,) for p in planes] + cuts, dtype=np.float32)
+    else:  # the plane rows read only [u; 1]
+        rows, cols = np.array(planes, dtype=np.float32), cols[:4]
     seen = []
     for lo in range(0, n, _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        prod = rows @ cols[:, block]
-        near = prod[:k] >= thr
-        for i, j, axis, phi, m, r in tests:
-            if r is None:  # out of the filter's range: test every POI
-                near[i] &= in_cone(relative_columns(points[block], apexes[j]),
-                                   axis, phi, m)
-                continue
-            d, over, under = prod[k + r:k + r + 3]
-            d *= np.abs(d)  # d |d| > C |rel|^2 + E also certifies d > m
-            sure = d > over
-            maybe = d >= under
-            # sure implies maybe, so equal counts leave nothing undecided
-            if np.count_nonzero(maybe) != np.count_nonzero(sure):
-                idx = np.flatnonzero(maybe & ~sure)
-                sure[idx] = in_cone(relative_columns(points[lo + idx],
-                                                     apexes[j]), axis, phi, m)
-            near[i] &= sure
+        prod = rows @ cols[:, lo:lo + _BLOCK]
+        for i, r in tests:
+            d = prod[k + r]
+            d *= np.abs(d)
+            d -= prod[k + r + 1]
+            np.minimum(prod[i], d, out=prod[i])
         # one cone's row is the union; a reduction would only copy it
-        seen.append(near[0] if len(near) == 1 else near.any(axis=0))
+        score = prod[0] if k == 1 else prod[:k].max(axis=0)
+        sure = score >= 1.0
+        maybe = score >= -1.0
+        # sure implies maybe, so equal counts leave nothing undecided
+        if np.count_nonzero(maybe) != np.count_nonzero(sure):
+            idx = np.flatnonzero(maybe != sure)
+            sure[idx] = _exact(points[lo + idx].tolist(), (cx, cy, cz), cones)
+        seen.append(sure)
     return seen[0] if len(seen) == 1 else np.concatenate(seen)
 
 

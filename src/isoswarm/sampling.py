@@ -62,7 +62,8 @@ class PoiSet:
         object.__setattr__(self, "points", pts)
 
     def columns(self, center) -> tuple[np.ndarray, float]:
-        """poi_columns(points, center), kept for the last center asked for."""
+        """poi_columns(points, center): the float32 columns (None out of
+        their range) and R, kept for the last center asked for."""
         center = np.asarray(center, dtype=float)
         cached = getattr(self, "_columns", (None,))
         if cached[0] != center.tobytes():

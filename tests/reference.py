@@ -11,8 +11,7 @@ from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
                            DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig,
                            kappa_total, wrap_theta)
 from isoswarm.geometry import (_SLACK, ConeFov, DegenerateGeometryError,
-                               as_vec3, relative_columns, unit_axis,
-                               visible_mask)
+                               as_vec3, unit_axis, visible_mask)
 
 
 def axial_distance(poi, fov: ConeFov) -> float:
@@ -41,11 +40,11 @@ def in_near_hemisphere(poi, apex, center) -> bool:
     center = as_vec3(center)
     if np.array_equal(apex, center):
         raise DegenerateGeometryError("apex coincides with center")
-    to_apex = apex - center
-    dist = math.hypot(*to_apex.tolist())
-    # the plane product of visible_mask for one cone and one POI
-    return bool(to_apex[None] @ relative_columns(as_vec3(poi)[None], center)
-                >= -_SLACK * dist * dist)
+    (tx, ty, tz), (ux, uy, uz) = (apex - center).tolist(), (
+        as_vec3(poi) - center).tolist()
+    dist = math.hypot(tx, ty, tz)
+    # the float64 test visible_mask's scores certify, for one POI
+    return ux * tx + uy * ty + uz * tz >= -_SLACK * dist * dist
 
 
 def fov_interval(pose: SpacecraftPose) -> tuple[float, float]:

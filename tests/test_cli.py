@@ -406,6 +406,26 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     assert outputs[0] != outputs[2]
 
 
+def test_global_seed_stays_accepted_by_deterministic_optimize(tmp_path,
+                                                              capsys):
+    # the global --seed is shared by every subcommand, so unlike optimize's
+    # own --seed it is no error without noise (and changes nothing)
+    pois_path = tmp_path / "pois.csv"
+    run(capsys, "-o", str(pois_path), "sample-pois", "--n", "50",
+        "--radius", "50")
+    swarm_path = tmp_path / "swarm.json"
+    write_swarm(swarm_path, [{"position": [250.0, 100.0, 0.0], "theta": 1.0,
+                              "nu": np.pi / 6, "phi": np.pi / 3}])
+    outputs = []
+    for lead in (["--seed", "5"], []):
+        code, stdout, _ = run(capsys, *lead, "optimize", "--pois",
+                              str(pois_path), "--swarm", str(swarm_path),
+                              "--max-iterations", "5")
+        assert code == EXIT_OK
+        outputs.append(stdout)
+    assert outputs[0] == outputs[1]
+
+
 
 @pytest.mark.parametrize("command, flags", [
     ("sample-pois", ["--radius", "-5"]),
@@ -433,6 +453,8 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
     ("optimize", ["--position-stddev", "1", "--seed", "-2"]),
     ("optimize", ["--mc-samples", "7"]),
     ("optimize", ["--position-stddev", "0", "--mc-samples", "7"]),
+    ("optimize", ["--seed", "5"]),
+    ("optimize", ["--position-stddev", "0", "--seed", "5"]),
 ], ids=["radius", "radius-nan", "radii", "extent-overflow", "mc-samples",
         "position-stddev", "max-iterations", "kappa-weight", "distance-nan",
         "distance-inf", "distance-negative", "distance-zero", "time-nan",
@@ -440,7 +462,8 @@ def test_global_seed_reaches_optimize_noise(tmp_path, capsys):
         "radius-with-radii", "negative-radius-with-radii",
         "radii-with-nan-radius", "global-seed-negative",
         "sample-pois-seed-negative", "optimize-seed-negative",
-        "mc-samples-without-noise", "mc-samples-zero-noise"])
+        "mc-samples-without-noise", "mc-samples-zero-noise",
+        "seed-without-noise", "seed-zero-noise"])
 def test_bad_numeric_flag_usage_error(tmp_path, capsys, command, flags):
     """Every input but the one flag is valid (the flag comes last, so it
     wins over a default given here; a global flag leads the command), so

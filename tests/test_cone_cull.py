@@ -194,10 +194,12 @@ def test_centered_cache_follows_center():
     for center in (np.zeros(3), np.array([5.0, 0.0, 0.0]), np.zeros(3)):
         cols, radius = pois.columns(center)
         rel = relative_columns(pois.points, center)
-        np.testing.assert_array_equal(cols[:3].view(np.uint64),
-                                      rel.view(np.uint64))
-        assert not cols.flags.writeable
-        # bit-equal to the sum of squares and to the largest norm
+        # the float32 casts of the float64 offsets
+        assert cols.dtype == np.float32 and not cols.flags.writeable
+        np.testing.assert_array_equal(cols[:3].view(np.uint32),
+                                      rel.astype(np.float32).view(np.uint32))
+        # R is taken from the float64 offsets: bit-equal to the sum of
+        # squares and to the largest norm
         want = float(np.sqrt((rel ** 2).sum(0).max()))
         assert np.float64(radius).view(np.uint64) == np.float64(
             want).view(np.uint64)

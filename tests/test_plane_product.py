@@ -1,8 +1,7 @@
-"""visible_mask's one plane product per evaluation against the per-cone
-elementwise kernel it replaced, which is kept here as the reference: a BLAS
-product rounds the plane value differently, which can flip only a POI within
-a few ulps of |point - center| D of the slack threshold, so on these scenes
-the masks must be identical."""
+"""visible_mask's one float32 product per evaluation against the per-cone
+elementwise kernel it replaced, which is kept here as the reference: the
+product's scores decide only the POIs outside their error widths and the
+elementwise test decides the rest, so the masks must be identical."""
 
 import math
 import tracemalloc
@@ -161,14 +160,15 @@ def surface_scene(rng, center, factor, r0=100.0, turn=0.0):
 
 
 def count_fallback(monkeypatch):
-    """Record the number of columns each in_cone call of visible_mask takes."""
-    columns, kernel = [], geometry.in_cone
+    """Record the number of POIs each call of visible_mask's float64 test
+    takes."""
+    columns, kernel = [], geometry._exact
 
-    def spy(rel, *args):
-        columns.append(rel.shape[-1])
-        return kernel(rel, *args)
+    def spy(points, *args):
+        columns.append(len(points))
+        return kernel(points, *args)
 
-    monkeypatch.setattr(geometry, "in_cone", spy)
+    monkeypatch.setattr(geometry, "_exact", spy)
     return columns
 
 
@@ -189,7 +189,7 @@ def test_filter_matches_elementwise_at_the_cone_surface(monkeypatch, rng,
             np.testing.assert_array_equal(
                 geometry.visible_mask(points, apex[None], [axis.tolist()],
                                       [phi], center, cols), want)
-    # at the origin a surface POI is within the filter's widths; far from
+    # at the origin a surface POI is within the scores' widths; far from
     # it, rounding the coordinates moves POIs off the surface by more
     if not center.any():
         assert sum(columns) > 0
@@ -199,10 +199,10 @@ def test_filter_matches_elementwise_at_the_cone_surface(monkeypatch, rng,
 def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
                                                                   center):
     # R >> D: the apex within 2^-20 R of the center, the cone facing away
-    # from it. The product's d rounds on the scale of L = R + D and the
-    # elementwise d on that of |point - apex|, so where d is near zero their
-    # signs can differ; POIs on the axis just past the apex slack are added
-    flips = 0
+    # from it. Near the apex d |d| and C |rel|^2 are far below the cone's
+    # width of about 2^-18 L^2, so the POIs there, and those on the axis just
+    # past the apex slack that are added, score inside the band
+    band = 0
     for k in (21, 30, 40):
         for _ in range(4):
             points, apex, axis, phi = surface_scene(rng, center, 2.0 ** -k,
@@ -213,9 +213,11 @@ def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
                 0.0, 16.0, (100, 1)) * axis])
             cols, radius = geometry.poi_columns(points, center)
             rows = np.array(geometry._cut_rows(plane, axis.tolist(), phi,
-                                               radius + math.hypot(*plane)))
-            d = dot3(relative_columns(points, apex), axis)
-            flips += np.count_nonzero(np.sign((rows @ cols)[0]) != np.sign(d))
+                                               radius + math.hypot(*plane)),
+                            dtype=np.float32)
+            d, g = rows @ cols
+            score = d * np.abs(d) - g
+            band += np.count_nonzero((score >= -1.0) & (score < 1.0))
             verdicts = {True: 0, False: 0, None: 0}
             want = elementwise_mask(points, apex, axis.tolist(), phi, center,
                                     verdicts)
@@ -223,7 +225,7 @@ def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
             np.testing.assert_array_equal(geometry.visible_mask(
                 points, apex[None], [axis.tolist()], [phi], center,
                 (cols, radius)), want)
-    assert flips > 0
+    assert band > 0
 
 
 def test_scalar_visible_matches_elementwise_at_the_cone_surface(rng):
@@ -240,7 +242,8 @@ def test_scalar_visible_matches_elementwise_at_the_cone_surface(rng):
 
 @pytest.mark.parametrize("scale", [1e145, 1e-145])
 def test_cones_beyond_the_filter_range_test_every_poi(monkeypatch, rng, scale):
-    # L^2 near 2^+-963 puts the filter's width of d^2 out of its range
+    # R near 1e+-145 km lies outside the float32 columns' range: no columns,
+    # and the one cone runs the float64 test on every POI
     columns = count_fallback(monkeypatch)
     center = scale * np.array([0.3, -0.2, 0.5])
     points, apex, axis, phi = surface_scene(rng, center, 0.5, r0=scale)
@@ -306,9 +309,12 @@ def test_augmented_cache_follows_center():
         built.append(cols)
         assert pois.columns(center.copy())[0] is cols
         assert cols.shape == (5, 200) and not cols.flags.writeable
+        assert cols.dtype == np.float32
+        # [u; 1; |u|^2], each the float32 cast of its float64 value
         rel = relative_columns(pois.points, center)
-        np.testing.assert_array_equal(cols[:3].view(np.uint64),
-                                      rel.view(np.uint64))
-        np.testing.assert_array_equal(cols[3].view(np.uint64),
-                                      dot3(rel, rel).view(np.uint64))
-        assert (cols[4] == 1.0).all()
+        np.testing.assert_array_equal(cols[:3].view(np.uint32),
+                                      rel.astype(np.float32).view(np.uint32))
+        assert (cols[3] == 1.0).all()
+        np.testing.assert_array_equal(
+            cols[4].view(np.uint32),
+            dot3(rel, rel).astype(np.float32).view(np.uint32))
