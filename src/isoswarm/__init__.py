@@ -2,9 +2,7 @@
 
 from .bound import (BoundResult, ContractionParams, NoiseProfile,
                     check_rate_matrix, evaluate_bound,
-                    failure_probability_bound,
-                    radius_for_success_probability, success_probability,
-                    zeta_integral)
+                    radius_for_success_probability, zeta_integral)
 from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig, coverage,
                    expected_information_cost, information_cost, kappa_total,
                    pair_overlap)

@@ -233,20 +233,6 @@ def evaluate_bound(D: float, t: float, v0_expected: float,
                        success_raw, params.c_s, zeta, params.m_lower_combined)
 
 
-def failure_probability_bound(D, t, v0_expected, params, noise,
-                              squared_distance=False) -> float:
-    """Clamped upper bound on P[delivery error >= D] at time t."""
-    return evaluate_bound(D, t, v0_expected, params, noise,
-                          squared_distance).failure_prob_upper
-
-
-def success_probability(D, T, v0_expected, params, noise,
-                        squared_distance=False) -> float:
-    """Clamped lower bound on P[terminal error <= D]."""
-    return evaluate_bound(D, T, v0_expected, params, noise,
-                          squared_distance).success_prob_lower
-
-
 def radius_for_success_probability(p_target: float, T: float,
                                    v0_expected: float,
                                    params: ContractionParams,

@@ -113,7 +113,6 @@ class CostBreakdown:
     information_cost: float
     visible_count: int
     n_pois: int
-    kappa_weight: float = 1.0
 
     def to_json_dict(self) -> dict:
         return {
@@ -125,10 +124,11 @@ class CostBreakdown:
         }
 
 
-def _overlap_sum(theta, nu, pairs, delta, total=0.0):
+def _overlap_sum(theta, nu, pairs, total=0.0):
     """total plus, for each index pair (i, j) in order, the length of the
     intersection of the circular arcs [theta[i] +- nu[i]] and [theta[j] +-
-    nu[j]]; equal orientations are perturbed by delta.
+    nu[j]]; equal orientations are perturbed by
+    DEFAULT_IDENTICAL_THETA_DELTA.
 
     The arcs can meet across both separations, sep and 2 pi - sep; for equal
     widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
@@ -138,7 +138,7 @@ def _overlap_sum(theta, nu, pairs, delta, total=0.0):
     for i, j in pairs:
         ti, tj, nu_i, nu_j = theta[i], theta[j], nu[i], nu[j]
         if ti == tj:
-            tj += delta
+            tj += DEFAULT_IDENTICAL_THETA_DELTA
         d = abs(ti - tj) % TWO_PI
         sep = TWO_PI - d
         sep = sep if sep < d else d
@@ -152,27 +152,20 @@ def _overlap_sum(theta, nu, pairs, delta, total=0.0):
     return total
 
 
-def _arc_overlap(ti, tj, nu_i, nu_j, delta):
-    """Length of the intersection of the circular arcs [ti +- nu_i] and
-    [tj +- nu_j]: the one-pair _overlap_sum, started at -0.0, which adds
-    nothing to any float (0.0 would turn a -0.0 overlap into 0.0)."""
-    return _overlap_sum((ti, tj), (nu_i, nu_j), ((0, 1),), delta, -0.0)
-
-
-def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose,
-                 delta: float = DEFAULT_IDENTICAL_THETA_DELTA) -> float:
+def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
     """Circular overlap (radians) between the FOV intervals of two spacecraft;
-    identical orientations are perturbed by delta, not read as a zero."""
-    return float(_arc_overlap(pose_i.theta, pose_j.theta, pose_i.nu,
-                              pose_j.nu, delta))
+    identical orientations are perturbed, not read as a zero. The one-pair
+    sum starts at -0.0, which adds nothing to any float (0.0 would turn a
+    -0.0 overlap into 0.0)."""
+    return float(_overlap_sum((pose_i.theta, pose_j.theta),
+                              (pose_i.nu, pose_j.nu), ((0, 1),), -0.0))
 
 
-def kappa_total(swarm: SwarmConfig,
-                delta: float = DEFAULT_IDENTICAL_THETA_DELTA) -> float:
+def kappa_total(swarm: SwarmConfig) -> float:
     """Sum of pair_overlap over all unordered spacecraft pairs, added one at
     a time in i < j order (a NumPy reduction groups the sum differently)."""
     return _overlap_sum(swarm.state[:, 3].tolist(), swarm.nu.tolist(),
-                        swarm.pairs, delta)
+                        swarm.pairs)
 
 
 class EvalPlan:
@@ -181,7 +174,7 @@ class EvalPlan:
     orientation mode and the cost options."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
-                 delta=DEFAULT_IDENTICAL_THETA_DELTA, orientation_mode="aimed"):
+                 orientation_mode="aimed"):
         if len(pois) == 0:
             raise ValueError("POI set is empty")
         self.tilted = _tilted(orientation_mode)
@@ -190,7 +183,7 @@ class EvalPlan:
         self.points, self.columns = pois.points, pois.columns(self.center)
         self.nu, self.phi = swarm.nu.tolist(), swarm.phi.tolist()
         self.pairs = swarm.pairs
-        self.kappa_weight, self.delta, self.n = kappa_weight, delta, len(pois)
+        self.kappa_weight, self.n = kappa_weight, len(pois)
 
 
 def _seen(plan: EvalPlan, state: np.ndarray, rows) -> np.ndarray:
@@ -206,8 +199,7 @@ def _cost(plan: EvalPlan, state: np.ndarray, rows) -> float:
     for px, py, pz, _ in rows:
         if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
             raise ValueError("vector components must be finite")
-    kappa = _overlap_sum([row[3] for row in rows], plan.nu, plan.pairs,
-                         plan.delta)
+    kappa = _overlap_sum([row[3] for row in rows], plan.nu, plan.pairs)
     count = int(np.count_nonzero(_seen(plan, state, rows)))
     return plan.kappa_weight * kappa - 100.0 * count / plan.n
 
@@ -238,14 +230,13 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
 
 def information_cost(swarm: SwarmConfig, pois: PoiSet,
                      kappa_weight: float = 1.0,
-                     delta: float = DEFAULT_IDENTICAL_THETA_DELTA,
                      orientation_mode: str = "aimed") -> CostBreakdown:
     """Evaluate I = w * kappa_total - coverage for one configuration, with
     coverage as the percentage of POIs seen (0-100)."""
-    kappa = kappa_total(swarm, delta)
+    kappa = kappa_total(swarm)
     count, pct, _ = coverage(swarm, pois, orientation_mode)
     return CostBreakdown(kappa, pct, kappa_weight * kappa - pct, count,
-                         len(pois), kappa_weight)
+                         len(pois))
 
 
 def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,

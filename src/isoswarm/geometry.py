@@ -128,15 +128,6 @@ def cone_axis(apex, ellipsoid_center) -> np.ndarray:
                               as_vec3(ellipsoid_center).tolist()))
 
 
-def in_cone(rel, axis, aperture_phi, min_axial=0.0):
-    """Forward-cone test of offsets rel = point - apex (a 3-vector or
-    relative_columns), boundary in: d = rel . axis > min_axial and
-    |rel|^2 cos^2(phi / 2) <= d^2."""
-    d = _dot3(rel, axis)
-    c = np.cos(aperture_phi / 2.0)
-    return (d > min_axial) & (_dot3(rel, rel) * (c * c) <= d * d)
-
-
 def _cone_holds_ball(to_center, dist, axis, aperture_phi, radius):
     """True if the cone holds every point within radius of the center, False
     if none, None if it cuts that ball or its apex lies in it. The ball spans
@@ -180,13 +171,13 @@ def _exact(points, center, cones):
     """The float64 test of the cones (apex - center, D, apex, axis, phi,
     cut) on points (float 3-sequences), one bool each: the near half-space
     (point - center) . (apex - center) >= -s D^2 and, for a cone that cuts
-    the ball, in_cone's test with the apex slack s D. These are the IEEE
+    the ball, in_fov's test with the apex slack s D. These are the IEEE
     operations of tests/conftest.py's unculled_mask, in its order, so they
     give its bits; on Python floats a POI or two (the usual band) costs a
     few us, where NumPy's calls on such short arrays cost tens."""
     tests = []
     for plane, dist, apex, axis, phi, cut in cones:
-        c = np.cos(phi / 2.0)  # in_cone's cosine, not math.cos
+        c = np.cos(phi / 2.0)  # unculled_mask's cosine, not math.cos
         tests.append((plane, -_SLACK * dist * dist, apex,
                       [float(a) for a in axis], float(c * c), _SLACK * dist,
                       cut))
@@ -301,9 +292,14 @@ class ConeFov:
 
 
 def in_fov(poi, fov: ConeFov) -> bool:
-    """Whether the POI lies inside the (forward) cone; boundary counts as in
-    (with no center there is no D, so no apex slack)."""
-    return bool(in_cone(as_vec3(poi) - fov.apex, fov.axis, fov.aperture_phi))
+    """Whether the POI lies inside the (forward) cone, boundary in: d = rel
+    . axis > 0 and |rel|^2 cos^2(phi / 2) <= d^2 for rel = poi - apex (with
+    no center there is no D, so no apex slack)."""
+    rx, ry, rz = (as_vec3(poi) - fov.apex).tolist()
+    ax, ay, az = fov.axis.tolist()
+    d = rx * ax + ry * ay + rz * az
+    c = float(np.cos(fov.aperture_phi / 2.0))
+    return d > 0.0 and (rx * rx + ry * ry + rz * rz) * (c * c) <= d * d
 
 
 def visible(poi, fov: ConeFov, center) -> bool:

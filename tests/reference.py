@@ -7,9 +7,9 @@ import math
 
 import numpy as np
 
-from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
-                           DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig,
-                           kappa_total, wrap_theta)
+from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
+                           SpacecraftPose, SwarmConfig, kappa_total,
+                           wrap_theta)
 from isoswarm.geometry import (_SLACK, ConeFov, DegenerateGeometryError,
                                as_vec3, unit_axis, visible_mask)
 
@@ -63,11 +63,10 @@ def row_axis(row, center, orientation_mode: str):
 
 
 def reference_cost(swarm, pois, kappa_weight=1.0,
-                   delta=DEFAULT_IDENTICAL_THETA_DELTA,
                    orientation_mode="aimed") -> float:
     """information_cost's value from the swarm object: kappa_total, then the
     coverage from the center, an axis per state row and one kernel call."""
-    kappa = kappa_total(swarm, delta)
+    kappa = kappa_total(swarm)
     if len(pois) == 0:
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center

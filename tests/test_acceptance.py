@@ -11,9 +11,7 @@ import numpy as np
 import pytest
 
 from isoswarm.bound import (ContractionParams, NoiseProfile, evaluate_bound,
-                            failure_probability_bound,
-                            radius_for_success_probability,
-                            success_probability, zeta_integral)
+                            radius_for_success_probability, zeta_integral)
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
                            information_cost, pair_overlap)
 from isoswarm.experiments import (SwarmSizeConfig, ViewProbabilityConfig,
@@ -165,8 +163,8 @@ def test_criterion_05_bound_sanity():
         gamma_c=0.2, lam=1.0, alpha_s=0.5,
     )
     quiet = NoiseProfile.constant(0.0, 10.0)
-    zero_ok = (failure_probability_bound(5.0, 3.0, 0.0, clean, quiet) == 0.0
-               and success_probability(5.0, 3.0, 0.0, clean, quiet) == 1.0)
+    zero = evaluate_bound(5.0, 3.0, 0.0, clean, quiet)
+    zero_ok = zero.failure_prob_upper == 0.0 and zero.success_prob_lower == 1.0
 
     rng = np.random.default_rng(105)
     worst_complement = 0.0
@@ -182,7 +180,7 @@ def test_criterion_05_bound_sanity():
             abs(res.success_prob_raw + res.failure_prob_raw - 1.0))
     p = draw_feasible_params(rng)
     noise = NoiseProfile.constant(0.05, 10.0)
-    vals = [failure_probability_bound(D, 3.0, 1.0, p, noise)
+    vals = [evaluate_bound(D, 3.0, 1.0, p, noise).failure_prob_upper
             for D in np.linspace(0.2, 40.0, 50)]
     monotone = all(a >= b for a, b in zip(vals, vals[1:]))
     verdict(5, zero_ok and worst_complement < 1e-12 and monotone,

@@ -6,10 +6,8 @@ import pytest
 from isoswarm.bound import (ContractionParams, ExtrapolationError,
                             InfeasibleParamsError, NoiseProfile,
                             check_rate_matrix, evaluate_bound,
-                            failure_probability_bound, load_bound_config,
-                            radius_for_success_probability,
-                            shifted_rate_matrix, success_probability,
-                            zeta_integral)
+                            load_bound_config, radius_for_success_probability,
+                            shifted_rate_matrix, zeta_integral)
 from tests.conftest import draw_feasible_params
 from tests.reference import ellipsoid_radii_from_weights, zeta_at
 
@@ -220,7 +218,7 @@ def test_complement_identity(rng):
 def test_failure_bound_monotone_in_distance(rng):
     p = draw_feasible_params(rng)
     noise = NoiseProfile.constant(0.05, 10.0)
-    vals = [failure_probability_bound(D, 2.0, 1.0, p, noise)
+    vals = [evaluate_bound(D, 2.0, 1.0, p, noise).failure_prob_upper
             for D in (0.5, 1.0, 2.0, 4.0, 8.0)]
     assert all(a >= b for a, b in zip(vals, vals[1:]))
 

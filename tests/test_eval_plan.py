@@ -43,8 +43,7 @@ def scene(rng, n_craft, mode):
         p + ellipsoid.center, t, rng.uniform(0.05, 1.5), rng.uniform(0.2, 2.5))
         for p, t in zip(d, rng.uniform(0.0, TWO_PI, n_craft))], ellipsoid)
     options = dict(orientation_mode=mode,
-                   kappa_weight=float(rng.choice([1.0, 0.5, 180.0 / np.pi])),
-                   delta=float(rng.choice([1e-6, 1e-3])))
+                   kappa_weight=float(rng.choice([1.0, 0.5, 180.0 / np.pi])))
     return pois, template, options
 
 

@@ -4,9 +4,9 @@ formulas it replaced, which are kept here as the reference."""
 import numpy as np
 import pytest
 
-from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
-                           SpacecraftPose, SwarmConfig, _arc_overlap,
-                           kappa_total, pair_overlap)
+from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
+                           DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig,
+                           _overlap_sum, kappa_total, pair_overlap)
 from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
@@ -39,9 +39,10 @@ def array_cone_axes(apexes, center, tilts=None):
             + _cross(u, toward) * np.sin(tilts)[:, None])
 
 
-def array_arc_overlap(ti, tj, nu_i, nu_j, delta):
-    """The elementwise array _arc_overlap."""
-    tj = np.where(ti == tj, tj + delta, tj)
+def array_arc_overlap(ti, tj, nu_i, nu_j):
+    """The elementwise array pair overlap, equal thetas perturbed by
+    DEFAULT_IDENTICAL_THETA_DELTA."""
+    tj = np.where(ti == tj, tj + DEFAULT_IDENTICAL_THETA_DELTA, tj)
     d = np.abs(ti - tj) % TWO_PI
     sep = np.minimum(d, TWO_PI - d)
     narrow = np.minimum(2.0 * nu_i, 2.0 * nu_j)
@@ -131,7 +132,7 @@ def test_pair_overlap_matches_array_formula_bit_for_bit():
     want = array_arc_overlap(np.array([p.theta for p in a]),
                              np.array([p.theta for p in b]),
                              np.array([p.nu for p in a]),
-                             np.array([p.nu for p in b]), 1e-6)
+                             np.array([p.nu for p in b]))
     got = [pair_overlap(p, q) for p, q in zip(a, b)]
     np.testing.assert_array_equal(bits(got), bits(want))
     assert sum(p.theta == q.theta and p.nu == q.nu
@@ -144,20 +145,19 @@ def test_kappa_total_matches_array_formula_bit_for_bit():
     for _ in range(400):
         n = int(rng.integers(1, 9))
         swarm = SwarmConfig(random_poses(rng, n), ellipsoid)
-        delta = float(rng.choice([0.0, 1e-6, rng.uniform(0, 1e-2)]))
         i, j = np.triu_indices(n, 1)
         theta = swarm.state[:, 3]
         want = 0.0
         for v in array_arc_overlap(theta[i], theta[j], swarm.nu[i],
-                                   swarm.nu[j], delta).tolist():
+                                   swarm.nu[j]).tolist():
             want += v
-        assert bits(kappa_total(swarm, delta)) == bits(want)
+        assert bits(kappa_total(swarm)) == bits(want)
 
 
 def test_overlap_keeps_nan():
     ok = SpacecraftPose(np.ones(3), 1.0, 0.5, 1.0)
     bad = SpacecraftPose(np.ones(3), np.nan, 0.5, 1.0)
-    assert np.isnan(array_arc_overlap(bad.theta, ok.theta, 0.5, 0.5, 1e-6))
+    assert np.isnan(array_arc_overlap(bad.theta, ok.theta, 0.5, 0.5))
     assert np.isnan(pair_overlap(bad, ok)) and np.isnan(pair_overlap(ok, bad))
 
 
@@ -178,20 +178,20 @@ def edge_rows():
     return [g.ravel() for g in grid]
 
 
-@pytest.mark.parametrize("delta", [0.0, 1e-6, 0.3])
-def test_overlap_edge_cases_match_array_formula_bit_for_bit(delta):
+def test_overlap_edge_cases_match_array_formula_bit_for_bit():
     ti, tj, nu_i, nu_j = edge_rows()
-    want = array_arc_overlap(ti, tj, nu_i, nu_j, delta)
-    got = [_arc_overlap(*row, delta)
-           for row in zip(ti.tolist(), tj.tolist(), nu_i.tolist(),
-                          nu_j.tolist())]
+    want = array_arc_overlap(ti, tj, nu_i, nu_j)
+    # the one-pair sum, started at -0.0 as pair_overlap starts it
+    got = [_overlap_sum((a, b), (u, v), ((0, 1),), -0.0)
+           for a, b, u, v in zip(ti.tolist(), tj.tolist(), nu_i.tolist(),
+                                 nu_j.tolist())]
     np.testing.assert_array_equal(bits(got), bits(want))
     # pair_overlap on the rows poses admit (widths in (0, pi))
     valid = np.flatnonzero((0 < nu_i) & (nu_i < np.pi)
                            & (0 < nu_j) & (nu_j < np.pi))
     got = [pair_overlap(SpacecraftPose(np.ones(3), ti[k], nu_i[k], 1.0),
-                        SpacecraftPose(np.ones(3), tj[k], nu_j[k], 1.0),
-                        delta) for k in valid.tolist()]
+                        SpacecraftPose(np.ones(3), tj[k], nu_j[k], 1.0))
+           for k in valid.tolist()]
     np.testing.assert_array_equal(bits(got), bits(want[valid]))
     # every edge occurs
     d = np.abs(ti - tj) % TWO_PI
@@ -216,12 +216,11 @@ def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():
         swarm = SwarmConfig([SpacecraftPose(np.ones(3), x, 1.0, 1.0)
                              for x in t], ellipsoid)
         swarm.nu = v
-        delta = float(rng.choice([0.0, 1e-6, 0.3]))
         i, j = np.triu_indices(n, 1)
         want = 0.0
-        for w in array_arc_overlap(t[i], t[j], v[i], v[j], delta).tolist():
+        for w in array_arc_overlap(t[i], t[j], v[i], v[j]).tolist():
             want += w
-        assert bits(kappa_total(swarm, delta)) == bits(want)
+        assert bits(kappa_total(swarm)) == bits(want)
 
 
 @pytest.mark.parametrize("n_craft", [1, 3])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from isoswarm.cost import (DEGENERACY_PENALTY, SpacecraftPose, SwarmConfig,
-                           _arc_overlap, information_cost)
+                           _overlap_sum, information_cost)
 from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
                                  NelderMeadOptions, ObjectiveDomainError,
@@ -109,7 +109,7 @@ def seam_objective(mode):
         row = x.tolist()
         miss = sum((a - b) ** 2 for a, b in zip(row[:3], SEAM_TARGET)) / 1e4
         if mode == "aimed":
-            overlap = _arc_overlap(row[3], SEAM_THETA, nu, nu, 0.0)
+            overlap = _overlap_sum((row[3], SEAM_THETA), (nu, nu), ((0, 1),))
             return miss + (2.0 * nu - overlap) ** 2
         axis = row_axis(row, center, mode)
         return miss + 1.0 - sum(a * b for a, b in zip(axis, ref))
