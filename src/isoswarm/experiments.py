@@ -68,7 +68,8 @@ def _check_fields(config) -> None:
 
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
+    x, y, z = v.tolist()  # np.linalg.norm's last bit depends on the BLAS
+    return v / math.sqrt(x * x + y * y + z * z)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from isoswarm import geometry
 from isoswarm.cost import SpacecraftPose, SwarmConfig, information_cost
 from isoswarm.experiments import (ConfigError, ExperimentReport,
                                   SwarmSizeConfig, ViewProbabilityConfig,
-                                  aggregate, config_from_dict,
+                                  _random_unit, aggregate, config_from_dict,
                                   load_experiment_config, run_experiment,
                                   run_swarm_size_sweep, run_view_probability)
 from isoswarm.neldermead import NelderMeadOptions
@@ -342,3 +342,14 @@ def test_run_experiment_threads_warns_and_runs_serially():
     with pytest.warns(DeprecationWarning, match="serially"):
         report = run_experiment(config, threads=2)
     assert report.trials == serial.trials
+
+
+def test_random_unit_is_the_plain_root_bit_for_bit():
+    """Start directions divide by sqrt(x*x + y*y + z*z), whose bits do not
+    depend on the BLAS kernel behind np.linalg.norm."""
+    rng = np.random.default_rng(11)
+    got = np.array([_random_unit(rng) for _ in range(10_000)])
+    v = np.random.default_rng(11).standard_normal((10_000, 3))
+    x, y, z = v.T
+    want = v / np.sqrt(x * x + y * y + z * z)[:, None]
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
