@@ -259,7 +259,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (OSError, ValueError) as err:
+    except (OSError, ValueError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -328,6 +328,28 @@ def test_experiment_distance_range_beyond_int64(tmp_path, capsys, high):
     assert "initial_distance_range" in stderr
 
 
+# 10^16 POIs (213 PiB) exceed the x86-64 user address space, so their
+# allocation fails at once whatever the overcommit setting
+HUGE_N = 10 ** 16
+
+
+@pytest.mark.parametrize("command", ["sample-pois", "experiment"])
+def test_failed_allocation_exits_compute(tmp_path, capsys, command):
+    argv = ["-o", str(tmp_path / "out"), command]
+    if command == "sample-pois":
+        argv += ["--n", str(HUGE_N)]
+    else:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text(json.dumps({
+            "schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
+            "n_pois": HUGE_N, "spacecraft_range": [1, 1], "trials": 1}))
+        argv += ["--config", str(cfg)]
+    code, stdout, stderr = run(capsys, *argv)
+    assert code == EXIT_COMPUTE
+    assert stdout == ""
+    assert "allocate" in stderr
+
+
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) == EXIT_USAGE
 
