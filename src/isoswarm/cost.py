@@ -127,8 +127,7 @@ class CostBreakdown:
 def _overlap_sum(theta, nu, pairs, total=0.0):
     """total plus, for each index pair (i, j) in order, the length of the
     intersection of the circular arcs [theta[i] +- nu[i]] and [theta[j] +-
-    nu[j]]; equal orientations are perturbed by
-    DEFAULT_IDENTICAL_THETA_DELTA.
+    nu[j]]; equal thetas get DEFAULT_IDENTICAL_THETA_DELTA added to one.
 
     The arcs can meet across both separations, sep and 2 pi - sep; for equal
     widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
