@@ -124,28 +124,38 @@ class CostBreakdown:
         }
 
 
-def _overlap_sum(theta, nu, pairs, total=0.0):
-    """total plus, for each index pair (i, j) in order, the length of the
-    intersection of the circular arcs [theta[i] +- nu[i]] and [theta[j] +-
-    nu[j]]; equal thetas get DEFAULT_IDENTICAL_THETA_DELTA added to one.
+def _pair_terms(nu, pairs):
+    """(i, j, nu[i] + nu[j], narrow) for each index pair (i, j), the widths
+    _overlap_sum reads: narrow is min(2 nu[i], 2 nu[j]), written `wide if
+    wide < narrow else narrow` (see _overlap_sum)."""
+    terms = []
+    for i, j in pairs:
+        narrow, wide = 2.0 * nu[i], 2.0 * nu[j]
+        terms.append((i, j, nu[i] + nu[j], wide if wide < narrow else narrow))
+    return tuple(terms)
+
+
+def _overlap_sum(theta, terms, total=0.0):
+    """total plus, for each _pair_terms term (i, j, reach, narrow) in order,
+    the length of the intersection of the circular arcs [theta[i] +- nu[i]]
+    and [theta[j] +- nu[j]]; equal thetas get DEFAULT_IDENTICAL_THETA_DELTA
+    added to one.
 
     The arcs can meet across both separations, sep and 2 pi - sep; for equal
     widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
     `b if b < a else a` is min(a, b) to the bit: it keeps a when either is
     NaN (a carries a NaN orientation) or both are zeros, and `0.0 if a < 0.0
     else a` is max(a, 0.0) alike."""
-    for i, j in pairs:
-        ti, tj, nu_i, nu_j = theta[i], theta[j], nu[i], nu[j]
+    for i, j, reach, narrow in terms:
+        ti, tj = theta[i], theta[j]
         if ti == tj:
             tj += DEFAULT_IDENTICAL_THETA_DELTA
         d = abs(ti - tj) % TWO_PI
         sep = TWO_PI - d
         sep = sep if sep < d else d
-        narrow, wide = 2.0 * nu_i, 2.0 * nu_j
-        narrow = wide if wide < narrow else narrow
-        near = nu_i + nu_j - sep
+        near = reach - sep
         near = narrow if narrow < near else near
-        far = nu_i + nu_j - (TWO_PI - sep)
+        far = reach - (TWO_PI - sep)
         far = narrow if narrow < far else far
         total += (0.0 if near < 0.0 else near) + (0.0 if far < 0.0 else far)
     return total
@@ -156,20 +166,20 @@ def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
     identical orientations are perturbed, not read as a zero. The one-pair
     sum starts at -0.0, which adds nothing to any float (0.0 would turn a
     -0.0 overlap into 0.0)."""
-    return float(_overlap_sum((pose_i.theta, pose_j.theta),
-                              (pose_i.nu, pose_j.nu), ((0, 1),), -0.0))
+    terms = _pair_terms((pose_i.nu, pose_j.nu), ((0, 1),))
+    return float(_overlap_sum((pose_i.theta, pose_j.theta), terms, -0.0))
 
 
 def kappa_total(swarm: SwarmConfig) -> float:
     """Sum of pair_overlap over all unordered spacecraft pairs, added one at
     a time in i < j order (a NumPy reduction groups the sum differently)."""
-    return _overlap_sum(swarm.state[:, 3].tolist(), swarm.nu.tolist(),
-                        swarm.pairs)
+    return _overlap_sum(swarm.state[:, 3].tolist(),
+                        _pair_terms(swarm.nu.tolist(), swarm.pairs))
 
 
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
-    template's center, nu, phi and pairs, the POI columns, the checked
+    template's center, phi and pair terms, the POI columns, the checked
     orientation mode and the cost options."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
@@ -180,41 +190,52 @@ class EvalPlan:
         self.center = swarm.ellipsoid.center
         self.c = self.center.tolist()
         self.points, self.columns = pois.points, pois.columns(self.center)
-        self.nu, self.phi = swarm.nu.tolist(), swarm.phi.tolist()
-        self.pairs = swarm.pairs
+        self.phi = swarm.phi.tolist()
+        self.terms = _pair_terms(swarm.nu.tolist(), swarm.pairs)
         self.kappa_weight, self.n = kappa_weight, len(pois)
 
 
-def _seen(plan: EvalPlan, state: np.ndarray, rows) -> np.ndarray:
-    """The mask of POIs that a spacecraft of the state sees."""
-    c, tilted = plan.c, plan.tilted
-    axes = [unit_axis(row[:3], c, row[3] if tilted else None) for row in rows]
-    return visible_mask(plan.points, state[:, :3], axes, plan.phi,
+def _seen(plan: EvalPlan, rows) -> np.ndarray:
+    """The mask of POIs that a spacecraft of the (x, y, z, theta) rows sees.
+    A tilted axis makes the tilt's circular distance from zero with the
+    center direction (see unit_axis), an aimed one none."""
+    c = plan.c
+    apexes = [row[:3] for row in rows]
+    if plan.tilted:
+        axes = [unit_axis(apex, c, row[3]) for apex, row in zip(apexes, rows)]
+        angles = [min(row[3], TWO_PI - row[3]) for row in rows]
+    else:
+        axes = [unit_axis(apex, c) for apex in apexes]
+        angles = [0.0] * len(rows)
+    return visible_mask(plan.points, apexes, axes, angles, plan.phi,
                         plan.center, plan.columns)
 
 
-def _cost(plan: EvalPlan, state: np.ndarray, rows) -> float:
-    """w * kappa_total - coverage of a packed (N, 4) state and its rows."""
-    for px, py, pz, _ in rows:
-        if not (math.isfinite(px) and math.isfinite(py) and math.isfinite(pz)):
-            raise ValueError("vector components must be finite")
-    kappa = _overlap_sum([row[3] for row in rows], plan.nu, plan.pairs)
-    count = int(np.count_nonzero(_seen(plan, state, rows)))
+def _cost(plan: EvalPlan, rows) -> float:
+    """w * kappa_total - coverage of the (x, y, z, theta) rows of floats."""
+    kappa = _overlap_sum([row[3] for row in rows], plan.terms)
+    count = int(np.count_nonzero(_seen(plan, rows)))
     return plan.kappa_weight * kappa - 100.0 * count / plan.n
 
 
-def evaluate(plan: EvalPlan, x: np.ndarray, cost=_cost) -> float:
-    """The cost of the plan's swarm at the packed vector x, whose thetas are
-    already wrapped: DEGENERACY_PENALTY when a spacecraft stands within
-    DEGENERACY_RADIUS_KM of the center, else cost(plan, state, rows)."""
-    state = x.reshape(-1, 4)
-    rows = state.tolist()
+def evaluate(plan: EvalPlan, x: list, cost=_cost) -> float:
+    """The cost of the plan's swarm at the packed float list x, whose thetas
+    are already wrapped: DEGENERACY_PENALTY when a spacecraft stands within
+    DEGENERACY_RADIUS_KM of the center, else a ValueError when a position is
+    not finite, else cost(plan, rows) of x's (x, y, z, theta) rows."""
+    rows = [x[k:k + 4] for k in range(0, len(x), 4)]
     cx, cy, cz = plan.c
+    finite = True
     for px, py, pz, _ in rows:
         dx, dy, dz = px - cx, py - cy, pz - cz
-        if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if dist < DEGENERACY_RADIUS_KM:
             return DEGENERACY_PENALTY
-    return cost(plan, state, rows)
+        if not dist < math.inf:  # a non-finite coordinate, or a far one
+            finite = finite and all(map(math.isfinite, (px, py, pz)))
+    if not finite:
+        raise ValueError("vector components must be finite")
+    return cost(plan, rows)
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,
@@ -222,7 +243,7 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
     """POIs visible to at least one spacecraft: count, percentage, and the
     boolean mask over the POIs."""
     plan = EvalPlan(swarm, pois, orientation_mode=orientation_mode)
-    seen = _seen(plan, swarm.state, swarm.state.tolist())
+    seen = _seen(plan, swarm.state.tolist())
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 
@@ -251,6 +272,8 @@ def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
         raise ValueError("n_samples must be at least 1")
     if position_stddev < 0.0:
         raise ValueError("position_stddev must be non-negative")
+    if not position_stddev < math.inf:
+        raise ValueError("position_stddev must be finite")
     if position_stddev == 0.0:
         # every sample is the unperturbed swarm; skip the averaging so the
         # result is bitwise equal to the deterministic cost
@@ -261,5 +284,5 @@ def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
     for _ in range(n_samples):
         state = swarm.state.copy()
         state[:, :3] += rng.normal(0.0, position_stddev, (len(swarm), 3))
-        total += _cost(plan, state, state.tolist())
+        total += _cost(plan, state.tolist())
     return total / n_samples

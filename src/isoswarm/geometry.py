@@ -128,18 +128,26 @@ def cone_axis(apex, ellipsoid_center) -> np.ndarray:
                               as_vec3(ellipsoid_center).tolist()))
 
 
-def _cone_holds_ball(to_center, dist, axis, aperture_phi, radius):
-    """True if the cone holds every point within radius of the center, False
-    if none, None if it cuts that ball or its apex lies in it. The ball spans
-    alpha +- asin(radius / dist) from the axis, dist = |to_center|; the
-    margins (README) make every verdict the answer the full test gives."""
+def _center_angle(to_center, axis) -> float:
+    """The angle between the axis and to_center (float 3-sequences), from
+    their cross and dot products."""
     (vx, vy, vz), (ax, ay, az) = to_center, axis
+    return math.atan2(
+        math.hypot(ay * vz - az * vy, az * vx - ax * vz, ax * vy - ay * vx),
+        ax * vx + ay * vy + az * vz)
+
+
+def _cone_holds_ball(dist, alpha, axis, aperture_phi, radius):
+    """True if the cone holds every point within radius of the center, False
+    if none, None if it cuts that ball or its apex lies in it. dist is the
+    apex's distance from the center and alpha the axis's angle from the
+    center direction, so the ball spans alpha +- asin(radius / dist) from
+    the axis; the margins (README) make every verdict the answer the full
+    test gives."""
+    ax, ay, az = axis
     n2 = ax * ax + ay * ay + az * az
     if not (dist > radius and n2 > 0.0):
         return None
-    alpha = math.atan2(
-        math.hypot(ay * vz - az * vy, az * vx - ax * vz, ax * vy - ay * vx),
-        ax * vx + ay * vy + az * vz)
     spread = math.asin(radius / dist) + 1e-9 + 1e-12 * radius / (dist - radius)
     c2 = math.cos(aperture_phi / 2.0) ** 2 / n2
     hi, lo = alpha + spread, alpha - spread
@@ -199,14 +207,18 @@ def _exact(points, center, cones):
     return seen
 
 
-def visible_mask(points, apexes, axes, apertures, center, columns=None):
+def visible_mask(points, apexes, axes, angles, apertures, center,
+                 columns=None):
     """POIs seen by at least one of k cones: the cone test and the near
     half-space (point - center) . (apex - center) >= 0, both with the slack
-    of _SLACK (center-plane points are visible). apexes is a (k, 3) array,
-    axes k float 3-sequences, apertures k floats, columns poi_columns(points,
-    center) (computed when None). A cone missing all points is dropped. The
-    rest are one float32 product with the columns per block of _BLOCK POIs,
-    its rows scaled by their error widths: a cone's score is its plane value
+    of _SLACK (center-plane points are visible). apexes and axes are k float
+    3-sequences, angles the k angles between each axis and its apex's
+    direction to the center (0 for an aimed cone), apertures k floats,
+    columns poi_columns(points, center) (computed when None). Each angle
+    must be known to far better than the cull's 1e-9 rad margin. A cone
+    missing all points is dropped. The rest are one float32 product with
+    the columns per block of _BLOCK POIs, its rows scaled by their error
+    widths: a cone's score is its plane value
     or, if it cuts the ball, the lesser of that and its cone value d |d| - C
     |rel|^2, and a POI's score is the greatest over the cones. A POI scoring
     1 or more is seen, one below -1 is not, and only those in between run
@@ -216,10 +228,11 @@ def visible_mask(points, apexes, axes, apertures, center, columns=None):
     (cx, cy, cz), n = center.tolist(), len(points)
     cones, planes, cuts, tests = [], [], [], []
     exact = cols is None
-    for (ax, ay, az), axis, phi in zip(apexes.tolist(), axes, apertures):
+    for (ax, ay, az), axis, angle, phi in zip(apexes, axes, angles,
+                                             apertures):
         tx, ty, tz = ax - cx, ay - cy, az - cz
         dist = math.hypot(tx, ty, tz)
-        verdict = _cone_holds_ball((-tx, -ty, -tz), dist, axis, phi, radius)
+        verdict = _cone_holds_ball(dist, angle, axis, phi, radius)
         if verdict is False:
             continue
         cones.append(((tx, ty, tz), dist, (ax, ay, az), axis, phi,
@@ -308,5 +321,7 @@ def visible(poi, fov: ConeFov, center) -> bool:
     center = as_vec3(center)
     if np.array_equal(fov.apex, center):
         raise DegenerateGeometryError("apex coincides with center")
-    return bool(visible_mask(as_vec3(poi)[None], fov.apex[None], [fov.axis],
+    apex, axis = fov.apex.tolist(), fov.axis.tolist()
+    angle = _center_angle((center - fov.apex).tolist(), axis)
+    return bool(visible_mask(as_vec3(poi)[None], [apex], [axis], [angle],
                              [fov.aperture_phi], center)[0])

@@ -57,7 +57,7 @@ class NelderMeadOptions:
 @dataclass(frozen=True)
 class OptimizationProblem:
     dimension: int
-    objective: Callable[[np.ndarray], float]
+    objective: Callable[[list[float]], float]  # takes a fresh float list
     theta_indices: frozenset[int] = frozenset()
 
 
@@ -68,15 +68,42 @@ class OptResult:
     iterations: int
     converged: bool
     evaluation_count: int
+    termination: str  # "f_tol", "x_tol" or "budget"
+    shrinks: int
+    final_diameter: float  # largest distance of a vertex from the best
 
 
-def _wrap(x: np.ndarray, theta_idx) -> np.ndarray:
-    """x with its thetas wrapped, on Python floats (float % gives the bits
-    of np.remainder)."""
-    x = x.tolist()
+# The least coordinate gap whose square is a normal float: from there up the
+# rounded sqrt(gap * gap) is gap again. Below it the square loses bits or
+# vanishes (1e-200 squares to 0), and so can the diameter.
+_NORMAL_GAP = 2.0 ** -511
+
+
+def _wrap(x: list, theta_idx) -> list:
+    """A copy of the float list x with its thetas wrapped (float % gives the
+    bits of np.remainder)."""
+    x = x[:]
     for i in theta_idx:
         x[i] = wrap_theta(x[i])
-    return np.array(x)
+    return x
+
+
+def _far(worst: list, best: list, gap: float) -> bool:
+    """Whether a coordinate of worst lies at least gap from best's. For gap
+    at least _NORMAL_GAP the diameter is then at least gap: that
+    coordinate's rounded square, and every rounded sum of nonnegative terms
+    holding it, is at least the rounded gap * gap, whose rounded root is
+    gap."""
+    return any(abs(w - b) >= gap for w, b in zip(worst, best))
+
+
+def _diameter(others: np.ndarray, best: np.ndarray) -> float:
+    """The largest distance of the rows others from the row best, with
+    np.linalg.norm's arithmetic: the root of add.reduce of squares, the
+    largest taken first (a correctly rounded root is monotone)."""
+    dev = others - best
+    dev *= dev
+    return math.sqrt(np.maximum.reduce(np.add.reduce(dev, axis=1)))
 
 
 def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
@@ -88,88 +115,105 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     iteration budget runs out. Deterministic given (x0, opts). trace_sink,
     when given, gets (iteration, best value, diameter) once per iteration.
     The best point comes back with its thetas wrapped.
+
+    Vertices are float lists (the objective gets a wrapped copy); an array
+    of the same rows serves the centroid's and the diameter's reductions,
+    and without a trace the diameter is computed only when _far cannot
+    settle the x_tolerance test.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dimension,):
         raise ValueError(f"x0 must have length {problem.dimension}")
+    x0 = x0.tolist()
     theta_idx = sorted(problem.theta_indices)
     max_iter = opts.max_iterations
     if max_iter is None:
         max_iter = 200 * problem.dimension
+    gap = max(opts.x_tolerance, _NORMAL_GAP)
 
     evals = 0
 
-    def f(point: np.ndarray) -> tuple[np.ndarray, float]:
+    def f(point: list) -> float:
         nonlocal evals
         x = _wrap(point, theta_idx)
         v = float(problem.objective(x))
         evals += 1
         if not math.isfinite(v):
-            raise ObjectiveDomainError(f"objective non-finite at {x.tolist()}")
-        return point, v
+            raise ObjectiveDomainError(f"objective non-finite at {x}")
+        return v
 
     n = problem.dimension
-    simplex = np.empty((n + 1, n))
-    values = [0.0] * (n + 1)
-    simplex[0], values[0] = f(x0)
+    verts = [x0]
     for i in range(n):
         if i in problem.theta_indices and opts.theta_initial_step is not None:
             step = opts.theta_initial_step
         else:
             step = INITIAL_SIMPLEX_SCALE * max(abs(x0[i]), 1.0)
-        xi = x0.copy()
+        xi = x0[:]
         xi[i] += step
-        simplex[i + 1], values[i + 1] = f(xi)
+        verts.append(xi)
+    values = [f(v) for v in verts]
+    simplex = np.array(verts)
 
     # The bits of NumPy's bookkeeping at less cost: values are finite, so the
-    # stable sort is argsort(kind="stable"); np.mean is add.reduce / n, and
-    # np.linalg.norm the root of add.reduce of squares (a monotone root).
-    converged = False
-    iteration = 0
+    # stable sort is argsort(kind="stable"), and np.mean is add.reduce / n.
+    termination, shrinks, iteration = "budget", 0, 0
     for iteration in range(1, max_iter + 1):
         order = sorted(range(n + 1), key=values.__getitem__)
-        simplex, values = simplex.take(order, 0), [values[i] for i in order]
+        verts, values = [verts[i] for i in order], [values[i] for i in order]
+        simplex = simplex.take(order, 0)
+        best, worst = verts[0], verts[-1]
 
-        dev = simplex[1:] - simplex[0]
-        dev *= dev
-        diameter = math.sqrt(np.maximum.reduce(np.add.reduce(dev, axis=1)))
         spread = values[-1] - values[0]
         if trace_sink is not None:
+            diameter = _diameter(simplex[1:], simplex[0])
             trace_sink(iteration, values[0], diameter)
-        if spread < opts.f_tolerance or diameter < opts.x_tolerance:
-            converged = True
+            small = diameter < opts.x_tolerance
+        else:
+            small = (not _far(worst, best, gap)
+                     and _diameter(simplex[1:], simplex[0]) < opts.x_tolerance)
+        if spread < opts.f_tolerance or small:
+            termination = "f_tol" if spread < opts.f_tolerance else "x_tol"
             break
 
-        centroid = np.add.reduce(simplex[:-1], axis=0) / n
-        xr, fr = f(centroid + REFLECTION * (centroid - simplex[-1]))
+        centroid = (np.add.reduce(simplex[:-1], axis=0) / n).tolist()
+        xr = [c + REFLECTION * (c - w) for c, w in zip(centroid, worst)]
+        fr = f(xr)
         if fr < values[0]:
-            xe, fe = f(centroid + EXPANSION * (xr - centroid))
-            if fe < fr:
-                simplex[-1], values[-1] = xe, fe
-            else:
-                simplex[-1], values[-1] = xr, fr
+            xe = [c + EXPANSION * (r - c) for c, r in zip(centroid, xr)]
+            fe = f(xe)
+            new = (xe, fe) if fe < fr else (xr, fr)
         elif fr < values[-2]:
-            simplex[-1], values[-1] = xr, fr
+            new = xr, fr
         else:
             if fr < values[-1]:
                 # outside contraction
-                xc, fc = f(centroid + CONTRACTION * (xr - centroid))
+                xc = [c + CONTRACTION * (r - c) for c, r in zip(centroid, xr)]
+                fc = f(xc)
                 accept = fc <= fr
             else:
                 # inside contraction
-                xc, fc = f(centroid - CONTRACTION * (centroid - simplex[-1]))
+                xc = [c - CONTRACTION * (c - w)
+                      for c, w in zip(centroid, worst)]
+                fc = f(xc)
                 accept = fc < values[-1]
-            if accept:
-                simplex[-1], values[-1] = xc, fc
-            else:
-                for i in range(1, n + 1):
-                    simplex[i], values[i] = f(
-                        simplex[0] + SHRINK * (simplex[i] - simplex[0])
-                    )
+            new = (xc, fc) if accept else None
+        if new is None:
+            shrinks += 1
+            for i in range(1, n + 1):
+                verts[i] = [b + SHRINK * (v - b)
+                            for b, v in zip(best, verts[i])]
+                values[i] = f(verts[i])
+                simplex[i] = verts[i]
+        else:
+            verts[-1], values[-1] = new
+            simplex[-1] = verts[-1]
 
-    best = min(range(n + 1), key=values.__getitem__)
-    return OptResult(_wrap(simplex[best], theta_idx), values[best],
-                     iteration, converged, evals)
+    k = min(range(n + 1), key=values.__getitem__)
+    final = _diameter(np.delete(simplex, k, 0), simplex[k])
+    return OptResult(np.array(_wrap(verts[k], theta_idx)), values[k],
+                     iteration, termination != "budget", evals, termination,
+                     shrinks, final)
 
 
 def pack_swarm(swarm: SwarmConfig) -> np.ndarray:
@@ -183,16 +227,16 @@ def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
 
 
 def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministic",
-                    **cost_kwargs) -> Callable[[np.ndarray], float]:
-    """Objective over the wrapped decision vector, with the degeneracy
-    penalty; its evaluation plan is built once, here."""
+                    **cost_kwargs) -> Callable[[list[float]], float]:
+    """Objective over the wrapped decision vector as a float list, with the
+    degeneracy penalty; its evaluation plan is built once, here."""
     plan = EvalPlan(template, pois, **cost_kwargs)
     if cost_mode == "deterministic":
         return partial(evaluate, plan)
     stddev, n_samples, seed = cost_mode
 
-    def expected(_plan, state, _rows):
-        swarm = SwarmConfig.from_state(state, template)
+    def expected(_plan, rows):
+        swarm = SwarmConfig.from_state(rows, template)
         return expected_information_cost(swarm, pois, stddev, n_samples, seed,
                                          **cost_kwargs)
 

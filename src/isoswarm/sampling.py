@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -119,9 +120,13 @@ def load_pois(path) -> PoiSet:
         columns = f.readline().strip()
         if columns != "x,y,z":
             raise ValueError(f"{path}: expected 'x,y,z' column line")
-        rows = [line for line in f if line.strip()]
-        if not rows:
+        # lines stream into loadtxt; the first is read ahead, as loadtxt
+        # only warns on no data
+        rows = filter(str.strip, f)
+        first = next(rows, None)
+        if first is None:
             raise ValueError(f"{path}: no POI rows")
-        pts = np.loadtxt(rows, delimiter=",", ndmin=2, comments=None)
+        pts = np.loadtxt(chain((first,), rows), delimiter=",", ndmin=2,
+                         comments=None)
     ellipsoid = UncertaintyEllipsoid(center, radii)
     return PoiSet(pts, seed, ellipsoid)

@@ -11,7 +11,8 @@ from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
                            SpacecraftPose, SwarmConfig, kappa_total,
                            wrap_theta)
 from isoswarm.geometry import (_SLACK, ConeFov, DegenerateGeometryError,
-                               as_vec3, unit_axis, visible_mask)
+                               _center_angle, as_vec3, unit_axis,
+                               visible_mask)
 
 
 def axial_distance(poi, fov: ConeFov) -> float:
@@ -65,18 +66,29 @@ def row_axis(row, center, orientation_mode: str):
 def reference_cost(swarm, pois, kappa_weight=1.0,
                    orientation_mode="aimed") -> float:
     """information_cost's value from the swarm object: kappa_total, then the
-    coverage from the center, an axis per state row and one kernel call."""
+    coverage from the center, an axis per state row, its angle from the
+    center direction by cross and dot products, and one kernel call."""
     kappa = kappa_total(swarm)
     if len(pois) == 0:
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center
     c = center.tolist()
+    apexes = swarm.state[:, :3].tolist()
     axes = [row_axis(row, c, orientation_mode)
             for row in swarm.state.tolist()]
-    seen = visible_mask(pois.points, swarm.state[:, :3], axes,
+    angles = cone_angles(apexes, axes, center)
+    seen = visible_mask(pois.points, apexes, axes, angles,
                         swarm.phi.tolist(), center, pois.columns(center))
     pct = 100.0 * int(np.count_nonzero(seen)) / len(pois)
     return kappa_weight * kappa - pct
+
+
+def cone_angles(apexes, axes, center):
+    """Each axis's angle from its apex's direction to the center, by their
+    cross and dot products (geometry._center_angle): visible_mask's angles
+    for cones of any axis."""
+    return [_center_angle((center - apex).tolist(), list(axis))
+            for apex, axis in zip(np.asarray(apexes, dtype=float), axes)]
 
 
 def reference_expected_cost(swarm, pois, position_stddev, n_samples, seed,
@@ -102,7 +114,7 @@ def reference_objective(pois, template, cost_mode="deterministic",
     cx, cy, cz = template.ellipsoid.center.tolist()
 
     def objective(x):
-        for px, py, pz, _ in x.reshape(-1, 4).tolist():
+        for px, py, pz, _ in np.reshape(x, (-1, 4)).tolist():
             dx, dy, dz = px - cx, py - cy, pz - cz
             if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
                 return DEGENERACY_PENALTY

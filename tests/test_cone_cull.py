@@ -18,15 +18,20 @@ from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
 from isoswarm.geometry import relative_columns, unit_axis, visible_mask
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import unculled_mask
+from tests.reference import cone_angles
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
 MARGINS = [0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]
 
 
-def one_cone(points, apex, axis, phi, center, columns=None):
-    """visible_mask of one cone."""
-    return visible_mask(points, apex[None], [axis], [phi], center, columns)
+def one_cone(points, apex, axis, phi, center, columns=None, angle=None):
+    """visible_mask of one cone, its angle from the center direction taken
+    from the axis when not given."""
+    if angle is None:
+        angle = cone_angles(apex[None], [axis], center)[0]
+    return visible_mask(points, apex[None], [axis], [angle], [phi], center,
+                        columns)
 
 
 def full_test(points, apex, axis, phi, center):
@@ -63,10 +68,10 @@ def bounding_radius(points, center):
 
 
 def verdict(points, apex, axis, phi, center):
-    to_center = (center - apex).tolist()
-    return geometry._cone_holds_ball(to_center, math.hypot(*to_center),
-                                     axis.tolist(), phi,
-                                     bounding_radius(points, center))
+    return geometry._cone_holds_ball(
+        math.hypot(*(center - apex).tolist()),
+        cone_angles(apex[None], [axis], center)[0], axis.tolist(), phi,
+        bounding_radius(points, center))
 
 
 def with_tangents(points, center, apex, axis):
@@ -86,9 +91,10 @@ def with_tangents(points, center, apex, axis):
 
 
 def scene(rng, center, phi, margin, inside, tilted):
-    """(points, apex, axis) with the ball of radius R just inside the cone
-    (inside=True) or just outside it, by the angular margin (at most a
-    quarter of the aperture and of its complement)."""
+    """(points, apex, axis, alpha) with the ball of radius R just inside the
+    cone (inside=True) or just outside it, by the angular margin (at most a
+    quarter of the aperture and of its complement), and the tilt alpha the
+    axis was built with (0.0 when aimed)."""
     margin = min(margin, phi / 4.0, (np.pi - phi) / 4.0)
     points = cloud(rng, center)
     radius = bounding_radius(points, center)
@@ -104,8 +110,8 @@ def scene(rng, center, phi, margin, inside, tilted):
         half = phi / 2.0 - margin if inside else phi / 2.0 + margin
         dist = radius / np.sin(min(half, np.pi / 2.0))
         apex = center - dist * e0
-        axis = axis_of(apex, center)
-    return with_tangents(points, center, apex, axis), apex, axis
+        axis, alpha = axis_of(apex, center), 0.0
+    return with_tangents(points, center, apex, axis), apex, axis, alpha
 
 
 @pytest.mark.parametrize("tilted", [False, True])
@@ -117,11 +123,15 @@ def test_cull_matches_full_test_near_the_ball(rng, tilted):
                           1e-7, np.pi - 1e-7])
         margin = MARGINS[rng.integers(len(MARGINS))]
         inside = bool(rng.random() < 0.5)
-        points, apex, axis = scene(rng, center, phi, margin, inside, tilted)
+        points, apex, axis, alpha = scene(rng, center, phi, margin, inside,
+                                          tilted)
         mask = one_cone(points, apex, axis, phi, center,
                         columns(points, center))
         np.testing.assert_array_equal(
             mask, full_test(points, apex, axis, phi, center))
+        # the angle the cost passes: the tilt (below pi here), 0 when aimed
+        np.testing.assert_array_equal(mask, one_cone(
+            points, apex, axis, phi, center, columns(points, center), alpha))
         v = verdict(points, apex, axis, phi, center)
         verdicts[v] += 1
         # far from the origin a small scene's apex rounds by more than its
@@ -139,6 +149,60 @@ def test_cull_matches_full_test_near_the_ball(rng, tilted):
     # miss the ball), and the fallback runs for the tightest margins
     assert verdicts[True] > 45 and verdicts[None] > 50
     assert verdicts[False] > 50 if tilted else verdicts[False] == 0
+
+
+# Tilts at and within 1e-8 of 0, pi and 2 pi, and ordinary ones.
+EDGE_TILTS = [0.0, 5e-324, 1e-12, 1e-8, 0.3, np.pi / 2, np.pi - 1e-8,
+              np.nextafter(np.pi, 0.0), np.pi, np.nextafter(np.pi, 4.0),
+              np.pi + 1e-8, 4.0, 2 * np.pi - 1e-8,
+              np.nextafter(2 * np.pi, 0.0)]
+# z components of the unit center direction about unit_axis's switch of
+# reference axis at |z| = 0.9, and at the poles
+SWITCH_ZS = [0.0, 0.5, 0.9 - 1e-12, 0.9, 0.9 + 1e-12, 0.99, 1.0, -0.9,
+             -0.9 + 1e-12, -1.0]
+
+
+def test_folded_tilt_matches_the_axis_angle(rng):
+    """A theta_tilt cone's angle from the center direction is its tilt
+    folded to min(theta, 2 pi - theta), as the cost passes it: within
+    1e-12 rad of atan2 on the computed axis, on both sides of the reference
+    switch and at tilts near 0, pi and 2 pi; and coverage with those angles
+    equals the un-culled kernel on POI balls about those cones."""
+    switch = {True: 0, False: 0}
+    for z in SWITCH_ZS:
+        for _ in range(3):
+            center = CENTERS[rng.integers(len(CENTERS))]
+            psi = rng.uniform(0.0, 2 * np.pi)
+            rho = math.sqrt(max(1.0 - z * z, 0.0))
+            e0 = np.array([rho * math.cos(psi), rho * math.sin(psi), z])
+            radius = 10.0 ** rng.uniform(-1.0, 3.0)
+            dist = radius * rng.choice([0.5, 1.01, 1.5, 3.0, 6.0])
+            apex = center - dist * e0
+            direction = unit_axis(apex.tolist(), center.tolist())
+            switch[abs(direction[2]) < 0.9] += 1
+            to_center = (center - apex).tolist()
+            poses = []
+            for tilt in EDGE_TILTS:
+                axis = unit_axis(apex.tolist(), center.tolist(), tilt)
+                folded = min(tilt, 2 * np.pi - tilt)
+                assert abs(folded - geometry._center_angle(to_center, axis)) \
+                    <= 1e-12
+                poses.append(SpacecraftPose(apex, tilt, 0.5,
+                                            rng.uniform(0.1, 3.0)))
+            e = UncertaintyEllipsoid.sphere(radius, center)
+            pois = PoiSet(cloud(rng, center, 300), 0, e)
+            for pose in poses:
+                swarm = SwarmConfig([pose], e)
+                axis = axis_of(apex, center, pose.theta)
+                want = full_test(pois.points, apex, axis, pose.phi, center)
+                np.testing.assert_array_equal(
+                    coverage(swarm, pois, "theta_tilt")[2], want)
+            want = unculled_mask(pois.points, [apex] * len(poses), [
+                axis_of(apex, center, p.theta) for p in poses],
+                [p.phi for p in poses], center)
+            np.testing.assert_array_equal(
+                coverage(SwarmConfig(poses, e), pois, "theta_tilt")[2], want)
+    assert switch[True] > 0 and switch[False] > 0
 
 
 def test_cull_apex_on_or_inside_ball(rng):

@@ -49,7 +49,7 @@ def scene(rng, n_craft, mode):
 
 def wrapped(x, n_craft):
     """x as nelder_mead hands it to the objective."""
-    return _wrap(x, np.arange(3, 4 * n_craft, 4))
+    return _wrap(x.tolist(), range(3, 4 * n_craft, 4))
 
 
 def same(a, b):
@@ -129,7 +129,7 @@ def run_recorded(objective, x0):
     points, values = [], []
 
     def f(x):
-        points.append(x.copy())
+        points.append(x[:])
         values.append(objective(x))
         return values[-1]
 

@@ -20,6 +20,7 @@ from isoswarm import geometry
 from isoswarm.geometry import unit_axis, visible_mask
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid
 from tests.conftest import unculled_mask
+from tests.reference import cone_angles
 
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]),
            np.array([41784000.0, -98402000.0, -47133000.0])]
@@ -137,16 +138,18 @@ def test_scores_match_the_float64_test_in_the_band(monkeypatch, rng,
         cols = pois.columns(center)
         assert cols[0] is not None
         want = unculled_mask(points, apexes, axes, phis, center)
+        angles = cone_angles(apexes, axes, center)
         band.clear()
         np.testing.assert_array_equal(
-            visible_mask(points, apexes, axes, phis, center, cols), want)
+            visible_mask(points, apexes, axes, angles, phis, center, cols),
+            want)
         assert band, "the scene did not reach the band"
         # the same verdicts with the columns built in the call
         np.testing.assert_array_equal(
-            visible_mask(points, apexes, axes, phis, center), want)
+            visible_mask(points, apexes, axes, angles, phis, center), want)
         # row-count independence: the union of single-cone calls
         single = [visible_mask(points, apexes[i:i + 1], axes[i:i + 1],
-                               phis[i:i + 1], center, cols)
+                               angles[i:i + 1], phis[i:i + 1], center, cols)
                   for i in range(n_cones)]
         np.testing.assert_array_equal(np.logical_or.reduce(single), want)
     # cones that hold and cut the ball, and miss it beside an aimed cone
@@ -170,9 +173,10 @@ def test_scores_are_independent_of_the_row_count_on_random_swarms(rng):
         phis = rng.uniform(0.1, 3.0, n).tolist()
         cols = PoiSet(points, 0, UncertaintyEllipsoid.sphere(
             1.0, center)).columns(center)
-        whole = visible_mask(points, apexes, axes, phis, center, cols)
+        angles = cone_angles(apexes, axes, center)
+        whole = visible_mask(points, apexes, axes, angles, phis, center, cols)
         single = [visible_mask(points, apexes[i:i + 1], axes[i:i + 1],
-                               phis[i:i + 1], center, cols)
+                               angles[i:i + 1], phis[i:i + 1], center, cols)
                   for i in range(n)]
         np.testing.assert_array_equal(np.logical_or.reduce(single), whole)
         np.testing.assert_array_equal(
@@ -225,8 +229,9 @@ def test_masks_match_the_float64_test_across_float32_range(rng, case):
             want = unculled_mask(points, apex[None], [axis], [phi], center)
             for columns in ((cols, bounding), None):
                 np.testing.assert_array_equal(
-                    visible_mask(points, apex[None], [axis.tolist()], [phi],
-                                 center, columns), want)
+                    visible_mask(points, apex[None], [axis.tolist()],
+                                 cone_angles(apex[None], [axis], center),
+                                 [phi], center, columns), want)
 
 
 def test_held_cone_beyond_the_float_range_sees_every_poi(rng):
@@ -236,14 +241,15 @@ def test_held_cone_beyond_the_float_range_sees_every_poi(rng):
     points = ball(rng, np.zeros(3), 1.0, 500)
     direction = unit(rng.standard_normal(3))
     apex = 1e300 * direction
-    verdict = geometry._cone_holds_ball((-apex).tolist(), 1e300,
+    angles = cone_angles(apex[None], [-direction], np.zeros(3))
+    verdict = geometry._cone_holds_ball(1e300, angles[0],
                                         (-direction).tolist(), np.pi / 3.0,
                                         1.0)
     assert verdict is True
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert visible_mask(points, apex[None], [(-direction).tolist()],
-                            [np.pi / 3.0], np.zeros(3)).all()
+                            angles, [np.pi / 3.0], np.zeros(3)).all()
 
 
 @pytest.mark.parametrize("offset", [5e-324, 1e-300, 1e-160])
@@ -258,5 +264,7 @@ def test_apex_next_to_the_center_matches_the_float64_test(rng, offset):
         warnings.simplefilter("error")
         for axis in ([1.0, 0.0, 0.0], [-0.6, 0.0, 0.8]):
             np.testing.assert_array_equal(
-                visible_mask(points, apex[None], [axis], [1.0], center),
+                visible_mask(points, apex[None], [axis],
+                             cone_angles(apex[None], [axis], center), [1.0],
+                             center),
                 unculled_mask(points, apex[None], [axis], [1.0], center))

@@ -6,7 +6,8 @@ import pytest
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
                            DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig,
-                           _overlap_sum, kappa_total, pair_overlap)
+                           _overlap_sum, _pair_terms, kappa_total,
+                           pair_overlap)
 from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
@@ -182,7 +183,7 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
     ti, tj, nu_i, nu_j = edge_rows()
     want = array_arc_overlap(ti, tj, nu_i, nu_j)
     # the one-pair sum, started at -0.0 as pair_overlap starts it
-    got = [_overlap_sum((a, b), (u, v), ((0, 1),), -0.0)
+    got = [_overlap_sum((a, b), _pair_terms((u, v), ((0, 1),)), -0.0)
            for a, b, u, v in zip(ti.tolist(), tj.tolist(), nu_i.tolist(),
                                  nu_j.tolist())]
     np.testing.assert_array_equal(bits(got), bits(want))
@@ -242,6 +243,6 @@ def test_degeneracy_test_matches_array_norm(n_craft):
         x[k:k + 3] = unit_rows(rng, 1)[0] * scale
         offsets = x.reshape(-1, 4)[:, :3] - ellipsoid.center
         want = np.any(np.linalg.norm(offsets, axis=1) < DEGENERACY_RADIUS_KM)
-        assert (objective(x) == DEGENERACY_PENALTY) == want
+        assert (objective(x.tolist()) == DEGENERACY_PENALTY) == want
         hits += want
     assert 0 < hits < 2000

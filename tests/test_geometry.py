@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from isoswarm import geometry
 from isoswarm.geometry import (ConeFov, DegenerateGeometryError, cone_axis,
                                in_fov, visible, visible_mask)
-from tests.reference import (axial_distance, cone_radius_at,
+from tests.reference import (axial_distance, cone_angles, cone_radius_at,
                              in_near_hemisphere, orthogonal_distance)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -152,8 +152,9 @@ def test_visible_mask_matches_scalar(rng):
     apex = center + rng.uniform(5, 30) * np.array([1, 0.2, -0.3])
     fov = ConeFov.aimed(apex, center, 1.2)
     pts = rng.uniform(-40, 40, (500, 3))
-    mask = visible_mask(pts, fov.apex[None], [fov.axis], [fov.aperture_phi],
-                        center)
+    mask = visible_mask(pts, fov.apex[None], [fov.axis],
+                        cone_angles(fov.apex[None], [fov.axis], center),
+                        [fov.aperture_phi], center)
     for p, m in zip(pts, mask):
         assert visible(p, fov, center) == m
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from isoswarm.cost import (DEGENERACY_PENALTY, SpacecraftPose, SwarmConfig,
-                           _overlap_sum, information_cost)
+                           _overlap_sum, _pair_terms, information_cost)
 from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
                                  NelderMeadOptions, ObjectiveDomainError,
-                                 OptimizationProblem, OptResult, _wrap,
-                                 nelder_mead, optimize_swarm, pack_swarm,
-                                 swarm_objective, unpack_swarm)
+                                 OptimizationProblem, OptResult, _NORMAL_GAP,
+                                 _diameter, _far, _wrap, nelder_mead,
+                                 optimize_swarm, pack_swarm, swarm_objective,
+                                 unpack_swarm)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
 from tests.reference import array_wrap, row_axis
 
@@ -22,7 +23,8 @@ def solve(func, x0, dim=None, theta=frozenset(), **opt_kw):
 
 
 def test_quadratic_bowl():
-    res = solve(lambda x: float(np.sum((x - 3.0) ** 2)), [0.0, 0.0, 0.0])
+    res = solve(lambda x: float(np.sum(np.subtract(x, 3.0) ** 2)),
+                [0.0, 0.0, 0.0])
     assert res.converged
     np.testing.assert_allclose(res.best_point, 3.0, atol=1e-3)
     assert res.best_value < 1e-6
@@ -76,16 +78,18 @@ def test_float_wrap_matches_array_wrap():
                                       *(10.0 ** rng.uniform(-20, 20, 4))],
                                      dim), idx))
     for x, idx in cases:
-        before = x.tobytes()
-        got = _wrap(x, idx)
-        assert got.tobytes() == array_wrap(x, np.array(idx)).tobytes()
-        assert x.tobytes() == before
+        floats = x.tolist()
+        got = _wrap(floats, idx)
+        want = array_wrap(x, np.array(idx))
+        assert np.array(got).tobytes() == want.tobytes()
+        assert np.array(floats).tobytes() == x.tobytes()
 
 
 def test_wrap_applied_before_every_evaluation():
     seen = []
 
     def func(x):
+        assert type(x) is list  # a fresh float list, one per evaluation
         seen.append(x[0])
         return float((x[0] - 1.0) ** 2)
 
@@ -106,10 +110,11 @@ def seam_objective(mode):
     ref = row_axis([*SEAM_TARGET, SEAM_THETA], center, "theta_tilt")
 
     def objective(x):
-        row = x.tolist()
+        row = list(x)
         miss = sum((a - b) ** 2 for a, b in zip(row[:3], SEAM_TARGET)) / 1e4
         if mode == "aimed":
-            overlap = _overlap_sum((row[3], SEAM_THETA), (nu, nu), ((0, 1),))
+            overlap = _overlap_sum((row[3], SEAM_THETA),
+                                   _pair_terms((nu, nu), ((0, 1),)))
             return miss + (2.0 * nu - overlap) ** 2
         axis = row_axis(row, center, mode)
         return miss + 1.0 - sum(a * b for a, b in zip(axis, ref))
@@ -144,7 +149,7 @@ def test_evaluation_accounting():
 
     def func(x):
         count[0] += 1
-        return float(np.sum(x ** 2))
+        return float(np.sum(np.square(x)))
 
     res = solve(func, [1.0, 2.0])
     assert res.evaluation_count == count[0]
@@ -152,7 +157,7 @@ def test_evaluation_accounting():
 
 
 def test_budget_exhaustion_not_converged():
-    res = solve(lambda x: float(np.sum(x ** 2)), [50.0, 50.0],
+    res = solve(lambda x: float(np.sum(np.square(x))), [50.0, 50.0],
                 max_iterations=3)
     assert not res.converged
     assert res.iterations == 3
@@ -160,7 +165,8 @@ def test_budget_exhaustion_not_converged():
 
 def test_trace_monotone_best():
     sink = []
-    problem = OptimizationProblem(2, lambda x: float(np.sum((x - 1) ** 2)))
+    problem = OptimizationProblem(
+        2, lambda x: float(np.sum(np.subtract(x, 1) ** 2)))
     res = nelder_mead(problem, np.array([10.0, -10.0]), NelderMeadOptions(),
                       trace_sink=lambda i, b, d: sink.append((i, b, d)))
     bests = [b for _, b, _ in sink]
@@ -171,7 +177,7 @@ def test_trace_monotone_best():
 
 def test_determinism():
     def func(x):
-        return float(np.sum(np.sin(x) ** 2) + 0.01 * np.sum(x ** 2))
+        return float(np.sum(np.sin(x) ** 2) + 0.01 * np.sum(np.square(x)))
 
     a = solve(func, [2.0, -1.0, 0.5])
     b = solve(func, [2.0, -1.0, 0.5])
@@ -213,7 +219,7 @@ def test_degeneracy_penalty_at_center():
     obj = swarm_objective(pois, s)
     x = pack_swarm(s)
     x[:3] = e.center
-    assert obj(x) == DEGENERACY_PENALTY
+    assert obj(x.tolist()) == DEGENERACY_PENALTY
 
 
 def test_optimize_swarm_improves_cost():
@@ -272,8 +278,9 @@ def test_options_reject_empty_budget(max_iterations):
 
 def reference_nelder_mead(problem, x0, opts, trace_sink=None):
     """nelder_mead with its NumPy bookkeeping (argsort, a fancy-indexed
-    reorder, np.mean, np.linalg.norm), kept as the reference that the
-    list-backed order must reproduce bit for bit."""
+    reorder, np.mean, np.linalg.norm, array trial points and a diameter at
+    every iteration), kept as the reference that the list-backed loop must
+    reproduce bit for bit. The objective gets the wrapped point's tolist()."""
     x0 = np.asarray(x0, dtype=float)
     theta_idx = np.array(sorted(problem.theta_indices), dtype=np.intp)
     max_iter = opts.max_iterations or 200 * problem.dimension
@@ -282,10 +289,14 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
     def f(point):
         nonlocal evals
         x = array_wrap(point, theta_idx)
-        v = float(problem.objective(x))
+        v = float(problem.objective(x.tolist()))
         evals += 1
         assert math.isfinite(v)
         return point, v
+
+    def diameter_of(simplex, best):
+        others = np.delete(simplex, best, 0)
+        return float(np.max(np.linalg.norm(others - simplex[best], axis=1)))
 
     n = problem.dimension
     simplex = np.empty((n + 1, n))
@@ -300,18 +311,21 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
         xi[i] += step
         simplex[i + 1], values[i + 1] = f(xi)
 
-    converged = False
+    termination, shrinks = "budget", 0
     iteration = 0
     for iteration in range(1, max_iter + 1):
         order = np.argsort(values, kind="stable")
         simplex, values = simplex[order], values[order]
 
-        diameter = float(np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1)))
+        diameter = diameter_of(simplex, 0)
         spread = float(values[-1] - values[0])
         if trace_sink is not None:
             trace_sink(iteration, float(values[0]), diameter)
-        if spread < opts.f_tolerance or diameter < opts.x_tolerance:
-            converged = True
+        if spread < opts.f_tolerance:
+            termination = "f_tol"
+            break
+        if diameter < opts.x_tolerance:
+            termination = "x_tol"
             break
 
         centroid = np.mean(simplex[:-1], axis=0)
@@ -334,6 +348,7 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
             if accept:
                 simplex[-1], values[-1] = xc, fc
             else:
+                shrinks += 1
                 for i in range(1, n + 1):
                     simplex[i], values[i] = f(
                         simplex[0] + SHRINK * (simplex[i] - simplex[0])
@@ -342,7 +357,8 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
     order = np.argsort(values, kind="stable")
     best = int(order[0])
     return OptResult(array_wrap(simplex[best], theta_idx),
-                     float(values[best]), iteration, converged, evals)
+                     float(values[best]), iteration, termination != "budget",
+                     evals, termination, shrinks, diameter_of(simplex, best))
 
 
 def swarm_case(n_craft):
@@ -359,23 +375,26 @@ def swarm_case(n_craft):
 
 
 def oracle_case(name):
-    """(objective, x0, theta indices, options) of each oracle run."""
+    """(objective, x0, theta indices, options) of each oracle run; the
+    objectives take the float list nelder_mead hands them."""
     if name == "quadratic":
-        return lambda x: float(np.sum((x - 3.0) ** 2)), [0.0] * 3, (), {}
+        return (lambda x: float(np.sum(np.subtract(x, 3.0) ** 2)), [0.0] * 3,
+                (), {})
     if name == "rosenbrock":
         return (lambda x: float(100 * (x[1] - x[0] ** 2) ** 2
                                 + (1 - x[0]) ** 2),
                 [-1.2, 1.0], (), dict(max_iterations=2000, f_tolerance=1e-12,
                                       x_tolerance=1e-12))
     if name == "ties":  # piecewise constant: most values tie
-        return (lambda x: float(np.floor(np.sum((x - 0.3) ** 2))),
+        return (lambda x: float(np.floor(np.sum(np.subtract(x, 0.3) ** 2))),
                 [4.0, -3.0, 2.0, 1.0], (),
                 dict(max_iterations=300, f_tolerance=0.0))
     if name == "seam":
         return (seam_objective("aimed"), [250.0, 0.0, 0.0, 6.0], (3,),
                 dict(theta_initial_step=0.5, max_iterations=400))
     if name == "shrink":  # fine stairs: contractions onto a tie fail
-        return (lambda x: float(np.floor(np.sum((x - 0.3) ** 2) * 16)),
+        return (lambda x: float(np.floor(
+                    np.sum(np.subtract(x, 0.3) ** 2) * 16)),
                 [3.0, -2.0, 1.0, 0.0, 5.0], (),
                 dict(max_iterations=400, f_tolerance=0.0))
     objective, x0 = swarm_case(int(name[-1]))
@@ -383,41 +402,132 @@ def oracle_case(name):
             dict(theta_initial_step=0.5, max_iterations=150))
 
 
-@pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "ties", "seam",
-                                  "shrink", "swarm N=1", "swarm N=7"])
-def test_matches_reference_loop_bit_for_bit(name):
-    objective, x0, theta, opts = oracle_case(name)
+def run_solvers(objective, x0, theta, opts, traced):
+    """Each solver's (result, evaluated points, trace, values) on one
+    problem, the trace None when not traced."""
     runs = []
     for solver in (nelder_mead, reference_nelder_mead):
-        points, trace, values = [], [], []
+        points, trace, values = [], [] if traced else None, []
 
         def f(x):
-            points.append(x.copy())
+            points.append(x[:])
             values.append(objective(x))
             return values[-1]
 
+        sink = None if trace is None else (
+            lambda i, b, d: trace.append((i, b.hex(), d.hex(), len(points))))
         problem = OptimizationProblem(len(x0), f, frozenset(theta))
-        res = solver(problem, np.asarray(x0, float), NelderMeadOptions(**opts),
-                     lambda i, b, d: trace.append((i, b.hex(), d.hex(),
-                                                   len(points))))
+        res = solver(problem, np.asarray(x0, float),
+                     NelderMeadOptions(**opts), sink)
         runs.append((res, np.array(points), trace, values))
+    return runs
+
+
+def assert_same_runs(runs):
+    """The list-backed and the reference loop evaluated the same points and
+    ended with the same result, every field bit for bit."""
     (got, points, trace, values), (want, want_points, want_trace, _) = runs
     assert trace == want_trace
     np.testing.assert_array_equal(points.view(np.uint64),
                                   want_points.view(np.uint64))
-    assert (got.evaluation_count, got.iterations, got.converged) == \
-        (want.evaluation_count, want.iterations, want.converged)
+    assert (got.evaluation_count, got.iterations, got.converged,
+            got.termination, got.shrinks) == \
+        (want.evaluation_count, want.iterations, want.converged,
+         want.termination, want.shrinks)
     assert got.best_value.hex() == want.best_value.hex()
+    assert got.final_diameter.hex() == want.final_diameter.hex()
     np.testing.assert_array_equal(got.best_point.view(np.uint64),
                                   want.best_point.view(np.uint64))
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "ties", "seam",
+                                  "shrink", "swarm N=1", "swarm N=7"])
+def test_matches_reference_loop_bit_for_bit(name):
+    objective, x0, theta, opts = oracle_case(name)
+    assert_same_runs(run_solvers(objective, x0, theta, opts, False))
+    runs = run_solvers(objective, x0, theta, opts, True)
+    assert_same_runs(runs)
+    got, points, _, values = runs[0]
     # each case exercises what it is named for
-    shrinks = sum(b - a > 2 for (*_, a), (*_, b) in zip(trace, trace[1:]))
     if name == "ties":
         assert len(set(values)) * 5 < len(values)
     if name == "shrink":  # shrink steps make over a third of the evaluations
-        assert shrinks * len(x0) * 3 > got.evaluation_count
+        assert got.shrinks * len(x0) * 3 > got.evaluation_count
     if name == "seam":
         assert min(points[:, 3]) < 0.5 and max(points[:, 3]) > 5.5
+
+
+@pytest.mark.parametrize("ending", ["budget", "f_tol", "x_tol"])
+def test_random_quadratics_match_reference_loop(ending):
+    """Random convex quadratics in dimensions 1 to 32 with random theta
+    indices and theta steps, traced and untraced, each ending for the
+    reason named: a budget of 10 + dim iterations with no tolerance, half
+    the starting spread of values with no diameter test and the default
+    budget, or the diameter the budgeted run ended with (nudged up) with
+    no spread test."""
+    rng = np.random.default_rng(len(ending))
+    for dim in range(1, 33):
+        target = rng.uniform(-3.0, 3.0, dim)
+        weights = rng.uniform(0.5, 4.0, dim)
+
+        def quadratic(x, target=target, weights=weights):
+            return float(weights @ np.square(np.subtract(x, target)))
+
+        theta = rng.choice(dim, int(rng.integers(dim + 1)), replace=False)
+        x0 = target + rng.uniform(-2.0, 2.0, dim)
+        opts = dict(max_iterations=10 + dim, f_tolerance=0.0, x_tolerance=0.0)
+        if rng.random() < 0.5:
+            opts["theta_initial_step"] = 0.5
+        if ending != "budget":
+            (_, _, trace, values), _ = run_solvers(quadratic, x0, theta, opts,
+                                                   True)
+            if ending == "f_tol":
+                start = values[:dim + 1]
+                opts["f_tolerance"] = 0.5 * (max(start) - min(start))
+                opts["max_iterations"] = None
+            else:
+                opts["x_tolerance"] = math.nextafter(
+                    float.fromhex(trace[-1][2]), math.inf)
+        for traced in (True, False):
+            runs = run_solvers(quadratic, x0, theta, opts, traced)
+            assert_same_runs(runs)
+            assert runs[0][0].termination == ending
+
+
+def test_diameter_shortcut_is_sound():
+    """Whenever a coordinate of the worst vertex lies at least max(x_tol,
+    _NORMAL_GAP) from the best's, the NumPy diameter is at least x_tol: on
+    random simplices of offsets near x_tol, the gap and 1e300, over x_tol
+    of 0, 5e-324, 1e-200, the gap itself and ordinary tolerances."""
+    rng = np.random.default_rng(77)
+    gap = _NORMAL_GAP
+    tolerances = [0.0, 5e-324, 1e-200, gap, math.nextafter(gap, 1.0), 1e-8,
+                  0.25, 1e300]
+    fired = 0
+    for _ in range(4000):
+        x_tol = tolerances[rng.integers(len(tolerances))]
+        n = int(rng.integers(1, 9))
+        scale = rng.choice([x_tol, gap, 1e-300, 1e-160, 1.0, 1e300])
+        base = rng.choice([0.0, 1.0, -1e300, 1e300, 5e-324]) * np.ones(n)
+        offsets = scale * rng.choice([0.0, 0.5, 1.0, 1.0 + 2 ** -52, 2.0,
+                                      -1.0, -0.999], (n + 1, n))
+        simplex = base + offsets
+        worst, best = simplex[-1].tolist(), simplex[0].tolist()
+        if not _far(worst, best, max(x_tol, gap)):
+            continue
+        fired += 1
+        with np.errstate(over="ignore"):  # squares of 1e300 are inf
+            full = np.max(np.linalg.norm(simplex[1:] - simplex[0], axis=1))
+            assert not full < x_tol
+            assert not _diameter(simplex[1:], simplex[0]) < x_tol
+    assert fired > 1000
+    # without the floor, a 1e-200 gap squares to zero: the shortcut would
+    # claim a diameter of at least 1e-200 where NumPy's is 0
+    simplex = np.array([[0.0, 0.0], [1e-200, 0.0], [0.0, 1e-200]])
+    assert _far(simplex[-1].tolist(), simplex[0].tolist(), 1e-200)
+    assert _diameter(simplex[1:], simplex[0]) == 0.0
+    assert not _far(simplex[-1].tolist(), simplex[0].tolist(),
+                    max(1e-200, gap))
 
 
 def test_best_point_theta_stays_below_two_pi():

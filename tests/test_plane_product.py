@@ -14,6 +14,7 @@ from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
 from isoswarm.geometry import relative_columns, unit_axis
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import dot3, unculled_mask
+from tests.reference import cone_angles
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
@@ -26,10 +27,10 @@ SMALL_BLOCK = 64
 def elementwise_mask(points, apex, axis, phi, center, verdicts):
     """The un-culled kernel for one cone, counting the whole-cone verdict
     visible_mask takes for it."""
-    to_center = (center - apex).tolist()
     radius = geometry.poi_columns(points, center)[1]
-    verdicts[geometry._cone_holds_ball(to_center, math.hypot(*to_center),
-                                       axis, phi, radius)] += 1
+    dist = math.hypot(*(center - apex).tolist())
+    angle = cone_angles(apex[None], [axis], center)[0]
+    verdicts[geometry._cone_holds_ball(dist, angle, axis, phi, radius)] += 1
     return unculled_mask(points, apex[None], [axis], [phi], center)
 
 
@@ -187,8 +188,10 @@ def test_filter_matches_elementwise_at_the_cone_surface(monkeypatch, rng,
         assert verdicts[None] == 1  # the cone cuts the ball
         for cols in (pois.columns(center), None):
             np.testing.assert_array_equal(
-                geometry.visible_mask(points, apex[None], [axis.tolist()],
-                                      [phi], center, cols), want)
+                geometry.visible_mask(
+                    points, apex[None], [axis.tolist()],
+                    cone_angles(apex[None], [axis], center), [phi], center,
+                    cols), want)
     # at the origin a surface POI is within the scores' widths; far from
     # it, rounding the coordinates moves POIs off the surface by more
     if not center.any():
@@ -223,7 +226,8 @@ def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
                                     verdicts)
             assert verdicts[None] == 1 and want.any()
             np.testing.assert_array_equal(geometry.visible_mask(
-                points, apex[None], [axis.tolist()], [phi], center,
+                points, apex[None], [axis.tolist()],
+                cone_angles(apex[None], [axis], center), [phi], center,
                 (cols, radius)), want)
     assert band > 0
 
@@ -251,8 +255,9 @@ def test_cones_beyond_the_filter_range_test_every_poi(monkeypatch, rng, scale):
     verdicts = {True: 0, False: 0, None: 0}
     want = elementwise_mask(points, apex, axis.tolist(), phi, center,
                             verdicts)
-    got = geometry.visible_mask(points, apex[None], [axis.tolist()], [phi],
-                                center, pois.columns(center))
+    got = geometry.visible_mask(points, apex[None], [axis.tolist()],
+                                cone_angles(apex[None], [axis], center),
+                                [phi], center, pois.columns(center))
     np.testing.assert_array_equal(got, want)
     assert columns == [len(points)]
 

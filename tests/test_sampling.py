@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -92,6 +94,31 @@ def test_poi_file_round_trip(tmp_path):
     assert loaded.ellipsoid.radii == e.radii
     np.testing.assert_array_equal(loaded.ellipsoid.center, e.center)
     np.testing.assert_array_equal(loaded.points, pois.points)
+
+
+@pytest.mark.parametrize("body", ["", "\n", "  \t\n\n", "\n \n"])
+def test_poi_file_without_rows_rejected(tmp_path, body):
+    path = tmp_path / "pois.csv"
+    save_pois(path, sample_pois(UncertaintyEllipsoid.sphere(1.0), 1, 0))
+    header, columns = path.read_text().splitlines(keepends=True)[:2]
+    path.write_text(header + columns + body)
+    with pytest.raises(ValueError, match="no POI rows"):
+        load_pois(path)
+
+
+def test_poi_file_streams_into_loadtxt(tmp_path):
+    # 10^5 rows hold 2.4 MB of points; a list of their lines took 13.6 MB
+    pois = sample_pois(UncertaintyEllipsoid.sphere(100.0), 100_000, 3)
+    path = tmp_path / "pois.csv"
+    save_pois(path, pois)
+    tracemalloc.start()
+    try:
+        loaded = load_pois(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert loaded.points.tobytes() == pois.points.tobytes()
+    assert peak < 2 * pois.points.nbytes
 
 
 def test_poi_file_byte_identical(tmp_path):
