@@ -14,7 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import TWO_PI, ConeFov, as_vec3, unit_axis, visible_mask
+from .geometry import (TWO_PI, ConeFov, _hold_distance, as_vec3, unit_axis,
+                       visible_mask)
 from .sampling import PoiSet
 
 # Perturbation applied when two spacecraft share an orientation, so their
@@ -180,7 +181,8 @@ def kappa_total(swarm: SwarmConfig) -> float:
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
     template's center, phi and pair terms, the POI columns, the checked
-    orientation mode and the cost options."""
+    orientation mode, the cost options and, for aimed cones, each cone's
+    hold distance from the center (geometry._hold_distance)."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
                  orientation_mode="aimed"):
@@ -191,30 +193,32 @@ class EvalPlan:
         self.c = self.center.tolist()
         self.points, self.columns = pois.points, pois.columns(self.center)
         self.phi = swarm.phi.tolist()
+        self.holds = None if self.tilted else [
+            _hold_distance(phi, self.columns[1]) for phi in self.phi]
         self.terms = _pair_terms(swarm.nu.tolist(), swarm.pairs)
         self.kappa_weight, self.n = kappa_weight, len(pois)
 
 
-def _seen(plan: EvalPlan, rows) -> np.ndarray:
-    """The mask of POIs that a spacecraft of the (x, y, z, theta) rows sees.
-    A tilted axis makes the tilt's circular distance from zero with the
-    center direction (see unit_axis), an aimed one none."""
-    c = plan.c
+def _seen(plan: EvalPlan, rows, count=False):
+    """The mask (or with count, the number) of POIs that a spacecraft of the
+    (x, y, z, theta) rows sees. A tilted axis makes the tilt's circular
+    distance from zero with the center direction (see unit_axis); aimed
+    cones get their axes in the kernel, and only nearer than their hold
+    distances."""
     apexes = [row[:3] for row in rows]
-    if plan.tilted:
-        axes = [unit_axis(apex, c, row[3]) for apex, row in zip(apexes, rows)]
-        angles = [min(row[3], TWO_PI - row[3]) for row in rows]
-    else:
-        axes = [unit_axis(apex, c) for apex in apexes]
-        angles = [0.0] * len(rows)
+    if not plan.tilted:
+        return visible_mask(plan.points, apexes, None, None, plan.phi,
+                            plan.center, plan.columns, plan.holds, count)
+    axes = [unit_axis(apex, plan.c, row[3]) for apex, row in zip(apexes, rows)]
+    angles = [min(row[3], TWO_PI - row[3]) for row in rows]
     return visible_mask(plan.points, apexes, axes, angles, plan.phi,
-                        plan.center, plan.columns)
+                        plan.center, plan.columns, count=count)
 
 
 def _cost(plan: EvalPlan, rows) -> float:
     """w * kappa_total - coverage of the (x, y, z, theta) rows of floats."""
     kappa = _overlap_sum([row[3] for row in rows], plan.terms)
-    count = int(np.count_nonzero(_seen(plan, rows)))
+    count = _seen(plan, rows, count=True)
     return plan.kappa_weight * kappa - 100.0 * count / plan.n
 
 
@@ -222,20 +226,23 @@ def evaluate(plan: EvalPlan, x: list, cost=_cost) -> float:
     """The cost of the plan's swarm at the packed float list x, whose thetas
     are already wrapped: DEGENERACY_PENALTY when a spacecraft stands within
     DEGENERACY_RADIUS_KM of the center, else a ValueError when a position is
-    not finite, else cost(plan, rows) of x's (x, y, z, theta) rows."""
+    not finite, else DEGENERACY_PENALTY when a spacecraft's squared distance
+    from the center overflows (no axis has a finite norm there), else
+    cost(plan, rows) of x's (x, y, z, theta) rows."""
     rows = [x[k:k + 4] for k in range(0, len(x), 4)]
     cx, cy, cz = plan.c
-    finite = True
+    finite, far = True, False
     for px, py, pz, _ in rows:
         dx, dy, dz = px - cx, py - cy, pz - cz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         if dist < DEGENERACY_RADIUS_KM:
             return DEGENERACY_PENALTY
         if not dist < math.inf:  # a non-finite coordinate, or a far one
+            far = True
             finite = finite and all(map(math.isfinite, (px, py, pz)))
     if not finite:
         raise ValueError("vector components must be finite")
-    return cost(plan, rows)
+    return DEGENERACY_PENALTY if far else cost(plan, rows)
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,
@@ -259,6 +266,30 @@ def information_cost(swarm: SwarmConfig, pois: PoiSet,
                          len(pois))
 
 
+def _expected_cost(plan: EvalPlan, rows, stddev, n_samples, seed) -> float:
+    """The mean of _cost over n_samples copies of the (x, y, z, theta) rows
+    with each position moved by isotropic normal noise of the given standard
+    deviation (km) from a generator seeded with seed; _cost of the rows
+    themselves when stddev is 0, so that cost is bitwise the deterministic
+    one."""
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
+    if stddev < 0.0:
+        raise ValueError("position_stddev must be non-negative")
+    if not stddev < math.inf:
+        raise ValueError("position_stddev must be finite")
+    if stddev == 0.0:
+        return _cost(plan, rows)
+    rng = np.random.default_rng(seed)
+    state = np.array(rows)
+    total = 0.0
+    for _ in range(n_samples):
+        noisy = state.copy()
+        noisy[:, :3] += rng.normal(0.0, stddev, (len(state), 3))
+        total += _cost(plan, noisy.tolist())
+    return total / n_samples
+
+
 def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
                               position_stddev: float, n_samples: int,
                               seed: int, **cost_kwargs) -> float:
@@ -268,21 +299,6 @@ def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
     with the given standard deviation (km); orientations are unperturbed.
     Deterministic in the seed.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if position_stddev < 0.0:
-        raise ValueError("position_stddev must be non-negative")
-    if not position_stddev < math.inf:
-        raise ValueError("position_stddev must be finite")
-    if position_stddev == 0.0:
-        # every sample is the unperturbed swarm; skip the averaging so the
-        # result is bitwise equal to the deterministic cost
-        return information_cost(swarm, pois, **cost_kwargs).information_cost
-    plan = EvalPlan(swarm, pois, **cost_kwargs)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for _ in range(n_samples):
-        state = swarm.state.copy()
-        state[:, :3] += rng.normal(0.0, position_stddev, (len(swarm), 3))
-        total += _cost(plan, state.tolist())
-    return total / n_samples
+    return _expected_cost(EvalPlan(swarm, pois, **cost_kwargs),
+                          swarm.state.tolist(), position_stddev, n_samples,
+                          seed)

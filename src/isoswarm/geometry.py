@@ -159,6 +159,33 @@ def _cone_holds_ball(dist, alpha, axis, aperture_phi, radius):
     return None
 
 
+# An aimed unit_axis divides each component by a rounded norm, so its |axis|^2
+# lies within a few ulps of 1; hold distances are checked with this shorter one.
+_SHORT_AXIS = (math.sqrt(1.0 - 2.0 ** -48), 0.0, 0.0)
+
+
+def _hold_distance(aperture_phi, radius):
+    """The least apex distance from the center (inf if none) from which an
+    aimed cone holds every point within radius of the center: at any finite
+    distance beyond it, _cone_holds_ball(dist, 0.0, axis, aperture_phi,
+    radius) is True for every axis unit_axis returns. With x = radius / dist
+    the cull's tests read asin(x) + 1e-9 + 1e-12 x / (1 - x) <= acos(q) for
+    q^2 = C / |axis|^2 + 1e-12 and (1 - x) q > 2 s, C = cos^2(phi / 2); x is
+    chosen to leave 1e-10 rad, 1e-13 on q^2 and a factor 2 on s for rounding,
+    each test eases as dist grows, and the distance is kept only if
+    _cone_holds_ball holds at it with _SHORT_AXIS."""
+    q2 = math.cos(aperture_phi / 2.0) ** 2 / _SHORT_AXIS[0] ** 2 + 1.1e-12
+    if not q2 < 1.0:
+        return math.inf
+    q = math.sqrt(q2)
+    x = min(math.sin(math.acos(q) - 2e-9), 900.0 / 901.0,
+            1.0 - 4.0 * _SLACK / q)
+    dist = radius / x
+    if _cone_holds_ball(dist, 0.0, _SHORT_AXIS, aperture_phi, radius):
+        return dist
+    return math.inf
+
+
 def _cut_rows(plane, axis, phi, reach):
     """The float64 rows, over the poi_columns [u; 1; |u|^2], of a cone that
     cuts the POI ball, with plane = apex - center and reach = L: with rel =
@@ -176,27 +203,30 @@ def _cut_rows(plane, axis, phi, reach):
 
 
 def _exact(points, center, cones):
-    """The float64 test of the cones (apex - center, D, apex, axis, phi,
-    cut) on points (float 3-sequences), one bool each: the near half-space
-    (point - center) . (apex - center) >= -s D^2 and, for a cone that cuts
-    the ball, in_fov's test with the apex slack s D. These are the IEEE
-    operations of tests/conftest.py's unculled_mask, in its order, so they
-    give its bits; on Python floats a POI or two (the usual band) costs a
-    few us, where NumPy's calls on such short arrays cost tens."""
+    """The float64 test of the cones (apex - center, D, cut) on points
+    (float 3-sequences), one bool each: the near half-space (point - center)
+    . (apex - center) >= -s D^2 and, for a cone that cuts the ball (cut is
+    its apex, axis and phi, else None), in_fov's test with the apex slack s
+    D. These are the IEEE operations of tests/conftest.py's unculled_mask,
+    in its order, so they give its bits; on Python floats a POI or two (the
+    usual band) costs a few us, where NumPy's calls on such short arrays
+    cost tens."""
     tests = []
-    for plane, dist, apex, axis, phi, cut in cones:
-        c = np.cos(phi / 2.0)  # unculled_mask's cosine, not math.cos
-        tests.append((plane, -_SLACK * dist * dist, apex,
-                      [float(a) for a in axis], float(c * c), _SLACK * dist,
-                      cut))
+    for plane, dist, cut in cones:
+        if cut:
+            apex, axis, phi = cut
+            c = np.cos(phi / 2.0)  # unculled_mask's cosine, not math.cos
+            cut = apex, [float(a) for a in axis], float(c * c), _SLACK * dist
+        tests.append((plane, -_SLACK * dist * dist, cut))
     (cx, cy, cz), seen = center, []
     for px, py, pz in points:
         ux, uy, uz = px - cx, py - cy, pz - cz
         hit = False
-        for (tx, ty, tz), low, (ax, ay, az), (bx, by, bz), c2, m, cut in tests:
+        for (tx, ty, tz), low, cut in tests:
             if not ux * tx + uy * ty + uz * tz >= low:
                 continue
             if cut:
+                (ax, ay, az), (bx, by, bz), c2, m = cut
                 rx, ry, rz = px - ax, py - ay, pz - az
                 d = rx * bx + ry * by + rz * bz
                 if not (d > m and (rx * rx + ry * ry + rz * rz) * c2 <= d * d):
@@ -207,56 +237,82 @@ def _exact(points, center, cones):
     return seen
 
 
+def _held_cones(apexes, held, center):
+    """_exact's cones (apex - center, D, None) of the cones indexed by held,
+    which hold the ball: their float64 test is the plane test alone."""
+    (cx, cy, cz), cones = center, []
+    for k in held:
+        ax, ay, az = apexes[k]
+        plane = ax - cx, ay - cy, az - cz
+        cones.append((plane, math.hypot(*plane), None))
+    return cones
+
+
 def visible_mask(points, apexes, axes, angles, apertures, center,
-                 columns=None):
+                 columns=None, holds=None, count=False):
     """POIs seen by at least one of k cones: the cone test and the near
     half-space (point - center) . (apex - center) >= 0, both with the slack
     of _SLACK (center-plane points are visible). apexes and axes are k float
     3-sequences, angles the k angles between each axis and its apex's
     direction to the center (0 for an aimed cone), apertures k floats,
     columns poi_columns(points, center) (computed when None). Each angle
-    must be known to far better than the cull's 1e-9 rad margin. A cone
-    missing all points is dropped. The rest are one float32 product with
-    the columns per block of _BLOCK POIs, its rows scaled by their error
-    widths: a cone's score is its plane value
+    must be known to far better than the cull's 1e-9 rad margin. With holds,
+    the _hold_distance of each aperture and R, the cones are aimed: axes and
+    angles are not read, a cone at or beyond its hold distance (and in
+    float32 range) holds the ball without an axis, and the others take
+    unit_axis's. With count, the number of POIs seen is returned, not the
+    mask. A cone missing all points is dropped. The rest are one float32
+    product with the columns per block of _BLOCK POIs, its rows scaled by
+    their error widths: a cone's score is its plane value
     or, if it cuts the ball, the lesser of that and its cone value d |d| - C
     |rel|^2, and a POI's score is the greatest over the cones. A POI scoring
     1 or more is seen, one below -1 is not, and only those in between run
     the float64 test; a POI set or cone out of float32's range runs it on
     every POI. So the mask is the float64 test's, bit for bit."""
     cols, radius = poi_columns(points, center) if columns is None else columns
-    (cx, cy, cz), n = center.tolist(), len(points)
-    cones, planes, cuts, tests = [], [], [], []
+    c, n = center.tolist(), len(points)
+    cx, cy, cz = c
+    cones, held, planes, cuts, tests = [], [], [], [], []
     exact = cols is None
-    for (ax, ay, az), axis, angle, phi in zip(apexes, axes, angles,
-                                             apertures):
+    top = -math.inf if exact or holds is None else _SPAN[1] * radius
+    for k, ((ax, ay, az), phi) in enumerate(zip(apexes, apertures)):
         tx, ty, tz = ax - cx, ay - cy, az - cz
         dist = math.hypot(tx, ty, tz)
-        verdict = _cone_holds_ball(dist, angle, axis, phi, radius)
-        if verdict is False:
-            continue
-        cones.append(((tx, ty, tz), dist, (ax, ay, az), axis, phi,
-                      verdict is None))
-        if exact or not _SPAN[0] * radius < dist < _SPAN[1] * radius:
-            exact = True
-            continue
+        if dist < top and holds[k] <= dist:
+            verdict = True
+            held.append(k)  # its float64 test is built only if one runs
+        else:
+            if holds is None:
+                axis, angle = axes[k], angles[k]
+            else:
+                axis, angle = unit_axis((ax, ay, az), c), 0.0
+            verdict = _cone_holds_ball(dist, angle, axis, phi, radius)
+            if verdict is False:
+                continue
+            cones.append(((tx, ty, tz), dist,
+                          None if verdict else ((ax, ay, az), axis, phi)))
+            if exact or not _SPAN[0] * radius < dist < _SPAN[1] * radius:
+                exact = True
+                continue
         bias = _SLACK * dist * dist
         w = _WIDTH * ((abs(tx) + abs(ty) + abs(tz)) * radius + bias)
         planes.append((tx / w, ty / w, tz / w, bias / w))
         if verdict is None:  # its rows follow the k plane rows
             tests.append((len(planes) - 1, len(cuts)))
             cuts += _cut_rows((tx, ty, tz), axis, phi, radius + dist)
-    if not (cones and n):
-        return np.zeros(n, dtype=bool)
+    if not ((cones or held) and n):
+        return 0 if count else np.zeros(n, dtype=bool)
     if exact:
-        return np.array(_exact(points.tolist(), (cx, cy, cz), cones),
+        seen = np.array(_exact(points.tolist(), c,
+                               cones + _held_cones(apexes, held, c)),
                         dtype=bool)
+        return int(np.count_nonzero(seen)) if count else seen
     k = len(planes)
     if cuts:
         rows = np.array([p + (0.0,) for p in planes] + cuts, dtype=np.float32)
     else:  # the plane rows read only [u; 1]
         rows, cols = np.array(planes, dtype=np.float32), cols[:4]
-    seen = []
+    seen, total = [], 0
     for lo in range(0, n, _BLOCK):
         prod = rows @ cols[:, lo:lo + _BLOCK]
         for i, r in tests:
@@ -268,11 +324,17 @@ def visible_mask(points, apexes, axes, angles, apertures, center,
         score = prod[0] if k == 1 else prod[:k].max(axis=0)
         sure = score >= 1.0
         maybe = score >= -1.0
+        hits = np.count_nonzero(sure)
         # sure implies maybe, so equal counts leave nothing undecided
-        if np.count_nonzero(maybe) != np.count_nonzero(sure):
+        if np.count_nonzero(maybe) != hits:
             idx = np.flatnonzero(maybe != sure)
-            sure[idx] = _exact(points[lo + idx].tolist(), (cx, cy, cz), cones)
+            band = _exact(points[lo + idx].tolist(), c,
+                          cones + _held_cones(apexes, held, c))
+            sure[idx], hits = band, hits + sum(band)
         seen.append(sure)
+        total += hits
+    if count:
+        return int(total)
     return seen[0] if len(seen) == 1 else np.concatenate(seen)
 
 

@@ -15,8 +15,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import (EvalPlan, SwarmConfig, evaluate, expected_information_cost,
-                   information_cost, wrap_theta)
+# expected_information_cost stays importable from here: perfbench/spans.py
+# wraps this module's name.
+from .cost import (EvalPlan, SwarmConfig, _expected_cost, evaluate,
+                   expected_information_cost, information_cost, wrap_theta)
 from .sampling import PoiSet
 
 # Standard simplex coefficients, and the initial step relative to a
@@ -229,18 +231,14 @@ def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
 def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministic",
                     **cost_kwargs) -> Callable[[list[float]], float]:
     """Objective over the wrapped decision vector as a float list, with the
-    degeneracy penalty; its evaluation plan is built once, here."""
+    degeneracy penalty; its evaluation plan is built once, here, and the
+    expected cost scores its noisy samples from that plan."""
     plan = EvalPlan(template, pois, **cost_kwargs)
     if cost_mode == "deterministic":
         return partial(evaluate, plan)
     stddev, n_samples, seed = cost_mode
-
-    def expected(_plan, rows):
-        swarm = SwarmConfig.from_state(rows, template)
-        return expected_information_cost(swarm, pois, stddev, n_samples, seed,
-                                         **cost_kwargs)
-
-    return partial(evaluate, plan, cost=expected)
+    return partial(evaluate, plan, cost=partial(
+        _expected_cost, stddev=stddev, n_samples=n_samples, seed=seed))
 
 
 def optimize_swarm(pois: PoiSet, initial: SwarmConfig,

@@ -109,16 +109,22 @@ def reference_expected_cost(swarm, pois, position_stddev, n_samples, seed,
 def reference_objective(pois, template, cost_mode="deterministic",
                         **cost_kwargs):
     """The swarm objective with the degeneracy loop, then a swarm built by
-    SwarmConfig.from_state (which wraps the thetas again), then the cost of
-    that swarm."""
+    SwarmConfig.from_state (which wraps the thetas again and rejects a
+    non-finite position), then DEGENERACY_PENALTY if a squared distance from
+    the center overflowed, else the cost of that swarm."""
     cx, cy, cz = template.ellipsoid.center.tolist()
 
     def objective(x):
+        far = False
         for px, py, pz, _ in np.reshape(x, (-1, 4)).tolist():
             dx, dy, dz = px - cx, py - cy, pz - cz
-            if math.sqrt(dx * dx + dy * dy + dz * dz) < DEGENERACY_RADIUS_KM:
+            dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+            if dist < DEGENERACY_RADIUS_KM:
                 return DEGENERACY_PENALTY
+            far = far or not dist < math.inf
         swarm = SwarmConfig.from_state(x, template)
+        if far:
+            return DEGENERACY_PENALTY
         if cost_mode == "deterministic":
             return reference_cost(swarm, pois, **cost_kwargs)
         stddev, n_samples, seed = cost_mode

@@ -13,12 +13,14 @@ import math
 import numpy as np
 import pytest
 
-from isoswarm import geometry
-from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
+from isoswarm import cost, geometry
+from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig, coverage,
+                           evaluate)
 from isoswarm.geometry import relative_columns, unit_axis, visible_mask
+from isoswarm.neldermead import pack_swarm
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import unculled_mask
-from tests.reference import cone_angles
+from tests.reference import cone_angles, reference_cost
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
@@ -272,23 +274,45 @@ def test_centered_cache_follows_center():
 
 def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
     # aimed 60 degree cones standing 3 radii out or farther hold the whole
-    # POI ball: only the half-space test should run for them
-    seen = []
-    cull = geometry._cone_holds_ball
-
-    def spy(*args):
-        seen.append(cull(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(geometry, "_cone_holds_ball", spy)
+    # POI ball: each stands beyond its plan's hold distance, so only the
+    # half-space test runs for them, and an evaluation computes no axis,
+    # calls no cull and builds no cut rows, in one kernel call
     e = UncertaintyEllipsoid.sphere(100.0)
     pois = sample_pois(e, 5000, 3)
     radius = pois.columns(e.center)[1]
     poses = [SpacecraftPose(radius * f * unit(rng.standard_normal(3)),
                             0.0, np.pi / 6.0, np.pi / 3.0)
              for f in (3.0, 3.5, 4.0, 5.0, 6.0, 3.0, 4.5)]
-    coverage(SwarmConfig(poses, e), pois, "aimed")
-    assert seen == [True] * 7
+    swarm = SwarmConfig(poses, e)
+    plan = EvalPlan(swarm, pois, orientation_mode="aimed")
+    for row, hold in zip(swarm.state.tolist(), plan.holds):
+        dist = math.hypot(*row[:3])
+        assert hold <= dist
+        # the verdict the hold distance stands for
+        assert geometry._cone_holds_ball(dist, 0.0, unit_axis(
+            row[:3], [0.0, 0.0, 0.0]), np.pi / 3.0, radius) is True
+    calls = {name: [] for name in ("unit_axis", "_cone_holds_ball",
+                                   "_cut_rows", "visible_mask")}
+    for module, name in ((geometry, "unit_axis"), (cost, "unit_axis"),
+                         (geometry, "_cone_holds_ball"),
+                         (geometry, "_cut_rows"), (cost, "visible_mask")):
+        def spy(*args, real=getattr(module, name), seen=calls[name], **kw):
+            seen.append(1)
+            return real(*args, **kw)
+        monkeypatch.setattr(module, name, spy)
+    x = pack_swarm(swarm).tolist()
+    values = [evaluate(plan, x) for _ in range(3)]
+    assert {name: len(seen) for name, seen in calls.items()} == {
+        "unit_axis": 0, "_cone_holds_ball": 0, "_cut_rows": 0,
+        "visible_mask": 3}
+    count, pct, seen = coverage(swarm, pois, "aimed")
+    assert len(calls["visible_mask"]) == 4 and not calls["_cut_rows"]
+    want = np.zeros(len(pois), dtype=bool)
+    for row in swarm.state:
+        want |= full_test(pois.points, row[:3], axis_of(row[:3], e.center),
+                          np.pi / 3.0, e.center)
+    np.testing.assert_array_equal(seen, want)
+    assert values == [reference_cost(swarm, pois)] * 3
 
 
 def test_scalar_visible_culls_holding_and_missing_cones(monkeypatch, rng):

@@ -3,12 +3,16 @@ tests/reference.py: degeneracy loop, SwarmConfig.from_state, then the cost
 of that swarm. Values must agree to the bit."""
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoswarm.cost import (DEGENERACY_PENALTY, EvalPlan, SpacecraftPose,
-                           SwarmConfig, information_cost)
+                           SwarmConfig, evaluate, expected_information_cost,
+                           information_cost)
 from isoswarm.geometry import TWO_PI
 from isoswarm.neldermead import (NelderMeadOptions, OptimizationProblem,
                                  _wrap, nelder_mead, pack_swarm,
@@ -108,6 +112,70 @@ def test_degeneracy_penalty_before_finite_check(n_craft):
             with pytest.raises(ValueError,
                                match="vector components must be finite"):
                 objective(wrapped(x, n_craft))
+
+
+@cache
+def fixed_scene(n_craft, mode):
+    """scene() drawn once per size and mode, with its plan and reference."""
+    pois, template, options = scene(np.random.default_rng(n_craft), n_craft,
+                                    mode)
+    return (EvalPlan(template, pois, **options),
+            reference_objective(pois, template, **options))
+
+
+# any finite float, or one near the scenes' centers and radii
+COORDINATES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                        st.floats(-2e4, 2e4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(n_craft=st.sampled_from([1, 3]), data=st.data())
+def test_every_finite_vector_scores_as_the_reference(n_craft, data):
+    """For any finite packed vector, in both modes, evaluate returns a
+    finite value (the penalty among them) bit-equal to reference_objective's;
+    a squared distance that overflows scores the penalty in both."""
+    x = data.draw(st.lists(COORDINATES, min_size=4 * n_craft,
+                           max_size=4 * n_craft))
+    x = _wrap(x, range(3, 4 * n_craft, 4))
+    for mode in MODES:
+        plan, ref = fixed_scene(n_craft, mode)
+        got = evaluate(plan, x)
+        assert math.isfinite(got)
+        assert same(got, ref(x))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_far_trial_point_scores_the_penalty(mode):
+    # beyond about 1.3e154 km the squared distance overflows and no axis has
+    # a finite norm: both modes score the penalty instead of raising
+    pois, template, options = scene(np.random.default_rng(5), 2, mode)
+    far = [1e200, 0.0, 0.0, 0.0, 0.0, -2e154, 0.0, 1.0]
+    for make in (swarm_objective, reference_objective):
+        objective = make(pois, template, **options)
+        assert objective([*far[:4], *pack_swarm(template)[4:]]) == \
+            DEGENERACY_PENALTY
+        assert objective(far) == DEGENERACY_PENALTY
+        assert make(pois, template, (2.0, 3, 5), **options)(far) == \
+            DEGENERACY_PENALTY
+
+
+def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
+    # the expected-cost objective builds its plan once, not per evaluation
+    builds, init = [], EvalPlan.__init__
+
+    def spy(plan, *args, **kwargs):
+        builds.append(1)
+        init(plan, *args, **kwargs)
+
+    monkeypatch.setattr(EvalPlan, "__init__", spy)
+    pois, template, options = scene(np.random.default_rng(9), 3, "aimed")
+    objective = swarm_objective(pois, template, (3.0, 4, 1), **options)
+    x = pack_swarm(template)
+    for shift in range(5):
+        objective(wrapped(x + shift, 3))
+    assert builds == [1]
+    assert expected_information_cost(template, pois, 3.0, 4, 1,
+                                     **options) == objective(wrapped(x, 3))
 
 
 @pytest.mark.parametrize("stddev", [0.0, 3.0])
