@@ -6,7 +6,7 @@ from .bound import (BoundResult, ContractionParams, NoiseProfile,
 from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig, coverage,
                    expected_information_cost, information_cost, kappa_total,
                    pair_overlap)
-from .geometry import ConeFov, cone_axis, in_fov, visible, visible_mask
+from .geometry import visible_mask
 from .neldermead import (NelderMeadOptions, OptimizationProblem, OptResult,
                          nelder_mead, optimize_swarm)
 from .sampling import (PoiSet, UncertaintyEllipsoid, load_pois, sample_pois,

@@ -47,10 +47,7 @@ def _load_swarm(path) -> SwarmConfig:
                        p["theta"], p["nu"], p["phi"])
         for p in cfg["spacecraft"]
     )
-    swarm = SwarmConfig(poses, ellipsoid)
-    if not np.isfinite(swarm.state[:, 3]).all():
-        raise ValueError("spacecraft theta must be finite")
-    return swarm
+    return SwarmConfig(poses, ellipsoid)
 
 
 def _read(load, path, what):

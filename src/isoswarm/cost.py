@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import (TWO_PI, ConeFov, _hold_distance, as_vec3, unit_axis,
+from .geometry import (TWO_PI, _hold_distance, as_vec3, unit_axis,
                        visible_mask)
 from .sampling import PoiSet
 
@@ -55,17 +55,14 @@ class SpacecraftPose:
 
     def __post_init__(self):
         object.__setattr__(self, "position", as_vec3(self.position))
-        object.__setattr__(self, "theta", wrap_theta(float(self.theta)))
+        theta = float(self.theta)
+        if not math.isfinite(theta):  # its wrap would be NaN
+            raise ValueError("spacecraft theta must be finite")
+        object.__setattr__(self, "theta", wrap_theta(theta))
         if not 0.0 < self.nu < np.pi:
             raise ValueError("nu must lie in (0, pi)")
         if not 0.0 < self.phi < np.pi:
             raise ValueError("phi must lie in (0, pi)")
-
-    def fov(self, center, orientation_mode: str = "aimed") -> ConeFov:
-        """Build this pose's viewing cone relative to the ellipsoid center."""
-        tilt = self.theta if _tilted(orientation_mode) else None
-        return ConeFov(self.position, unit_axis(
-            self.position.tolist(), as_vec3(center).tolist(), tilt), self.phi)
 
 
 class SwarmConfig:

@@ -189,12 +189,16 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
         pois, initial, config.nm_options, orientation_mode="theta_tilt"
     )
     pose = best.spacecraft[0]
-    fov = pose.fov(center, "theta_tilt")
     if config.success_criterion == "center":
-        success = geometry.visible(center, fov, center)
+        target = center
     else:
-        truth = center + _random_unit(rng) * radius * rng.random() ** (1.0 / 3.0)
-        success = geometry.visible(truth, fov, center)
+        target = center + _random_unit(rng) * radius * rng.random() ** (1.0 / 3.0)
+    # the final cone's axis and its folded tilt, as cost._seen passes them
+    apex, theta = pose.position.tolist(), pose.theta
+    axis = geometry.unit_axis(apex, center.tolist(), theta)
+    success = geometry.visible_mask(target[None], [apex], [axis],
+                                    [min(theta, geometry.TWO_PI - theta)],
+                                    [config.phi], center)[0]
 
     return {
         "radius": radius,

@@ -7,7 +7,6 @@ shape (3,); point sets are arrays of shape (n, 3). All functions are pure.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -122,21 +121,6 @@ def unit_axis(apex, center, tilt=None) -> tuple[float, float, float]:
             z * c + (ux * y - uy * x) * s)
 
 
-def cone_axis(apex, ellipsoid_center) -> np.ndarray:
-    """Unit direction from the cone apex toward the ellipsoid center."""
-    return np.array(unit_axis(as_vec3(apex).tolist(),
-                              as_vec3(ellipsoid_center).tolist()))
-
-
-def _center_angle(to_center, axis) -> float:
-    """The angle between the axis and to_center (float 3-sequences), from
-    their cross and dot products."""
-    (vx, vy, vz), (ax, ay, az) = to_center, axis
-    return math.atan2(
-        math.hypot(ay * vz - az * vy, az * vx - ax * vz, ax * vy - ay * vx),
-        ax * vx + ay * vy + az * vz)
-
-
 def _cone_holds_ball(dist, alpha, axis, aperture_phi, radius):
     """True if the cone holds every point within radius of the center, False
     if none, None if it cuts that ball or its apex lies in it. dist is the
@@ -206,8 +190,9 @@ def _exact(points, center, cones):
     """The float64 test of the cones (apex - center, D, cut) on points
     (float 3-sequences), one bool each: the near half-space (point - center)
     . (apex - center) >= -s D^2 and, for a cone that cuts the ball (cut is
-    its apex, axis and phi, else None), in_fov's test with the apex slack s
-    D. These are the IEEE operations of tests/conftest.py's unculled_mask,
+    its apex, axis and phi, else None), the forward-cone test d = rel . axis
+    > s D and C |rel|^2 <= d^2 for rel = point - apex and C = cos^2(phi /
+    2). These are the IEEE operations of tests/conftest.py's unculled_mask,
     in its order, so they give its bits; on Python floats a POI or two (the
     usual band) costs a few us, where NumPy's calls on such short arrays
     cost tens."""
@@ -336,54 +321,3 @@ def visible_mask(points, apexes, axes, angles, apertures, center,
     if count:
         return int(total)
     return seen[0] if len(seen) == 1 else np.concatenate(seen)
-
-
-@dataclass(frozen=True)
-class ConeFov:
-    """A camera field-of-view cone.
-
-    apex: spacecraft position (km); axis: unit viewing direction;
-    aperture_phi: full aperture angle.
-    """
-
-    apex: np.ndarray
-    axis: np.ndarray
-    aperture_phi: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "apex", as_vec3(self.apex))
-        axis = as_vec3(self.axis)
-        n = np.linalg.norm(axis)
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("cone axis must be a unit vector")
-        object.__setattr__(self, "axis", axis)
-        if not 0.0 < self.aperture_phi < np.pi:
-            raise ValueError("aperture_phi must lie in (0, pi)")
-
-    @classmethod
-    def aimed(cls, apex, ellipsoid_center, aperture_phi):
-        """Cone whose axis points from the apex at the ellipsoid center."""
-        return cls(apex, cone_axis(apex, ellipsoid_center), aperture_phi)
-
-
-def in_fov(poi, fov: ConeFov) -> bool:
-    """Whether the POI lies inside the (forward) cone, boundary in: d = rel
-    . axis > 0 and |rel|^2 cos^2(phi / 2) <= d^2 for rel = poi - apex (with
-    no center there is no D, so no apex slack)."""
-    rx, ry, rz = (as_vec3(poi) - fov.apex).tolist()
-    ax, ay, az = fov.axis.tolist()
-    d = rx * ax + ry * ay + rz * az
-    c = float(np.cos(fov.aperture_phi / 2.0))
-    return d > 0.0 and (rx * rx + ry * ry + rz * rz) * (c * c) <= d * d
-
-
-def visible(poi, fov: ConeFov, center) -> bool:
-    """In the cone and in the near hemisphere of the ellipsoid: visible_mask
-    for one POI."""
-    center = as_vec3(center)
-    if np.array_equal(fov.apex, center):
-        raise DegenerateGeometryError("apex coincides with center")
-    apex, axis = fov.apex.tolist(), fov.axis.tolist()
-    angle = _center_angle((center - fov.apex).tolist(), axis)
-    return bool(visible_mask(as_vec3(poi)[None], [apex], [axis], [angle],
-                             [fov.aperture_phi], center)[0])

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from isoswarm import geometry
 from isoswarm.bound import ContractionParams, check_rate_matrix
 from isoswarm.geometry import _SLACK, relative_columns
 
@@ -90,6 +91,18 @@ def unculled_mask(points, apexes, axes, apertures, center):
         seen |= ((dot3(centered, to_apex) >= -_SLACK * dist * dist)
                  & (d > _SLACK * dist) & (dot3(rel, rel) * (c * c) <= d * d))
     return seen
+
+
+def spy(monkeypatch, name):
+    """Record the arguments and the result of each geometry.<name> call."""
+    calls, real = [], getattr(geometry, name)
+
+    def wrapper(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(geometry, name, wrapper)
+    return calls
 
 
 @pytest.fixture

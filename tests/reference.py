@@ -1,7 +1,8 @@
-"""Test-only oracles: scalar cone helpers, the FOV interval, the swarm
-objective as it was computed before the evaluation plan, the array theta
-wrap and POI sampling formula the float and row-wise versions replaced, and
-the ellipsoid, noise-history and weight helpers only tests call."""
+"""Test-only oracles: cone distance and angle helpers, the FOV interval,
+the swarm objective as it was computed before the evaluation plan, the
+array theta wrap and POI sampling formula the float and row-wise versions
+replaced, and the ellipsoid, noise-history and weight helpers only tests
+call."""
 
 import math
 
@@ -10,14 +11,13 @@ import numpy as np
 from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
                            SpacecraftPose, SwarmConfig, kappa_total,
                            wrap_theta)
-from isoswarm.geometry import (_SLACK, ConeFov, DegenerateGeometryError,
-                               _center_angle, as_vec3, unit_axis,
-                               visible_mask)
+from isoswarm.geometry import (_SLACK, DegenerateGeometryError, as_vec3,
+                               unit_axis, visible_mask)
 
 
-def axial_distance(poi, fov: ConeFov) -> float:
+def axial_distance(poi, apex, axis) -> float:
     """Signed projection of (poi - apex) onto the cone axis, in km."""
-    return float((as_vec3(poi) - fov.apex) @ fov.axis)
+    return float((as_vec3(poi) - as_vec3(apex)) @ as_vec3(axis))
 
 
 def cone_radius_at(d: float, aperture_phi: float) -> float:
@@ -27,10 +27,10 @@ def cone_radius_at(d: float, aperture_phi: float) -> float:
     return d * np.tan(aperture_phi / 2.0)
 
 
-def orthogonal_distance(poi, fov: ConeFov) -> float:
+def orthogonal_distance(poi, apex, axis) -> float:
     """Distance (km, >= 0) of the POI from the cone axis line."""
-    rel = as_vec3(poi) - fov.apex
-    return float(np.linalg.norm(rel - (rel @ fov.axis) * fov.axis))
+    rel, axis = as_vec3(poi) - as_vec3(apex), as_vec3(axis)
+    return float(np.linalg.norm(rel - (rel @ axis) * axis))
 
 
 def in_near_hemisphere(poi, apex, center) -> bool:
@@ -85,10 +85,14 @@ def reference_cost(swarm, pois, kappa_weight=1.0,
 
 def cone_angles(apexes, axes, center):
     """Each axis's angle from its apex's direction to the center, by their
-    cross and dot products (geometry._center_angle): visible_mask's angles
-    for cones of any axis."""
-    return [_center_angle((center - apex).tolist(), list(axis))
-            for apex, axis in zip(np.asarray(apexes, dtype=float), axes)]
+    cross and dot products: visible_mask's angles for cones of any axis."""
+    angles = []
+    for apex, (ax, ay, az) in zip(np.asarray(apexes, dtype=float), axes):
+        vx, vy, vz = (center - apex).tolist()
+        angles.append(math.atan2(
+            math.hypot(ay * vz - az * vy, az * vx - ax * vz, ax * vy - ay * vx),
+            ax * vx + ay * vy + az * vz))
+    return angles
 
 
 def reference_expected_cost(swarm, pois, position_stddev, n_samples, seed,

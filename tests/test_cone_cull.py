@@ -19,7 +19,7 @@ from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig, coverage,
 from isoswarm.geometry import relative_columns, unit_axis, visible_mask
 from isoswarm.neldermead import pack_swarm
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
-from tests.conftest import unculled_mask
+from tests.conftest import spy, unculled_mask
 from tests.reference import cone_angles, reference_cost
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
@@ -182,13 +182,12 @@ def test_folded_tilt_matches_the_axis_angle(rng):
             apex = center - dist * e0
             direction = unit_axis(apex.tolist(), center.tolist())
             switch[abs(direction[2]) < 0.9] += 1
-            to_center = (center - apex).tolist()
             poses = []
             for tilt in EDGE_TILTS:
                 axis = unit_axis(apex.tolist(), center.tolist(), tilt)
                 folded = min(tilt, 2 * np.pi - tilt)
-                assert abs(folded - geometry._center_angle(to_center, axis)) \
-                    <= 1e-12
+                angle = cone_angles(apex[None], [axis], center)[0]
+                assert abs(folded - angle) <= 1e-12
                 poses.append(SpacecraftPose(apex, tilt, 0.5,
                                             rng.uniform(0.1, 3.0)))
             e = UncertaintyEllipsoid.sphere(radius, center)
@@ -316,29 +315,21 @@ def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
 
 
 def test_scalar_visible_culls_holding_and_missing_cones(monkeypatch, rng):
-    # one POI is a ball of radius |poi - center|: an aimed cone 100 radii
-    # out holds it, a cone tilted 2 rad away from the center misses it
-    seen = []
-    cull = geometry._cone_holds_ball
-
-    def spy(*args):
-        seen.append(cull(*args))
-        return seen[-1]
-
-    monkeypatch.setattr(geometry, "_cone_holds_ball", spy)
+    # one POI, as the view-probability success check passes it, is a ball of
+    # radius |poi - center|: an aimed cone 100 radii out holds it, a cone
+    # tilted 2 rad away from the center misses it
+    verdicts = spy(monkeypatch, "_cone_holds_ball")
     center = np.array([-350.0, 20.0, 910.0])
     apex = center + 100.0 * unit(rng.standard_normal(3))
-    cones = {True: geometry.ConeFov.aimed(apex, center, np.pi / 3.0),
-             False: geometry.ConeFov(apex, axis_of(apex, center, 2.0),
-                                     np.pi / 3.0)}
-    for holds, fov in cones.items():
+    axes = {True: axis_of(apex, center), False: axis_of(apex, center, 2.0)}
+    for holds, axis in axes.items():
         hits = 0
         for poi in center + rng.uniform(-1.0, 1.0, (50, 3)):
-            seen.clear()
-            got = geometry.visible(poi, fov, center)
-            assert seen == [holds]
-            assert got == full_test(poi[None], fov.apex, fov.axis,
-                                    fov.aperture_phi, center)[0]
+            verdicts.clear()
+            got = one_cone(poi[None], apex, axis, np.pi / 3.0, center)[0]
+            assert [verdict for _, verdict in verdicts] == [holds]
+            assert got == full_test(poi[None], apex, axis, np.pi / 3.0,
+                                    center)[0]
             hits += got
         # the holding cone sees the POIs on its side of the center plane
         assert 0 < hits < 50 if holds else hits == 0

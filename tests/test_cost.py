@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
                            expected_information_cost, information_cost,
                            kappa_total, pair_overlap, wrap_theta)
-from isoswarm.geometry import TWO_PI, in_fov, visible
+from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
-from tests.conftest import arc_mask
+from tests.conftest import arc_mask, unculled_mask
 from tests.reference import fov_interval
 
 NU = 0.3
@@ -54,6 +54,13 @@ def test_theta_wraps_into_half_open_range():
     x = template.state.copy()
     x[:, 3] = TINY_NEGATIVE
     assert (SwarmConfig.from_state(x, template).state[:, 3] == 0.0).all()
+
+
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_pose_rejects_non_finite_theta(theta):
+    # wrapped, it would be NaN, and so would kappa_total
+    with pytest.raises(ValueError, match="spacecraft theta must be finite"):
+        pose(theta)
 
 
 def test_wrap_theta_keeps_other_remainders(rng):
@@ -139,14 +146,12 @@ def test_coverage_matches_brute_force_oracle(rng):
     s = swarm(pose(0.2, (250.0, 40.0, -10.0)), pose(4.0, (-100.0, 200.0, 90.0)),
               radius=80.0)
     count, pct, seen = coverage(s, pois)
-    expected = set()
-    for i, p in enumerate(pois.points):
-        for sc in s.spacecraft:
-            if visible(p, sc.fov(e.center), e.center):
-                expected.add(i)
-                break
-    assert set(np.flatnonzero(seen).tolist()) == expected
-    assert count == len(expected)
+    axes = [unit_axis(sc.position.tolist(), e.center.tolist())
+            for sc in s.spacecraft]
+    expected = unculled_mask(pois.points, s.state[:, :3], axes, s.phi,
+                             e.center)
+    np.testing.assert_array_equal(seen, expected)
+    assert count == np.count_nonzero(expected)
 
 
 def test_coverage_empty_pois_rejected():
@@ -304,32 +309,42 @@ def test_kappa_total_matches_equal_width_pair_loop(rng):
 @pytest.mark.parametrize("mode", ["aimed", "theta_tilt"])
 def test_boundary_ties_kernel_matches_scalar(mode):
     # POIs built on the cone surface (up to rounding) and exactly on the
-    # center plane: the coverage kernel and the scalar visible() must agree
-    # on each, and center-plane points inside the cone count as visible
+    # center plane: the coverage kernel and the un-culled elementwise test
+    # must agree on each, and center-plane points inside the cone count as
+    # visible
     center = np.array([1.0, 2.0, 3.0])
     e = UncertaintyEllipsoid.sphere(60.0, center)
     sc = pose(0.25, center + [30.0, 40.0, 0.0], phi=1.0)
-    fov = sc.fov(center, mode)
-    e1 = np.cross(fov.axis, [0.0, 0.0, 1.0])
+    tilt = sc.theta if mode == "theta_tilt" else None
+    apex, axis = sc.position, np.array(unit_axis(
+        sc.position.tolist(), center.tolist(), tilt))
+    e1 = np.cross(axis, [0.0, 0.0, 1.0])
     e1 /= np.linalg.norm(e1)
-    e2 = np.cross(fov.axis, e1)
+    e2 = np.cross(axis, e1)
     tan = np.tan(sc.phi / 2.0)
     radial = [np.cos(a) * e1 + np.sin(a) * e2
               for a in np.linspace(0.0, 2 * np.pi, 36, endpoint=False)]
 
     def cone(scale):
-        return [fov.apex + d * fov.axis + d * tan * scale * r
-                for d in np.linspace(1.0, 120.0, 40) for r in radial]
+        return np.array([apex + d * axis + d * tan * scale * r
+                         for d in np.linspace(1.0, 120.0, 40)
+                         for r in radial])
 
-    plane = [center + k * np.array([4.0, -3.0, 0.0]) + [0.0, 0.0, m]
-             for k in range(-6, 7) for m in range(-6, 7)]
-    points = np.array(cone(1.0) + plane)
+    def in_cone(points):  # the forward-cone test, with no apex slack
+        rel = points - apex
+        d = rel @ axis
+        c = np.cos(sc.phi / 2.0)
+        return (d > 0.0) & ((rel * rel).sum(axis=1) * (c * c) <= d * d)
+
+    plane = np.array([center + k * np.array([4.0, -3.0, 0.0]) + [0.0, 0.0, m]
+                      for k in range(-6, 7) for m in range(-6, 7)])
+    points = np.vstack([cone(1.0), plane])
     _, _, seen = coverage(SwarmConfig((sc,), e), PoiSet(points, 0, e), mode)
-    scalar = [visible(p, fov, center) for p in points]
-    np.testing.assert_array_equal(seen, scalar)
-    on_plane_in_cone = np.array([in_fov(p, fov) for p in plane])
+    np.testing.assert_array_equal(
+        seen, unculled_mask(points, apex[None], [axis], [sc.phi], center))
+    on_plane_in_cone = in_cone(plane)
     assert on_plane_in_cone.sum() > 50
     assert seen[-len(plane):][on_plane_in_cone].all()
     # the boundary sits on the cone surface: a relative nudge decides it
-    assert all(in_fov(p, fov) for p in cone(1.0 - 1e-9))
-    assert not any(in_fov(p, fov) for p in cone(1.0 + 1e-9))
+    assert in_cone(cone(1.0 - 1e-9)).all()
+    assert not in_cone(cone(1.0 + 1e-9)).any()

@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from isoswarm import geometry
 from isoswarm.cost import SpacecraftPose, SwarmConfig, information_cost
 from isoswarm.experiments import (ConfigError, ExperimentReport,
                                   SwarmSizeConfig, ViewProbabilityConfig,
-                                  _random_unit, aggregate, config_from_dict,
-                                  load_experiment_config, run_experiment,
-                                  run_swarm_size_sweep, run_view_probability)
+                                  _cell_rng, _random_unit, aggregate,
+                                  config_from_dict, load_experiment_config,
+                                  run_experiment, run_swarm_size_sweep,
+                                  run_view_probability)
+from isoswarm.geometry import unit_axis
 from isoswarm.neldermead import NelderMeadOptions
 from isoswarm.sampling import UncertaintyEllipsoid
+from tests.conftest import unculled_mask
 
 NAN, INF = float("nan"), float("inf")
 FAST_NM = NelderMeadOptions(theta_initial_step=0.5, max_iterations=60)
@@ -76,13 +78,29 @@ def test_view_probability_positions_offset_by_iso():
 
 
 def test_view_probability_success_flag_recomputable():
-    report = run_view_probability(small_view_config())
+    # the un-culled test of the final tilted cone on the center, or on the
+    # true position redrawn from the trial's stream after its start
     center = np.zeros(3)
-    for t in report.trials:
-        pose = SpacecraftPose(np.array(t["final_position_relative"]),
-                              t["final_theta"], np.pi / 6, np.pi / 3)
-        fov = pose.fov(center, "theta_tilt")
-        assert t["success"] == geometry.visible(center, fov, center)
+    for criterion in ("center", "sampled_truth"):
+        config = small_view_config(success_criterion=criterion)
+        flags = []
+        for t in run_view_probability(config).trials:
+            target = center
+            if criterion == "sampled_truth":
+                r_idx = config.sphere_radii.index(t["radius"])
+                rng = _cell_rng(config.master_seed, 1, r_idx, t["trial"], 1)
+                lo, hi = config.initial_distance_range
+                assert rng.integers(lo, hi + 1) == t["initial_distance"]
+                _random_unit(rng)
+                assert rng.uniform(0.0, 2.0 * np.pi) == t["initial_theta"]
+                target = center + _random_unit(rng) * t["radius"] * (
+                    rng.random() ** (1.0 / 3.0))
+            apex = np.array(t["final_position_relative"])
+            axis = unit_axis(apex.tolist(), center.tolist(), t["final_theta"])
+            flags.append(bool(unculled_mask(target[None], apex[None], [axis],
+                                            [config.phi], center)[0]))
+            assert t["success"] == flags[-1]
+        assert True in flags and False in flags
 
 
 def test_view_probability_coverage_recomputable():

@@ -15,11 +15,13 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoswarm import geometry
 from isoswarm.geometry import unit_axis, visible_mask
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid
-from tests.conftest import unculled_mask
+from tests.conftest import spy, unculled_mask
 from tests.reference import cone_angles
 
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]),
@@ -113,18 +115,6 @@ def random_scene(rng, n_cones):
     points = np.vstack([ball(rng, center, radius, 300),
                         with_ulps(np.vstack(extra))])
     return points, np.array(apexes), axes, phis, center
-
-
-def spy(monkeypatch, name):
-    """Record the arguments and the result of each geometry.<name> call."""
-    calls, real = [], getattr(geometry, name)
-
-    def wrapper(*args):
-        calls.append((args, real(*args)))
-        return calls[-1][1]
-
-    monkeypatch.setattr(geometry, name, wrapper)
-    return calls
 
 
 @pytest.mark.parametrize("n_cones", range(1, 8))
@@ -268,3 +258,49 @@ def test_apex_next_to_the_center_matches_the_float64_test(rng, offset):
                              cone_angles(apex[None], [axis], center), [1.0],
                              center),
                 unculled_mask(points, apex[None], [axis], [1.0], center))
+
+
+def log2_near(bounds, moderate):
+    """log2 of a value within a factor 16 of either end of bounds (so on
+    both sides of it), or in the moderate range."""
+    lo, hi = (math.log2(b) for b in bounds)
+    return st.one_of(st.floats(lo - 4.0, lo + 4.0),
+                     st.floats(hi - 4.0, hi + 4.0), st.floats(*moderate))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log2_radius=log2_near(geometry._RADII, (-2.0, 10.0)),
+       log2_ratio=log2_near(geometry._SPAN, (-1.0, 3.0)),
+       tilt=st.one_of(st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+                      st.floats(math.pi - 1e-8, math.pi + 1e-8)),
+       phi=st.floats(0.1, 3.0), aimed=st.booleans(), count=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_masks_match_the_float64_test_at_the_range_edges(
+        log2_radius, log2_ratio, tilt, phi, aimed, count, seed):
+    # POI balls of radius R near the ends of _RADII and a cone with D / R
+    # near the ends of _SPAN: aimed with its hold distance, or tilted with
+    # its folded tilt; a mask or a count
+    rng, center = np.random.default_rng(seed), np.zeros(3)
+    radius = 2.0 ** log2_radius
+    try:
+        points, apex, axis, phi = range_scene(
+            rng, center, radius, 2.0 ** log2_ratio * radius,
+            None if aimed else tilt, phi)
+    except geometry.DegenerateGeometryError:  # |apex|^2 underflows to 0
+        return
+    cols = geometry.poi_columns(points, center)
+    want = unculled_mask(points, apex[None], [axis], [phi], center)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if aimed:
+            got = visible_mask(points, apex[None], None, None, [phi], center,
+                               cols, [geometry._hold_distance(phi, cols[1])],
+                               count)
+        else:
+            got = visible_mask(points, apex[None], [axis.tolist()],
+                               [min(tilt, 2.0 * math.pi - tilt)], [phi],
+                               center, cols, count=count)
+    if count:
+        assert got == np.count_nonzero(want)
+    else:
+        np.testing.assert_array_equal(got, want)

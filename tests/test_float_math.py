@@ -156,10 +156,11 @@ def test_kappa_total_matches_array_formula_bit_for_bit():
 
 
 def test_overlap_keeps_nan():
-    ok = SpacecraftPose(np.ones(3), 1.0, 0.5, 1.0)
-    bad = SpacecraftPose(np.ones(3), np.nan, 0.5, 1.0)
-    assert np.isnan(array_arc_overlap(bad.theta, ok.theta, 0.5, 0.5))
-    assert np.isnan(pair_overlap(bad, ok)) and np.isnan(pair_overlap(ok, bad))
+    # a pose rejects a NaN theta, but a packed trial point can carry one
+    terms = _pair_terms((0.5, 0.5), ((0, 1),))
+    assert np.isnan(array_arc_overlap(np.nan, 1.0, 0.5, 0.5))
+    assert np.isnan(_overlap_sum((np.nan, 1.0), terms))
+    assert np.isnan(_overlap_sum((1.0, np.nan), terms))
 
 
 # Orientations and widths whose overlaps hit the fused pair loop's edges:
@@ -187,9 +188,10 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
            for a, b, u, v in zip(ti.tolist(), tj.tolist(), nu_i.tolist(),
                                  nu_j.tolist())]
     np.testing.assert_array_equal(bits(got), bits(want))
-    # pair_overlap on the rows poses admit (widths in (0, pi))
+    # pair_overlap on the rows poses admit: finite thetas, widths in (0, pi)
     valid = np.flatnonzero((0 < nu_i) & (nu_i < np.pi)
-                           & (0 < nu_j) & (nu_j < np.pi))
+                           & (0 < nu_j) & (nu_j < np.pi)
+                           & np.isfinite(ti) & np.isfinite(tj))
     got = [pair_overlap(SpacecraftPose(np.ones(3), ti[k], nu_i[k], 1.0),
                         SpacecraftPose(np.ones(3), tj[k], nu_j[k], 1.0))
            for k in valid.tolist()]
@@ -199,14 +201,15 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
     narrow = np.minimum(2 * nu_i, 2 * nu_j)
     far = np.minimum(narrow, nu_i + nu_j - (TWO_PI - np.minimum(d, TWO_PI - d)))
     assert np.count_nonzero((ti == tj) & (want > 0)) > 100
-    assert np.count_nonzero(np.isnan(want[valid])) > 100
+    assert np.count_nonzero(np.isnan(want)) > 100
     assert np.count_nonzero(np.signbit(want) & (want == 0)) > 10
     assert np.count_nonzero(far[valid] > 0) > 100
 
 
 def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():
-    """kappa_total over swarms of edge rows, widths set on the swarm
-    directly so zero widths of either sign reach the loop too."""
+    """kappa_total over swarms of edge rows, thetas and widths set on the
+    swarm directly so NaN orientations and zero widths of either sign reach
+    the loop too."""
     rng = np.random.default_rng(79)
     theta = np.array(EDGE_THETAS)
     nu = np.array(EDGE_NUS)
@@ -214,9 +217,9 @@ def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():
     for _ in range(600):
         n = int(rng.integers(2, 9))
         t, v = rng.choice(theta, n), rng.choice(nu, n)
-        swarm = SwarmConfig([SpacecraftPose(np.ones(3), x, 1.0, 1.0)
-                             for x in t], ellipsoid)
-        swarm.nu = v
+        swarm = SwarmConfig([SpacecraftPose(np.ones(3), 0.0, 1.0, 1.0)]
+                            * n, ellipsoid)
+        swarm.state[:, 3], swarm.nu = t, v
         i, j = np.triu_indices(n, 1)
         want = 0.0
         for w in array_arc_overlap(t[i], t[j], v[i], v[j]).tolist():

@@ -4,26 +4,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoswarm import geometry
-from isoswarm.geometry import (ConeFov, DegenerateGeometryError, cone_axis,
-                               in_fov, visible, visible_mask)
-from tests.reference import (axial_distance, cone_angles, cone_radius_at,
+from isoswarm.geometry import DegenerateGeometryError, unit_axis, visible_mask
+from tests.conftest import unculled_mask
+from tests.reference import (axial_distance, cone_radius_at,
                              in_near_hemisphere, orthogonal_distance)
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
 
 
+def aimed_visible(poi, apex, center, phi) -> bool:
+    """visible_mask of one POI from the cone at apex aimed at center."""
+    apex, center = np.asarray(apex, float), np.asarray(center, float)
+    axis = unit_axis(apex.tolist(), center.tolist())
+    return bool(visible_mask(np.array([poi], float), [apex.tolist()], [axis],
+                             [0.0], [phi], center)[0])
+
+
 def test_cone_axis_axis_aligned():
-    np.testing.assert_allclose(cone_axis([1, 0, 0], [0, 0, 0]), [-1, 0, 0])
+    assert unit_axis([1.0, 0.0, 0.0], [0.0, 0.0, 0.0]) == (-1.0, 0.0, 0.0)
 
 
 def test_cone_axis_345():
-    np.testing.assert_allclose(cone_axis([0, 0, 0], [3, 4, 0]), [0.6, 0.8, 0])
+    np.testing.assert_allclose(unit_axis([0.0, 0.0, 0.0], [3.0, 4.0, 0.0]),
+                               [0.6, 0.8, 0.0])
 
 
 def test_cone_axis_degenerate():
     with pytest.raises(DegenerateGeometryError):
-        cone_axis([1, 2, 3], [1, 2, 3])
+        unit_axis([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
 
 
 @pytest.mark.parametrize("tilt", [None, 0.5])
@@ -33,19 +42,19 @@ def test_unit_axis_overflowing_norm_is_degenerate(apex, tilt):
     # beyond about 1.3e154 km the squared norm overflows to inf, and the
     # axis would come out as zeros (or divide by a zero norm when tilted)
     with pytest.raises(DegenerateGeometryError):
-        geometry.unit_axis(apex, [0.0, 0.0, 0.0], tilt)
+        unit_axis(apex, [0.0, 0.0, 0.0], tilt)
 
 
-def _fov(apex=(0, 0, 0), axis=(1, 0, 0), phi=np.pi / 2):
-    return ConeFov(np.array(apex, float), np.array(axis, float), phi)
+# apex and axis of a cone at the origin looking along +x
+CONE = ([0, 0, 0], [1, 0, 0])
 
 
 def test_axial_distance_projection():
-    assert axial_distance([5, 3, 0], _fov()) == 5.0
+    assert axial_distance([5, 3, 0], *CONE) == 5.0
 
 
 def test_axial_distance_signed():
-    assert axial_distance([-2, 0, 0], _fov()) == -2.0
+    assert axial_distance([-2, 0, 0], *CONE) == -2.0
 
 
 def test_axial_distance_matches_dot_product_oracle(rng):
@@ -54,10 +63,10 @@ def test_axial_distance_matches_dot_product_oracle(rng):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         poi = rng.uniform(-100, 100, 3)
-        fov = ConeFov(apex, axis, 0.5)
         # independently coded projection
         expected = sum((poi[i] - apex[i]) * axis[i] for i in range(3))
-        assert axial_distance(poi, fov) == pytest.approx(expected, abs=1e-12)
+        assert axial_distance(poi, apex, axis) == pytest.approx(expected,
+                                                                abs=1e-12)
 
 
 def test_cone_radius_at_apex():
@@ -78,11 +87,11 @@ def test_cone_radius_rejects_negative():
 
 
 def test_orthogonal_distance_on_axis():
-    assert orthogonal_distance([7, 0, 0], _fov()) == 0.0
+    assert orthogonal_distance([7, 0, 0], *CONE) == 0.0
 
 
 def test_orthogonal_distance_offset():
-    assert orthogonal_distance([5, 3, 0], _fov()) == pytest.approx(3.0)
+    assert orthogonal_distance([5, 3, 0], *CONE) == pytest.approx(3.0)
 
 
 def test_orthogonal_distance_trig_oracle(rng):
@@ -91,36 +100,20 @@ def test_orthogonal_distance_trig_oracle(rng):
         axis = rng.standard_normal(3)
         axis /= np.linalg.norm(axis)
         poi = rng.uniform(-50, 50, 3)
-        fov = ConeFov(apex, axis, 0.5)
         rel = poi - apex
         r = np.linalg.norm(rel)
         angle = np.arccos(np.clip(rel @ axis / r, -1, 1))
-        assert orthogonal_distance(poi, fov) == pytest.approx(
+        assert orthogonal_distance(poi, apex, axis) == pytest.approx(
             r * np.sin(angle), abs=1e-9)
 
 
 def test_in_fov_on_axis_ahead():
-    assert in_fov([3, 0, 0], _fov())
+    assert aimed_visible([3, 0, 0], CONE[0], [10, 0, 0], np.pi / 2)
 
 
 def test_in_fov_behind_apex():
-    assert not in_fov([-3, 0, 0], _fov())
-
-
-def test_in_fov_matches_angular_oracle(rng):
-    for _ in range(1000):
-        apex = rng.uniform(-100, 100, 3)
-        center = rng.uniform(-100, 100, 3)
-        if np.allclose(apex, center):
-            continue
-        phi = rng.uniform(0.05, 3.0)
-        fov = ConeFov.aimed(apex, center, phi)
-        poi = rng.uniform(-150, 150, 3)
-        rel = poi - apex
-        r = np.linalg.norm(rel)
-        angular = r > 0 and rel @ fov.axis > 0 and \
-            np.arccos(np.clip(rel @ fov.axis / r, -1, 1)) <= phi / 2
-        assert in_fov(poi, fov) == angular
+    # in the near hemisphere, but behind the apex
+    assert not aimed_visible([-3, 0, 0], CONE[0], [10, 0, 0], np.pi / 2)
 
 
 def test_near_hemisphere_center_boundary():
@@ -141,22 +134,24 @@ def test_near_hemisphere_degenerate():
 
 
 def test_visible_conjunction():
-    center = np.zeros(3)
-    fov = ConeFov.aimed([10, 0, 0], center, np.pi / 2)
-    assert visible([5, 0, 0], fov, center)       # near hemisphere, on axis
-    assert not visible([-5, 0, 0], fov, center)  # in cone, far hemisphere
+    center, apex = np.zeros(3), [10, 0, 0]
+    # near hemisphere, on axis; in cone, far hemisphere
+    assert aimed_visible([5, 0, 0], apex, center, np.pi / 2)
+    assert not aimed_visible([-5, 0, 0], apex, center, np.pi / 2)
 
 
 def test_visible_mask_matches_scalar(rng):
+    # each POI alone gets its answer among 500, and both are the
+    # un-culled elementwise test's
     center = rng.uniform(-20, 20, 3)
     apex = center + rng.uniform(5, 30) * np.array([1, 0.2, -0.3])
-    fov = ConeFov.aimed(apex, center, 1.2)
+    axis = unit_axis(apex.tolist(), center.tolist())
     pts = rng.uniform(-40, 40, (500, 3))
-    mask = visible_mask(pts, fov.apex[None], [fov.axis],
-                        cone_angles(fov.apex[None], [fov.axis], center),
-                        [fov.aperture_phi], center)
+    mask = visible_mask(pts, [apex.tolist()], [axis], [0.0], [1.2], center)
+    np.testing.assert_array_equal(
+        mask, unculled_mask(pts, apex[None], [axis], [1.2], center))
     for p, m in zip(pts, mask):
-        assert visible(p, fov, center) == m
+        assert aimed_visible(p, apex, center, 1.2) == m
 
 
 @settings(max_examples=100, deadline=None)
@@ -165,9 +160,8 @@ def test_visible_mask_matches_scalar(rng):
 def test_visibility_translation_invariant(poi, apex, center, shift, phi):
     if np.linalg.norm(center - apex) < 1e-6:
         return
-    fov = ConeFov.aimed(apex, center, phi)
-    fov2 = ConeFov.aimed(apex + shift, center + shift, phi)
-    assert visible(poi, fov, center) == visible(poi + shift, fov2, center + shift)
+    assert aimed_visible(poi, apex, center, phi) == aimed_visible(
+        poi + shift, apex + shift, center + shift, phi)
 
 
 # (poi, apex, center, shift, phi) where the shift rounds away an offset far
@@ -195,9 +189,8 @@ SUB_ULP_CASES = [
 @pytest.mark.parametrize("poi, apex, center, shift, phi", SUB_ULP_CASES)
 def test_visibility_ignores_sub_ulp_offsets(poi, apex, center, shift, phi):
     poi, apex, center, shift = map(np.array, (poi, apex, center, shift))
-    fov = ConeFov.aimed(apex, center, phi)
-    fov2 = ConeFov.aimed(apex + shift, center + shift, phi)
-    assert visible(poi, fov, center) == visible(poi + shift, fov2, center + shift)
+    assert aimed_visible(poi, apex, center, phi) == aimed_visible(
+        poi + shift, apex + shift, center + shift, phi)
 
 
 def test_slack_scales_with_spacecraft_distance():
@@ -206,14 +199,11 @@ def test_slack_scales_with_spacecraft_distance():
     center = np.zeros(3)
     for dist in (1e-3, 1.0, 1e6):
         apex = np.array([0.0, 0.0, dist])
-        fov = ConeFov.aimed(apex, center, 1.0)
         step = np.array([0.0, 0.0, dist * geometry._SLACK])
-        assert not visible(apex - 0.5 * step, fov, center)
-        assert visible(apex - 2.0 * step, fov, center)
-        # the apex slack does not apply without a center
-        assert in_fov(apex - 0.5 * step, fov)
-        assert visible(center - 0.5 * step, fov, center)
-        assert not visible(center - 2.0 * step, fov, center)
+        assert not aimed_visible(apex - 0.5 * step, apex, center, 1.0)
+        assert aimed_visible(apex - 2.0 * step, apex, center, 1.0)
+        assert aimed_visible(center - 0.5 * step, apex, center, 1.0)
+        assert not aimed_visible(center - 2.0 * step, apex, center, 1.0)
         assert in_near_hemisphere(center - 0.5 * step, apex, center)
         assert not in_near_hemisphere(center - 2.0 * step, apex, center)
 
@@ -224,11 +214,12 @@ def test_slack_scales_with_spacecraft_distance():
 def test_visibility_scale_covariant(poi, apex, center, scale, phi):
     if np.linalg.norm(center - apex) < 1e-6:
         return
-    fov = ConeFov.aimed(apex, center, phi)
-    fov2 = ConeFov.aimed(apex * scale, center * scale, phi)
-    assert visible(poi, fov, center) == visible(poi * scale, fov2, center * scale)
-    assert axial_distance(poi * scale, fov2) == pytest.approx(
-        scale * axial_distance(poi, fov), rel=1e-9, abs=1e-9)
+    assert aimed_visible(poi, apex, center, phi) == aimed_visible(
+        poi * scale, apex * scale, center * scale, phi)
+    axis = unit_axis(apex.tolist(), center.tolist())
+    axis2 = unit_axis((apex * scale).tolist(), (center * scale).tolist())
+    assert axial_distance(poi * scale, apex * scale, axis2) == pytest.approx(
+        scale * axial_distance(poi, apex, axis), rel=1e-9, abs=1e-9)
 
 
 def test_visibility_rotation_invariant(rng):
@@ -242,9 +233,8 @@ def test_visibility_rotation_invariant(rng):
         poi = rng.uniform(-80, 80, 3)
         phi = rng.uniform(0.1, 3.0)
         R = Rotation.random(random_state=int(rng.integers(2**31))).as_matrix()
-        fov = ConeFov.aimed(apex, center, phi)
-        fov2 = ConeFov.aimed(R @ apex, R @ center, phi)
-        assert visible(poi, fov, center) == visible(R @ poi, fov2, R @ center)
+        assert aimed_visible(poi, apex, center, phi) == aimed_visible(
+            R @ poi, R @ apex, R @ center, phi)
 
 
 def test_tilted_axis_angle_equals_tilt(rng):
@@ -254,9 +244,8 @@ def test_tilted_axis_angle_equals_tilt(rng):
         if np.linalg.norm(center - apex) < 1e-3:
             continue
         tilt = rng.uniform(0, np.pi)
-        toward = cone_axis(apex, center)
-        tilted = np.array(geometry.unit_axis(apex.tolist(), center.tolist(),
-                                             tilt))
+        toward = np.array(unit_axis(apex.tolist(), center.tolist()))
+        tilted = np.array(unit_axis(apex.tolist(), center.tolist(), tilt))
         assert np.linalg.norm(tilted) == pytest.approx(1.0, abs=1e-12)
         assert np.arccos(np.clip(toward @ tilted, -1, 1)) == pytest.approx(
             tilt, abs=1e-9)

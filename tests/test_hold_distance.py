@@ -9,12 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from isoswarm import geometry
 from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
 from isoswarm.geometry import (_RADII, _SHORT_AXIS, _SPAN, _cone_holds_ball,
                                _hold_distance, unit_axis)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid
-from tests.conftest import unculled_mask
+from tests.conftest import spy, unculled_mask
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
@@ -82,18 +81,6 @@ def test_paper_cones_hold_from_two_radii():
     # plus the margins
     hold = _hold_distance(np.pi / 3.0, 100.0)
     assert 200.0 < hold < 200.0 * (1.0 + 1e-8)
-
-
-def spy(monkeypatch, name):
-    """Count the calls of geometry.<name>."""
-    calls, real = [], getattr(geometry, name)
-
-    def wrapper(*args):
-        calls.append(1)
-        return real(*args)
-
-    monkeypatch.setattr(geometry, name, wrapper)
-    return calls
 
 
 def unit(v):

@@ -235,12 +235,13 @@ def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
 def test_scalar_visible_matches_elementwise_at_the_cone_surface(rng):
     center = np.array([-350.0, 20.0, 910.0])
     points, apex, axis, phi = surface_scene(rng, center, 1.0)
-    fov = geometry.ConeFov(apex, axis, phi)
+    angles = cone_angles(apex[None], [axis], center)
     verdicts = {True: 0, False: 0, None: 0}
     for p in points[300:]:
         want = elementwise_mask(p[None], apex, axis.tolist(), phi, center,
                                 verdicts)
-        assert geometry.visible(p, fov, center) == want[0]
+        assert geometry.visible_mask(p[None], apex[None], [axis.tolist()],
+                                     angles, [phi], center)[0] == want[0]
     assert verdicts[None] > 0
 
 
