@@ -36,14 +36,6 @@ def wrap_theta(theta):
     return theta
 
 
-def _tilted(orientation_mode: str) -> bool:
-    """Whether cone axes are tilted away from the center direction by theta
-    ("theta_tilt") rather than aimed at the center ("aimed")."""
-    if orientation_mode not in ("aimed", "theta_tilt"):
-        raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
-    return orientation_mode == "theta_tilt"
-
-
 @dataclass(frozen=True)
 class SpacecraftPose:
     """Terminal position plus FOV parameters of one spacecraft."""
@@ -83,10 +75,12 @@ class SwarmConfig:
     @classmethod
     def from_state(cls, x, template: SwarmConfig) -> SwarmConfig:
         """The template's spacecraft moved to the packed vector x, built
-        without pose objects: positions must be finite, thetas are wrapped."""
+        without pose objects: x must be finite, and its thetas are wrapped."""
         state = np.array(x, dtype=float).reshape(len(template), 4)
         if not np.isfinite(state[:, :3]).all():
             raise ValueError("vector components must be finite")
+        if not np.isfinite(state[:, 3]).all():  # its wrap would be NaN
+            raise ValueError("spacecraft theta must be finite")
         state[:, 3] = wrap_theta(state[:, 3])
         swarm = cls.__new__(cls)
         vars(swarm).update(vars(template), state=state)
@@ -123,39 +117,46 @@ class CostBreakdown:
 
 
 def _pair_terms(nu, pairs):
-    """(i, j, nu[i] + nu[j], narrow) for each index pair (i, j), the widths
-    _overlap_sum reads: narrow is min(2 nu[i], 2 nu[j]), written `wide if
-    wide < narrow else narrow` (see _overlap_sum)."""
+    """(i, j, nu[i] + nu[j], narrow, far) for each index pair (i, j), as
+    _overlap_sum reads them: narrow is min(2 nu[i], 2 nu[j]) (by its min), and
+    far is False where the far piece adds nothing: a reach of at most 3 < pi
+    and a positive narrow, so the near piece is never -0.0."""
     terms = []
     for i, j in pairs:
         narrow, wide = 2.0 * nu[i], 2.0 * nu[j]
-        terms.append((i, j, nu[i] + nu[j], wide if wide < narrow else narrow))
+        narrow = wide if wide < narrow else narrow
+        reach = nu[i] + nu[j]
+        far = not (reach <= 3.0 and narrow > 0.0)
+        terms.append((i, j, reach, narrow, far))
     return tuple(terms)
 
 
 def _overlap_sum(theta, terms, total=0.0):
-    """total plus, for each _pair_terms term (i, j, reach, narrow) in order,
-    the length of the intersection of the circular arcs [theta[i] +- nu[i]]
-    and [theta[j] +- nu[j]]; equal thetas get DEFAULT_IDENTICAL_THETA_DELTA
-    added to one.
+    """total plus, for each _pair_terms term in order, the length of the
+    intersection of the arcs [theta[i] +- nu[i]] and [theta[j] +- nu[j]] on
+    the circle; equal thetas get DEFAULT_IDENTICAL_THETA_DELTA added to one.
+    The thetas must be wrapped into [0, 2 pi) (or NaN): |ti - tj| < 2 pi.
 
     The arcs can meet across both separations, sep and 2 pi - sep; for equal
     widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
     `b if b < a else a` is min(a, b) to the bit: it keeps a when either is
     NaN (a carries a NaN orientation) or both are zeros, and `0.0 if a < 0.0
     else a` is max(a, 0.0) alike."""
-    for i, j, reach, narrow in terms:
+    for i, j, reach, narrow, far in terms:
         ti, tj = theta[i], theta[j]
         if ti == tj:
             tj += DEFAULT_IDENTICAL_THETA_DELTA
-        d = abs(ti - tj) % TWO_PI
+        d = abs(ti - tj)
         sep = TWO_PI - d
         sep = sep if sep < d else d
         near = reach - sep
         near = narrow if narrow < near else near
-        far = reach - (TWO_PI - sep)
-        far = narrow if narrow < far else far
-        total += (0.0 if near < 0.0 else near) + (0.0 if far < 0.0 else far)
+        near = 0.0 if near < 0.0 else near
+        if far:
+            piece = reach - (TWO_PI - sep)
+            piece = narrow if narrow < piece else piece
+            near += 0.0 if piece < 0.0 else piece
+        total += near
     return total
 
 
@@ -185,7 +186,9 @@ class EvalPlan:
                  orientation_mode="aimed"):
         if len(pois) == 0:
             raise ValueError("POI set is empty")
-        self.tilted = _tilted(orientation_mode)
+        if orientation_mode not in ("aimed", "theta_tilt"):
+            raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
+        self.tilted = orientation_mode == "theta_tilt"
         self.center = swarm.ellipsoid.center
         self.c = self.center.tolist()
         self.points, self.columns = pois.points, pois.columns(self.center)
@@ -196,26 +199,24 @@ class EvalPlan:
         self.kappa_weight, self.n = kappa_weight, len(pois)
 
 
-def _seen(plan: EvalPlan, rows, count=False):
-    """The mask (or with count, the number) of POIs that a spacecraft of the
-    (x, y, z, theta) rows sees. A tilted axis makes the tilt's circular
-    distance from zero with the center direction (see unit_axis); aimed
-    cones get their axes in the kernel, and only nearer than their hold
-    distances."""
-    apexes = [row[:3] for row in rows]
+def _seen(plan: EvalPlan, apexes, thetas, count=False):
+    """The mask (or with count, the number) of POIs seen from one of the
+    apexes (float 3-sequences) with its theta. A tilted axis makes the tilt's
+    circular distance from zero with the center direction (see unit_axis);
+    aimed cones get their axes in the kernel, only within hold distances."""
     if not plan.tilted:
         return visible_mask(plan.points, apexes, None, None, plan.phi,
                             plan.center, plan.columns, plan.holds, count)
-    axes = [unit_axis(apex, plan.c, row[3]) for apex, row in zip(apexes, rows)]
-    angles = [min(row[3], TWO_PI - row[3]) for row in rows]
+    axes = [unit_axis(a, plan.c, t) for a, t in zip(apexes, thetas)]
+    angles = [min(t, TWO_PI - t) for t in thetas]
     return visible_mask(plan.points, apexes, axes, angles, plan.phi,
                         plan.center, plan.columns, count=count)
 
 
-def _cost(plan: EvalPlan, rows) -> float:
-    """w * kappa_total - coverage of the (x, y, z, theta) rows of floats."""
-    kappa = _overlap_sum([row[3] for row in rows], plan.terms)
-    count = _seen(plan, rows, count=True)
+def _cost(plan: EvalPlan, apexes, thetas) -> float:
+    """w * kappa_total - coverage of spacecraft at apexes with thetas."""
+    kappa = _overlap_sum(thetas, plan.terms)
+    count = _seen(plan, apexes, thetas, count=True)
     return plan.kappa_weight * kappa - 100.0 * count / plan.n
 
 
@@ -225,11 +226,11 @@ def evaluate(plan: EvalPlan, x: list, cost=_cost) -> float:
     DEGENERACY_RADIUS_KM of the center, else a ValueError when a position is
     not finite, else DEGENERACY_PENALTY when a spacecraft's squared distance
     from the center overflows (no axis has a finite norm there), else
-    cost(plan, rows) of x's (x, y, z, theta) rows."""
-    rows = [x[k:k + 4] for k in range(0, len(x), 4)]
+    cost(plan, apexes, thetas) of x's (x, y, z) tuples and thetas."""
+    apexes = list(zip(x[0::4], x[1::4], x[2::4]))
     cx, cy, cz = plan.c
     finite, far = True, False
-    for px, py, pz, _ in rows:
+    for px, py, pz in apexes:
         dx, dy, dz = px - cx, py - cy, pz - cz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         if dist < DEGENERACY_RADIUS_KM:
@@ -239,7 +240,7 @@ def evaluate(plan: EvalPlan, x: list, cost=_cost) -> float:
             finite = finite and all(map(math.isfinite, (px, py, pz)))
     if not finite:
         raise ValueError("vector components must be finite")
-    return DEGENERACY_PENALTY if far else cost(plan, rows)
+    return DEGENERACY_PENALTY if far else cost(plan, apexes, x[3::4])
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,
@@ -247,7 +248,8 @@ def coverage(swarm: SwarmConfig, pois: PoiSet,
     """POIs visible to at least one spacecraft: count, percentage, and the
     boolean mask over the POIs."""
     plan = EvalPlan(swarm, pois, orientation_mode=orientation_mode)
-    seen = _seen(plan, swarm.state.tolist())
+    state = swarm.state
+    seen = _seen(plan, state[:, :3].tolist(), state[:, 3].tolist())
     count = int(np.count_nonzero(seen))
     return count, 100.0 * count / len(pois), seen
 
@@ -263,12 +265,12 @@ def information_cost(swarm: SwarmConfig, pois: PoiSet,
                          len(pois))
 
 
-def _expected_cost(plan: EvalPlan, rows, stddev, n_samples, seed) -> float:
-    """The mean of _cost over n_samples copies of the (x, y, z, theta) rows
-    with each position moved by isotropic normal noise of the given standard
-    deviation (km) from a generator seeded with seed; _cost of the rows
-    themselves when stddev is 0, so that cost is bitwise the deterministic
-    one."""
+def _expected_cost(plan: EvalPlan, apexes, thetas, stddev, n_samples, seed):
+    """The mean of _cost over n_samples copies of the spacecraft at the
+    apexes with the thetas, each apex moved by isotropic normal noise of the
+    given standard deviation (km) from a generator seeded with seed; _cost
+    of the apexes themselves when stddev is 0, so that cost is bitwise the
+    deterministic one."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if stddev < 0.0:
@@ -276,14 +278,13 @@ def _expected_cost(plan: EvalPlan, rows, stddev, n_samples, seed) -> float:
     if not stddev < math.inf:
         raise ValueError("position_stddev must be finite")
     if stddev == 0.0:
-        return _cost(plan, rows)
+        return _cost(plan, apexes, thetas)
     rng = np.random.default_rng(seed)
-    state = np.array(rows)
+    positions = np.array(apexes)
     total = 0.0
     for _ in range(n_samples):
-        noisy = state.copy()
-        noisy[:, :3] += rng.normal(0.0, stddev, (len(state), 3))
-        total += _cost(plan, noisy.tolist())
+        noisy = positions + rng.normal(0.0, stddev, positions.shape)
+        total += _cost(plan, noisy.tolist(), thetas)
     return total / n_samples
 
 
@@ -296,6 +297,7 @@ def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
     with the given standard deviation (km); orientations are unperturbed.
     Deterministic in the seed.
     """
+    state = swarm.state
     return _expected_cost(EvalPlan(swarm, pois, **cost_kwargs),
-                          swarm.state.tolist(), position_stddev, n_samples,
-                          seed)
+                          state[:, :3].tolist(), state[:, 3].tolist(),
+                          position_stddev, n_samples, seed)

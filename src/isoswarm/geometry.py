@@ -171,19 +171,20 @@ def _hold_distance(aperture_phi, radius):
 
 
 def _cut_rows(plane, axis, phi, reach):
-    """The float64 rows, over the poi_columns [u; 1; |u|^2], of a cone that
-    cuts the POI ball, with plane = apex - center and reach = L: with rel =
-    point - apex and C = cos^2(phi / 2) they give d / sqrt(W) and C |rel|^2
-    / W for d = rel . axis and the width W = _WIDTH L^2 (|axis|_1^2 + C +
-    1), so the cone's score is d |d| / W - C |rel|^2 / W."""
+    """The two float64 rows, one flat list, over the poi_columns [u; 1;
+    |u|^2] of a cone that cuts the POI ball, with plane = apex - center and
+    reach = L: with rel = point - apex and C = cos^2(phi / 2) they give d /
+    sqrt(W) and C |rel|^2 / W for d = rel . axis and the width W = _WIDTH
+    L^2 (|axis|_1^2 + C + 1), so the cone's score is d |d| / W - C |rel|^2
+    / W."""
     (tx, ty, tz), (ax, ay, az) = plane, axis
     c = math.cos(phi / 2.0)
     c2, l1 = c * c, abs(ax) + abs(ay) + abs(az)
     w = _WIDTH * reach * reach * (l1 * l1 + c2 + 1.0)
     h, k = 1.0 / math.sqrt(w), -2.0 * c2 / w
-    return [(ax * h, ay * h, az * h, -(ax * tx + ay * ty + az * tz) * h, 0.0),
-            (k * tx, k * ty, k * tz, c2 * (tx * tx + ty * ty + tz * tz) / w,
-             c2 / w)]
+    return [ax * h, ay * h, az * h, -(ax * tx + ay * ty + az * tz) * h, 0.0,
+            k * tx, k * ty, k * tz, c2 * (tx * tx + ty * ty + tz * tz) / w,
+            c2 / w]
 
 
 def _exact(points, center, cones):
@@ -281,9 +282,9 @@ def visible_mask(points, apexes, axes, angles, apertures, center,
                 continue
         bias = _SLACK * dist * dist
         w = _WIDTH * ((abs(tx) + abs(ty) + abs(tz)) * radius + bias)
-        planes.append((tx / w, ty / w, tz / w, bias / w))
+        planes += tx / w, ty / w, tz / w, bias / w
         if verdict is None:  # its rows follow the k plane rows
-            tests.append((len(planes) - 1, len(cuts)))
+            tests.append((len(planes) // 4 - 1, len(cuts) // 5))
             cuts += _cut_rows((tx, ty, tz), axis, phi, radius + dist)
     if not ((cones or held) and n):
         return 0 if count else np.zeros(n, dtype=bool)
@@ -292,11 +293,13 @@ def visible_mask(points, apexes, axes, angles, apertures, center,
                                cones + _held_cones(apexes, held, c)),
                         dtype=bool)
         return int(np.count_nonzero(seen)) if count else seen
-    k = len(planes)
-    if cuts:
-        rows = np.array([p + (0.0,) for p in planes] + cuts, dtype=np.float32)
+    k = len(planes) // 4
+    if cuts:  # each plane row gets a 0 for |u|^2
+        for i in range(4 * k, 0, -4):
+            planes.insert(i, 0.0)
     else:  # the plane rows read only [u; 1]
-        rows, cols = np.array(planes, dtype=np.float32), cols[:4]
+        cols = cols[:4]
+    rows = np.array(planes + cuts, dtype=np.float32).reshape(-1, len(cols))
     seen, total = [], 0
     for lo in range(0, n, _BLOCK):
         prod = rows @ cols[:, lo:lo + _BLOCK]

@@ -9,6 +9,7 @@ either side of the 0 / 2 pi seam stay close and the simplex can shrink.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -159,11 +160,14 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
     # The bits of NumPy's bookkeeping at less cost: values are finite, so the
     # stable sort is argsort(kind="stable"), and np.mean is add.reduce / n.
-    termination, shrinks, iteration = "budget", 0, 0
+    # Any step but a shrink moves one vertex, inserted where that sort puts it.
+    termination, shrinks, iteration, ordered = "budget", 0, 0, False
     for iteration in range(1, max_iter + 1):
-        order = sorted(range(n + 1), key=values.__getitem__)
-        verts, values = [verts[i] for i in order], [values[i] for i in order]
-        simplex = simplex.take(order, 0)
+        if not ordered:
+            order = sorted(range(n + 1), key=values.__getitem__)
+            verts = [verts[i] for i in order]
+            values = [values[i] for i in order]
+            simplex, ordered = simplex.take(order, 0), True
         best, worst = verts[0], verts[-1]
 
         spread = values[-1] - values[0]
@@ -201,15 +205,19 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
                 accept = fc < values[-1]
             new = (xc, fc) if accept else None
         if new is None:
-            shrinks += 1
+            shrinks, ordered = shrinks + 1, False
             for i in range(1, n + 1):
                 verts[i] = [b + SHRINK * (v - b)
                             for b, v in zip(best, verts[i])]
                 values[i] = f(verts[i])
                 simplex[i] = verts[i]
         else:
-            verts[-1], values[-1] = new
-            simplex[-1] = verts[-1]
+            x_new, f_new = new
+            p = bisect_right(values, f_new, 0, n)
+            verts[p:] = [x_new, *verts[p:-1]]
+            values[p:] = [f_new, *values[p:-1]]
+            simplex[p + 1:] = simplex[p:-1]
+            simplex[p] = x_new
 
     k = min(range(n + 1), key=values.__getitem__)
     final = _diameter(np.delete(simplex, k, 0), simplex[k])

@@ -1,4 +1,4 @@
-"""Test-only oracles: cone distance and angle helpers, the FOV interval,
+"""Test-only oracles: the axial distance and cone angles, the FOV interval,
 the swarm objective as it was computed before the evaluation plan, the
 array theta wrap and POI sampling formula the float and row-wise versions
 replaced, and the ellipsoid, noise-history and weight helpers only tests
@@ -18,19 +18,6 @@ from isoswarm.geometry import (_SLACK, DegenerateGeometryError, as_vec3,
 def axial_distance(poi, apex, axis) -> float:
     """Signed projection of (poi - apex) onto the cone axis, in km."""
     return float((as_vec3(poi) - as_vec3(apex)) @ as_vec3(axis))
-
-
-def cone_radius_at(d: float, aperture_phi: float) -> float:
-    """Cone radius d * tan(phi / 2) at axial distance d >= 0."""
-    if d < 0.0:
-        raise ValueError("axial distance must be non-negative")
-    return d * np.tan(aperture_phi / 2.0)
-
-
-def orthogonal_distance(poi, apex, axis) -> float:
-    """Distance (km, >= 0) of the POI from the cone axis line."""
-    rel, axis = as_vec3(poi) - as_vec3(apex), as_vec3(axis)
-    return float(np.linalg.norm(rel - (rel @ axis) * axis))
 
 
 def in_near_hemisphere(poi, apex, center) -> bool:

@@ -63,6 +63,20 @@ def test_pose_rejects_non_finite_theta(theta):
         pose(theta)
 
 
+@pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
+def test_from_state_rejects_non_finite_theta(theta):
+    # as a pose does: wrapped, the theta would be NaN, and so would
+    # information_cost's kappa_total
+    template = swarm(pose(0.5), pose(0.5))
+    with pytest.raises(ValueError, match="spacecraft theta must be finite"):
+        SwarmConfig.from_state([[300.0, 0.0, 0.0, theta],
+                                [300.0, 0.0, 0.0, 0.5]], template)
+    # a non-finite position is still reported first
+    with pytest.raises(ValueError, match="vector components must be finite"):
+        SwarmConfig.from_state([[300.0, theta, 0.0, theta],
+                                [300.0, 0.0, 0.0, 0.5]], template)
+
+
 def test_wrap_theta_keeps_other_remainders(rng):
     """Every remainder below 2 pi comes back as %'s, bit for bit."""
     theta = np.concatenate([rng.uniform(-50, 50, 5000),

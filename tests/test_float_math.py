@@ -166,11 +166,14 @@ def test_overlap_keeps_nan():
 # Orientations and widths whose overlaps hit the fused pair loop's edges:
 # equal thetas (the delta path), NaN orientations, zero widths of either sign
 # (-0.0 overlaps), widths above pi / 2 (the far piece, up to 6 for a far
-# piece wider than the near one) and widths a hair below pi.
+# piece wider than the near one), widths a hair below pi, and 1.5 and its
+# neighbours, whose sums straddle the reach of 3 up to which the loop skips
+# the far piece.
 EDGE_THETAS = [0.0, 1e-300, 0.5, 1.0, np.pi / 2, np.pi, 4.0, 1.5 * np.pi,
                np.nextafter(TWO_PI, 0), np.nan]
-EDGE_NUS = [-0.0, 0.0, 1e-9, 0.5, np.pi / 2, 2.0, 3.0,
-            np.nextafter(np.pi, 0), 6.0]
+EDGE_NUS = [-0.0, 0.0, 1e-9, 0.5, np.nextafter(1.5, 0), 1.5,
+            np.nextafter(1.5, 2), np.pi / 2, 2.0, 3.0, np.nextafter(np.pi, 0),
+            6.0]
 
 
 def edge_rows():
@@ -204,6 +207,10 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
     assert np.count_nonzero(np.isnan(want)) > 100
     assert np.count_nonzero(np.signbit(want) & (want == 0)) > 10
     assert np.count_nonzero(far[valid] > 0) > 100
+    reach = nu_i + nu_j  # both sides of the skip's bound of 3
+    assert np.count_nonzero(reach == 3.0) >= 100
+    assert np.count_nonzero(reach == np.nextafter(3.0, 4.0)) >= 100
+    assert np.count_nonzero(reach == np.nextafter(3.0, 0.0)) >= 100
 
 
 def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():

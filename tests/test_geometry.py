@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 from isoswarm import geometry
 from isoswarm.geometry import DegenerateGeometryError, unit_axis, visible_mask
 from tests.conftest import unculled_mask
-from tests.reference import (axial_distance, cone_radius_at,
-                             in_near_hemisphere, orthogonal_distance)
+from tests.reference import axial_distance, in_near_hemisphere
 
 finite = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
 vec3 = st.tuples(finite, finite, finite).map(np.array)
@@ -67,44 +66,6 @@ def test_axial_distance_matches_dot_product_oracle(rng):
         expected = sum((poi[i] - apex[i]) * axis[i] for i in range(3))
         assert axial_distance(poi, apex, axis) == pytest.approx(expected,
                                                                 abs=1e-12)
-
-
-def test_cone_radius_at_apex():
-    assert cone_radius_at(0.0, 0.2) == 0.0
-
-
-def test_cone_radius_45deg():
-    assert cone_radius_at(1.0, np.pi / 2) == pytest.approx(1.0)
-
-
-def test_cone_radius_narrow():
-    assert cone_radius_at(10.0, 0.2) == pytest.approx(10 * np.tan(0.1))
-
-
-def test_cone_radius_rejects_negative():
-    with pytest.raises(ValueError):
-        cone_radius_at(-1.0, 0.2)
-
-
-def test_orthogonal_distance_on_axis():
-    assert orthogonal_distance([7, 0, 0], *CONE) == 0.0
-
-
-def test_orthogonal_distance_offset():
-    assert orthogonal_distance([5, 3, 0], *CONE) == pytest.approx(3.0)
-
-
-def test_orthogonal_distance_trig_oracle(rng):
-    for _ in range(200):
-        apex = rng.uniform(-50, 50, 3)
-        axis = rng.standard_normal(3)
-        axis /= np.linalg.norm(axis)
-        poi = rng.uniform(-50, 50, 3)
-        rel = poi - apex
-        r = np.linalg.norm(rel)
-        angle = np.arccos(np.clip(rel @ axis / r, -1, 1))
-        assert orthogonal_distance(poi, apex, axis) == pytest.approx(
-            r * np.sin(angle), abs=1e-9)
 
 
 def test_in_fov_on_axis_ahead():

@@ -1,8 +1,12 @@
 import math
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from isoswarm import neldermead
 from isoswarm.cost import (DEGENERACY_PENALTY, SpacecraftPose, SwarmConfig,
                            _overlap_sum, _pair_terms, information_cost)
 from isoswarm.neldermead import (CONTRACTION, EXPANSION,
@@ -492,6 +496,46 @@ def test_random_quadratics_match_reference_loop(ending):
             runs = run_solvers(quadratic, x0, theta, opts, traced)
             assert_same_runs(runs)
             assert runs[0][0].termination == ending
+
+
+def test_piecewise_constant_objectives_match_reference_loop(monkeypatch):
+    """floor(k * quadratic) objectives in dimensions 1 to 28 with random
+    theta indices, traced and untraced: the loop that inserts each new
+    vertex where the stable sort puts it matches the reference, which sorts
+    every iteration, bit for bit. Over the examples, new vertices tie kept
+    ones and land first and last."""
+    landed = {"tie": 0, "first": 0, "last": 0}
+
+    def spy(values, f_new, lo, hi):
+        p = bisect_right(values, f_new, lo, hi)
+        landed["tie"] += bisect_left(values, f_new, lo, hi) != p
+        landed["first"] += p == 0
+        landed["last"] += p == hi
+        return p
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(dim=st.integers(1, 28), seed=st.integers(0, 2 ** 32 - 1),
+           steps=st.sampled_from([1.0, 4.0, 16.0, 256.0]),
+           budget=st.integers(1, 40), traced=st.booleans())
+    def check(dim, seed, steps, budget, traced):
+        rng = np.random.default_rng(seed)
+        target = rng.uniform(-3.0, 3.0, dim)
+        weights = rng.uniform(0.5, 4.0, dim)
+
+        def stairs(x):
+            return float(np.floor(
+                steps * (weights @ np.square(np.subtract(x, target)))))
+
+        theta = rng.choice(dim, int(rng.integers(dim + 1)), replace=False)
+        x0 = target + rng.uniform(-2.0, 2.0, dim)
+        opts = dict(max_iterations=budget, f_tolerance=0.0)
+        if rng.random() < 0.5:
+            opts["theta_initial_step"] = 0.5
+        assert_same_runs(run_solvers(stairs, x0, theta, opts, traced))
+
+    monkeypatch.setattr(neldermead, "bisect_right", spy)
+    check()
+    assert min(landed.values()) > 0, landed
 
 
 def test_diameter_shortcut_is_sound():

@@ -217,7 +217,7 @@ def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
             cols, radius = geometry.poi_columns(points, center)
             rows = np.array(geometry._cut_rows(plane, axis.tolist(), phi,
                                                radius + math.hypot(*plane)),
-                            dtype=np.float32)
+                            dtype=np.float32).reshape(2, 5)
             d, g = rows @ cols
             score = d * np.abs(d) - g
             band += np.count_nonzero((score >= -1.0) & (score < 1.0))
