@@ -9,13 +9,13 @@ Lower is better; experiment reports use -I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import combinations
 
 import numpy as np
 
-from .geometry import (TWO_PI, _hold_distance, as_vec3, unit_axis,
-                       visible_mask)
+from .geometry import (TWO_PI, _hold_distance, as_vec3, visible_mask,
+                       wrap_theta)
 from .sampling import PoiSet
 
 # Perturbation applied when two spacecraft share an orientation, so their
@@ -26,14 +26,6 @@ DEFAULT_IDENTICAL_THETA_DELTA = 1e-6
 # ellipsoid center; keeps the simplex search well-posed with finite values.
 DEGENERACY_PENALTY = 1e9
 DEGENERACY_RADIUS_KM = 1e-6
-
-
-def wrap_theta(theta):
-    """theta (a float or an array) modulo 2 pi, in [0, 2 pi): a tiny negative
-    theta's remainder rounds up to 2 pi, which the second one maps to 0.0."""
-    theta = theta % TWO_PI
-    theta %= TWO_PI  # in place on an array
-    return theta
 
 
 @dataclass(frozen=True)
@@ -58,39 +50,26 @@ class SpacecraftPose:
 
 
 class SwarmConfig:
-    """An ordered swarm of spacecraft observing one uncertainty ellipsoid,
-    packed as the optimizer sees it: `state` rows (x, y, z, theta in
-    [0, 2 pi)), arrays `nu` and `phi`, and `pairs`, the index pairs (i, j)
-    with i < j in row-major order."""
+    """An ordered swarm of spacecraft (poses `spacecraft`) observing one
+    uncertainty ellipsoid, packed as the optimizer sees it: `state` rows
+    (x, y, z, theta in [0, 2 pi)) and arrays `nu` and `phi`."""
 
     def __init__(self, spacecraft, ellipsoid):
-        poses = tuple(spacecraft)
+        self.spacecraft = poses = tuple(spacecraft)
         if len(poses) < 1:
             raise ValueError("swarm needs at least one spacecraft")
         self.state = np.array([[*p.position, p.theta] for p in poses])
         self.nu, self.phi = np.array([(p.nu, p.phi) for p in poses]).T
-        self.pairs = tuple(combinations(range(len(poses)), 2))
         self.ellipsoid = ellipsoid
 
     @classmethod
     def from_state(cls, x, template: SwarmConfig) -> SwarmConfig:
-        """The template's spacecraft moved to the packed vector x, built
-        without pose objects: x must be finite, and its thetas are wrapped."""
+        """The template's spacecraft moved to the packed vector x, each pose
+        checked (and its theta wrapped) by SpacecraftPose."""
         state = np.array(x, dtype=float).reshape(len(template), 4)
-        if not np.isfinite(state[:, :3]).all():
-            raise ValueError("vector components must be finite")
-        if not np.isfinite(state[:, 3]).all():  # its wrap would be NaN
-            raise ValueError("spacecraft theta must be finite")
-        state[:, 3] = wrap_theta(state[:, 3])
-        swarm = cls.__new__(cls)
-        vars(swarm).update(vars(template), state=state)
-        return swarm
-
-    @property
-    def spacecraft(self) -> tuple[SpacecraftPose, ...]:
-        """The swarm as pose objects, built on each access."""
-        return tuple(SpacecraftPose(row[:3], row[3], nu, phi) for row, nu, phi
-                     in zip(self.state, self.nu.tolist(), self.phi.tolist()))
+        return cls((replace(p, position=row[:3], theta=row[3])
+                    for p, row in zip(template.spacecraft, state)),
+                   template.ellipsoid)
 
     def __len__(self):
         return len(self.state)
@@ -116,13 +95,14 @@ class CostBreakdown:
         }
 
 
-def _pair_terms(nu, pairs):
-    """(i, j, nu[i] + nu[j], narrow, far) for each index pair (i, j), as
-    _overlap_sum reads them: narrow is min(2 nu[i], 2 nu[j]) (by its min), and
-    far is False where the far piece adds nothing: a reach of at most 3 < pi
-    and a positive narrow, so the near piece is never -0.0."""
+def _pair_terms(nu):
+    """(i, j, nu[i] + nu[j], narrow, far) for each index pair i < j in
+    row-major order, as _overlap_sum reads them: narrow is min(2 nu[i], 2
+    nu[j]) (by its min), and far is False where the far piece adds nothing:
+    a reach of at most 3 < pi and a positive narrow, so the near piece is
+    never -0.0."""
     terms = []
-    for i, j in pairs:
+    for i, j in combinations(range(len(nu)), 2):
         narrow, wide = 2.0 * nu[i], 2.0 * nu[j]
         narrow = wide if wide < narrow else narrow
         reach = nu[i] + nu[j]
@@ -165,7 +145,7 @@ def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
     identical orientations are perturbed, not read as a zero. The one-pair
     sum starts at -0.0, which adds nothing to any float (0.0 would turn a
     -0.0 overlap into 0.0)."""
-    terms = _pair_terms((pose_i.nu, pose_j.nu), ((0, 1),))
+    terms = _pair_terms((pose_i.nu, pose_j.nu))
     return float(_overlap_sum((pose_i.theta, pose_j.theta), terms, -0.0))
 
 
@@ -173,7 +153,7 @@ def kappa_total(swarm: SwarmConfig) -> float:
     """Sum of pair_overlap over all unordered spacecraft pairs, added one at
     a time in i < j order (a NumPy reduction groups the sum differently)."""
     return _overlap_sum(swarm.state[:, 3].tolist(),
-                        _pair_terms(swarm.nu.tolist(), swarm.pairs))
+                        _pair_terms(swarm.nu.tolist()))
 
 
 class EvalPlan:
@@ -195,22 +175,16 @@ class EvalPlan:
         self.phi = swarm.phi.tolist()
         self.holds = None if self.tilted else [
             _hold_distance(phi, self.columns[1]) for phi in self.phi]
-        self.terms = _pair_terms(swarm.nu.tolist(), swarm.pairs)
+        self.terms = _pair_terms(swarm.nu.tolist())
         self.kappa_weight, self.n = kappa_weight, len(pois)
 
 
 def _seen(plan: EvalPlan, apexes, thetas, count=False):
     """The mask (or with count, the number) of POIs seen from one of the
-    apexes (float 3-sequences) with its theta. A tilted axis makes the tilt's
-    circular distance from zero with the center direction (see unit_axis);
-    aimed cones get their axes in the kernel, only within hold distances."""
-    if not plan.tilted:
-        return visible_mask(plan.points, apexes, None, None, plan.phi,
-                            plan.center, plan.columns, plan.holds, count)
-    axes = [unit_axis(a, plan.c, t) for a, t in zip(apexes, thetas)]
-    angles = [min(t, TWO_PI - t) for t in thetas]
-    return visible_mask(plan.points, apexes, axes, angles, plan.phi,
-                        plan.center, plan.columns, count=count)
+    apexes (float 3-sequences), tilted by its theta in theta_tilt mode, else
+    aimed with the plan's hold distances."""
+    return visible_mask(plan.points, apexes, thetas if plan.tilted else None,
+                        plan.phi, plan.center, plan.columns, plan.holds, count)
 
 
 def _cost(plan: EvalPlan, apexes, thetas) -> float:

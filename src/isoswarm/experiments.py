@@ -17,10 +17,9 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from . import geometry
-from .cost import SpacecraftPose, SwarmConfig
+from .cost import SpacecraftPose, SwarmConfig, coverage
 from .neldermead import NelderMeadOptions, optimize_swarm
-from .sampling import UncertaintyEllipsoid, sample_pois
+from .sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 
 DEFAULT_PHI = np.pi / 3.0  # full camera aperture
 DEFAULT_NU = DEFAULT_PHI / 2.0  # angular half-width of the FOV interval
@@ -193,12 +192,8 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
         target = center
     else:
         target = center + _random_unit(rng) * radius * rng.random() ** (1.0 / 3.0)
-    # the final cone's axis and its folded tilt, as cost._seen passes them
-    apex, theta = pose.position.tolist(), pose.theta
-    axis = geometry.unit_axis(apex, center.tolist(), theta)
-    success = geometry.visible_mask(target[None], [apex], [axis],
-                                    [min(theta, geometry.TWO_PI - theta)],
-                                    [config.phi], center)[0]
+    success = coverage(best, PoiSet(target[None], 0, best.ellipsoid),
+                       "theta_tilt")[0] == 1
 
     return {
         "radius": radius,
@@ -212,7 +207,7 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
         "final_theta": pose.theta,
         "coverage_pct": breakdown.epsilon_term,
         "minus_info_cost": -breakdown.information_cost,
-        "success": bool(success),
+        "success": success,
         "evaluations": result.evaluation_count,
     }
 

@@ -43,6 +43,14 @@ _RADII = (2.0 ** -30, 2.0 ** 40)
 _SPAN = (2.0 ** -500, 2.0 ** 450)
 
 
+def wrap_theta(theta):
+    """theta (a float or an array) modulo 2 pi, in [0, 2 pi): a tiny negative
+    theta's remainder rounds up to 2 pi, which the second one maps to 0.0."""
+    theta = theta % TWO_PI
+    theta %= TWO_PI  # in place on an array
+    return theta
+
+
 class DegenerateGeometryError(ValueError):
     """Cone apex at the ellipsoid center, or too far for a finite norm."""
 
@@ -234,27 +242,26 @@ def _held_cones(apexes, held, center):
     return cones
 
 
-def visible_mask(points, apexes, axes, angles, apertures, center,
-                 columns=None, holds=None, count=False):
+def visible_mask(points, apexes, tilts, apertures, center, columns=None,
+                 holds=None, count=False):
     """POIs seen by at least one of k cones: the cone test and the near
     half-space (point - center) . (apex - center) >= 0, both with the slack
-    of _SLACK (center-plane points are visible). apexes and axes are k float
-    3-sequences, angles the k angles between each axis and its apex's
-    direction to the center (0 for an aimed cone), apertures k floats,
-    columns poi_columns(points, center) (computed when None). Each angle
-    must be known to far better than the cull's 1e-9 rad margin. With holds,
-    the _hold_distance of each aperture and R, the cones are aimed: axes and
-    angles are not read, a cone at or beyond its hold distance (and in
-    float32 range) holds the ball without an axis, and the others take
-    unit_axis's. With count, the number of POIs seen is returned, not the
-    mask. A cone missing all points is dropped. The rest are one float32
-    product with the columns per block of _BLOCK POIs, its rows scaled by
-    their error widths: a cone's score is its plane value
-    or, if it cuts the ball, the lesser of that and its cone value d |d| - C
-    |rel|^2, and a POI's score is the greatest over the cones. A POI scoring
-    1 or more is seen, one below -1 is not, and only those in between run
-    the float64 test; a POI set or cone out of float32's range runs it on
-    every POI. So the mask is the float64 test's, bit for bit."""
+    of _SLACK (center-plane points are visible). apexes are k float
+    3-sequences and apertures k floats; cone k is aimed at the center, or
+    with tilts tilted by t = wrap_theta(tilts[k]) (unit_axis), its cull
+    angle then min(t, 2 pi - t). holds, for aimed cones, are the
+    _hold_distance of each aperture and R: a cone at or beyond its own (and
+    in float32 range) holds the ball without an axis. columns is
+    poi_columns(points, center) (computed when None). With count, the number
+    of POIs seen is returned, not the mask. A cone missing all points is
+    dropped. The rest are one float32 product with the columns per block of
+    _BLOCK POIs, its rows scaled by their error widths: a cone's score is
+    its plane value or, if it cuts the ball, the lesser of that and its cone
+    value d |d| - C |rel|^2, and a POI's score is the greatest over the
+    cones. A POI scoring 1 or more is seen, one below -1 is not, and only
+    those in between run the float64 test; a POI set or cone out of
+    float32's range runs it on every POI. So the mask is the float64 test's,
+    bit for bit."""
     cols, radius = poi_columns(points, center) if columns is None else columns
     c, n = center.tolist(), len(points)
     cx, cy, cz = c
@@ -268,10 +275,9 @@ def visible_mask(points, apexes, axes, angles, apertures, center,
             verdict = True
             held.append(k)  # its float64 test is built only if one runs
         else:
-            if holds is None:
-                axis, angle = axes[k], angles[k]
-            else:
-                axis, angle = unit_axis((ax, ay, az), c), 0.0
+            tilt = None if tilts is None else wrap_theta(tilts[k])
+            axis = unit_axis((ax, ay, az), c, tilt)
+            angle = 0.0 if tilt is None else min(tilt, TWO_PI - tilt)
             verdict = _cone_holds_ball(dist, angle, axis, phi, radius)
             if verdict is False:
                 continue

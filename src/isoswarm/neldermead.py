@@ -121,8 +121,8 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
     Vertices are float lists (the objective gets a wrapped copy); an array
     of the same rows serves the centroid's and the diameter's reductions,
-    and without a trace the diameter is computed only when _far cannot
-    settle the x_tolerance test.
+    and the x_tolerance test computes the diameter only when _far cannot
+    settle it.
     """
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dimension,):
@@ -172,12 +172,10 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
 
         spread = values[-1] - values[0]
         if trace_sink is not None:
-            diameter = _diameter(simplex[1:], simplex[0])
-            trace_sink(iteration, values[0], diameter)
-            small = diameter < opts.x_tolerance
-        else:
-            small = (not _far(worst, best, gap)
-                     and _diameter(simplex[1:], simplex[0]) < opts.x_tolerance)
+            trace_sink(iteration, values[0],
+                       _diameter(simplex[1:], simplex[0]))
+        small = (not _far(worst, best, gap)
+                 and _diameter(simplex[1:], simplex[0]) < opts.x_tolerance)
         if spread < opts.f_tolerance or small:
             termination = "f_tol" if spread < opts.f_tolerance else "x_tol"
             break

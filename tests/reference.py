@@ -12,7 +12,8 @@ from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
                            SpacecraftPose, SwarmConfig, kappa_total,
                            wrap_theta)
 from isoswarm.geometry import (_SLACK, DegenerateGeometryError, as_vec3,
-                               unit_axis, visible_mask)
+                               unit_axis)
+from tests.conftest import unculled_mask
 
 
 def axial_distance(poi, apex, axis) -> float:
@@ -53,26 +54,23 @@ def row_axis(row, center, orientation_mode: str):
 def reference_cost(swarm, pois, kappa_weight=1.0,
                    orientation_mode="aimed") -> float:
     """information_cost's value from the swarm object: kappa_total, then the
-    coverage from the center, an axis per state row, its angle from the
-    center direction by cross and dot products, and one kernel call."""
+    coverage of the un-culled kernel with an axis per state row."""
     kappa = kappa_total(swarm)
     if len(pois) == 0:
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center
-    c = center.tolist()
-    apexes = swarm.state[:, :3].tolist()
-    axes = [row_axis(row, c, orientation_mode)
+    axes = [row_axis(row, center.tolist(), orientation_mode)
             for row in swarm.state.tolist()]
-    angles = cone_angles(apexes, axes, center)
-    seen = visible_mask(pois.points, apexes, axes, angles,
-                        swarm.phi.tolist(), center, pois.columns(center))
+    seen = unculled_mask(pois.points, swarm.state[:, :3], axes,
+                         swarm.phi.tolist(), center)
     pct = 100.0 * int(np.count_nonzero(seen)) / len(pois)
     return kappa_weight * kappa - pct
 
 
 def cone_angles(apexes, axes, center):
     """Each axis's angle from its apex's direction to the center, by their
-    cross and dot products: visible_mask's angles for cones of any axis."""
+    cross and dot products: the angle the cull takes for cones of any
+    axis."""
     angles = []
     for apex, (ax, ay, az) in zip(np.asarray(apexes, dtype=float), axes):
         vx, vy, vz = (center - apex).tolist()

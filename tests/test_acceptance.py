@@ -83,8 +83,7 @@ def test_criterion_01_cone_containment_oracle():
         angular = (r > 0.0) & (dot > 0.0) & (
             np.arccos(np.clip(dot / r, -1.0, 1.0)) <= phi / 2.0)
         near = [in_near_hemisphere(poi, apex, center) for poi in pois]
-        seen = visible_mask(pois, [apex.tolist()], [axis], [0.0], [phi],
-                            center)
+        seen = visible_mask(pois, [apex.tolist()], None, [phi], center)
         mismatches += np.count_nonzero(seen != (angular & near))
     elapsed = time.perf_counter() - start
     verdict(1, mismatches == 0 and elapsed < 1.0,

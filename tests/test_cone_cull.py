@@ -16,7 +16,8 @@ import pytest
 from isoswarm import cost, geometry
 from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig, coverage,
                            evaluate)
-from isoswarm.geometry import relative_columns, unit_axis, visible_mask
+from isoswarm.geometry import (relative_columns, unit_axis, visible_mask,
+                               wrap_theta)
 from isoswarm.neldermead import pack_swarm
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import spy, unculled_mask
@@ -27,13 +28,10 @@ CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
 MARGINS = [0.0, 1e-15, 1e-13, 1e-12, 1e-10, 1e-9, 1e-8, 1e-6, 1e-3]
 
 
-def one_cone(points, apex, axis, phi, center, columns=None, angle=None):
-    """visible_mask of one cone, its angle from the center direction taken
-    from the axis when not given."""
-    if angle is None:
-        angle = cone_angles(apex[None], [axis], center)[0]
-    return visible_mask(points, apex[None], [axis], [angle], [phi], center,
-                        columns)
+def one_cone(points, apex, tilt, phi, center, columns=None):
+    """visible_mask of one cone, aimed when tilt is None."""
+    return visible_mask(points, apex[None], None if tilt is None else [tilt],
+                        [phi], center, columns)
 
 
 def full_test(points, apex, axis, phi, center):
@@ -46,9 +44,10 @@ def unit(v):
 
 
 def axis_of(apex, center, tilt=None):
-    """unit_axis of a float apex and center, as an array."""
-    return np.array(unit_axis(apex.tolist(), center.tolist(),
-                              None if tilt is None else float(tilt)))
+    """unit_axis of a float apex and center, as an array, tilted by the
+    wrapped tilt as visible_mask tilts it."""
+    tilt = None if tilt is None else wrap_theta(float(tilt))
+    return np.array(unit_axis(apex.tolist(), center.tolist(), tilt))
 
 
 def cloud(rng, center, n=400):
@@ -127,13 +126,13 @@ def test_cull_matches_full_test_near_the_ball(rng, tilted):
         inside = bool(rng.random() < 0.5)
         points, apex, axis, alpha = scene(rng, center, phi, margin, inside,
                                           tilted)
-        mask = one_cone(points, apex, axis, phi, center,
+        mask = one_cone(points, apex, alpha if tilted else None, phi, center,
                         columns(points, center))
         np.testing.assert_array_equal(
             mask, full_test(points, apex, axis, phi, center))
-        # the angle the cost passes: the tilt (below pi here), 0 when aimed
-        np.testing.assert_array_equal(mask, one_cone(
-            points, apex, axis, phi, center, columns(points, center), alpha))
+        # the columns built in the call, and an aimed cone as tilt 0
+        np.testing.assert_array_equal(
+            mask, one_cone(points, apex, alpha, phi, center))
         v = verdict(points, apex, axis, phi, center)
         verdicts[v] += 1
         # far from the origin a small scene's apex rounds by more than its
@@ -217,12 +216,13 @@ def test_cull_apex_on_or_inside_ball(rng):
                            points[rng.integers(len(points))]])
         if np.array_equal(apex, center):
             continue
-        axis = axis_of(apex, center, rng.uniform(-np.pi, np.pi))
+        tilt = rng.uniform(-np.pi, np.pi)
+        axis = axis_of(apex, center, tilt)
         phi = rng.uniform(0.05, 3.0)
         if np.linalg.norm(apex - center) < 0.999 * radius:
             assert verdict(points, apex, axis, phi, center) is None
         np.testing.assert_array_equal(
-            one_cone(points, apex, axis, phi, center),
+            one_cone(points, apex, tilt, phi, center),
             full_test(points, apex, axis, phi, center))
 
 
@@ -292,7 +292,7 @@ def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
             row[:3], [0.0, 0.0, 0.0]), np.pi / 3.0, radius) is True
     calls = {name: [] for name in ("unit_axis", "_cone_holds_ball",
                                    "_cut_rows", "visible_mask")}
-    for module, name in ((geometry, "unit_axis"), (cost, "unit_axis"),
+    for module, name in ((geometry, "unit_axis"),
                          (geometry, "_cone_holds_ball"),
                          (geometry, "_cut_rows"), (cost, "visible_mask")):
         def spy(*args, real=getattr(module, name), seen=calls[name], **kw):
@@ -321,12 +321,13 @@ def test_scalar_visible_culls_holding_and_missing_cones(monkeypatch, rng):
     verdicts = spy(monkeypatch, "_cone_holds_ball")
     center = np.array([-350.0, 20.0, 910.0])
     apex = center + 100.0 * unit(rng.standard_normal(3))
-    axes = {True: axis_of(apex, center), False: axis_of(apex, center, 2.0)}
-    for holds, axis in axes.items():
+    tilts = {True: None, False: 2.0}
+    for holds, tilt in tilts.items():
+        axis = axis_of(apex, center, tilt)
         hits = 0
         for poi in center + rng.uniform(-1.0, 1.0, (50, 3)):
             verdicts.clear()
-            got = one_cone(poi[None], apex, axis, np.pi / 3.0, center)[0]
+            got = one_cone(poi[None], apex, tilt, np.pi / 3.0, center)[0]
             assert [verdict for _, verdict in verdicts] == [holds]
             assert got == full_test(poi[None], apex, axis, np.pi / 3.0,
                                     center)[0]

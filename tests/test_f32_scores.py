@@ -19,17 +19,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoswarm import geometry
-from isoswarm.geometry import unit_axis, visible_mask
+from isoswarm.geometry import unit_axis, visible_mask, wrap_theta
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid
 from tests.conftest import spy, unculled_mask
 from tests.reference import cone_angles
+from tests.test_cone_cull import EDGE_TILTS
 
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]),
            np.array([41784000.0, -98402000.0, -47133000.0])]
-# apex distances in POI-ball radii, and tilts off the center direction:
-# with these a cone holds, cuts or misses the ball, or has its apex in it
+# apex distances in POI-ball radii, and tilts off the center direction (the
+# first two aimed, some a turn away from their wrap): with these a cone
+# holds, cuts or misses the ball, or has its apex in it
 FACTORS = [0.5, 0.99, 1.5, 3.0, 6.0]
-TILTS = [None, 0.0, 0.3, 1.2, 2.5]
+TILTS = [0.0, 2.0 * math.pi, 0.3, 1.2, 2.5 - 2.0 * math.pi]
+
+
+def tilted_axis(apex, center, tilt):
+    """The axis visible_mask gives the cone at apex with tilt, as an array:
+    unit_axis's, tilted by the wrapped tilt (aimed when tilt is None)."""
+    return np.array(unit_axis(apex.tolist(), center.tolist(),
+                              None if tilt is None else wrap_theta(tilt)))
 
 
 def unit(v):
@@ -92,20 +101,21 @@ def with_ulps(points):
 
 
 def random_scene(rng, n_cones):
-    """(points, apexes, axes, phis, center): a POI ball with, for each of
-    n_cones cones, POIs within the float32 widths of its plane threshold
-    and surface, and of its apex when that lies in the ball. The first cone
-    is aimed, so it cannot miss the ball."""
+    """(points, apexes, tilts, axes, phis, center): a POI ball with, for
+    each of n_cones cones, POIs within the float32 widths of its plane
+    threshold and surface, and of its apex when that lies in the ball. The
+    first cone is aimed, so it cannot miss the ball."""
     center = CENTERS[rng.integers(len(CENTERS))]
     radius = 10.0 ** rng.uniform(-1.0, 3.0)
-    apexes, axes, phis, extra = [], [], [], []
+    apexes, tilts, axes, phis, extra = [], [], [], [], []
     for i in range(n_cones):
         apex = center + radius * rng.choice(FACTORS) * unit(
             rng.standard_normal(3))
         tilt = TILTS[rng.integers(2 if i == 0 else len(TILTS))]
-        axis = np.array(unit_axis(apex.tolist(), center.tolist(), tilt))
+        axis = tilted_axis(apex, center, tilt)
         phi = float(rng.choice([np.pi / 3.0, rng.uniform(0.1, 3.0)]))
         apexes.append(apex)
+        tilts.append(tilt)
         axes.append(axis)
         phis.append(phi)
         extra.append(plane_pois(rng, center, apex, radius))
@@ -114,7 +124,7 @@ def random_scene(rng, n_cones):
             extra.append(apex_pois(rng, center, apex, axis))
     points = np.vstack([ball(rng, center, radius, 300),
                         with_ulps(np.vstack(extra))])
-    return points, np.array(apexes), axes, phis, center
+    return points, np.array(apexes), tilts, axes, phis, center
 
 
 @pytest.mark.parametrize("n_cones", range(1, 8))
@@ -123,23 +133,22 @@ def test_scores_match_the_float64_test_in_the_band(monkeypatch, rng,
     verdicts = spy(monkeypatch, "_cone_holds_ball")
     band = spy(monkeypatch, "_exact")
     for _ in range(12):
-        points, apexes, axes, phis, center = random_scene(rng, n_cones)
+        points, apexes, tilts, axes, phis, center = random_scene(rng,
+                                                                 n_cones)
         pois = PoiSet(points, 0, UncertaintyEllipsoid.sphere(1.0, center))
         cols = pois.columns(center)
         assert cols[0] is not None
         want = unculled_mask(points, apexes, axes, phis, center)
-        angles = cone_angles(apexes, axes, center)
         band.clear()
         np.testing.assert_array_equal(
-            visible_mask(points, apexes, axes, angles, phis, center, cols),
-            want)
+            visible_mask(points, apexes, tilts, phis, center, cols), want)
         assert band, "the scene did not reach the band"
         # the same verdicts with the columns built in the call
         np.testing.assert_array_equal(
-            visible_mask(points, apexes, axes, angles, phis, center), want)
+            visible_mask(points, apexes, tilts, phis, center), want)
         # row-count independence: the union of single-cone calls
-        single = [visible_mask(points, apexes[i:i + 1], axes[i:i + 1],
-                               angles[i:i + 1], phis[i:i + 1], center, cols)
+        single = [visible_mask(points, apexes[i:i + 1], tilts[i:i + 1],
+                               phis[i:i + 1], center, cols)
                   for i in range(n_cones)]
         np.testing.assert_array_equal(np.logical_or.reduce(single), want)
     # cones that hold and cut the ball, and miss it beside an aimed cone
@@ -158,15 +167,14 @@ def test_scores_are_independent_of_the_row_count_on_random_swarms(rng):
         n = int(rng.integers(2, 8))
         apexes = center + radius * rng.choice(FACTORS, (n, 1)) * unit(
             rng.standard_normal((n, 3)))
-        axes = [unit_axis(a.tolist(), center.tolist(),
-                          TILTS[rng.integers(len(TILTS))]) for a in apexes]
+        tilts = [TILTS[rng.integers(len(TILTS))] for _ in apexes]
+        axes = [tilted_axis(a, center, t) for a, t in zip(apexes, tilts)]
         phis = rng.uniform(0.1, 3.0, n).tolist()
         cols = PoiSet(points, 0, UncertaintyEllipsoid.sphere(
             1.0, center)).columns(center)
-        angles = cone_angles(apexes, axes, center)
-        whole = visible_mask(points, apexes, axes, angles, phis, center, cols)
-        single = [visible_mask(points, apexes[i:i + 1], axes[i:i + 1],
-                               angles[i:i + 1], phis[i:i + 1], center, cols)
+        whole = visible_mask(points, apexes, tilts, phis, center, cols)
+        single = [visible_mask(points, apexes[i:i + 1], tilts[i:i + 1],
+                               phis[i:i + 1], center, cols)
                   for i in range(n)]
         np.testing.assert_array_equal(np.logical_or.reduce(single), whole)
         np.testing.assert_array_equal(
@@ -175,9 +183,10 @@ def test_scores_are_independent_of_the_row_count_on_random_swarms(rng):
 
 def range_scene(rng, center, radius, dist, tilt, phi=np.pi / 3.0):
     """POIs in a ball of radius about center, plus POIs on the surface of a
-    cone whose apex stands dist from the center, and the cone."""
+    cone whose apex stands dist from the center, and the cone (aimed when
+    tilt is None)."""
     apex = center + dist * unit(rng.standard_normal(3))
-    axis = np.array(unit_axis(apex.tolist(), center.tolist(), tilt))
+    axis = tilted_axis(apex, center, tilt)
     points = ball(rng, center, radius, 400)
     surface = surface_pois(rng, center, apex, axis, phi, radius)
     return np.vstack([points, surface]), apex, axis, phi
@@ -217,46 +226,56 @@ def test_masks_match_the_float64_test_across_float32_range(rng, case):
             lo, hi = geometry._RADII
             assert (cols is None) == (not lo < bounding < hi)
             want = unculled_mask(points, apex[None], [axis], [phi], center)
+            tilts = None if tilt is None else [tilt]
             for columns in ((cols, bounding), None):
                 np.testing.assert_array_equal(
-                    visible_mask(points, apex[None], [axis.tolist()],
-                                 cone_angles(apex[None], [axis], center),
-                                 [phi], center, columns), want)
+                    visible_mask(points, apex[None], tilts, [phi], center,
+                                 columns), want)
 
 
 def test_held_cone_beyond_the_float_range_sees_every_poi(rng):
-    # D = 1e300 km: s D^2 overflows to inf, so the float64 plane test passes
-    # every POI, and the aimed cone holds the ball; scores scaled by an
-    # infinite width would be NaN, so the cone must skip the product
+    # D = 1e150 km, R = 1 km (the farthest an axis is defined is about
+    # 1.3e154 km): s D^2 dwarfs every |u . t| <= R D, so the float64 plane
+    # test passes every POI, and the aimed cone holds the ball; D / R lies
+    # beyond _SPAN, where the plane row's entries would underflow in
+    # float32, so the cone must skip the product
     points = ball(rng, np.zeros(3), 1.0, 500)
     direction = unit(rng.standard_normal(3))
-    apex = 1e300 * direction
+    apex = 1e150 * direction
+    dist = math.hypot(*apex.tolist())
+    assert dist > geometry._SPAN[1]
     angles = cone_angles(apex[None], [-direction], np.zeros(3))
-    verdict = geometry._cone_holds_ball(1e300, angles[0],
+    verdict = geometry._cone_holds_ball(dist, angles[0],
                                         (-direction).tolist(), np.pi / 3.0,
                                         1.0)
     assert verdict is True
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert visible_mask(points, apex[None], [(-direction).tolist()],
-                            angles, [np.pi / 3.0], np.zeros(3)).all()
+        for tilts in (None, [0.0]):
+            assert visible_mask(points, apex[None], tilts, [np.pi / 3.0],
+                                np.zeros(3)).all()
 
 
-@pytest.mark.parametrize("offset", [5e-324, 1e-300, 1e-160])
+@pytest.mark.parametrize("offset", [5e-324, 1e-300, 1e-160, 1e-152])
 def test_apex_next_to_the_center_matches_the_float64_test(rng, offset):
     # D / R below 2^-500: the plane's width |t|_1 R would lose its bits to
-    # underflow (or be 0), so the cone skips the product
+    # underflow (or be 0), so the cone skips the product. Below about
+    # 1.5e-162 km D^2 underflows to 0: the cone has no axis, and the kernel
+    # raises as unit_axis does
     center = np.array([0.0, 1e-300, 0.0])
     points = np.vstack([ball(rng, center, 1.0, 500), center,
                         center + [offset, 0.0, 0.0]])
     apex = center + [offset, 0.0, 0.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for axis in ([1.0, 0.0, 0.0], [-0.6, 0.0, 0.8]):
+        for tilts in (None, [0.0], [math.pi], [0.9], [-2.0]):
+            if offset < 1e-162:
+                with pytest.raises(geometry.DegenerateGeometryError):
+                    visible_mask(points, apex[None], tilts, [1.0], center)
+                continue
+            axis = tilted_axis(apex, center, tilts and tilts[0])
             np.testing.assert_array_equal(
-                visible_mask(points, apex[None], [axis],
-                             cone_angles(apex[None], [axis], center), [1.0],
-                             center),
+                visible_mask(points, apex[None], tilts, [1.0], center),
                 unculled_mask(points, apex[None], [axis], [1.0], center))
 
 
@@ -278,8 +297,8 @@ def log2_near(bounds, moderate):
 def test_masks_match_the_float64_test_at_the_range_edges(
         log2_radius, log2_ratio, tilt, phi, aimed, count, seed):
     # POI balls of radius R near the ends of _RADII and a cone with D / R
-    # near the ends of _SPAN: aimed with its hold distance, or tilted with
-    # its folded tilt; a mask or a count
+    # near the ends of _SPAN: aimed with its hold distance, or tilted; a mask
+    # or a count
     rng, center = np.random.default_rng(seed), np.zeros(3)
     radius = 2.0 ** log2_radius
     try:
@@ -293,14 +312,51 @@ def test_masks_match_the_float64_test_at_the_range_edges(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         if aimed:
-            got = visible_mask(points, apex[None], None, None, [phi], center,
-                               cols, [geometry._hold_distance(phi, cols[1])],
-                               count)
+            got = visible_mask(points, apex[None], None, [phi], center, cols,
+                               [geometry._hold_distance(phi, cols[1])], count)
         else:
-            got = visible_mask(points, apex[None], [axis.tolist()],
-                               [min(tilt, 2.0 * math.pi - tilt)], [phi],
-                               center, cols, count=count)
+            got = visible_mask(points, apex[None], [tilt], [phi], center,
+                               cols, count=count)
     if count:
         assert got == np.count_nonzero(want)
     else:
         np.testing.assert_array_equal(got, want)
+
+
+# Tilts that wrap to 0 (aimed cones), and the edge tilts a turn away in both
+# directions, whose wraps round differently from the edge tilts themselves
+AIMED_TILTS = [0.0, -0.0, 2.0 * math.pi, -2.0 * math.pi, 4.0 * math.pi,
+               -4.0 * math.pi]
+TURNED_TILTS = [t + s for t in EDGE_TILTS
+                for s in (2.0 * math.pi, -2.0 * math.pi)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(cones=st.lists(st.tuples(
+           st.one_of(st.floats(-4.0 * math.pi, 4.0 * math.pi),
+                     st.sampled_from(AIMED_TILTS + TURNED_TILTS)),
+           st.sampled_from(FACTORS), st.floats(0.1, 3.0)),
+           min_size=1, max_size=7),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_tilts_give_the_masks_of_their_wrapped_axes(cones, seed):
+    # a swarm of aimed and tilted cones: each cone's mask is that of
+    # unit_axis's axis tilted by the wrapped tilt, and the count is the
+    # mask's; an all-aimed swarm gets the same mask with tilts None
+    rng = np.random.default_rng(seed)
+    center = CENTERS[rng.integers(len(CENTERS))]
+    radius = 10.0 ** rng.uniform(-1.0, 3.0)
+    tilts, factors, phis = (list(c) for c in zip(*cones))
+    apexes = np.array([center + radius * f * unit(rng.standard_normal(3))
+                       for f in factors])
+    axes = [tilted_axis(a, center, t) for a, t in zip(apexes, tilts)]
+    points = np.vstack([ball(rng, center, radius, 300)] + [
+        surface_pois(rng, center, a, axis, phi, radius, 40)
+        for a, axis, phi in zip(apexes, axes, phis)])
+    want = unculled_mask(points, apexes, axes, phis, center)
+    np.testing.assert_array_equal(
+        visible_mask(points, apexes, tilts, phis, center), want)
+    assert visible_mask(points, apexes, tilts, phis, center,
+                        count=True) == np.count_nonzero(want)
+    if all(wrap_theta(t) == 0.0 for t in tilts):
+        np.testing.assert_array_equal(
+            visible_mask(points, apexes, None, phis, center), want)

@@ -157,7 +157,7 @@ def test_kappa_total_matches_array_formula_bit_for_bit():
 
 def test_overlap_keeps_nan():
     # a pose rejects a NaN theta, but a packed trial point can carry one
-    terms = _pair_terms((0.5, 0.5), ((0, 1),))
+    terms = _pair_terms((0.5, 0.5))
     assert np.isnan(array_arc_overlap(np.nan, 1.0, 0.5, 0.5))
     assert np.isnan(_overlap_sum((np.nan, 1.0), terms))
     assert np.isnan(_overlap_sum((1.0, np.nan), terms))
@@ -187,7 +187,7 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
     ti, tj, nu_i, nu_j = edge_rows()
     want = array_arc_overlap(ti, tj, nu_i, nu_j)
     # the one-pair sum, started at -0.0 as pair_overlap starts it
-    got = [_overlap_sum((a, b), _pair_terms((u, v), ((0, 1),)), -0.0)
+    got = [_overlap_sum((a, b), _pair_terms((u, v)), -0.0)
            for a, b, u, v in zip(ti.tolist(), tj.tolist(), nu_i.tolist(),
                                  nu_j.tolist())]
     np.testing.assert_array_equal(bits(got), bits(want))

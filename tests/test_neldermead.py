@@ -118,7 +118,7 @@ def seam_objective(mode):
         miss = sum((a - b) ** 2 for a, b in zip(row[:3], SEAM_TARGET)) / 1e4
         if mode == "aimed":
             overlap = _overlap_sum((row[3], SEAM_THETA),
-                                   _pair_terms((nu, nu), ((0, 1),)))
+                                   _pair_terms((nu, nu)))
             return miss + (2.0 * nu - overlap) ** 2
         axis = row_axis(row, center, mode)
         return miss + 1.0 - sum(a * b for a, b in zip(axis, ref))

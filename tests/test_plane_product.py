@@ -11,7 +11,7 @@ import pytest
 
 from isoswarm import cost, geometry, sampling
 from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
-from isoswarm.geometry import relative_columns, unit_axis
+from isoswarm.geometry import relative_columns, unit_axis, wrap_theta
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import dot3, unculled_mask
 from tests.reference import cone_angles
@@ -134,17 +134,17 @@ def test_coverage_peak_memory_is_blocked(rng):
 
 
 def surface_scene(rng, center, factor, r0=100.0, turn=0.0):
-    """(points, apex, axis, phi): a ball of POIs about center, the apex at
-    factor * r0 from it (inside, on or outside the ball), the axis tilted
-    from the center direction by turn +- 0.3, and POIs on the cone surface,
-    at the apex, on the axis at the apex slack s D, and a few ulps off each
-    of these."""
+    """(points, apex, tilt, axis, phi): a ball of POIs about center, the apex
+    at factor * r0 from it (inside, on or outside the ball), the axis tilted
+    from the center direction by the tilt turn +- 0.3 (wrapped, as
+    visible_mask wraps it), and POIs on the cone surface, at the apex, on
+    the axis at the apex slack s D, and a few ulps off each of these."""
     d = rng.standard_normal((300, 3))
     d /= np.linalg.norm(d, axis=1, keepdims=True)
     ball = center + d * r0 * rng.random((300, 1)) ** (1 / 3)
     apex = center + factor * r0 * unit(rng.standard_normal(3))
-    axis = np.array(unit_axis(apex.tolist(), center.tolist(),
-                              turn + float(rng.uniform(-0.3, 0.3))))
+    tilt = wrap_theta(turn + float(rng.uniform(-0.3, 0.3)))
+    axis = np.array(unit_axis(apex.tolist(), center.tolist(), tilt))
     phi = rng.uniform(0.3, 1.5)
     side = unit(np.cross(axis, rng.standard_normal(3)))
     psi = rng.uniform(0.0, 2.0 * np.pi, (400, 1))
@@ -157,7 +157,7 @@ def surface_scene(rng, center, factor, r0=100.0, turn=0.0):
     exact = np.vstack([surface, special])
     ulps = [np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)]
     ulps.append(np.nextafter(ulps[0], np.inf))
-    return np.vstack([ball, exact, *ulps]), apex, axis, phi
+    return np.vstack([ball, exact, *ulps]), apex, tilt, axis, phi
 
 
 def count_fallback(monkeypatch):
@@ -180,18 +180,15 @@ def test_filter_matches_elementwise_at_the_cone_surface(monkeypatch, rng,
                                                         center, factor):
     columns = count_fallback(monkeypatch)
     for _ in range(8):
-        points, apex, axis, phi = surface_scene(rng, center, factor)
+        points, apex, tilt, axis, phi = surface_scene(rng, center, factor)
         pois = PoiSet(points, 0, UncertaintyEllipsoid.sphere(100.0, center))
         verdicts = {True: 0, False: 0, None: 0}
         want = elementwise_mask(points, apex, axis.tolist(), phi, center,
                                 verdicts)
         assert verdicts[None] == 1  # the cone cuts the ball
         for cols in (pois.columns(center), None):
-            np.testing.assert_array_equal(
-                geometry.visible_mask(
-                    points, apex[None], [axis.tolist()],
-                    cone_angles(apex[None], [axis], center), [phi], center,
-                    cols), want)
+            np.testing.assert_array_equal(geometry.visible_mask(
+                points, apex[None], [tilt], [phi], center, cols), want)
     # at the origin a surface POI is within the scores' widths; far from
     # it, rounding the coordinates moves POIs off the surface by more
     if not center.any():
@@ -208,8 +205,8 @@ def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
     band = 0
     for k in (21, 30, 40):
         for _ in range(4):
-            points, apex, axis, phi = surface_scene(rng, center, 2.0 ** -k,
-                                                    turn=np.pi)
+            points, apex, tilt, axis, phi = surface_scene(
+                rng, center, 2.0 ** -k, turn=np.pi)
             plane = (apex - center).tolist()
             m = geometry._SLACK * math.hypot(*plane)
             points = np.vstack([points, apex + m * 2.0 ** rng.uniform(
@@ -226,22 +223,20 @@ def test_filter_matches_elementwise_with_the_apex_near_the_center(rng,
                                     verdicts)
             assert verdicts[None] == 1 and want.any()
             np.testing.assert_array_equal(geometry.visible_mask(
-                points, apex[None], [axis.tolist()],
-                cone_angles(apex[None], [axis], center), [phi], center,
-                (cols, radius)), want)
+                points, apex[None], [tilt], [phi], center, (cols, radius)),
+                want)
     assert band > 0
 
 
 def test_scalar_visible_matches_elementwise_at_the_cone_surface(rng):
     center = np.array([-350.0, 20.0, 910.0])
-    points, apex, axis, phi = surface_scene(rng, center, 1.0)
-    angles = cone_angles(apex[None], [axis], center)
+    points, apex, tilt, axis, phi = surface_scene(rng, center, 1.0)
     verdicts = {True: 0, False: 0, None: 0}
     for p in points[300:]:
         want = elementwise_mask(p[None], apex, axis.tolist(), phi, center,
                                 verdicts)
-        assert geometry.visible_mask(p[None], apex[None], [axis.tolist()],
-                                     angles, [phi], center)[0] == want[0]
+        assert geometry.visible_mask(p[None], apex[None], [tilt], [phi],
+                                     center)[0] == want[0]
     assert verdicts[None] > 0
 
 
@@ -251,14 +246,14 @@ def test_cones_beyond_the_filter_range_test_every_poi(monkeypatch, rng, scale):
     # and the one cone runs the float64 test on every POI
     columns = count_fallback(monkeypatch)
     center = scale * np.array([0.3, -0.2, 0.5])
-    points, apex, axis, phi = surface_scene(rng, center, 0.5, r0=scale)
+    points, apex, tilt, axis, phi = surface_scene(rng, center, 0.5,
+                                                  r0=scale)
     pois = PoiSet(points, 0, UncertaintyEllipsoid.sphere(scale, center))
     verdicts = {True: 0, False: 0, None: 0}
     want = elementwise_mask(points, apex, axis.tolist(), phi, center,
                             verdicts)
-    got = geometry.visible_mask(points, apex[None], [axis.tolist()],
-                                cone_angles(apex[None], [axis], center),
-                                [phi], center, pois.columns(center))
+    got = geometry.visible_mask(points, apex[None], [tilt], [phi], center,
+                                pois.columns(center))
     np.testing.assert_array_equal(got, want)
     assert columns == [len(points)]
 
