@@ -7,8 +7,8 @@ from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig, coverage,
                    expected_information_cost, information_cost, kappa_total,
                    pair_overlap)
 from .geometry import visible_mask
-from .neldermead import (NelderMeadOptions, OptimizationProblem, OptResult,
-                         nelder_mead, optimize_swarm)
+from .neldermead import (NelderMeadOptions, OptResult, nelder_mead,
+                         optimize_swarm)
 from .sampling import (PoiSet, UncertaintyEllipsoid, load_pois, sample_pois,
                        save_pois)
 

@@ -84,8 +84,7 @@ class ViewProbabilityConfig:
     phi: float = DEFAULT_PHI
     nu: float = DEFAULT_NU
     success_criterion: str = "center"  # or "sampled_truth"
-    nm_options: NelderMeadOptions = field(
-        default_factory=lambda: NelderMeadOptions(theta_initial_step=0.5))
+    nm_options: NelderMeadOptions = NelderMeadOptions()
 
     def __post_init__(self):
         _check_fields(self)
@@ -116,8 +115,7 @@ class SwarmSizeConfig:
     nu: float = DEFAULT_NU
     kappa_weight: float = DEFAULT_KAPPA_WEIGHT
     initial_distance_factors: tuple[float, float] = (3.0, 6.0)
-    nm_options: NelderMeadOptions = field(
-        default_factory=lambda: NelderMeadOptions(theta_initial_step=0.5))
+    nm_options: NelderMeadOptions = NelderMeadOptions()
 
     def __post_init__(self):
         _check_fields(self)

@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
+from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -22,8 +23,8 @@ from .cost import (EvalPlan, SwarmConfig, _expected_cost, evaluate,
                    expected_information_cost, information_cost, wrap_theta)
 from .sampling import PoiSet
 
-# Standard simplex coefficients, and the initial step relative to a
-# coordinate's magnitude (at least 1) when no absolute step applies.
+# Standard simplex coefficients, and the initial step of a position
+# coordinate relative to its magnitude (at least 1).
 REFLECTION = 1.0
 EXPANSION = 2.0
 CONTRACTION = 0.5
@@ -40,8 +41,7 @@ class NelderMeadOptions:
     f_tolerance: float = 1e-8
     x_tolerance: float = 1e-8
     max_iterations: int | None = None  # defaults to 200 * dimension
-    # Absolute simplex step for angle coordinates; None keeps the relative rule.
-    theta_initial_step: float | None = None
+    theta_initial_step: float = 0.5  # absolute simplex step of an angle, rad
 
     def __post_init__(self):
         n = self.max_iterations
@@ -53,15 +53,10 @@ class NelderMeadOptions:
             if not 0.0 <= getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative")
         step = self.theta_initial_step
-        if step is not None and not 0.0 < step < math.inf:
-            raise ValueError("theta_initial_step must be finite and positive")
-
-
-@dataclass(frozen=True)
-class OptimizationProblem:
-    dimension: int
-    objective: Callable[[list[float]], float]  # takes a fresh float list
-    theta_indices: frozenset[int] = frozenset()
+        if (not isinstance(step, Real) or isinstance(step, bool)
+                or not 0.0 < step < math.inf):
+            raise ValueError(
+                f"theta_initial_step must be finite and positive, got {step!r}")
 
 
 @dataclass
@@ -69,11 +64,14 @@ class OptResult:
     best_point: np.ndarray
     best_value: float
     iterations: int
-    converged: bool
     evaluation_count: int
     termination: str  # "f_tol", "x_tol" or "budget"
     shrinks: int
     final_diameter: float  # largest distance of a vertex from the best
+
+    @property
+    def converged(self) -> bool:
+        return self.termination != "budget"
 
 
 # The least coordinate gap whose square is a normal float: from there up the
@@ -109,15 +107,20 @@ def _diameter(others: np.ndarray, best: np.ndarray) -> float:
     return math.sqrt(np.maximum.reduce(np.add.reduce(dev, axis=1)))
 
 
-def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
+def nelder_mead(objective: Callable[[list[float]], float], x0,
+                opts: NelderMeadOptions,
+                theta_indices: frozenset[int] = frozenset(),
                 trace_sink=None) -> OptResult:
     """Minimize with the standard reflect/expand/contract/shrink simplex.
 
     Terminates when the objective spread over the simplex falls below
     f_tolerance, the simplex diameter falls below x_tolerance, or the
-    iteration budget runs out. Deterministic given (x0, opts). trace_sink,
-    when given, gets (iteration, best value, diameter) once per iteration.
-    The best point comes back with its thetas wrapped.
+    iteration budget runs out. Deterministic given (x0, opts). The
+    coordinates named by theta_indices are angles: they take the absolute
+    initial step opts.theta_initial_step, the others a step relative to
+    their magnitude. trace_sink, when given, gets (iteration, best value,
+    diameter) once per iteration. The best point comes back with its thetas
+    wrapped.
 
     Vertices are float lists (the objective gets a wrapped copy); an array
     of the same rows serves the centroid's and the diameter's reductions,
@@ -125,13 +128,13 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     settle it.
     """
     x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (problem.dimension,):
-        raise ValueError(f"x0 must have length {problem.dimension}")
-    x0 = x0.tolist()
-    theta_idx = sorted(problem.theta_indices)
+    if x0.ndim != 1:
+        raise ValueError(f"x0 must be 1-D, got shape {x0.shape}")
+    x0, n = x0.tolist(), len(x0)
+    theta_idx = sorted(theta_indices)
     max_iter = opts.max_iterations
     if max_iter is None:
-        max_iter = 200 * problem.dimension
+        max_iter = 200 * n
     gap = max(opts.x_tolerance, _NORMAL_GAP)
 
     evals = 0
@@ -139,16 +142,15 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     def f(point: list) -> float:
         nonlocal evals
         x = _wrap(point, theta_idx)
-        v = float(problem.objective(x))
+        v = float(objective(x))
         evals += 1
         if not math.isfinite(v):
             raise ObjectiveDomainError(f"objective non-finite at {x}")
         return v
 
-    n = problem.dimension
     verts = [x0]
     for i in range(n):
-        if i in problem.theta_indices and opts.theta_initial_step is not None:
+        if i in theta_indices:
             step = opts.theta_initial_step
         else:
             step = INITIAL_SIMPLEX_SCALE * max(abs(x0[i]), 1.0)
@@ -220,13 +222,7 @@ def nelder_mead(problem: OptimizationProblem, x0, opts: NelderMeadOptions,
     k = min(range(n + 1), key=values.__getitem__)
     final = _diameter(np.delete(simplex, k, 0), simplex[k])
     return OptResult(np.array(_wrap(verts[k], theta_idx)), values[k],
-                     iteration, termination != "budget", evals, termination,
-                     shrinks, final)
-
-
-def pack_swarm(swarm: SwarmConfig) -> np.ndarray:
-    """Flatten a swarm into the (x, y, z, theta) * N decision vector."""
-    return swarm.state.flatten()
+                     iteration, evals, termination, shrinks, final)
 
 
 def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
@@ -257,13 +253,10 @@ def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
     triple for the expected-cost objective. Returns the optimized swarm, its
     final cost breakdown, and the raw optimizer result.
     """
-    n = len(initial)
-    problem = OptimizationProblem(
-        dimension=4 * n,
-        objective=swarm_objective(pois, initial, cost_mode, **cost_kwargs),
-        theta_indices=frozenset(4 * k + 3 for k in range(n)),
-    )
-    result = nelder_mead(problem, pack_swarm(initial), opts, trace_sink)
+    result = nelder_mead(
+        swarm_objective(pois, initial, cost_mode, **cost_kwargs),
+        initial.state.ravel(), opts,
+        frozenset(range(3, 4 * len(initial), 4)), trace_sink)
     best = unpack_swarm(result.best_point, initial)
     breakdown = information_cost(best, pois, **cost_kwargs)
     return best, breakdown, result

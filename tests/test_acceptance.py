@@ -17,8 +17,7 @@ from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
 from isoswarm.experiments import (SwarmSizeConfig, ViewProbabilityConfig,
                                   run_swarm_size_sweep, run_view_probability)
 from isoswarm.geometry import unit_axis, visible_mask
-from isoswarm.neldermead import (NelderMeadOptions, OptimizationProblem,
-                                 nelder_mead)
+from isoswarm.neldermead import NelderMeadOptions, nelder_mead
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
 from tests.conftest import arc_mask, draw_feasible_params
 from tests.reference import in_near_hemisphere
@@ -214,7 +213,7 @@ def test_criterion_07_nelder_mead():
         return float(100.0 * (x[1] - x[0] ** 2) ** 2 + (1.0 - x[0]) ** 2)
 
     res = nelder_mead(
-        OptimizationProblem(2, rosen),
+        rosen,
         np.array([-1.2, 1.0]),
         NelderMeadOptions(max_iterations=5000, f_tolerance=1e-14,
                           x_tolerance=1e-14),
@@ -228,8 +227,8 @@ def test_criterion_07_nelder_mead():
         return float(1.0 - np.cos(x[0] - 5.5))
 
     wres = nelder_mead(
-        OptimizationProblem(1, wrapped_sinusoid, frozenset({0})),
-        np.array([0.2]), NelderMeadOptions(max_iterations=500),
+        wrapped_sinusoid, np.array([0.2]),
+        NelderMeadOptions(max_iterations=500), frozenset({0}),
     )
     wrap_ok = (wres.converged
                and abs(wres.best_point[0] - 5.5) < 1e-3

@@ -132,6 +132,8 @@ def test_optimize_writes_result(tmp_path, capsys):
     assert len(payload["spacecraft"]) == 1
     assert payload["cost"]["info_cost"] <= 0.0
     assert payload["evaluations"] > 0
+    assert payload["iterations"] >= 1
+    assert isinstance(payload["converged"], bool)
     assert json.loads(stdout) == payload
 
 
@@ -310,6 +312,19 @@ def test_experiment_bad_config_value(tmp_path, capsys, entry):
     assert code == EXIT_USAGE
     assert stdout == ""
     assert next(iter(entry)) in stderr
+
+
+def test_experiment_null_theta_step_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "exp.json"
+    cfg.write_text(json.dumps({
+        "schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
+        "n_pois": 20, "spacecraft_range": [1, 1], "trials": 1,
+        "nm_options": {"max_iterations": 2, "theta_initial_step": None}}))
+    code, stdout, stderr = run(capsys, "-o", str(tmp_path / "out"),
+                               "experiment", "--config", str(cfg))
+    assert code == EXIT_USAGE
+    assert stdout == ""
+    assert "theta_initial_step" in stderr
 
 
 @pytest.mark.parametrize("high", [2 ** 63, 10 ** 20])

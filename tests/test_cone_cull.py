@@ -18,7 +18,6 @@ from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig, coverage,
                            evaluate)
 from isoswarm.geometry import (relative_columns, unit_axis, visible_mask,
                                wrap_theta)
-from isoswarm.neldermead import pack_swarm
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import spy, unculled_mask
 from tests.reference import cone_angles, reference_cost
@@ -299,7 +298,7 @@ def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
             seen.append(1)
             return real(*args, **kw)
         monkeypatch.setattr(module, name, spy)
-    x = pack_swarm(swarm).tolist()
+    x = swarm.state.ravel().tolist()
     values = [evaluate(plan, x) for _ in range(3)]
     assert {name: len(seen) for name, seen in calls.items()} == {
         "unit_axis": 0, "_cone_holds_ball": 0, "_cut_rows": 0,

@@ -14,8 +14,7 @@ from isoswarm.cost import (DEGENERACY_PENALTY, EvalPlan, SpacecraftPose,
                            SwarmConfig, evaluate, expected_information_cost,
                            information_cost)
 from isoswarm.geometry import TWO_PI
-from isoswarm.neldermead import (NelderMeadOptions, OptimizationProblem,
-                                 _wrap, nelder_mead, pack_swarm,
+from isoswarm.neldermead import (NelderMeadOptions, _wrap, nelder_mead,
                                  swarm_objective)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.reference import reference_cost, reference_objective
@@ -71,7 +70,7 @@ def test_plan_matches_reference_objective(mode):
             pois, template, options = scene(rng, n_craft, mode)
             ours = swarm_objective(pois, template, **options)
             ref = reference_objective(pois, template, **options)
-            x0 = pack_swarm(template)
+            x0 = template.state.flatten()
             moved = x0 + rng.normal(0.0, 20.0, x0.shape)
             seam = x0.copy()
             seam[3::4] = rng.choice(SEAM_THETAS, n_craft)
@@ -99,7 +98,7 @@ def test_degeneracy_penalty_before_finite_check(n_craft):
     objectives = (swarm_objective(pois, template, **options),
                   reference_objective(pois, template, **options))
     center = template.ellipsoid.center
-    x = pack_swarm(template)
+    x = template.state.flatten()
     x[-4:-1] = center + 1e-7  # the last spacecraft on the center
     if n_craft > 1:  # behind a non-finite one, it still gets the penalty
         x[0] = np.nan
@@ -152,7 +151,7 @@ def test_far_trial_point_scores_the_penalty(mode):
     far = [1e200, 0.0, 0.0, 0.0, 0.0, -2e154, 0.0, 1.0]
     for make in (swarm_objective, reference_objective):
         objective = make(pois, template, **options)
-        assert objective([*far[:4], *pack_swarm(template)[4:]]) == \
+        assert objective([*far[:4], *template.state.flatten()[4:]]) == \
             DEGENERACY_PENALTY
         assert objective(far) == DEGENERACY_PENALTY
         assert make(pois, template, (2.0, 3, 5), **options)(far) == \
@@ -170,7 +169,7 @@ def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
     monkeypatch.setattr(EvalPlan, "__init__", spy)
     pois, template, options = scene(np.random.default_rng(9), 3, "aimed")
     objective = swarm_objective(pois, template, (3.0, 4, 1), **options)
-    x = pack_swarm(template)
+    x = template.state.flatten()
     for shift in range(5):
         objective(wrapped(x + shift, 3))
     assert builds == [1]
@@ -187,7 +186,7 @@ def test_expected_cost_matches_reference(mode, stddev):
         cost_mode = (stddev, 6, 99)
         ours = swarm_objective(pois, template, cost_mode, **options)
         ref = reference_objective(pois, template, cost_mode, **options)
-        x = pack_swarm(template)
+        x = template.state.flatten()
         for point in (x, x + rng.normal(0.0, 5.0, x.shape)):
             point = wrapped(point, n_craft)
             assert same(ours(point), ref(point))
@@ -201,9 +200,8 @@ def run_recorded(objective, x0):
         values.append(objective(x))
         return values[-1]
 
-    problem = OptimizationProblem(len(x0), f, frozenset(range(3, len(x0), 4)))
-    res = nelder_mead(problem, x0, NelderMeadOptions(
-        theta_initial_step=0.5, max_iterations=60))
+    res = nelder_mead(f, x0, NelderMeadOptions(max_iterations=60),
+                      frozenset(range(3, len(x0), 4)))
     return res, np.array(points), values
 
 
@@ -213,7 +211,7 @@ def run_recorded(objective, x0):
 def test_nelder_mead_runs_match(n_craft, mode, cost_mode):
     rng = np.random.default_rng(n_craft)
     pois, template, options = scene(rng, n_craft, mode)
-    x0 = pack_swarm(template)
+    x0 = template.state.flatten()
     (got, points, values), (want, want_points, want_values) = (
         run_recorded(make(pois, template, cost_mode, **options), x0)
         for make in (swarm_objective, reference_objective))

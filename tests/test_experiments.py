@@ -272,7 +272,8 @@ def test_config_rejects_unknown_keys_and_versions():
                {"max_iterations": True}, {"f_tolerance": NAN},
                {"f_tolerance": -1e-8}, {"x_tolerance": NAN},
                {"x_tolerance": INF}, {"theta_initial_step": 0.0},
-               {"theta_initial_step": -0.5}, {"theta_initial_step": NAN}):
+               {"theta_initial_step": -0.5}, {"theta_initial_step": NAN},
+               {"theta_initial_step": None}, {"theta_initial_step": True}):
         with pytest.raises(ConfigError, match=next(iter(nm))):
             config_from_dict({**base, "nm_options": nm})
 
@@ -282,6 +283,17 @@ SWARM_BASE = {"schema_version": 1, "type": "swarm_size",
 VIEW_BASE = {"schema_version": 1, "type": "view_probability",
              "iso_terminal_position": [0.0, 0.0, 0.0],
              "sphere_radii": [50.0], "trials_per_radius": 2}
+
+
+@pytest.mark.parametrize("base", [SWARM_BASE, VIEW_BASE],
+                         ids=["swarm", "view"])
+def test_config_nm_options_keep_the_default_angle_step(base):
+    # options that name only a budget take the same angle step as a config
+    # without options
+    cfg = config_from_dict({**base, "nm_options": {"max_iterations": 60}})
+    assert cfg.nm_options.theta_initial_step == 0.5
+    assert cfg.nm_options == NelderMeadOptions(max_iterations=60)
+    assert config_from_dict(base).nm_options == NelderMeadOptions()
 
 
 @pytest.mark.parametrize("base, key", [

@@ -12,18 +12,16 @@ from isoswarm.cost import (DEGENERACY_PENALTY, SpacecraftPose, SwarmConfig,
 from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
                                  NelderMeadOptions, ObjectiveDomainError,
-                                 OptimizationProblem, OptResult, _NORMAL_GAP,
-                                 _diameter, _far, _wrap, nelder_mead,
-                                 optimize_swarm, pack_swarm, swarm_objective,
-                                 unpack_swarm)
+                                 OptResult, _NORMAL_GAP, _diameter, _far,
+                                 _wrap, nelder_mead, optimize_swarm,
+                                 swarm_objective, unpack_swarm)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
 from tests.reference import array_wrap, row_axis
 
 
-def solve(func, x0, dim=None, theta=frozenset(), **opt_kw):
-    problem = OptimizationProblem(dim or len(x0), func, theta)
-    return nelder_mead(problem, np.asarray(x0, float),
-                       NelderMeadOptions(**opt_kw))
+def solve(func, x0, theta=frozenset(), **opt_kw):
+    return nelder_mead(func, np.asarray(x0, float),
+                       NelderMeadOptions(**opt_kw), theta)
 
 
 def test_quadratic_bowl():
@@ -169,9 +167,8 @@ def test_budget_exhaustion_not_converged():
 
 def test_trace_monotone_best():
     sink = []
-    problem = OptimizationProblem(
-        2, lambda x: float(np.sum(np.subtract(x, 1) ** 2)))
-    res = nelder_mead(problem, np.array([10.0, -10.0]), NelderMeadOptions(),
+    res = nelder_mead(lambda x: float(np.sum(np.subtract(x, 1) ** 2)),
+                      np.array([10.0, -10.0]), NelderMeadOptions(),
                       trace_sink=lambda i, b, d: sink.append((i, b, d)))
     bests = [b for _, b, _ in sink]
     assert all(a >= b for a, b in zip(bests, bests[1:]))
@@ -195,13 +192,20 @@ def test_nonfinite_objective_raises():
         solve(lambda x: float("nan"), [1.0])
 
 
+def test_rejects_x0_that_is_not_1d():
+    calls = []
+    with pytest.raises(ValueError, match="1-D"):
+        solve(lambda x: calls.append(x) or 0.0, [[1.0, 2.0], [3.0, 4.0]])
+    assert not calls
+
+
 def test_pack_unpack_round_trip():
     e = UncertaintyEllipsoid.sphere(10.0)
     s = SwarmConfig((
         SpacecraftPose(np.array([1.0, 2.0, 3.0]), 0.5, 0.3, 1.0),
         SpacecraftPose(np.array([-4.0, 5.0, -6.0]), 2.5, 0.2, 0.9),
     ), e)
-    back = unpack_swarm(pack_swarm(s), s)
+    back = unpack_swarm(s.state.flatten(), s)
     for a, b in zip(s.spacecraft, back.spacecraft):
         np.testing.assert_array_equal(a.position, b.position)
         assert (a.theta, a.nu, a.phi) == (b.theta, b.nu, b.phi)
@@ -210,7 +214,7 @@ def test_pack_unpack_round_trip():
 def test_unpack_rejects_nonfinite_position():
     e = UncertaintyEllipsoid.sphere(10.0)
     s = SwarmConfig((SpacecraftPose(np.array([5.0, 0.0, 0.0]), 0.0, 0.3, 1.0),), e)
-    x = pack_swarm(s)
+    x = s.state.flatten()
     x[1] = np.inf
     with pytest.raises(ValueError):
         unpack_swarm(x, s)
@@ -221,7 +225,7 @@ def test_degeneracy_penalty_at_center():
     pois = sample_pois(e, 50, 1)
     s = SwarmConfig((SpacecraftPose(np.array([5.0, 0.0, 0.0]), 0.0, 0.3, 1.0),), e)
     obj = swarm_objective(pois, s)
-    x = pack_swarm(s)
+    x = s.state.flatten()
     x[:3] = e.center
     assert obj(x.tolist()) == DEGENERACY_PENALTY
 
@@ -280,20 +284,22 @@ def test_options_reject_empty_budget(max_iterations):
         NelderMeadOptions(max_iterations=max_iterations)
 
 
-def reference_nelder_mead(problem, x0, opts, trace_sink=None):
+def reference_nelder_mead(objective, x0, opts, theta_indices=frozenset(),
+                          trace_sink=None):
     """nelder_mead with its NumPy bookkeeping (argsort, a fancy-indexed
     reorder, np.mean, np.linalg.norm, array trial points and a diameter at
     every iteration), kept as the reference that the list-backed loop must
     reproduce bit for bit. The objective gets the wrapped point's tolist()."""
     x0 = np.asarray(x0, dtype=float)
-    theta_idx = np.array(sorted(problem.theta_indices), dtype=np.intp)
-    max_iter = opts.max_iterations or 200 * problem.dimension
+    n = len(x0)
+    theta_idx = np.array(sorted(theta_indices), dtype=np.intp)
+    max_iter = opts.max_iterations or 200 * n
     evals = 0
 
     def f(point):
         nonlocal evals
         x = array_wrap(point, theta_idx)
-        v = float(problem.objective(x.tolist()))
+        v = float(objective(x.tolist()))
         evals += 1
         assert math.isfinite(v)
         return point, v
@@ -302,12 +308,11 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
         others = np.delete(simplex, best, 0)
         return float(np.max(np.linalg.norm(others - simplex[best], axis=1)))
 
-    n = problem.dimension
     simplex = np.empty((n + 1, n))
     values = np.empty(n + 1)
     simplex[0], values[0] = f(x0)
     for i in range(n):
-        if i in problem.theta_indices and opts.theta_initial_step is not None:
+        if i in theta_indices:
             step = opts.theta_initial_step
         else:
             step = INITIAL_SIMPLEX_SCALE * max(abs(x0[i]), 1.0)
@@ -361,8 +366,8 @@ def reference_nelder_mead(problem, x0, opts, trace_sink=None):
     order = np.argsort(values, kind="stable")
     best = int(order[0])
     return OptResult(array_wrap(simplex[best], theta_idx),
-                     float(values[best]), iteration, termination != "budget",
-                     evals, termination, shrinks, diameter_of(simplex, best))
+                     float(values[best]), iteration, evals, termination,
+                     shrinks, diameter_of(simplex, best))
 
 
 def swarm_case(n_craft):
@@ -375,7 +380,8 @@ def swarm_case(n_craft):
         d, axis=1, keepdims=True)
     init = SwarmConfig([SpacecraftPose(p, t, np.pi / 6, np.pi / 3) for p, t
                         in zip(d, rng.uniform(0, 2 * np.pi, n_craft))], e)
-    return swarm_objective(sample_pois(e, 500, n_craft), init), pack_swarm(init)
+    return (swarm_objective(sample_pois(e, 500, n_craft), init),
+            init.state.flatten())
 
 
 def oracle_case(name):
@@ -420,9 +426,8 @@ def run_solvers(objective, x0, theta, opts, traced):
 
         sink = None if trace is None else (
             lambda i, b, d: trace.append((i, b.hex(), d.hex(), len(points))))
-        problem = OptimizationProblem(len(x0), f, frozenset(theta))
-        res = solver(problem, np.asarray(x0, float),
-                     NelderMeadOptions(**opts), sink)
+        res = solver(f, np.asarray(x0, float), NelderMeadOptions(**opts),
+                     frozenset(theta), sink)
         runs.append((res, np.array(points), trace, values))
     return runs
 
@@ -481,7 +486,7 @@ def test_random_quadratics_match_reference_loop(ending):
         x0 = target + rng.uniform(-2.0, 2.0, dim)
         opts = dict(max_iterations=10 + dim, f_tolerance=0.0, x_tolerance=0.0)
         if rng.random() < 0.5:
-            opts["theta_initial_step"] = 0.5
+            opts["theta_initial_step"] = float(rng.uniform(0.05, 1.0))
         if ending != "budget":
             (_, _, trace, values), _ = run_solvers(quadratic, x0, theta, opts,
                                                    True)
@@ -496,6 +501,7 @@ def test_random_quadratics_match_reference_loop(ending):
             runs = run_solvers(quadratic, x0, theta, opts, traced)
             assert_same_runs(runs)
             assert runs[0][0].termination == ending
+            assert runs[0][0].converged == (ending != "budget")
 
 
 def test_piecewise_constant_objectives_match_reference_loop(monkeypatch):
@@ -530,7 +536,7 @@ def test_piecewise_constant_objectives_match_reference_loop(monkeypatch):
         x0 = target + rng.uniform(-2.0, 2.0, dim)
         opts = dict(max_iterations=budget, f_tolerance=0.0)
         if rng.random() < 0.5:
-            opts["theta_initial_step"] = 0.5
+            opts["theta_initial_step"] = float(rng.uniform(0.05, 1.0))
         assert_same_runs(run_solvers(stairs, x0, theta, opts, traced))
 
     monkeypatch.setattr(neldermead, "bisect_right", spy)
