@@ -17,6 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .geometry import check_fields, fits
+
 
 class InfeasibleParamsError(ValueError):
     """The rate-matrix condition does not hold for these parameters."""
@@ -56,17 +58,15 @@ class ContractionParams:
     alpha_s: float
 
     def __post_init__(self):
-        strictly_positive = ("alpha_c", "alpha_e", "m_c_lower", "m_c_upper",
-                             "m_e_lower", "m_e_upper", "gamma_c", "lam",
-                             "alpha_s")
-        for name in strictly_positive:
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and positive")
-        for name in ("eps_c", "eps_e", "g_bar", "u_bar", "h_bar", "ell_bar"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
+        check_fields(self)
+        for name in self.__dataclass_fields__:  # the bound is float math
+            object.__setattr__(self, name, value := float(getattr(self, name)))
+            bound = name.startswith("eps_") or name.endswith("_bar")
+            if not (value > 0.0 or bound and value == 0.0):  # bounds may be 0
+                raise ValueError(f"{name} must be positive" + " or 0" * bound)
         if self.m_c_lower > self.m_c_upper or self.m_e_lower > self.m_e_upper:
-            raise ValueError("metric eigenvalue bounds must satisfy lower <= upper")
+            raise ValueError("metric eigenvalue bounds must satisfy m_c_lower "
+                             "<= m_c_upper and m_e_lower <= m_e_upper")
 
     @property
     def c_s(self) -> float:
@@ -156,7 +156,10 @@ class NoiseProfile:
 
     @classmethod
     def from_pairs(cls, pairs):
-        arr = np.asarray(pairs, dtype=float)
+        if not (isinstance(pairs, list) and all(isinstance(p, list) and fits(
+                "tuple[float, float]", tuple(p)) for p in pairs)):
+            raise ValueError("noise must be [t, zeta] pairs of finite reals")
+        arr = np.array(pairs, dtype=float).reshape(-1, 2)
         return cls(arr[:, 0], arr[:, 1])
 
     def _check_time(self, t: float) -> None:
@@ -181,7 +184,7 @@ def zeta_integral(t: float, params: ContractionParams,
     grid = np.append(inner, t)
     z = np.interp(grid, noise.times, noise.zetas)
     integrand = np.exp(2.0 * params.alpha_s * grid) * z
-    quad = np.trapezoid(integrand, grid)
+    quad = float(np.trapezoid(integrand, grid))  # an overflow gives inf
     return params.lam * params.m_e_upper * params.ell_bar * quad
 
 
@@ -210,7 +213,10 @@ def _numerator(t: float, v0_expected: float, params: ContractionParams,
                zeta: float) -> float:
     """Bound numerator at time t, given zeta = zeta_integral(t, ...)."""
     decay = np.exp(-2.0 * params.alpha_s * t)
-    return v0_expected * decay + params.c_s + decay * zeta
+    value = float(v0_expected * decay + params.c_s + decay * zeta)
+    if not value < math.inf:  # the bound would read inf / inf
+        raise ValueError(f"bound numerator out of range: {value}")
+    return value
 
 
 def evaluate_bound(D: float, t: float, v0_expected: float,
@@ -256,8 +262,5 @@ def load_bound_config(path) -> tuple[ContractionParams, NoiseProfile]:
     """Read a JSON config: flat scalar keys plus a "noise" array of [t, zeta]."""
     with open(path) as f:
         cfg = json.load(f)
-    if "noise" not in cfg:
-        raise ValueError(f"{path}: missing 'noise' array of [t, zeta] pairs")
-    noise = NoiseProfile.from_pairs(cfg["noise"])
-    return ContractionParams(**{k: float(v) for k, v in cfg.items()
-                                if k != "noise"}), noise
+    noise = NoiseProfile.from_pairs(cfg.pop("noise", None))
+    return ContractionParams(**cfg), noise

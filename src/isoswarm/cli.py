@@ -14,8 +14,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import bound as bound_mod
 from . import experiments as exp_mod
 from .cost import SpacecraftPose, SwarmConfig, information_cost
@@ -38,23 +36,16 @@ def _load_swarm(path) -> SwarmConfig:
     with open(path) as f:
         cfg = json.load(f)
     ell = cfg["ellipsoid"]
-    ellipsoid = UncertaintyEllipsoid(
-        np.asarray(ell.get("center", [0.0, 0.0, 0.0]), dtype=float),
-        tuple(ell["radii"]),
-    )
-    poses = tuple(
-        SpacecraftPose(np.asarray(p["position"], dtype=float),
-                       p["theta"], p["nu"], p["phi"])
-        for p in cfg["spacecraft"]
-    )
-    return SwarmConfig(poses, ellipsoid)
+    return SwarmConfig((SpacecraftPose(**p) for p in cfg["spacecraft"]),
+                       UncertaintyEllipsoid(ell.get("center", (0.0, 0.0, 0.0)),
+                                            ell["radii"]))
 
 
 def _read(load, path, what):
     """Load an input file; a missing, unreadable or malformed one is exit 2."""
     try:
         return load(path)
-    except (OSError, KeyError, TypeError, ValueError) as err:
+    except (OSError, AttributeError, KeyError, TypeError, ValueError) as err:
         raise CliError(f"{path}: cannot read {what}: {err}")
 
 
@@ -92,8 +83,7 @@ def _emit(payload, output) -> int:
 def cmd_sample_pois(args) -> int:
     radii = (args.radius,) * 3 if args.radii is None else tuple(args.radii)
     try:
-        ellipsoid = UncertaintyEllipsoid(np.asarray(args.center, dtype=float),
-                                         radii)
+        ellipsoid = UncertaintyEllipsoid(args.center, radii)
     except ValueError as err:
         raise CliError(f"bad ellipsoid: {err}")
     pois = sample_pois(ellipsoid, args.n, args.seed or 0)
@@ -256,7 +246,7 @@ def main(argv=None) -> int:
     except CliError as err:
         print(f"error: {err}", file=sys.stderr)
         return err.code
-    except (OSError, ValueError, MemoryError) as err:
+    except (OSError, ValueError, MemoryError, OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_COMPUTE
 

@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import (TWO_PI, _hold_distance, as_vec3, visible_mask,
-                       wrap_theta)
+from .geometry import (TWO_PI, _hold_distance, as_vec3, check_fields,
+                       visible_mask, wrap_theta)
 from .sampling import PoiSet
 
 # Perturbation applied when two spacecraft share an orientation, so their
@@ -38,15 +38,12 @@ class SpacecraftPose:
     phi: float
 
     def __post_init__(self):
-        object.__setattr__(self, "position", as_vec3(self.position))
-        theta = float(self.theta)
-        if not math.isfinite(theta):  # its wrap would be NaN
-            raise ValueError("spacecraft theta must be finite")
-        object.__setattr__(self, "theta", wrap_theta(theta))
-        if not 0.0 < self.nu < np.pi:
-            raise ValueError("nu must lie in (0, pi)")
-        if not 0.0 < self.phi < np.pi:
-            raise ValueError("phi must lie in (0, pi)")
+        object.__setattr__(self, "position", as_vec3(self.position, "position"))
+        check_fields(self)  # a non-finite theta would wrap to NaN
+        object.__setattr__(self, "theta", wrap_theta(float(self.theta)))
+        for name in ("nu", "phi"):
+            if not 0.0 < getattr(self, name) < np.pi:
+                raise ValueError(f"{name} must lie in (0, pi)")
 
 
 class SwarmConfig:
@@ -213,7 +210,7 @@ def evaluate(plan: EvalPlan, x: list, cost=_cost) -> float:
             far = True
             finite = finite and all(map(math.isfinite, (px, py, pz)))
     if not finite:
-        raise ValueError("vector components must be finite")
+        raise ValueError("position must be three finite reals")
     return DEGENERACY_PENALTY if far else cost(plan, apexes, x[3::4])
 
 
@@ -247,10 +244,8 @@ def _expected_cost(plan: EvalPlan, apexes, thetas, stddev, n_samples, seed):
     deterministic one."""
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    if stddev < 0.0:
-        raise ValueError("position_stddev must be non-negative")
-    if not stddev < math.inf:
-        raise ValueError("position_stddev must be finite")
+    if not 0.0 <= stddev < math.inf:
+        raise ValueError("position_stddev must be finite and non-negative")
     if stddev == 0.0:
         return _cost(plan, apexes, thetas)
     rng = np.random.default_rng(seed)

@@ -11,13 +11,13 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
 from .cost import SpacecraftPose, SwarmConfig, coverage
+from .geometry import check_fields
 from .neldermead import NelderMeadOptions, optimize_swarm
 from .sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 
@@ -42,26 +42,16 @@ def _cell_seed(master_seed: int, *key: int) -> int:
     return int(np.random.SeedSequence([master_seed, *key]).generate_state(1)[0])
 
 
-def _check_fields(config) -> None:
-    """Checks both config classes share: int fields hold integers (no floats
-    or bools), float fields finite reals, counts are at least 1, the master
-    seed is non-negative, and phi and nu lie in (0, pi)."""
-    for name, f in config.__dataclass_fields__.items():
-        value = getattr(config, name)
-        values = value if isinstance(value, tuple) else (value,)
-        if f.type in ("int", "tuple[int, int]") and not all(
-                isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                for v in values):
-            raise ConfigError(f"{name} must be an integer, got {value!r}")
-        if f.type.startswith(("float", "tuple[float")) and not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                and math.isfinite(v) for v in values):
-            raise ConfigError(f"{name} must hold finite reals, got {value!r}")
-        if name in ("n_pois", "trials", "trials_per_radius") and value < 1:
-            raise ConfigError(f"{name} must be at least 1")
-        if name == "master_seed" and value < 0:
-            raise ConfigError(f"{name} must be non-negative, got {value}")
-        if name in ("phi", "nu") and not 0.0 < value < np.pi:
+def _check_config(config) -> None:
+    """check_fields, then the ranges both config classes share: counts of at
+    least 1, a non-negative master seed, and phi and nu in (0, pi)."""
+    check_fields(config, ConfigError)
+    for name, low in (("n_pois", 1), ("trials", 1), ("trials_per_radius", 1),
+                      ("master_seed", 0)):
+        if getattr(config, name, low) < low:
+            raise ConfigError(f"{name} must be at least {low}")
+    for name in ("phi", "nu"):
+        if not 0.0 < getattr(config, name) < np.pi:
             raise ConfigError(f"{name} must lie in (0, pi)")
 
 
@@ -87,11 +77,11 @@ class ViewProbabilityConfig:
     nm_options: NelderMeadOptions = NelderMeadOptions()
 
     def __post_init__(self):
-        _check_fields(self)
-        if len(self.iso_terminal_position) != 3:
-            raise ConfigError("iso_terminal_position must have 3 components")
-        if not self.sphere_radii or min(self.sphere_radii) <= 0.0:
-            raise ConfigError("sphere_radii must be one or more positive radii")
+        _check_config(self)
+        radii = sorted(map(float, self.sphere_radii)) or [0.0]
+        if not (radii[0] > 0.0 and math.isfinite(radii[-1] * radii[-1])):
+            raise ConfigError("sphere_radii must be one or more positive "
+                              "radii whose squares (the POIs') are finite")
         lo, hi = self.initial_distance_range
         if not 1 <= lo < hi < 2 ** 63:
             # a start distance of 0 puts the spacecraft at the center; the
@@ -99,7 +89,8 @@ class ViewProbabilityConfig:
             raise ConfigError(
                 "initial_distance_range must satisfy 1 <= min < max < 2^63")
         if self.success_criterion not in ("center", "sampled_truth"):
-            raise ConfigError(f"unknown success criterion {self.success_criterion!r}")
+            raise ConfigError("success_criterion must be center or "
+                              f"sampled_truth, got {self.success_criterion!r}")
 
 
 @dataclass(frozen=True)
@@ -118,9 +109,9 @@ class SwarmSizeConfig:
     nm_options: NelderMeadOptions = NelderMeadOptions()
 
     def __post_init__(self):
-        _check_fields(self)
-        lo, hi = self.spacecraft_range
-        if not 1 <= lo <= hi <= 32:
+        _check_config(self)
+        lo, n = self.spacecraft_range
+        if not 1 <= lo <= n <= 32:
             raise ConfigError("spacecraft_range must lie within [1, 32]")
         if self.sphere_radius <= 0.0:
             raise ConfigError("sphere_radius must be positive")
@@ -128,11 +119,13 @@ class SwarmSizeConfig:
         if not 0.0 < lo <= hi:
             raise ConfigError(
                 "initial_distance_factors must satisfy 0 < min <= max")
-        far = self.sphere_radius * hi
-        if not math.isfinite(far * far):
-            # the cone axes need the squared start distance
+        far = float(self.sphere_radius) * hi  # an int's square may not convert
+        if not math.isfinite(far * far):  # the cone axes need it
             raise ConfigError("sphere_radius times the largest "
                               "initial_distance_factors must square finite")
+        if not math.isfinite(float(self.kappa_weight) * n * n * self.nu):
+            raise ConfigError("kappa_weight times nu and the largest swarm "
+                              "size squared must be finite")
 
 
 @dataclass
@@ -329,16 +322,14 @@ def config_from_dict(cfg: dict):
     cls = _CONFIG_TYPES.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ConfigError(f"unknown experiment type: {kind!r}")
-    unknown = set(cfg) - set(cls.__dataclass_fields__)
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    nm = cfg.pop("nm_options", None)
+    nm = cfg.get("nm_options", {})
+    if not isinstance(nm, dict):
+        raise ConfigError(f"nm_options must be an object, got {nm!r}")
     try:
         for name, f in cls.__dataclass_fields__.items():
-            if name in cfg and f.type.startswith("tuple"):
+            if isinstance(cfg.get(name), list) and f.type.startswith("tuple"):
                 cfg[name] = tuple(cfg[name])
-        if nm is not None:
-            cfg["nm_options"] = NelderMeadOptions(**nm)
+        cfg["nm_options"] = NelderMeadOptions(**nm)
         return cls(**cfg)
     except (TypeError, ValueError) as err:
         raise ConfigError(str(err)) from err

@@ -7,6 +7,8 @@ shape (3,); point sets are arrays of shape (n, 3). All functions are pure.
 from __future__ import annotations
 
 import math
+import sys
+from numbers import Real
 
 import numpy as np
 
@@ -55,14 +57,40 @@ class DegenerateGeometryError(ValueError):
     """Cone apex at the ellipsoid center, or too far for a finite norm."""
 
 
-def as_vec3(v) -> np.ndarray:
-    """Coerce to a finite float 3-vector."""
-    a = np.asarray(v, dtype=float)
-    if a.shape != (3,):
-        raise ValueError(f"expected a 3-vector, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("vector components must be finite")
-    return a
+def fits(kind: str, value) -> bool:
+    """Whether value is of the annotation kind, by the one rule for numbers
+    from outside: "int" takes an int, "float" a real of finite float value
+    (NumPy's too, no bool), "X | None" also None, "tuple[X, Y]" and "tuple[X,
+    ...]" tuples of such values. Other kinds are their callers' to check."""
+    kind, optional, _ = kind.partition(" | None")
+    if value is None or isinstance(value, bool):
+        return value is None and optional != ""
+    if kind.startswith("tuple["):
+        kinds = kind[6:-1].split(", ")
+        if kinds[-1] == "..." and isinstance(value, tuple):
+            kinds = kinds[:1] * len(value)
+        return (isinstance(value, tuple) and len(value) == len(kinds)
+                and all(map(fits, kinds, value)))
+    if kind == "int":
+        return isinstance(value, (int, np.integer))
+    return kind != "float" or (isinstance(value, Real)  # exact for any int
+                               and abs(value) <= sys.float_info.max)
+
+
+def check_fields(obj, error=ValueError) -> None:
+    """Raise error naming the first field of obj that does not fit its type."""
+    for name, f in obj.__dataclass_fields__.items():
+        if not fits(f.type, value := getattr(obj, name)):
+            kind = f.type.replace("float", "finite float")
+            raise error(f"{name} must be {kind}, got {value!r}")
+
+
+def as_vec3(v, name: str = "vector") -> np.ndarray:
+    """v, three finite reals (fits) in a list, tuple or array, as floats."""
+    v = tuple(v) if isinstance(v, (list, np.ndarray)) else v
+    if not fits("tuple[float, float, float]", v):
+        raise ValueError(f"{name} must be three finite reals, got {v!r}")
+    return np.array(v, dtype=float)
 
 
 def relative_columns(points: np.ndarray, origin) -> np.ndarray:
@@ -84,7 +112,8 @@ def poi_columns(points, center) -> tuple[np.ndarray | None, float]:
     for lo in range(0, len(points), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         rel = relative_columns(points[block], center)
-        sq = _dot3(rel, rel)
+        with np.errstate(over="ignore"):  # an inf leaves R out of range
+            sq = _dot3(rel, rel)
         top = max(top, sq.max())
         if top < _RADII[1] ** 2:  # so the casts cannot overflow
             out[:3, block], out[4, block] = rel, sq

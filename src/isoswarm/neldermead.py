@@ -12,7 +12,6 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial
-from numbers import Real
 from typing import Callable
 
 import numpy as np
@@ -21,6 +20,7 @@ import numpy as np
 # wraps this module's name.
 from .cost import (EvalPlan, SwarmConfig, _expected_cost, evaluate,
                    expected_information_cost, information_cost, wrap_theta)
+from .geometry import TWO_PI, check_fields
 from .sampling import PoiSet
 
 # Standard simplex coefficients, and the initial step of a position
@@ -44,19 +44,13 @@ class NelderMeadOptions:
     theta_initial_step: float = 0.5  # absolute simplex step of an angle, rad
 
     def __post_init__(self):
-        n = self.max_iterations
-        if n is not None and (not isinstance(n, (int, np.integer))
-                              or isinstance(n, bool) or n < 1):
-            raise ValueError(
-                f"max_iterations must be an integer of at least 1, got {n!r}")
-        for name in ("f_tolerance", "x_tolerance"):
-            if not 0.0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and non-negative")
-        step = self.theta_initial_step
-        if (not isinstance(step, Real) or isinstance(step, bool)
-                or not 0.0 < step < math.inf):
-            raise ValueError(
-                f"theta_initial_step must be finite and positive, got {step!r}")
+        check_fields(self)
+        if self.max_iterations is not None and self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
+        if min(self.f_tolerance, self.x_tolerance) < 0.0:
+            raise ValueError("f_tolerance, x_tolerance must be non-negative")
+        if not 0.0 < self.theta_initial_step <= TWO_PI:  # a full turn
+            raise ValueError("theta_initial_step must lie in (0, 2 pi]")
 
 
 @dataclass

@@ -31,19 +31,17 @@ class UncertaintyEllipsoid:
     radii: tuple[float, float, float]
 
     def __post_init__(self):
-        object.__setattr__(self, "center", as_vec3(self.center))
-        radii = tuple(float(r) for r in np.asarray(self.radii).ravel())
-        if len(radii) != 3 or not all(0.0 < r < math.inf for r in radii):
-            raise ValueError(
-                "ellipsoid radii must be three finite positive reals")
-        if not all(abs(c) + r < math.inf
-                   for c, r in zip(self.center.tolist(), radii)):
-            raise ValueError("ellipsoid must lie within the float range")
+        object.__setattr__(self, "center", as_vec3(self.center, "center"))
+        radii = tuple(as_vec3(self.radii, "radii").tolist())
+        if not (min(radii) > 0.0 and all(abs(c) + r < math.inf for c, r
+                                         in zip(self.center.tolist(), radii))):
+            raise ValueError("radii must be positive, and the ellipsoid "
+                             "(center +- radii) within the float range")
         object.__setattr__(self, "radii", radii)
 
     @classmethod
     def sphere(cls, radius: float, center=(0.0, 0.0, 0.0)):
-        return cls(np.asarray(center, dtype=float), (radius, radius, radius))
+        return cls(center, (radius, radius, radius))
 
 
 @dataclass(frozen=True)

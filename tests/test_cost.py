@@ -1,9 +1,12 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
+from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, EvalPlan,
+                           SpacecraftPose, SwarmConfig, coverage, evaluate,
                            expected_information_cost, information_cost,
                            kappa_total, pair_overlap, wrap_theta)
 from isoswarm.geometry import TWO_PI, unit_axis
@@ -59,7 +62,7 @@ def test_theta_wraps_into_half_open_range():
 @pytest.mark.parametrize("theta", [float("nan"), float("inf"), -float("inf")])
 def test_pose_rejects_non_finite_theta(theta):
     # wrapped, it would be NaN, and so would kappa_total
-    with pytest.raises(ValueError, match="spacecraft theta must be finite"):
+    with pytest.raises(ValueError, match="theta must be finite float"):
         pose(theta)
 
 
@@ -68,11 +71,11 @@ def test_from_state_rejects_non_finite_theta(theta):
     # as a pose does: wrapped, the theta would be NaN, and so would
     # information_cost's kappa_total
     template = swarm(pose(0.5), pose(0.5))
-    with pytest.raises(ValueError, match="spacecraft theta must be finite"):
+    with pytest.raises(ValueError, match="theta must be finite float"):
         SwarmConfig.from_state([[300.0, 0.0, 0.0, theta],
                                 [300.0, 0.0, 0.0, 0.5]], template)
     # a non-finite position is still reported first
-    with pytest.raises(ValueError, match="vector components must be finite"):
+    with pytest.raises(ValueError, match="position must be three finite reals"):
         SwarmConfig.from_state([[300.0, theta, 0.0, theta],
                                 [300.0, 0.0, 0.0, 0.5]], template)
 
@@ -362,3 +365,71 @@ def test_boundary_ties_kernel_matches_scalar(mode):
     # the boundary sits on the cone surface: a relative nudge decides it
     assert in_cone(cone(1.0 - 1e-9)).all()
     assert not in_cone(cone(1.0 + 1e-9)).any()
+
+
+def closed_form_bound(nus, kappa_weight):
+    """w max(0, sum 2 nu_i - 2 pi) - 100: coverage is at most 100, and by
+    Bonferroni's inequality the summed pairwise overlaps of arcs of widths
+    2 nu_i on the circle are at least their summed lengths minus 2 pi."""
+    return kappa_weight * max(0.0, sum(2.0 * nu for nu in nus) - TWO_PI) - 100.0
+
+
+# Apex distances from the center in sphere radii: inside or near the ball
+# (cut cones), beyond the aimed cones' hold distances, and far away.
+APEX_DISTANCES = {"near": (0.05, 1.5), "held": (2.0, 50.0),
+                  "far": (1e3, 1e8)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8),
+       mode=st.sampled_from(["aimed", "theta_tilt"]),
+       kappa_weight=st.floats(0.0, 100.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_cost_never_below_closed_form_bound(data, n, mode, kappa_weight,
+                                            seed):
+    # half the angles wide, where two arcs overlap across both separations
+    angle = st.one_of(st.floats(0.01, np.pi - 0.01),
+                      st.floats(2.5, np.pi - 1e-6))
+    poses = []
+    for _ in range(n):
+        lo, hi = APEX_DISTANCES[data.draw(st.sampled_from(list(APEX_DISTANCES)))]
+        direction = np.array(data.draw(st.tuples(*[st.floats(-1.0, 1.0)] * 3)))
+        if not np.linalg.norm(direction) > 0.1:
+            direction = np.array([1.0, 0.0, 0.0])
+        direction /= np.linalg.norm(direction)
+        distance = 100.0 * data.draw(st.floats(lo, hi))
+        poses.append(SpacecraftPose(
+            direction * distance, data.draw(st.floats(0.0, 7.0)),
+            data.draw(angle), data.draw(angle)))
+    s = swarm(*poses)
+    pois = sample_pois(s.ellipsoid, 200, seed)
+    bound = closed_form_bound(s.nu.tolist(), kappa_weight)
+    # a shared theta moves one arc of the pair by
+    # DEFAULT_IDENTICAL_THETA_DELTA, which can lower its overlap by as much;
+    # the rest is rounding
+    thetas = s.state[:, 3].tolist()
+    ties = sum(a == b for a, b in combinations(thetas, 2))
+    slack = kappa_weight * (ties * DEFAULT_IDENTICAL_THETA_DELTA + 1e-9) + 1e-9
+    cost = information_cost(s, pois, kappa_weight, mode).information_cost
+    assert cost >= bound - slack
+    plan = EvalPlan(s, pois, kappa_weight, mode)
+    assert evaluate(plan, s.state.ravel().tolist()) >= bound - slack
+
+
+@pytest.mark.parametrize("n, nu", [(n, np.pi / 6) for n in range(2, 9)]
+                         + [(2, 2.0), (2, 3.0)])
+def test_closed_form_bound_is_attained(n, nu):
+    """Two held cones on opposite sides of the sphere see every POI (each
+    its near half-space), and equally spaced thetas make only adjacent arcs
+    overlap while 2 nu <= 4 pi / n. Two opposite arcs wider than pi overlap
+    across both separations, by 2 (2 nu - pi) in all."""
+    radius = 100.0
+    directions = [(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                  (0.0, -1.0, 0.0), (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                  (0.6, 0.8, 0.0), (-0.6, -0.8, 0.0)]
+    s = swarm(*[pose(k * TWO_PI / n, 10.0 * radius * np.array(directions[k]),
+                     nu=nu, phi=np.pi / 3) for k in range(n)], radius=radius)
+    pois = sample_pois(s.ellipsoid, 2000, n)
+    breakdown = information_cost(s, pois)
+    assert breakdown.epsilon_term == 100.0
+    assert breakdown.information_cost == pytest.approx(
+        closed_form_bound([nu] * n, 1.0), abs=1e-12)

@@ -109,7 +109,7 @@ def test_degeneracy_penalty_before_finite_check(n_craft):
         x[0] = value
         for objective in objectives:
             with pytest.raises(ValueError,
-                               match="vector components must be finite"):
+                               match="position must be three finite reals"):
                 objective(wrapped(x, n_craft))
 
 

@@ -267,13 +267,9 @@ def test_config_rejects_unknown_keys_and_versions():
         config_from_dict({**base, "bogus_key": 1})
     with pytest.raises(ConfigError):
         config_from_dict({**base, "trials": 0})
-    for nm in ({"bogus": 1}, {"expansion": 0.9}, {"shrink": 0.5},
-               {"max_iterations": 0}, {"max_iterations": 2.5},
-               {"max_iterations": True}, {"f_tolerance": NAN},
-               {"f_tolerance": -1e-8}, {"x_tolerance": NAN},
-               {"x_tolerance": INF}, {"theta_initial_step": 0.0},
-               {"theta_initial_step": -0.5}, {"theta_initial_step": NAN},
-               {"theta_initial_step": None}, {"theta_initial_step": True}):
+    # invalid values of the known nm_options keys are cases of
+    # test_input_contract.py's property
+    for nm in ({"bogus": 1}, {"expansion": 0.9}, {"shrink": 0.5}):
         with pytest.raises(ConfigError, match=next(iter(nm))):
             config_from_dict({**base, "nm_options": nm})
 
