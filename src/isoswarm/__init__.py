@@ -4,10 +4,10 @@ from .bound import (BoundResult, ContractionParams, NoiseProfile,
                     check_rate_matrix, evaluate_bound,
                     radius_for_success_probability, zeta_integral)
 from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig, coverage,
-                   expected_information_cost, information_cost, kappa_total,
-                   pair_overlap)
+                   information_cost, kappa_total, pair_overlap)
 from .geometry import visible_mask
-from .neldermead import (NelderMeadOptions, OptResult, nelder_mead,
+from .neldermead import (NelderMeadOptions, OptResult,
+                         expected_information_cost, nelder_mead,
                          optimize_swarm)
 from .sampling import (PoiSet, UncertaintyEllipsoid, load_pois, sample_pois,
                        save_pois)

@@ -69,11 +69,13 @@ _positive_float = _checked(float, lambda v: 0.0 < v < math.inf,
 _nonnegative_float = _checked(float, lambda v: 0.0 <= v < math.inf,
                               "finite and non-negative")
 _probability = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
+_stddev = _checked(float, lambda v: 0.0 <= v and v * v < math.inf,
+                   "non-negative with a finite square")
 
 
 def _emit(payload, output) -> int:
     """Print the payload as JSON and, with -o, write it to that file."""
-    text = json.dumps(payload, indent=2)
+    text = json.dumps(payload, indent=2, allow_nan=False)
     print(text)
     if output:
         Path(output).write_text(text + "\n")
@@ -85,7 +87,7 @@ def cmd_sample_pois(args) -> int:
     try:
         ellipsoid = UncertaintyEllipsoid(args.center, radii)
     except ValueError as err:
-        raise CliError(f"bad ellipsoid: {err}")
+        raise CliError(f"bad ellipsoid (--center, --radius/--radii): {err}")
     pois = sample_pois(ellipsoid, args.n, args.seed or 0)
     out = args.output or "pois.csv"
     save_pois(out, pois)
@@ -97,9 +99,18 @@ def cmd_sample_pois(args) -> int:
     return EXIT_OK
 
 
-def cmd_cost(args) -> int:
+def _load_scene(args):
+    """POIs and swarm, with a --kappa-weight whose overlap term is finite."""
     pois = _read(load_pois, args.pois, "POI file")
     swarm = _read(_load_swarm, args.swarm, "swarm pose file")
+    if exp_mod.weight_overflows(args.kappa_weight, swarm.nu.max(), len(swarm)):
+        raise CliError("--kappa-weight times the largest nu and the swarm "
+                       "size squared must be finite")
+    return pois, swarm
+
+
+def cmd_cost(args) -> int:
+    pois, swarm = _load_scene(args)
     breakdown = information_cost(swarm, pois, kappa_weight=args.kappa_weight)
     return _emit(breakdown.to_json_dict(), args.output)
 
@@ -109,13 +120,10 @@ def cmd_optimize(args) -> int:
                         ("--seed", args.noise_seed)):
         if value is not None and not args.position_stddev > 0.0:
             raise CliError(f"{flag} needs a positive --position-stddev")
-    pois = _read(load_pois, args.pois, "POI file")
-    swarm = _read(_load_swarm, args.swarm, "swarm pose file")
+    pois, swarm = _load_scene(args)
     opts = NelderMeadOptions(max_iterations=args.max_iterations)
-    cost_mode = "deterministic"
-    if args.position_stddev > 0.0:
-        seed = args.seed if args.noise_seed is None else args.noise_seed
-        cost_mode = (args.position_stddev, args.mc_samples or 100, seed or 0)
+    seed = args.seed if args.noise_seed is None else args.noise_seed
+    cost_mode = (args.position_stddev, args.mc_samples or 100, seed or 0)
     best, breakdown, result = optimize_swarm(
         pois, swarm, opts, cost_mode, kappa_weight=args.kappa_weight
     )
@@ -184,11 +192,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample-pois", help="sample POIs inside an ellipsoid")
     shape = p.add_mutually_exclusive_group()
-    shape.add_argument("--radius", type=float, default=100.0,
+    shape.add_argument("--radius", type=_positive_float, default=100.0,
                        help="sphere radius (km)")
-    shape.add_argument("--radii", type=float, nargs=3, default=None,
+    shape.add_argument("--radii", type=_positive_float, nargs=3, default=None,
                        help="per-axis ellipsoid radii (km)")
-    p.add_argument("--center", type=float, nargs=3, default=(0.0, 0.0, 0.0))
+    p.add_argument("--center", type=_finite_float, nargs=3,
+                   default=(0.0, 0.0, 0.0))
     p.add_argument("--n", type=_positive_int, required=True)
     p.add_argument("--seed", type=_seed, default=argparse.SUPPRESS,
                    help="sampling seed (default: the global --seed, else 0)")
@@ -205,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--swarm", required=True, help="initial swarm pose JSON")
     p.add_argument("--kappa-weight", type=_finite_float, default=1.0)
     p.add_argument("--max-iterations", type=_positive_int, default=None)
-    p.add_argument("--position-stddev", type=_nonnegative_float, default=0.0,
+    p.add_argument("--position-stddev", type=_stddev, default=0.0,
                    help="enable expected-cost mode with this stddev (km)")
     p.add_argument("--mc-samples", type=_positive_int, default=None,
                    help="expected-cost samples (default 100)")

@@ -191,13 +191,13 @@ def _cost(plan: EvalPlan, apexes, thetas) -> float:
     return plan.kappa_weight * kappa - 100.0 * count / plan.n
 
 
-def evaluate(plan: EvalPlan, x: list, cost=_cost) -> float:
+def evaluate(plan: EvalPlan, x: list) -> float:
     """The cost of the plan's swarm at the packed float list x, whose thetas
     are already wrapped: DEGENERACY_PENALTY when a spacecraft stands within
     DEGENERACY_RADIUS_KM of the center, else a ValueError when a position is
     not finite, else DEGENERACY_PENALTY when a spacecraft's squared distance
     from the center overflows (no axis has a finite norm there), else
-    cost(plan, apexes, thetas) of x's (x, y, z) tuples and thetas."""
+    _cost of x's (x, y, z) tuples and thetas."""
     apexes = list(zip(x[0::4], x[1::4], x[2::4]))
     cx, cy, cz = plan.c
     finite, far = True, False
@@ -211,7 +211,7 @@ def evaluate(plan: EvalPlan, x: list, cost=_cost) -> float:
             finite = finite and all(map(math.isfinite, (px, py, pz)))
     if not finite:
         raise ValueError("position must be three finite reals")
-    return DEGENERACY_PENALTY if far else cost(plan, apexes, x[3::4])
+    return DEGENERACY_PENALTY if far else _cost(plan, apexes, x[3::4])
 
 
 def coverage(swarm: SwarmConfig, pois: PoiSet,
@@ -234,39 +234,3 @@ def information_cost(swarm: SwarmConfig, pois: PoiSet,
     count, pct, _ = coverage(swarm, pois, orientation_mode)
     return CostBreakdown(kappa, pct, kappa_weight * kappa - pct, count,
                          len(pois))
-
-
-def _expected_cost(plan: EvalPlan, apexes, thetas, stddev, n_samples, seed):
-    """The mean of _cost over n_samples copies of the spacecraft at the
-    apexes with the thetas, each apex moved by isotropic normal noise of the
-    given standard deviation (km) from a generator seeded with seed; _cost
-    of the apexes themselves when stddev is 0, so that cost is bitwise the
-    deterministic one."""
-    if n_samples < 1:
-        raise ValueError("n_samples must be at least 1")
-    if not 0.0 <= stddev < math.inf:
-        raise ValueError("position_stddev must be finite and non-negative")
-    if stddev == 0.0:
-        return _cost(plan, apexes, thetas)
-    rng = np.random.default_rng(seed)
-    positions = np.array(apexes)
-    total = 0.0
-    for _ in range(n_samples):
-        noisy = positions + rng.normal(0.0, stddev, positions.shape)
-        total += _cost(plan, noisy.tolist(), thetas)
-    return total / n_samples
-
-
-def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
-                              position_stddev: float, n_samples: int,
-                              seed: int, **cost_kwargs) -> float:
-    """Monte Carlo mean of the information cost under Gaussian position noise.
-
-    Each spacecraft position is perturbed by an isotropic zero-mean normal
-    with the given standard deviation (km); orientations are unperturbed.
-    Deterministic in the seed.
-    """
-    state = swarm.state
-    return _expected_cost(EvalPlan(swarm, pois, **cost_kwargs),
-                          state[:, :3].tolist(), state[:, 3].tolist(),
-                          position_stddev, n_samples, seed)

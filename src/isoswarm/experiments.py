@@ -55,6 +55,12 @@ def _check_config(config) -> None:
             raise ConfigError(f"{name} must lie in (0, pi)")
 
 
+def weight_overflows(kappa_weight, nu, n) -> bool:
+    """Whether w * kappa_total can overflow for n spacecraft of half-width at
+    most nu, kappa_total being at most n * n * nu."""
+    return not math.isfinite(float(kappa_weight) * n * n * float(nu))
+
+
 def _random_unit(rng: np.random.Generator) -> np.ndarray:
     v = rng.standard_normal(3)
     x, y, z = v.tolist()  # np.linalg.norm's last bit depends on the BLAS
@@ -123,7 +129,7 @@ class SwarmSizeConfig:
         if not math.isfinite(far * far):  # the cone axes need it
             raise ConfigError("sphere_radius times the largest "
                               "initial_distance_factors must square finite")
-        if not math.isfinite(float(self.kappa_weight) * n * n * self.nu):
+        if weight_overflows(self.kappa_weight, self.nu, n):
             raise ConfigError("kappa_weight times nu and the largest swarm "
                               "size squared must be finite")
 

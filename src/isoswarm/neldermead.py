@@ -11,15 +11,14 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
+from operator import add
 from typing import Callable
 
 import numpy as np
 
-# expected_information_cost stays importable from here: perfbench/spans.py
-# wraps this module's name.
-from .cost import (EvalPlan, SwarmConfig, _expected_cost, evaluate,
-                   expected_information_cost, information_cost, wrap_theta)
+from .cost import (EvalPlan, SwarmConfig, evaluate, information_cost,
+                   wrap_theta)
 from .geometry import TWO_PI, check_fields
 from .sampling import PoiSet
 
@@ -226,15 +225,36 @@ def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
 
 def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministic",
                     **cost_kwargs) -> Callable[[list[float]], float]:
-    """Objective over the wrapped decision vector as a float list, with the
-    degeneracy penalty; its evaluation plan is built once, here, and the
-    expected cost scores its noisy samples from that plan."""
+    """Objective over the wrapped decision vector as a float list, on one
+    evaluation plan: evaluate itself, or for cost_mode (position_stddev,
+    n_samples, seed) the expected cost, the mean of evaluate over n_samples
+    copies of the vector whose positions carry isotropic normal noise (km)
+    drawn here, once (a zero stddev gives evaluate itself)."""
     plan = EvalPlan(template, pois, **cost_kwargs)
-    if cost_mode == "deterministic":
+    stddev, n_samples, seed = \
+        (0.0, 1, 0) if cost_mode == "deterministic" else cost_mode
+    if n_samples < 1 or not 0.0 <= stddev < math.inf:
+        raise ValueError("need n_samples >= 1, 0 <= position_stddev < inf")
+    if stddev == 0.0:
         return partial(evaluate, plan)
-    stddev, n_samples, seed = cost_mode
-    return partial(evaluate, plan, cost=partial(
-        _expected_cost, stddev=stddev, n_samples=n_samples, seed=seed))
+    # each copy's position noise, and -0.0 (theta + -0.0 is theta) per theta
+    offsets = np.full((n_samples, len(template), 4), -0.0)
+    offsets[..., :3] = np.random.default_rng(seed).normal(
+        0.0, stddev, (n_samples, len(template), 3))
+    offsets = offsets.reshape(n_samples, -1)
+    score = partial(evaluate, plan)
+    # reduce sums in order (sum() rounds otherwise from Python 3.12 on)
+    return lambda x: reduce(
+        add, map(score, (offsets + x).tolist()), 0.0) / n_samples
+
+
+def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
+                              position_stddev: float, n_samples: int,
+                              seed: int, **cost_kwargs) -> float:
+    """swarm_objective's expected cost at the swarm itself: the Monte Carlo
+    mean of the information cost under Gaussian position noise."""
+    return swarm_objective(pois, swarm, (position_stddev, n_samples, seed),
+                           **cost_kwargs)(swarm.state.ravel().tolist())
 
 
 def optimize_swarm(pois: PoiSet, initial: SwarmConfig,

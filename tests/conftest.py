@@ -7,6 +7,14 @@ from isoswarm import geometry
 from isoswarm.bound import ContractionParams, check_rate_matrix
 from isoswarm.geometry import _SLACK, relative_columns
 
+# The swarm file of CI's optimize runs: two spacecraft whose FOV intervals
+# overlap, so the simplex has a cost to lower.
+TWO_CRAFT = {"ellipsoid": {"center": [0, 0, 0], "radii": [100, 100, 100]},
+             "spacecraft": [{"position": [400, 0, 0], "theta": 0.5,
+                             "nu": 0.5, "phi": 1.0},
+                            {"position": [0, 400, 0], "theta": 0.7,
+                             "nu": 0.5, "phi": 1.0}]}
+
 
 def draw_feasible_params(rng: np.random.Generator) -> ContractionParams:
     """Random parameter set satisfying the rate-matrix condition.

@@ -3,11 +3,13 @@ to a digest here is a change of those reports, to be named and explained
 wherever the change is described."""
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from isoswarm.cli import EXIT_OK, main
+from tests.conftest import TWO_CRAFT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,3 +36,32 @@ def test_bundled_campaign_outputs_are_pinned(tmp_path, capsys, name):
     got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
                 for f in ("report.json", "summary.csv"))
     assert got == DIGESTS[name]
+
+
+# sha256 of the -o output of `isoswarm optimize` on TWO_CRAFT over
+# `sample-pois --n 200 --seed 1`. At a 1 km noise the expected-cost run ends
+# where the deterministic one does; at 100 km its search takes another path.
+OPTIMIZE_DIGESTS = {
+    "deterministic": (
+        ["--max-iterations", "50"],
+        "30513e538ff6322ceb703b136881903aefa803e91513f06467c59dc18cb15a53"),
+    "expected-cost": (
+        ["--position-stddev", "1", "--mc-samples", "3", "--seed", "4"],
+        "30513e538ff6322ceb703b136881903aefa803e91513f06467c59dc18cb15a53"),
+    "expected-cost-wide": (
+        ["--position-stddev", "100", "--mc-samples", "3", "--seed", "4"],
+        "36a0959949c41072973c91d228af37d11a8145726eda1baec8943a32153f29cf"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMIZE_DIGESTS))
+def test_optimize_output_is_pinned(tmp_path, capsys, name):
+    flags, digest = OPTIMIZE_DIGESTS[name]
+    pois, swarm, out = (tmp_path / f for f in ("p.csv", "swarm.json",
+                                               "opt.json"))
+    assert main(["-o", str(pois), "sample-pois", "--n", "200",
+                 "--seed", "1"]) == EXIT_OK
+    swarm.write_text(json.dumps(TWO_CRAFT))
+    assert main(["-o", str(out), "optimize", "--pois", str(pois),
+                 "--swarm", str(swarm), *flags]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, EvalPlan,
                            SpacecraftPose, SwarmConfig, coverage, evaluate,
-                           expected_information_cost, information_cost,
-                           kappa_total, pair_overlap, wrap_theta)
+                           information_cost, kappa_total, pair_overlap,
+                           wrap_theta)
 from isoswarm.geometry import TWO_PI, unit_axis
+from isoswarm.neldermead import expected_information_cost
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import arc_mask, unculled_mask
 from tests.reference import fov_interval

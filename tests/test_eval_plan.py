@@ -11,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoswarm.cost import (DEGENERACY_PENALTY, EvalPlan, SpacecraftPose,
-                           SwarmConfig, evaluate, expected_information_cost,
-                           information_cost)
+                           SwarmConfig, evaluate, information_cost)
+from isoswarm import neldermead
 from isoswarm.geometry import TWO_PI
-from isoswarm.neldermead import (NelderMeadOptions, _wrap, nelder_mead,
+from isoswarm.neldermead import (NelderMeadOptions, _wrap,
+                                 expected_information_cost, nelder_mead,
                                  swarm_objective)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.reference import reference_cost, reference_objective
@@ -175,6 +176,55 @@ def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
     assert builds == [1]
     assert expected_information_cost(template, pois, 3.0, 4, 1,
                                      **options) == objective(wrapped(x, 3))
+
+
+def test_expected_cost_draws_its_noise_once(monkeypatch):
+    pois, template, options = scene(np.random.default_rng(9), 3, "aimed")
+    seeds, default_rng = [], np.random.default_rng
+
+    def spy(seed):
+        seeds.append(seed)
+        return default_rng(seed)
+
+    monkeypatch.setattr(neldermead.np.random, "default_rng", spy)
+    objective = swarm_objective(pois, template, (3.0, 4, 1), **options)
+    x = template.state.flatten()
+    for shift in range(5):
+        objective(wrapped(x + shift, 3))
+    assert seeds == [1]
+
+
+@pytest.mark.parametrize("offset", [0.0, 2e154])
+def test_noisy_copy_on_the_center_or_far_scores_the_penalty(monkeypatch,
+                                                            offset):
+    # the first of two copies moves its first spacecraft onto the center,
+    # or beyond the distance whose square overflows; the second is exact
+    pois, template, options = scene(np.random.default_rng(4), 2, "aimed")
+    x = template.state.flatten()
+    noise = np.zeros((2, 2, 3))
+    noise[0, 0] = template.ellipsoid.center - x[:3] + [offset, 0.0, 0.0]
+
+    class Drawn:
+        def __init__(self, seed):
+            pass
+
+        def normal(self, loc, scale, size):
+            assert size == noise.shape
+            return noise
+
+    monkeypatch.setattr(neldermead.np.random, "default_rng", Drawn)
+    objective = swarm_objective(pois, template, (1.0, 2, 0), **options)
+    plan = EvalPlan(template, pois, **options)
+    x = wrapped(x, 2)
+    assert same(objective(x), (DEGENERACY_PENALTY + evaluate(plan, x)) / 2)
+
+
+@pytest.mark.parametrize("stddev, n_samples", [
+    (1.0, 0), (0.0, 0), (1.0, -1), (-1.0, 3), (math.nan, 3), (math.inf, 3)])
+def test_bad_noise_rejected_when_the_objective_is_built(stddev, n_samples):
+    pois, template, options = scene(np.random.default_rng(6), 2, "aimed")
+    with pytest.raises(ValueError, match="n_samples >= 1"):
+        swarm_objective(pois, template, (stddev, n_samples, 0), **options)
 
 
 @pytest.mark.parametrize("stddev", [0.0, 3.0])

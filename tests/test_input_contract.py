@@ -6,11 +6,19 @@ here), and exits 3 only where the README's contract lists a computation
 that cannot be done."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import isoswarm
 from isoswarm.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, main
 from isoswarm.experiments import config_from_dict
+from tests.conftest import TWO_CRAFT
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 NAN, INF = float("nan"), float("inf")
 VALUES = [None, True, "1", [], {}, NAN, INF, -1, 0, 0.5, 1e308, 2 ** 63]
@@ -171,3 +179,117 @@ def test_input_file_of_the_wrong_shape(tmp_path, capsys, command, text):
     code, stderr = run(capsys, tmp_path, command, *flags)
     assert code == EXIT_USAGE
     assert str(path) in stderr
+
+
+# The flag contract: every subcommand flag that takes a value, set to each of
+# FLAG_VALUES (as --flag=value, or in each slot of a three-value flag), on a
+# 200-POI file and TWO_CRAFT.
+FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", str(2 ** 63),
+               "true", ""]
+BOUND_CONFIG = str(CONFIGS / "bound_example.json")
+
+# The README's computation errors: infeasible parameters, a time outside the
+# noise history, a bound numerator that overflows, a cone apex at or too far
+# from the center, and arrays too large to allocate.
+COMPUTE = ("infeasible", "noise history", "out of range", "cone apex",
+           "allocate", "too big", "dimension")
+
+# Values that must exit 2 besides nan, the infinities, true and "", which no
+# flag takes.
+COUNT, SEED = ("0", "-1", "0.5", "1e308"), ("-1", "0.5", "1e308")
+FLAG_REJECT = {"--n": COUNT, "--max-iterations": COUNT, "--mc-samples": COUNT,
+               "--seed": SEED, "--radius": ("0", "-1"), "--radii": ("0", "-1"),
+               "--position-stddev": ("-1", "1e308"), "-D": ("0", "-1"),
+               "--v0": ("-1",), "--kappa-weight": ("1e308",),
+               "--invert": ("0", "-1", "1e308", str(2 ** 63))}
+
+# (id, argv with the flag's arguments in place of FLAG, the flag, its number
+# of values); a store flag given twice takes its last value, so the argv may
+# set the flag too.
+FLAG = "{flag}"
+FLAGS = [
+    ("global", [FLAG, "sample-pois", "--n", "20"], "--seed", 1),
+    *(("sample-pois", ["sample-pois", "--n", "20", FLAG], flag, nargs)
+      for flag, nargs in (("--n", 1), ("--radius", 1), ("--radii", 3),
+                          ("--center", 3), ("--seed", 1))),
+    ("cost", ["cost", "--pois", "{pois}", "--swarm", "{swarm}", FLAG],
+     "--kappa-weight", 1),
+    *(("optimize", ["optimize", "--pois", "{pois}", "--swarm", "{swarm}",
+                    "--max-iterations", "5", FLAG], flag, 1)
+      for flag in ("--kappa-weight", "--max-iterations", "--position-stddev")),
+    *(("optimize-noisy", ["optimize", "--pois", "{pois}", "--swarm", "{swarm}",
+                          "--max-iterations", "5", "--position-stddev", "1",
+                          "--mc-samples", "2", FLAG], flag, 1)
+      for flag in ("--mc-samples", "--seed")),
+    *(("bound", ["bound", "--config", BOUND_CONFIG, "-T", "5", FLAG], flag, 1)
+      for flag in ("-D", "-T", "--v0", "--invert")),
+]
+
+
+def flag_argvs(flag, nargs):
+    """(value, the flag's arguments) for each of FLAG_VALUES: --flag=value,
+    or the value in each slot of a flag of nargs values (50 in the others)."""
+    for value in FLAG_VALUES:
+        if nargs == 1:
+            yield value, [f"{flag}={value}"]
+            continue
+        for slot in range(nargs):
+            values = ["50"] * nargs
+            values[slot] = value
+            yield value, [flag, *values]
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def run_subprocess(argv):
+    """(exit code, stdout, stderr) of `isoswarm` in a fresh interpreter; a
+    run past 10 s fails the test."""
+    src = str(Path(isoswarm.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-m", "isoswarm.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env={**os.environ, "PYTHONPATH": src})
+    return done.returncode, done.stdout, done.stderr
+
+
+@pytest.fixture(scope="module")
+def flag_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("flags")
+    pois = root / "pois.csv"
+    assert main(["-o", str(pois), "sample-pois", "--n", "200",
+                 "--seed", "1"]) == EXIT_OK
+    swarm = root / "swarm.json"
+    swarm.write_text(json.dumps(TWO_CRAFT))
+    return {"pois": str(pois), "swarm": str(swarm)}
+
+
+@pytest.mark.parametrize("template, flag, nargs",
+                         [pytest.param(template, flag, nargs,
+                                       id=f"{name}{flag}")
+                          for name, template, flag, nargs in FLAGS])
+def test_command_line_flag_contract(tmp_path, capsys, flag_inputs, template,
+                                    flag, nargs):
+    """Exit 0, or 2 with the flag named on stderr, or 3 for a computation
+    error of the README's list; never 1. What cost, optimize and bound print
+    on exit 0 is JSON without NaN or Infinity."""
+    for value, args in flag_argvs(flag, nargs):
+        argv = ["-o", str(tmp_path / "out")]
+        for arg in template:
+            argv += args if arg == FLAG else [arg.format(**flag_inputs)]
+        if flag == "--mc-samples" and value == str(2 ** 63):
+            # 2^63 samples of noise cannot be allocated: exit 3 at once
+            code, out, err = run_subprocess(argv)
+        else:
+            code = main(argv)
+            out, err = capsys.readouterr()
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_COMPUTE), (argv, code, err)
+        if code == EXIT_USAGE:
+            assert flag in err, (argv, err)
+        elif code == EXIT_COMPUTE:
+            assert any(text in err for text in COMPUTE), (argv, err)
+        else:
+            assert value not in ("nan", "inf", "-inf", "true", "") and \
+                value not in FLAG_REJECT.get(flag, ()), argv
+            if template[0] in ("cost", "optimize", "bound"):
+                json.loads(out, parse_constant=reject_constant)
