@@ -3,8 +3,8 @@
 from .bound import (BoundResult, ContractionParams, NoiseProfile,
                     check_rate_matrix, evaluate_bound,
                     radius_for_success_probability, zeta_integral)
-from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig, coverage,
-                   information_cost, kappa_total, pair_overlap)
+from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig,
+                   information_cost, pair_overlap)
 from .geometry import visible_mask
 from .neldermead import (NelderMeadOptions, OptResult,
                          expected_information_cost, nelder_mead,

@@ -146,13 +146,6 @@ def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
     return float(_overlap_sum((pose_i.theta, pose_j.theta), terms, -0.0))
 
 
-def kappa_total(swarm: SwarmConfig) -> float:
-    """Sum of pair_overlap over all unordered spacecraft pairs, added one at
-    a time in i < j order (a NumPy reduction groups the sum differently)."""
-    return _overlap_sum(swarm.state[:, 3].tolist(),
-                        _pair_terms(swarm.nu.tolist()))
-
-
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
     template's center, phi and pair terms, the POI columns, the checked
@@ -176,19 +169,17 @@ class EvalPlan:
         self.kappa_weight, self.n = kappa_weight, len(pois)
 
 
-def _seen(plan: EvalPlan, apexes, thetas, count=False):
-    """The mask (or with count, the number) of POIs seen from one of the
-    apexes (float 3-sequences), tilted by its theta in theta_tilt mode, else
-    aimed with the plan's hold distances."""
-    return visible_mask(plan.points, apexes, thetas if plan.tilted else None,
-                        plan.phi, plan.center, plan.columns, plan.holds, count)
-
-
-def _cost(plan: EvalPlan, apexes, thetas) -> float:
-    """w * kappa_total - coverage of spacecraft at apexes with thetas."""
+def _cost(plan: EvalPlan, apexes, thetas, parts=False):
+    """w * kappa_total - coverage of spacecraft at apexes (float 3-sequences)
+    with thetas, or with parts its CostBreakdown: the pair loop's overlap
+    sum and the kernel's count of POIs seen, the cones tilted by their
+    thetas in theta_tilt mode, else aimed with the plan's hold distances."""
     kappa = _overlap_sum(thetas, plan.terms)
-    count = _seen(plan, apexes, thetas, count=True)
-    return plan.kappa_weight * kappa - 100.0 * count / plan.n
+    count = visible_mask(plan.points, apexes, thetas if plan.tilted else None,
+                         plan.phi, plan.center, plan.columns, plan.holds, True)
+    pct = 100.0 * count / plan.n
+    cost = plan.kappa_weight * kappa - pct
+    return CostBreakdown(kappa, pct, cost, count, plan.n) if parts else cost
 
 
 def evaluate(plan: EvalPlan, x: list) -> float:
@@ -214,23 +205,18 @@ def evaluate(plan: EvalPlan, x: list) -> float:
     return DEGENERACY_PENALTY if far else _cost(plan, apexes, x[3::4])
 
 
-def coverage(swarm: SwarmConfig, pois: PoiSet,
-             orientation_mode: str = "aimed") -> tuple[int, float, np.ndarray]:
-    """POIs visible to at least one spacecraft: count, percentage, and the
-    boolean mask over the POIs."""
-    plan = EvalPlan(swarm, pois, orientation_mode=orientation_mode)
-    state = swarm.state
-    seen = _seen(plan, state[:, :3].tolist(), state[:, 3].tolist())
-    count = int(np.count_nonzero(seen))
-    return count, 100.0 * count / len(pois), seen
+def cost_breakdown(plan: EvalPlan, x: list) -> CostBreakdown:
+    """The CostBreakdown of the plan's swarm at the packed float list x,
+    whose thetas are already wrapped: evaluate's cost without its
+    degeneracy test."""
+    return _cost(plan, list(zip(x[0::4], x[1::4], x[2::4])), x[3::4], True)
 
 
 def information_cost(swarm: SwarmConfig, pois: PoiSet,
                      kappa_weight: float = 1.0,
                      orientation_mode: str = "aimed") -> CostBreakdown:
     """Evaluate I = w * kappa_total - coverage for one configuration, with
-    coverage as the percentage of POIs seen (0-100)."""
-    kappa = kappa_total(swarm)
-    count, pct, _ = coverage(swarm, pois, orientation_mode)
-    return CostBreakdown(kappa, pct, kappa_weight * kappa - pct, count,
-                         len(pois))
+    coverage as the percentage of POIs seen (0-100): cost_breakdown of the
+    swarm's state on a fresh plan."""
+    plan = EvalPlan(swarm, pois, kappa_weight, orientation_mode)
+    return cost_breakdown(plan, swarm.state.ravel().tolist())

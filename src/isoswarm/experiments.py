@@ -16,10 +16,10 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .cost import SpacecraftPose, SwarmConfig, coverage
-from .geometry import check_fields
+from .cost import SpacecraftPose, SwarmConfig
+from .geometry import check_fields, visible_mask
 from .neldermead import NelderMeadOptions, optimize_swarm
-from .sampling import PoiSet, UncertaintyEllipsoid, sample_pois
+from .sampling import UncertaintyEllipsoid, sample_pois
 
 DEFAULT_PHI = np.pi / 3.0  # full camera aperture
 DEFAULT_NU = DEFAULT_PHI / 2.0  # angular half-width of the FOV interval
@@ -189,8 +189,10 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
         target = center
     else:
         target = center + _random_unit(rng) * radius * rng.random() ** (1.0 / 3.0)
-    success = coverage(best, PoiSet(target[None], 0, best.ellipsoid),
-                       "theta_tilt")[0] == 1
+    state = best.state
+    success = visible_mask(target[None], state[:, :3].tolist(),
+                           state[:, 3].tolist(), best.phi.tolist(), center,
+                           count=True) == 1
 
     return {
         "radius": radius,

@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import (EvalPlan, SwarmConfig, evaluate, information_cost,
-                   wrap_theta)
+from .cost import EvalPlan, SwarmConfig, cost_breakdown, evaluate, wrap_theta
 from .geometry import TWO_PI, check_fields
 from .sampling import PoiSet
 
@@ -218,31 +217,25 @@ def nelder_mead(objective: Callable[[list[float]], float], x0,
                      iteration, evals, termination, shrinks, final)
 
 
-def unpack_swarm(x: np.ndarray, template: SwarmConfig) -> SwarmConfig:
-    """Rebuild a swarm from a decision vector, keeping each pose's nu and phi."""
-    return SwarmConfig.from_state(x, template)
-
-
-def swarm_objective(pois: PoiSet, template: SwarmConfig, cost_mode="deterministic",
-                    **cost_kwargs) -> Callable[[list[float]], float]:
-    """Objective over the wrapped decision vector as a float list, on one
-    evaluation plan: evaluate itself, or for cost_mode (position_stddev,
-    n_samples, seed) the expected cost, the mean of evaluate over n_samples
-    copies of the vector whose positions carry isotropic normal noise (km)
-    drawn here, once (a zero stddev gives evaluate itself)."""
-    plan = EvalPlan(template, pois, **cost_kwargs)
-    stddev, n_samples, seed = \
-        (0.0, 1, 0) if cost_mode == "deterministic" else cost_mode
+def swarm_objective(plan: EvalPlan, cost_mode=(0.0, 1, 0)
+                    ) -> Callable[[list[float]], float]:
+    """Objective over the wrapped decision vector as a float list, on the
+    evaluation plan: for cost_mode (position_stddev, n_samples, seed) the
+    expected cost, the mean of evaluate over n_samples copies of the vector
+    whose positions carry isotropic normal noise (km) drawn here, once; a
+    zero stddev gives evaluate itself."""
+    stddev, n_samples, seed = cost_mode
     if n_samples < 1 or not 0.0 <= stddev < math.inf:
         raise ValueError("need n_samples >= 1, 0 <= position_stddev < inf")
-    if stddev == 0.0:
-        return partial(evaluate, plan)
-    # each copy's position noise, and -0.0 (theta + -0.0 is theta) per theta
-    offsets = np.full((n_samples, len(template), 4), -0.0)
-    offsets[..., :3] = np.random.default_rng(seed).normal(
-        0.0, stddev, (n_samples, len(template), 3))
-    offsets = offsets.reshape(n_samples, -1)
     score = partial(evaluate, plan)
+    if stddev == 0.0:
+        return score
+    # each copy's position noise, and -0.0 (theta + -0.0 is theta) per theta
+    n_craft = len(plan.phi)
+    offsets = np.full((n_samples, n_craft, 4), -0.0)
+    offsets[..., :3] = np.random.default_rng(seed).normal(
+        0.0, stddev, (n_samples, n_craft, 3))
+    offsets = offsets.reshape(n_samples, -1)
     # reduce sums in order (sum() rounds otherwise from Python 3.12 on)
     return lambda x: reduce(
         add, map(score, (offsets + x).tolist()), 0.0) / n_samples
@@ -253,24 +246,25 @@ def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
                               seed: int, **cost_kwargs) -> float:
     """swarm_objective's expected cost at the swarm itself: the Monte Carlo
     mean of the information cost under Gaussian position noise."""
-    return swarm_objective(pois, swarm, (position_stddev, n_samples, seed),
-                           **cost_kwargs)(swarm.state.ravel().tolist())
+    objective = swarm_objective(EvalPlan(swarm, pois, **cost_kwargs),
+                                (position_stddev, n_samples, seed))
+    return objective(swarm.state.ravel().tolist())
 
 
 def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
                    opts: NelderMeadOptions = NelderMeadOptions(),
-                   cost_mode="deterministic", trace_sink=None,
-                   **cost_kwargs):
+                   cost_mode=(0.0, 1, 0), trace_sink=None, **cost_kwargs):
     """Locally optimize spacecraft positions and orientations.
 
-    cost_mode is "deterministic" or a (position_stddev, n_samples, seed)
-    triple for the expected-cost objective. Returns the optimized swarm, its
-    final cost breakdown, and the raw optimizer result.
+    cost_mode is swarm_objective's (position_stddev, n_samples, seed); a
+    zero stddev optimizes the information cost itself. Returns the optimized
+    swarm, its cost breakdown on the run's own plan (so under a zero stddev
+    its information_cost is the result's best_value, bit for bit), and the
+    raw optimizer result.
     """
-    result = nelder_mead(
-        swarm_objective(pois, initial, cost_mode, **cost_kwargs),
-        initial.state.ravel(), opts,
-        frozenset(range(3, 4 * len(initial), 4)), trace_sink)
-    best = unpack_swarm(result.best_point, initial)
-    breakdown = information_cost(best, pois, **cost_kwargs)
-    return best, breakdown, result
+    plan = EvalPlan(initial, pois, **cost_kwargs)
+    result = nelder_mead(swarm_objective(plan, cost_mode),
+                         initial.state.ravel(), opts,
+                         frozenset(range(3, 4 * len(initial), 4)), trace_sink)
+    best = SwarmConfig.from_state(result.best_point, initial)
+    return best, cost_breakdown(plan, result.best_point.tolist()), result

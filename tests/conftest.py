@@ -5,6 +5,7 @@ import pytest
 
 from isoswarm import geometry
 from isoswarm.bound import ContractionParams, check_rate_matrix
+from isoswarm.cost import EvalPlan
 from isoswarm.geometry import _SLACK, relative_columns
 
 # The swarm file of CI's optimize runs: two spacecraft whose FOV intervals
@@ -99,6 +100,17 @@ def unculled_mask(points, apexes, axes, apertures, center):
         seen |= ((dot3(centered, to_apex) >= -_SLACK * dist * dist)
                  & (d > _SLACK * dist) & (dot3(rel, rel) * (c * c) <= d * d))
     return seen
+
+
+def plan_mask(swarm, pois, mode="aimed"):
+    """The mask of POIs the swarm sees: one kernel call on the swarm's
+    evaluation plan (its POI columns and, for aimed cones, hold distances),
+    the mask whose count the cost takes."""
+    plan, state = EvalPlan(swarm, pois, orientation_mode=mode), swarm.state
+    return geometry.visible_mask(
+        plan.points, state[:, :3].tolist(),
+        state[:, 3].tolist() if plan.tilted else None, plan.phi, plan.center,
+        plan.columns, plan.holds)
 
 
 def spy(monkeypatch, name):

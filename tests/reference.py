@@ -5,11 +5,12 @@ replaced, and the ellipsoid, noise-history and weight helpers only tests
 call."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 
 from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
-                           SpacecraftPose, SwarmConfig, kappa_total,
+                           SpacecraftPose, SwarmConfig, pair_overlap,
                            wrap_theta)
 from isoswarm.geometry import (_SLACK, DegenerateGeometryError, as_vec3,
                                unit_axis)
@@ -53,9 +54,13 @@ def row_axis(row, center, orientation_mode: str):
 
 def reference_cost(swarm, pois, kappa_weight=1.0,
                    orientation_mode="aimed") -> float:
-    """information_cost's value from the swarm object: kappa_total, then the
-    coverage of the un-culled kernel with an axis per state row."""
-    kappa = kappa_total(swarm)
+    """information_cost's value from the swarm object: kappa_total as the
+    sum of pair_overlap over its pose pairs, added one at a time in i < j
+    order, then the coverage of the un-culled kernel with an axis per state
+    row."""
+    kappa = 0.0
+    for pose_i, pose_j in combinations(swarm.spacecraft, 2):
+        kappa += pair_overlap(pose_i, pose_j)
     if len(pois) == 0:
         raise ValueError("POI set is empty")
     center = swarm.ellipsoid.center
@@ -95,12 +100,13 @@ def reference_expected_cost(swarm, pois, position_stddev, n_samples, seed,
     return total / n_samples
 
 
-def reference_objective(pois, template, cost_mode="deterministic",
+def reference_objective(pois, template, cost_mode=(0.0, 1, 0),
                         **cost_kwargs):
     """The swarm objective with the degeneracy loop, then a swarm built by
     SwarmConfig.from_state (which wraps the thetas again and rejects a
     non-finite position), then DEGENERACY_PENALTY if a squared distance from
-    the center overflowed, else the cost of that swarm."""
+    the center overflowed, else the expected cost of that swarm for
+    cost_mode (position_stddev, n_samples, seed)."""
     cx, cy, cz = template.ellipsoid.center.tolist()
 
     def objective(x):
@@ -114,10 +120,7 @@ def reference_objective(pois, template, cost_mode="deterministic",
         swarm = SwarmConfig.from_state(x, template)
         if far:
             return DEGENERACY_PENALTY
-        if cost_mode == "deterministic":
-            return reference_cost(swarm, pois, **cost_kwargs)
-        stddev, n_samples, seed = cost_mode
-        return reference_expected_cost(swarm, pois, stddev, n_samples, seed,
+        return reference_expected_cost(swarm, pois, *cost_mode,
                                        **cost_kwargs)
 
     return objective

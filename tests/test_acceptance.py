@@ -12,8 +12,8 @@ import pytest
 
 from isoswarm.bound import (ContractionParams, NoiseProfile, evaluate_bound,
                             radius_for_success_probability, zeta_integral)
-from isoswarm.cost import (SpacecraftPose, SwarmConfig, coverage,
-                           information_cost, pair_overlap)
+from isoswarm.cost import (SpacecraftPose, SwarmConfig, information_cost,
+                           pair_overlap)
 from isoswarm.experiments import (SwarmSizeConfig, ViewProbabilityConfig,
                                   run_swarm_size_sweep, run_view_probability)
 from isoswarm.geometry import unit_axis, visible_mask
@@ -304,8 +304,8 @@ def test_criterion_12_coverage_union_monotone():
         ]
         prev = 0
         for k in range(1, len(poses) + 1):
-            count, _, _ = coverage(SwarmConfig(tuple(poses[:k]), ellipsoid),
-                                   pois)
+            count = information_cost(SwarmConfig(tuple(poses[:k]), ellipsoid),
+                                     pois).visible_count
             if count < prev:
                 violations += 1
             prev = count

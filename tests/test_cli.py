@@ -184,6 +184,25 @@ def test_bound_invert_rejects_squared(tmp_path, capsys):
     assert "--squared" in stderr
 
 
+def test_bound_invert_rejects_distance(tmp_path, capsys):
+    # the inversion finds the distance: a given -D is refused, not ignored,
+    # before the config is read; without --invert, -D and --squared combine
+    cfg = tmp_path / "bound.json"
+    cfg.write_text(json.dumps(BOUND_CFG))
+    for config in (str(cfg), str(tmp_path / "missing.json")):
+        code, stdout, stderr = run(capsys, "bound", "--config", config,
+                                   "--invert", "0.99", "-T", "5", "--v0",
+                                   "0.3", "-D", "12345")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "--invert" in stderr and "--distance/-D" in stderr
+    outputs = [run(capsys, "bound", "--config", str(cfg), "-T", "5", "--v0",
+                   "0.3", *flags)
+               for flags in ([], ["-D", "1.0"], ["-D", "2", "--squared"])]
+    assert [code for code, _, _ in outputs] == [EXIT_OK] * 3
+    assert outputs[0][1] == outputs[1][1] != outputs[2][1]
+
+
 def test_global_format_flag_removed(tmp_path, capsys):
     cfg = tmp_path / "bound.json"
     cfg.write_text(json.dumps(BOUND_CFG))

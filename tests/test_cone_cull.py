@@ -14,12 +14,12 @@ import numpy as np
 import pytest
 
 from isoswarm import cost, geometry
-from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig, coverage,
-                           evaluate)
+from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig, evaluate,
+                           information_cost)
 from isoswarm.geometry import (relative_columns, unit_axis, visible_mask,
                                wrap_theta)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
-from tests.conftest import spy, unculled_mask
+from tests.conftest import plan_mask, spy, unculled_mask
 from tests.reference import cone_angles, reference_cost
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
@@ -58,7 +58,7 @@ def cloud(rng, center, n=400):
 
 
 def columns(points, center):
-    """The POI columns and bounding radius that coverage passes."""
+    """The POI columns and bounding radius that an evaluation plan passes."""
     return PoiSet(points, 0, UncertaintyEllipsoid.sphere(1.0, center)
                   ).columns(center)
 
@@ -166,8 +166,8 @@ def test_folded_tilt_matches_the_axis_angle(rng):
     """A theta_tilt cone's angle from the center direction is its tilt
     folded to min(theta, 2 pi - theta), as the cost passes it: within
     1e-12 rad of atan2 on the computed axis, on both sides of the reference
-    switch and at tilts near 0, pi and 2 pi; and coverage with those angles
-    equals the un-culled kernel on POI balls about those cones."""
+    switch and at tilts near 0, pi and 2 pi; and the plan's mask with those
+    angles equals the un-culled kernel on POI balls about those cones."""
     switch = {True: 0, False: 0}
     for z in SWITCH_ZS:
         for _ in range(3):
@@ -195,12 +195,12 @@ def test_folded_tilt_matches_the_axis_angle(rng):
                 axis = axis_of(apex, center, pose.theta)
                 want = full_test(pois.points, apex, axis, pose.phi, center)
                 np.testing.assert_array_equal(
-                    coverage(swarm, pois, "theta_tilt")[2], want)
+                    plan_mask(swarm, pois, "theta_tilt"), want)
             want = unculled_mask(pois.points, [apex] * len(poses), [
                 axis_of(apex, center, p.theta) for p in poses],
                 [p.phi for p in poses], center)
             np.testing.assert_array_equal(
-                coverage(SwarmConfig(poses, e), pois, "theta_tilt")[2], want)
+                plan_mask(SwarmConfig(poses, e), pois, "theta_tilt"), want)
     assert switch[True] > 0 and switch[False] > 0
 
 
@@ -247,9 +247,9 @@ def test_coverage_cull_matches_full_test(rng, mode):
             want = np.zeros(len(pois), dtype=bool)
             for row, axis, phi in zip(swarm.state, axes, swarm.phi):
                 want |= full_test(pois.points, row[:3], axis, phi, center)
-            count, _, seen = coverage(swarm, pois, mode)
-            np.testing.assert_array_equal(seen, want)
-            assert count == want.sum()
+            np.testing.assert_array_equal(plan_mask(swarm, pois, mode), want)
+            assert information_cost(
+                swarm, pois, orientation_mode=mode).visible_count == want.sum()
 
 
 def test_centered_cache_follows_center():
@@ -303,13 +303,14 @@ def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
     assert {name: len(seen) for name, seen in calls.items()} == {
         "unit_axis": 0, "_cone_holds_ball": 0, "_cut_rows": 0,
         "visible_mask": 3}
-    count, pct, seen = coverage(swarm, pois, "aimed")
+    count = information_cost(swarm, pois).visible_count
     assert len(calls["visible_mask"]) == 4 and not calls["_cut_rows"]
     want = np.zeros(len(pois), dtype=bool)
     for row in swarm.state:
         want |= full_test(pois.points, row[:3], axis_of(row[:3], e.center),
                           np.pi / 3.0, e.center)
-    np.testing.assert_array_equal(seen, want)
+    np.testing.assert_array_equal(plan_mask(swarm, pois), want)
+    assert count == want.sum()
     assert values == [reference_cost(swarm, pois)] * 3
 
 

@@ -6,13 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, EvalPlan,
-                           SpacecraftPose, SwarmConfig, coverage, evaluate,
-                           information_cost, kappa_total, pair_overlap,
-                           wrap_theta)
+                           SpacecraftPose, SwarmConfig, evaluate,
+                           information_cost, pair_overlap, wrap_theta)
 from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import expected_information_cost
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
-from tests.conftest import arc_mask, unculled_mask
+from tests.conftest import arc_mask, plan_mask, unculled_mask
 from tests.reference import fov_interval
 
 NU = 0.3
@@ -25,6 +24,11 @@ def pose(theta, position=(300.0, 0.0, 0.0), nu=NU, phi=PHI):
 
 def swarm(*poses, radius=100.0):
     return SwarmConfig(tuple(poses), UncertaintyEllipsoid.sphere(radius))
+
+
+def kappa_total(s):
+    """The kappa_total of the swarm s's cost breakdown (on a few POIs)."""
+    return information_cost(s, sample_pois(s.ellipsoid, 10, 0)).kappa_total
 
 
 def test_fov_interval_plain():
@@ -146,16 +150,17 @@ def test_coverage_opposite_sides_full():
         (pose(0.0, (400.0, 0, 0), phi=1.0), pose(1.0, (-400.0, 0, 0), phi=1.0)),
         e,
     )
-    count, pct, idx = coverage(s, pois)
-    assert count == 500 and pct == 100.0
+    b = information_cost(s, pois)
+    assert b.visible_count == 500 and b.epsilon_term == 100.0
 
 
 def test_coverage_tiny_aperture_zero():
     e = UncertaintyEllipsoid.sphere(50.0)
     pois = sample_pois(e, 500, 2)
     s = SwarmConfig((pose(0.0, (400.0, 1.7, 0), phi=1e-4),), e)
-    count, pct, seen = coverage(s, pois)
-    assert count == 0 and pct == 0.0 and not seen.any()
+    b = information_cost(s, pois)
+    assert b.visible_count == 0 and b.epsilon_term == 0.0
+    assert not plan_mask(s, pois).any()
 
 
 def test_coverage_matches_brute_force_oracle(rng):
@@ -163,20 +168,21 @@ def test_coverage_matches_brute_force_oracle(rng):
     pois = sample_pois(e, 300, 5)
     s = swarm(pose(0.2, (250.0, 40.0, -10.0)), pose(4.0, (-100.0, 200.0, 90.0)),
               radius=80.0)
-    count, pct, seen = coverage(s, pois)
+    seen = plan_mask(s, pois)
     axes = [unit_axis(sc.position.tolist(), e.center.tolist())
             for sc in s.spacecraft]
     expected = unculled_mask(pois.points, s.state[:, :3], axes, s.phi,
                              e.center)
     np.testing.assert_array_equal(seen, expected)
-    assert count == np.count_nonzero(expected)
+    assert information_cost(s, pois).visible_count == np.count_nonzero(
+        expected)
 
 
 def test_coverage_empty_pois_rejected():
     with pytest.raises(ValueError):
         e = UncertaintyEllipsoid.sphere(1.0)
-        coverage(swarm(pose(0.0), radius=1.0),
-                 PoiSet(np.empty((0, 3)), 0, e))
+        information_cost(swarm(pose(0.0), radius=1.0),
+                         PoiSet(np.empty((0, 3)), 0, e))
 
 
 def test_information_cost_full_coverage_single():
@@ -223,7 +229,8 @@ def test_coverage_monotone_in_swarm(rng):
              for _ in range(5)]
     prev = 0
     for k in range(1, 6):
-        count, _, _ = coverage(SwarmConfig(tuple(poses[:k]), e), pois)
+        count = information_cost(SwarmConfig(tuple(poses[:k]), e),
+                                 pois).visible_count
         assert count >= prev
         prev = count
 
@@ -357,7 +364,7 @@ def test_boundary_ties_kernel_matches_scalar(mode):
     plane = np.array([center + k * np.array([4.0, -3.0, 0.0]) + [0.0, 0.0, m]
                       for k in range(-6, 7) for m in range(-6, 7)])
     points = np.vstack([cone(1.0), plane])
-    _, _, seen = coverage(SwarmConfig((sc,), e), PoiSet(points, 0, e), mode)
+    seen = plan_mask(SwarmConfig((sc,), e), PoiSet(points, 0, e), mode)
     np.testing.assert_array_equal(
         seen, unculled_mask(points, apex[None], [axis], [sc.phi], center))
     on_plane_in_cone = in_cone(plane)

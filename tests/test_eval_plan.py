@@ -3,6 +3,7 @@ tests/reference.py: degeneracy loop, SwarmConfig.from_state, then the cost
 of that swarm. Values must agree to the bit."""
 
 import math
+from dataclasses import astuple
 from functools import cache
 
 import numpy as np
@@ -16,7 +17,7 @@ from isoswarm import neldermead
 from isoswarm.geometry import TWO_PI
 from isoswarm.neldermead import (NelderMeadOptions, _wrap,
                                  expected_information_cost, nelder_mead,
-                                 swarm_objective)
+                                 optimize_swarm, swarm_objective)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.reference import reference_cost, reference_objective
 
@@ -51,6 +52,12 @@ def scene(rng, n_craft, mode):
     return pois, template, options
 
 
+def plan_objective(pois, template, cost_mode=(0.0, 1, 0), **options):
+    """swarm_objective on a plan of the template, with reference_objective's
+    arguments."""
+    return swarm_objective(EvalPlan(template, pois, **options), cost_mode)
+
+
 def wrapped(x, n_craft):
     """x as nelder_mead hands it to the objective."""
     return _wrap(x.tolist(), range(3, 4 * n_craft, 4))
@@ -69,7 +76,7 @@ def test_plan_matches_reference_objective(mode):
     for n_craft in range(1, 8):
         for _ in range(40):
             pois, template, options = scene(rng, n_craft, mode)
-            ours = swarm_objective(pois, template, **options)
+            ours = plan_objective(pois, template, **options)
             ref = reference_objective(pois, template, **options)
             x0 = template.state.flatten()
             moved = x0 + rng.normal(0.0, 20.0, x0.shape)
@@ -96,7 +103,7 @@ def test_information_cost_matches_reference(mode):
 def test_degeneracy_penalty_before_finite_check(n_craft):
     rng = np.random.default_rng(n_craft)
     pois, template, options = scene(rng, n_craft, "aimed")
-    objectives = (swarm_objective(pois, template, **options),
+    objectives = (plan_objective(pois, template, **options),
                   reference_objective(pois, template, **options))
     center = template.ellipsoid.center
     x = template.state.flatten()
@@ -150,7 +157,7 @@ def test_far_trial_point_scores_the_penalty(mode):
     # a finite norm: both modes score the penalty instead of raising
     pois, template, options = scene(np.random.default_rng(5), 2, mode)
     far = [1e200, 0.0, 0.0, 0.0, 0.0, -2e154, 0.0, 1.0]
-    for make in (swarm_objective, reference_objective):
+    for make in (plan_objective, reference_objective):
         objective = make(pois, template, **options)
         assert objective([*far[:4], *template.state.flatten()[4:]]) == \
             DEGENERACY_PENALTY
@@ -159,8 +166,8 @@ def test_far_trial_point_scores_the_penalty(mode):
             DEGENERACY_PENALTY
 
 
-def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
-    # the expected-cost objective builds its plan once, not per evaluation
+def count_plans(monkeypatch):
+    """A list that gets an entry per EvalPlan built."""
     builds, init = [], EvalPlan.__init__
 
     def spy(plan, *args, **kwargs):
@@ -168,12 +175,22 @@ def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
         init(plan, *args, **kwargs)
 
     monkeypatch.setattr(EvalPlan, "__init__", spy)
+    return builds
+
+
+def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
+    # the expected-cost objective scores on its one plan: no evaluation and
+    # no optimize_swarm run builds another
+    builds = count_plans(monkeypatch)
     pois, template, options = scene(np.random.default_rng(9), 3, "aimed")
-    objective = swarm_objective(pois, template, (3.0, 4, 1), **options)
+    objective = plan_objective(pois, template, (3.0, 4, 1), **options)
     x = template.state.flatten()
     for shift in range(5):
         objective(wrapped(x + shift, 3))
     assert builds == [1]
+    optimize_swarm(pois, template, NelderMeadOptions(max_iterations=5),
+                   (3.0, 4, 1), **options)
+    assert builds == [1, 1]
     assert expected_information_cost(template, pois, 3.0, 4, 1,
                                      **options) == objective(wrapped(x, 3))
 
@@ -187,7 +204,7 @@ def test_expected_cost_draws_its_noise_once(monkeypatch):
         return default_rng(seed)
 
     monkeypatch.setattr(neldermead.np.random, "default_rng", spy)
-    objective = swarm_objective(pois, template, (3.0, 4, 1), **options)
+    objective = plan_objective(pois, template, (3.0, 4, 1), **options)
     x = template.state.flatten()
     for shift in range(5):
         objective(wrapped(x + shift, 3))
@@ -213,8 +230,8 @@ def test_noisy_copy_on_the_center_or_far_scores_the_penalty(monkeypatch,
             return noise
 
     monkeypatch.setattr(neldermead.np.random, "default_rng", Drawn)
-    objective = swarm_objective(pois, template, (1.0, 2, 0), **options)
     plan = EvalPlan(template, pois, **options)
+    objective = swarm_objective(plan, (1.0, 2, 0))
     x = wrapped(x, 2)
     assert same(objective(x), (DEGENERACY_PENALTY + evaluate(plan, x)) / 2)
 
@@ -224,7 +241,7 @@ def test_noisy_copy_on_the_center_or_far_scores_the_penalty(monkeypatch,
 def test_bad_noise_rejected_when_the_objective_is_built(stddev, n_samples):
     pois, template, options = scene(np.random.default_rng(6), 2, "aimed")
     with pytest.raises(ValueError, match="n_samples >= 1"):
-        swarm_objective(pois, template, (stddev, n_samples, 0), **options)
+        plan_objective(pois, template, (stddev, n_samples, 0), **options)
 
 
 @pytest.mark.parametrize("stddev", [0.0, 3.0])
@@ -234,7 +251,7 @@ def test_expected_cost_matches_reference(mode, stddev):
     for n_craft in (1, 2, 5):
         pois, template, options = scene(rng, n_craft, mode)
         cost_mode = (stddev, 6, 99)
-        ours = swarm_objective(pois, template, cost_mode, **options)
+        ours = plan_objective(pois, template, cost_mode, **options)
         ref = reference_objective(pois, template, cost_mode, **options)
         x = template.state.flatten()
         for point in (x, x + rng.normal(0.0, 5.0, x.shape)):
@@ -256,15 +273,16 @@ def run_recorded(objective, x0):
 
 
 @pytest.mark.parametrize("n_craft, mode, cost_mode", [
-    (1, "theta_tilt", "deterministic"), (4, "aimed", "deterministic"),
-    (7, "aimed", "deterministic"), (2, "theta_tilt", (2.0, 3, 5))])
+    (1, "theta_tilt", (0.0, 1, 0)), (4, "aimed", (0.0, 1, 0)),
+    (7, "aimed", (0.0, 1, 0)), (2, "theta_tilt", (2.0, 3, 5))],
+    ids=lambda v: "deterministic" if v == (0.0, 1, 0) else None)
 def test_nelder_mead_runs_match(n_craft, mode, cost_mode):
     rng = np.random.default_rng(n_craft)
     pois, template, options = scene(rng, n_craft, mode)
     x0 = template.state.flatten()
     (got, points, values), (want, want_points, want_values) = (
         run_recorded(make(pois, template, cost_mode, **options), x0)
-        for make in (swarm_objective, reference_objective))
+        for make in (plan_objective, reference_objective))
     np.testing.assert_array_equal(points.view(np.uint64),
                                   want_points.view(np.uint64))
     assert [v.hex() for v in values] == [v.hex() for v in want_values]
@@ -281,10 +299,40 @@ def test_unknown_mode_and_empty_pois_rejected_by_plan():
     with pytest.raises(ValueError, match="unknown orientation mode"):
         EvalPlan(template, pois, orientation_mode="sideways")
     with pytest.raises(ValueError, match="unknown orientation mode"):
-        swarm_objective(pois, template, orientation_mode="sideways")
+        optimize_swarm(pois, template, orientation_mode="sideways")
     empty = PoiSet(np.empty((0, 3)), 0, template.ellipsoid)
     for mode in ("aimed", "sideways"):  # the empty set is named first
         with pytest.raises(ValueError, match="POI set is empty"):
-            swarm_objective(empty, template, orientation_mode=mode)
+            optimize_swarm(empty, template, orientation_mode=mode)
         with pytest.raises(ValueError, match="POI set is empty"):
             information_cost(template, empty, orientation_mode=mode)
+
+
+def breakdown_bits(breakdown):
+    """A CostBreakdown's fields, each float as its hex string."""
+    return [v.hex() if isinstance(v, float) else v
+            for v in astuple(breakdown)]
+
+
+@pytest.mark.parametrize("n_craft, mode", [
+    (1, "aimed"), (2, "aimed"), (3, "aimed"), (4, "aimed"),
+    (1, "theta_tilt")])
+def test_final_breakdown_is_the_run_cost_at_its_best_point(monkeypatch,
+                                                           n_craft, mode):
+    """One cost path: optimize_swarm builds one plan, and the breakdown it
+    returns is the cost at the best point on that plan, so its
+    information_cost is the run's best_value, and it equals information_cost
+    of the best swarm, to the bit; so does the expected cost at a zero
+    stddev."""
+    builds = count_plans(monkeypatch)
+    pois, template, options = scene(np.random.default_rng(42 + n_craft),
+                                    n_craft, mode)
+    best, breakdown, result = optimize_swarm(
+        pois, template, NelderMeadOptions(max_iterations=100), **options)
+    assert builds == [1]
+    assert result.iterations > 1 and breakdown.visible_count > 0
+    assert same(breakdown.information_cost, result.best_value)
+    assert breakdown_bits(breakdown) == breakdown_bits(
+        information_cost(best, pois, **options))
+    assert same(expected_information_cost(best, pois, 0.0, 5, 3, **options),
+                breakdown.information_cost)

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
-                           DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig,
-                           _overlap_sum, _pair_terms, kappa_total,
-                           pair_overlap)
+                           DEGENERACY_RADIUS_KM, EvalPlan, SpacecraftPose,
+                           SwarmConfig, _overlap_sum, _pair_terms,
+                           cost_breakdown, information_cost, pair_overlap)
 from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
@@ -143,6 +143,7 @@ def test_pair_overlap_matches_array_formula_bit_for_bit():
 def test_kappa_total_matches_array_formula_bit_for_bit():
     rng = np.random.default_rng(78)
     ellipsoid = UncertaintyEllipsoid.sphere(10.0)
+    pois = sample_pois(ellipsoid, 10, 78)
     for _ in range(400):
         n = int(rng.integers(1, 9))
         swarm = SwarmConfig(random_poses(rng, n), ellipsoid)
@@ -152,7 +153,7 @@ def test_kappa_total_matches_array_formula_bit_for_bit():
         for v in array_arc_overlap(theta[i], theta[j], swarm.nu[i],
                                    swarm.nu[j]).tolist():
             want += v
-        assert bits(kappa_total(swarm)) == bits(want)
+        assert bits(information_cost(swarm, pois).kappa_total) == bits(want)
 
 
 def test_overlap_keeps_nan():
@@ -214,13 +215,14 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
 
 
 def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():
-    """kappa_total over swarms of edge rows, thetas and widths set on the
-    swarm directly so NaN orientations and zero widths of either sign reach
-    the loop too."""
+    """The breakdown's kappa_total over swarms of edge rows, thetas and
+    widths set on the swarm directly so NaN orientations and zero widths of
+    either sign reach the plan's pair loop too (aimed cones read no theta)."""
     rng = np.random.default_rng(79)
     theta = np.array(EDGE_THETAS)
     nu = np.array(EDGE_NUS)
     ellipsoid = UncertaintyEllipsoid.sphere(10.0)
+    pois = sample_pois(ellipsoid, 10, 79)
     for _ in range(600):
         n = int(rng.integers(2, 9))
         t, v = rng.choice(theta, n), rng.choice(nu, n)
@@ -231,7 +233,9 @@ def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():
         want = 0.0
         for w in array_arc_overlap(t[i], t[j], v[i], v[j]).tolist():
             want += w
-        assert bits(kappa_total(swarm)) == bits(want)
+        got = cost_breakdown(EvalPlan(swarm, pois),
+                             swarm.state.ravel().tolist()).kappa_total
+        assert bits(got) == bits(want)
 
 
 @pytest.mark.parametrize("n_craft", [1, 3])
@@ -244,7 +248,7 @@ def test_degeneracy_test_matches_array_norm(n_craft):
     far = [5.0, 0.0, 0.0, 0.0]
     template = SwarmConfig([SpacecraftPose(far[:3], 0.0, 0.5, 1.0)] * n_craft,
                            ellipsoid)
-    objective = swarm_objective(pois, template)
+    objective = swarm_objective(EvalPlan(template, pois))
     hits = 0
     for _ in range(2000):
         x = np.tile(far, n_craft)

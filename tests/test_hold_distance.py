@@ -9,11 +9,11 @@ import math
 import numpy as np
 import pytest
 
-from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
+from isoswarm.cost import SpacecraftPose, SwarmConfig, information_cost
 from isoswarm.geometry import (_RADII, _SHORT_AXIS, _SPAN, _cone_holds_ball,
                                _hold_distance, unit_axis)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid
-from tests.conftest import spy, unculled_mask
+from tests.conftest import plan_mask, spy, unculled_mask
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
@@ -107,8 +107,8 @@ def tangents(rng, center, radius, apexes):
 def test_coverage_of_cones_straddling_the_hold_distance(monkeypatch, rng,
                                                         center):
     """Aimed swarms with cones just below their hold distance (an axis, and
-    cut rows) and at or just above it (no axis, plane rows only): coverage
-    equals the un-culled kernel."""
+    cut rows) and at or just above it (no axis, plane rows only): the plan's
+    mask equals the un-culled kernel, and the cost counts it."""
     below = above = cut = 0
     for _ in range(12):
         r0 = 10.0 ** rng.uniform(-1.0, 3.0)
@@ -138,9 +138,9 @@ def test_coverage_of_cones_straddling_the_hold_distance(monkeypatch, rng,
         with monkeypatch.context() as m:
             axis_calls = spy(m, "unit_axis")
             cut_rows = spy(m, "_cut_rows")
-            count, _, seen = coverage(swarm, pois, "aimed")
+            seen = plan_mask(swarm, pois)
         np.testing.assert_array_equal(seen, want)
-        assert count == int(want.sum())
+        assert information_cost(swarm, pois).visible_count == int(want.sum())
         # only the cones nearer than their hold distance get an axis and
         # can cut the ball
         assert len(axis_calls) == nearer

@@ -7,14 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoswarm import neldermead
-from isoswarm.cost import (DEGENERACY_PENALTY, SpacecraftPose, SwarmConfig,
-                           _overlap_sum, _pair_terms, information_cost)
+from isoswarm.cost import (DEGENERACY_PENALTY, EvalPlan, SpacecraftPose,
+                           SwarmConfig, _overlap_sum, _pair_terms,
+                           information_cost)
 from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
                                  NelderMeadOptions, ObjectiveDomainError,
                                  OptResult, _NORMAL_GAP, _diameter, _far,
                                  _wrap, nelder_mead, optimize_swarm,
-                                 swarm_objective, unpack_swarm)
+                                 swarm_objective)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
 from tests.reference import array_wrap, row_axis
 
@@ -205,7 +206,7 @@ def test_pack_unpack_round_trip():
         SpacecraftPose(np.array([1.0, 2.0, 3.0]), 0.5, 0.3, 1.0),
         SpacecraftPose(np.array([-4.0, 5.0, -6.0]), 2.5, 0.2, 0.9),
     ), e)
-    back = unpack_swarm(s.state.flatten(), s)
+    back = SwarmConfig.from_state(s.state.flatten(), s)
     for a, b in zip(s.spacecraft, back.spacecraft):
         np.testing.assert_array_equal(a.position, b.position)
         assert (a.theta, a.nu, a.phi) == (b.theta, b.nu, b.phi)
@@ -217,14 +218,14 @@ def test_unpack_rejects_nonfinite_position():
     x = s.state.flatten()
     x[1] = np.inf
     with pytest.raises(ValueError):
-        unpack_swarm(x, s)
+        SwarmConfig.from_state(x, s)
 
 
 def test_degeneracy_penalty_at_center():
     e = UncertaintyEllipsoid.sphere(10.0)
     pois = sample_pois(e, 50, 1)
     s = SwarmConfig((SpacecraftPose(np.array([5.0, 0.0, 0.0]), 0.0, 0.3, 1.0),), e)
-    obj = swarm_objective(pois, s)
+    obj = swarm_objective(EvalPlan(s, pois))
     x = s.state.flatten()
     x[:3] = e.center
     assert obj(x.tolist()) == DEGENERACY_PENALTY
@@ -380,7 +381,7 @@ def swarm_case(n_craft):
         d, axis=1, keepdims=True)
     init = SwarmConfig([SpacecraftPose(p, t, np.pi / 6, np.pi / 3) for p, t
                         in zip(d, rng.uniform(0, 2 * np.pi, n_craft))], e)
-    return (swarm_objective(sample_pois(e, 500, n_craft), init),
+    return (swarm_objective(EvalPlan(init, sample_pois(e, 500, n_craft))),
             init.state.flatten())
 
 

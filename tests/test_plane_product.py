@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 
 from isoswarm import cost, geometry, sampling
-from isoswarm.cost import SpacecraftPose, SwarmConfig, coverage
+from isoswarm.cost import SpacecraftPose, SwarmConfig, information_cost
 from isoswarm.geometry import relative_columns, unit_axis, wrap_theta
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
-from tests.conftest import dot3, unculled_mask
+from tests.conftest import dot3, plan_mask, unculled_mask
 from tests.reference import cone_angles
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
@@ -84,10 +84,10 @@ def test_plane_product_matches_elementwise_union(monkeypatch, rng, mode,
             inside += int(np.sum(np.linalg.norm(
                 swarm.state[:, :3] - center, axis=1) < radius))
             want = elementwise_union(swarm, pois, mode, verdicts)
-            count, pct, seen = coverage(swarm, pois, mode)
-            np.testing.assert_array_equal(seen, want)
-            assert count == int(want.sum())
-            assert pct == 100.0 * count / n_pois
+            np.testing.assert_array_equal(plan_mask(swarm, pois, mode), want)
+            b = information_cost(swarm, pois, orientation_mode=mode)
+            assert b.visible_count == int(want.sum())
+            assert b.epsilon_term == 100.0 * b.visible_count / n_pois
     # cones that hold, cut and (tilted only) miss the ball, and apexes in it
     assert verdicts[True] > 0 and verdicts[None] > 0
     if mode == "theta_tilt":
@@ -108,7 +108,7 @@ def test_one_kernel_call_per_coverage(monkeypatch):
     pois = sample_pois(e, 500, 2)
     poses = [SpacecraftPose([300.0 * (k + 1), 50.0, 0.0], 0.0, 0.5, 1.0)
              for k in range(5)]
-    coverage(SwarmConfig(poses, e), pois, "aimed")
+    information_cost(SwarmConfig(poses, e), pois)
     assert calls == [5]
 
 
@@ -122,15 +122,15 @@ def test_coverage_peak_memory_is_blocked(rng):
                             0.0, np.pi / 6.0, np.pi / 3.0)
              for f in (3.0, 3.5, 4.0, 5.0, 6.0, 3.0, 4.5)]
     swarm = SwarmConfig(poses, e)
-    coverage(swarm, pois, "aimed")
+    information_cost(swarm, pois)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        coverage(swarm, pois, "aimed")
+        information_cost(swarm, pois)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.5e6, f"coverage peaked at {peak / 1e6:.2f} MB"
+    assert peak < 1.5e6, f"the cost peaked at {peak / 1e6:.2f} MB"
 
 
 def surface_scene(rng, center, factor, r0=100.0, turn=0.0):
@@ -266,8 +266,8 @@ def test_filter_decides_every_poi_of_a_random_scene(monkeypatch):
     pois = sample_pois(e, 5000, 7)
     pose = SpacecraftPose(300.0 * unit(np.array([0.3, -0.8, 0.5])), 0.4, 0.5,
                           np.pi / 3.0)
-    count, _, seen = coverage(SwarmConfig((pose,), e), pois, "theta_tilt")
-    assert 0 < count < 5000
+    seen = plan_mask(SwarmConfig((pose,), e), pois, "theta_tilt")
+    assert 0 < np.count_nonzero(seen) < 5000
     assert columns == []
     verdicts = {True: 0, False: 0, None: 0}
     want = elementwise_union(SwarmConfig((pose,), e), pois, "theta_tilt",
@@ -290,12 +290,12 @@ def test_columns_built_once_per_set_and_center(monkeypatch, rng):
     cutting = SwarmConfig([SpacecraftPose([50.0, 0.0, 0.0], 0.0, 0.5, 1.0)],
                           e)
     for swarm in (holding, cutting, holding, cutting):
-        coverage(swarm, pois, "aimed")
+        information_cost(swarm, pois)
     assert builds == [2000]
     # a new set, or a new center, builds them again
     other = sample_pois(e, 300, 5)
-    coverage(cutting, other, "aimed")
-    coverage(cutting, other, "aimed")
+    information_cost(cutting, other)
+    information_cost(cutting, other)
     pois.columns(np.array([1.0, 0.0, 0.0]))
     assert builds == [2000, 300, 2000]
 
