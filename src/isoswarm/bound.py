@@ -71,9 +71,8 @@ class ContractionParams:
     @property
     def c_s(self) -> float:
         """Steady offset (m_c_upper * g_bar * eps_c)^2 / (2 alpha_s gamma_c)."""
-        return (self.m_c_upper * self.g_bar * self.eps_c) ** 2 / (
-            2.0 * self.alpha_s * self.gamma_c
-        )
+        return _quotient((self.m_c_upper * self.g_bar * self.eps_c) ** 2,
+                         2.0 * self.alpha_s * self.gamma_c, "steady offset")
 
     @property
     def m_lower_combined(self) -> float:
@@ -209,6 +208,14 @@ class BoundResult:
         return asdict(self)
 
 
+def _quotient(num: float, den: float, what: str) -> float:
+    """num / den, raising ValueError when den underflowed to 0 or the
+    quotient is not finite."""
+    if den == 0.0 or not math.isfinite(value := num / den):
+        raise ValueError(f"{what} out of range: {num!r} / {den!r}")
+    return value
+
+
 def _numerator(t: float, v0_expected: float, params: ContractionParams,
                zeta: float) -> float:
     """Bound numerator at time t, given zeta = zeta_integral(t, ...)."""
@@ -232,7 +239,8 @@ def evaluate_bound(D: float, t: float, v0_expected: float,
     _require_feasible(params)
     denom = (D * D if squared_distance else D) * params.m_lower_combined
     zeta = zeta_integral(t, params, noise)
-    fail_raw = _numerator(t, v0_expected, params, zeta) / denom
+    fail_raw = _quotient(_numerator(t, v0_expected, params, zeta), denom,
+                         "bound failure probability")
     success_raw = 1.0 - fail_raw
     clamp = lambda p: min(1.0, max(0.0, p))
     return BoundResult(clamp(fail_raw), clamp(success_raw), fail_raw,
@@ -255,7 +263,7 @@ def radius_for_success_probability(p_target: float, T: float,
     B = _numerator(T, v0_expected, params, zeta_integral(T, params, noise))
     if B == 0.0:
         return 0.0
-    return B / ((1.0 - p_target) * params.m_lower_combined)
+    return _quotient(B, (1.0 - p_target) * params.m_lower_combined, "radius")
 
 
 def load_bound_config(path) -> tuple[ContractionParams, NoiseProfile]:

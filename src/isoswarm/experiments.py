@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .cost import SpacecraftPose, SwarmConfig
+from .cost import DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig
 from .geometry import check_fields, visible_mask
 from .neldermead import NelderMeadOptions, optimize_swarm
 from .sampling import UncertaintyEllipsoid, sample_pois
@@ -67,9 +67,23 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     return v / math.sqrt(x * x + y * y + z * z)
 
 
+def _start_pose(rng, center, distance: float, config) -> SpacecraftPose:
+    """A start distance from center in a random direction with a random
+    theta; the caller draws the distance, so the stream reads distance,
+    direction, theta."""
+    return SpacecraftPose(center + _random_unit(rng) * distance,
+                          rng.uniform(0.0, 2.0 * np.pi), config.nu, config.phi)
+
+
 @dataclass(frozen=True)
 class ViewProbabilityConfig:
     """Single-spacecraft view-probability campaign over several sphere radii."""
+
+    # The report kind, and its summary: the trial field that keys a row,
+    # whether a row has p_pct (the percentage of successful trials), and the
+    # fields that get a mean and a standard deviation.
+    kind = "view_probability"
+    summary = ("radius", True, ("coverage_pct",))
 
     iso_terminal_position: tuple[float, float, float]
     sphere_radii: tuple[float, ...]
@@ -98,10 +112,21 @@ class ViewProbabilityConfig:
             raise ConfigError("success_criterion must be center or "
                               f"sampled_truth, got {self.success_criterion!r}")
 
+    def cells(self) -> list[dict]:
+        """One record per trial, radius by radius: fresh POIs, a random start
+        an integer distance from the center, an optimized pose, and whether
+        the center (or a sampled true ISO position) is visible from it."""
+        return [_run_view_probability_trial(self, r_idx, radius, trial)
+                for r_idx, radius in enumerate(self.sphere_radii)
+                for trial in range(self.trials_per_radius)]
+
 
 @dataclass(frozen=True)
 class SwarmSizeConfig:
     """Swarm-size sweep on one uncertainty sphere with shared POIs per trial."""
+
+    kind = "swarm_size"
+    summary = ("n_spacecraft", False, ("coverage_pct", "minus_info_cost"))
 
     sphere_radius: float
     n_pois: int
@@ -119,19 +144,41 @@ class SwarmSizeConfig:
         lo, n = self.spacecraft_range
         if not 1 <= lo <= n <= 32:
             raise ConfigError("spacecraft_range must lie within [1, 32]")
-        if self.sphere_radius <= 0.0:
-            raise ConfigError("sphere_radius must be positive")
         lo, hi = self.initial_distance_factors
         if not 0.0 < lo <= hi:
             raise ConfigError(
                 "initial_distance_factors must satisfy 0 < min <= max")
-        far = float(self.sphere_radius) * hi  # an int's square may not convert
+        r = float(self.sphere_radius)  # an int's square may not convert
+        if not r * lo >= 2.0 * DEGENERACY_RADIUS_KM:
+            raise ConfigError(
+                "sphere_radius times the smallest initial_distance_factors "
+                f"must be at least {2.0 * DEGENERACY_RADIUS_KM:g} km, twice "
+                "the degeneracy radius")
+        far = r * hi
         if not math.isfinite(far * far):  # the cone axes need it
             raise ConfigError("sphere_radius times the largest "
                               "initial_distance_factors must square finite")
         if weight_overflows(self.kappa_weight, self.nu, n):
             raise ConfigError("kappa_weight times nu and the largest swarm "
                               "size squared must be finite")
+
+    def cells(self) -> list[dict]:
+        """One record per (trial, swarm size): the sizes of a trial share its
+        POIs, and each spacecraft starts an independent random multiple
+        (initial_distance_factors) of the radius away."""
+        lo, hi = self.spacecraft_range
+        records = []
+        for trial in range(self.trials):
+            poi_seed = _cell_seed(self.master_seed, 2, trial, 0, 0)
+            pois = sample_pois(UncertaintyEllipsoid.sphere(self.sphere_radius),
+                               self.n_pois, poi_seed)
+            records += [_run_swarm_size_cell(self, trial, n_sc, pois, poi_seed)
+                        for n_sc in range(lo, hi + 1)]
+        return records
+
+
+_CONFIG_TYPES = {cls.kind: cls for cls in (ViewProbabilityConfig,
+                                           SwarmSizeConfig)}
 
 
 @dataclass
@@ -157,10 +204,6 @@ class ExperimentReport:
             writer.writerows(self.aggregates)
 
 
-def _config_dict(config) -> dict:
-    return json.loads(json.dumps(asdict(config)))
-
-
 def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
                                 radius: float, trial: int) -> dict:
     # Optimize in sphere-centered coordinates (the cost is translation
@@ -175,32 +218,27 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
     rng = _cell_rng(config.master_seed, 1, r_idx, trial, 1)
     lo, hi = config.initial_distance_range
     distance = float(rng.integers(lo, hi + 1))
-    position = center + _random_unit(rng) * distance
-    theta0 = rng.uniform(0.0, 2.0 * np.pi)
-
-    initial = SwarmConfig(
-        (SpacecraftPose(position, theta0, config.nu, config.phi),), ellipsoid
-    )
+    start = _start_pose(rng, center, distance, config)
     best, breakdown, result = optimize_swarm(
-        pois, initial, config.nm_options, orientation_mode="theta_tilt"
+        pois, SwarmConfig((start,), ellipsoid), config.nm_options,
+        orientation_mode="theta_tilt"
     )
     pose = best.spacecraft[0]
     if config.success_criterion == "center":
         target = center
     else:
         target = center + _random_unit(rng) * radius * rng.random() ** (1.0 / 3.0)
-    state = best.state
-    success = visible_mask(target[None], state[:, :3].tolist(),
-                           state[:, 3].tolist(), best.phi.tolist(), center,
-                           count=True) == 1
+    success = visible_mask(target[None], best.state[:, :3].tolist(),
+                           best.state[:, 3].tolist(), best.phi.tolist(),
+                           center, count=True) == 1
 
     return {
         "radius": radius,
         "trial": trial,
         "poi_seed": poi_seed,
         "initial_distance": distance,
-        "initial_position": (iso_position + position).tolist(),
-        "initial_theta": theta0,
+        "initial_position": (iso_position + start.position).tolist(),
+        "initial_theta": start.theta,
         "final_position": (iso_position + pose.position).tolist(),
         "final_position_relative": pose.position.tolist(),
         "final_theta": pose.theta,
@@ -211,37 +249,14 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
     }
 
 
-def run_view_probability(config: ViewProbabilityConfig) -> ExperimentReport:
-    """Estimate p = successes / trials per sphere radius.
-
-    Each trial samples fresh POIs and a random single-spacecraft start at an
-    integer distance from the sphere center, optimizes position and
-    orientation, then checks whether the sphere center (or, optionally, a
-    sampled true ISO position) is visible from the final pose.
-    """
-    trials = [
-        _run_view_probability_trial(config, r_idx, radius, trial)
-        for r_idx, radius in enumerate(config.sphere_radii)
-        for trial in range(config.trials_per_radius)
-    ]
-
-    report = ExperimentReport("view_probability", _config_dict(config), trials)
-    report.aggregates = aggregate(report)
-    return report
-
-
 def _run_swarm_size_cell(config: SwarmSizeConfig, trial: int, n_sc: int,
                          pois, poi_seed: int) -> dict:
     rng = _cell_rng(config.master_seed, 2, trial, n_sc)
     r = config.sphere_radius
-    lo, hi = config.initial_distance_factors
-    poses = []
-    for _ in range(n_sc):
-        distance = rng.uniform(lo * r, hi * r)
-        position = pois.ellipsoid.center + _random_unit(rng) * distance
-        theta0 = rng.uniform(0.0, 2.0 * np.pi)
-        poses.append(SpacecraftPose(position, theta0, config.nu, config.phi))
-    initial = SwarmConfig(tuple(poses), pois.ellipsoid)
+    lo, hi = (f * r for f in config.initial_distance_factors)
+    initial = SwarmConfig(tuple(
+        _start_pose(rng, pois.ellipsoid.center, rng.uniform(lo, hi), config)
+        for _ in range(n_sc)), pois.ellipsoid)
     best, breakdown, result = optimize_swarm(
         pois, initial, config.nm_options, kappa_weight=config.kappa_weight
     )
@@ -260,46 +275,14 @@ def _run_swarm_size_cell(config: SwarmSizeConfig, trial: int, n_sc: int,
     }
 
 
-def run_swarm_size_sweep(config: SwarmSizeConfig) -> ExperimentReport:
-    """Sweep the swarm size over a shared POI set per trial.
-
-    Within a trial every swarm size sees the same sphere and the same POIs;
-    spacecraft start a large distance away (a configurable multiple of the
-    radius), each with an independent draw.
-    """
-    lo_n, hi_n = config.spacecraft_range
-    trials = []
-    for trial in range(config.trials):
-        poi_seed = _cell_seed(config.master_seed, 2, trial, 0, 0)
-        pois = sample_pois(
-            UncertaintyEllipsoid.sphere(config.sphere_radius),
-            config.n_pois, poi_seed,
-        )
-        for n_sc in range(lo_n, hi_n + 1):
-            trials.append(
-                _run_swarm_size_cell(config, trial, n_sc, pois, poi_seed))
-
-    report = ExperimentReport("swarm_size", _config_dict(config), trials)
-    report.aggregates = aggregate(report)
-    return report
-
-
-# Per report kind: the trial field that keys a summary row, whether a row has
-# p_pct (the percentage of successful trials), and the fields that get a mean
-# and a standard deviation.
-_AGGREGATES = {
-    "view_probability": ("radius", True, ("coverage_pct",)),
-    "swarm_size": ("n_spacecraft", False, ("coverage_pct", "minus_info_cost")),
-}
-
-
 def aggregate(report: ExperimentReport) -> list[dict]:
-    """Per-cell mean and standard deviation, recomputed from per-trial rows."""
+    """Per-cell mean and standard deviation, recomputed from per-trial rows,
+    as the summary of the report kind's config class lists them."""
     if not report.trials:
         raise ValueError("report has no trials")
-    if report.kind not in _AGGREGATES:
+    if report.kind not in _CONFIG_TYPES:
         raise ValueError(f"unknown report kind {report.kind!r}")
-    key, with_p, fields = _AGGREGATES[report.kind]
+    key, with_p, fields = _CONFIG_TYPES[report.kind].summary
     rows = []
     for value in sorted({t[key] for t in report.trials}):
         cell = [t for t in report.trials if t[key] == value]
@@ -312,10 +295,6 @@ def aggregate(report: ExperimentReport) -> list[dict]:
             row[f"std_{name}"] = float(np.std(xs))
         rows.append(row)
     return rows
-
-
-_CONFIG_TYPES = {"view_probability": ViewProbabilityConfig,
-                 "swarm_size": SwarmSizeConfig}
 
 
 def config_from_dict(cfg: dict):
@@ -357,8 +336,9 @@ def run_experiment(config, threads: int = 1) -> ExperimentReport:
     if threads != 1:
         warnings.warn("threads is ignored: campaign cells run serially",
                       DeprecationWarning, stacklevel=2)
-    if isinstance(config, ViewProbabilityConfig):
-        return run_view_probability(config)
-    if isinstance(config, SwarmSizeConfig):
-        return run_swarm_size_sweep(config)
-    raise ConfigError(f"unsupported config type {type(config).__name__}")
+    if not isinstance(config, tuple(_CONFIG_TYPES.values())):
+        raise ConfigError(f"unsupported config type {type(config).__name__}")
+    echo = json.loads(json.dumps(asdict(config)))
+    report = ExperimentReport(config.kind, echo, config.cells())
+    report.aggregates = aggregate(report)
+    return report

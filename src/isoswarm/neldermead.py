@@ -17,8 +17,8 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import EvalPlan, SwarmConfig, cost_breakdown, evaluate, wrap_theta
-from .geometry import TWO_PI, check_fields
+from .cost import EvalPlan, SwarmConfig, cost_breakdown, evaluate
+from .geometry import TWO_PI, check_fields, wrap_theta
 from .sampling import PoiSet
 
 # Standard simplex coefficients, and the initial step of a position

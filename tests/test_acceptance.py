@@ -15,7 +15,7 @@ from isoswarm.bound import (ContractionParams, NoiseProfile, evaluate_bound,
 from isoswarm.cost import (SpacecraftPose, SwarmConfig, information_cost,
                            pair_overlap)
 from isoswarm.experiments import (SwarmSizeConfig, ViewProbabilityConfig,
-                                  run_swarm_size_sweep, run_view_probability)
+                                  run_experiment)
 from isoswarm.geometry import unit_axis, visible_mask
 from isoswarm.neldermead import NelderMeadOptions, nelder_mead
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
@@ -59,7 +59,7 @@ def swarm_size_report():
         nm_options=NelderMeadOptions(theta_initial_step=0.5,
                                      max_iterations=1200),
     )
-    return run_swarm_size_sweep(config)
+    return run_experiment(config)
 
 
 def test_criterion_01_cone_containment_oracle():
@@ -261,7 +261,7 @@ def test_criterion_09_view_probability_trend():
             n_pois=2000,
             master_seed=master_seed,
         )
-        report = run_view_probability(config)
+        report = run_experiment(config)
         per_seed.append({row["radius"]: row["p_pct"]
                          for row in report.aggregates})
     p50 = float(np.mean([s[50.0] for s in per_seed]))

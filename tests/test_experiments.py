@@ -6,8 +6,7 @@ from isoswarm.experiments import (ConfigError, ExperimentReport,
                                   SwarmSizeConfig, ViewProbabilityConfig,
                                   _cell_rng, _random_unit, aggregate,
                                   config_from_dict, load_experiment_config,
-                                  run_experiment, run_swarm_size_sweep,
-                                  run_view_probability)
+                                  run_experiment)
 from isoswarm.geometry import unit_axis
 from isoswarm.neldermead import NelderMeadOptions
 from isoswarm.sampling import UncertaintyEllipsoid
@@ -44,7 +43,7 @@ def small_sweep_config(**overrides):
 
 
 def test_view_probability_report_shape():
-    report = run_view_probability(small_view_config())
+    report = run_experiment(small_view_config())
     assert report.kind == "view_probability"
     assert len(report.trials) == 6
     assert [row["radius"] for row in report.aggregates] == [50.0, 500.0]
@@ -54,20 +53,20 @@ def test_view_probability_report_shape():
 
 
 def test_view_probability_reproducible():
-    a = run_view_probability(small_view_config())
-    b = run_view_probability(small_view_config())
+    a = run_experiment(small_view_config())
+    b = run_experiment(small_view_config())
     assert a.trials == b.trials
     assert a.aggregates == b.aggregates
 
 
 def test_view_probability_seed_changes_trials():
-    a = run_view_probability(small_view_config())
-    b = run_view_probability(small_view_config(master_seed=8))
+    a = run_experiment(small_view_config())
+    b = run_experiment(small_view_config(master_seed=8))
     assert a.trials != b.trials
 
 
 def test_view_probability_positions_offset_by_iso():
-    report = run_view_probability(small_view_config())
+    report = run_experiment(small_view_config())
     iso = np.array([1.0e6, -2.0e6, 0.5e6])
     for t in report.trials:
         np.testing.assert_allclose(
@@ -84,7 +83,7 @@ def test_view_probability_success_flag_recomputable():
     for criterion in ("center", "sampled_truth"):
         config = small_view_config(success_criterion=criterion)
         flags = []
-        for t in run_view_probability(config).trials:
+        for t in run_experiment(config).trials:
             target = center
             if criterion == "sampled_truth":
                 r_idx = config.sphere_radii.index(t["radius"])
@@ -108,7 +107,7 @@ def test_view_probability_coverage_recomputable():
     # recorded poi seed and final pose
     from isoswarm.sampling import sample_pois
 
-    report = run_view_probability(small_view_config())
+    report = run_experiment(small_view_config())
     for t in report.trials:
         e = UncertaintyEllipsoid.sphere(t["radius"])
         pois = sample_pois(e, 200, t["poi_seed"])
@@ -120,7 +119,7 @@ def test_view_probability_coverage_recomputable():
 
 
 def test_sampled_truth_criterion_runs():
-    report = run_view_probability(
+    report = run_experiment(
         small_view_config(success_criterion="sampled_truth"))
     assert all(isinstance(t["success"], bool) for t in report.trials)
 
@@ -128,7 +127,7 @@ def test_sampled_truth_criterion_runs():
 def test_guaranteed_success_with_wide_aperture():
     # with an aimed-equivalent tilt impossible, use tiny tilt effect: a huge
     # aperture makes the center visible for any moderate final tilt
-    report = run_view_probability(small_view_config(
+    report = run_experiment(small_view_config(
         sphere_radii=(50.0,), phi=3.0, nu=0.05, trials_per_radius=4))
     # theta near 0 or 2 pi gives tilt < phi/2; not guaranteed for all trials,
     # so just check consistency of the aggregate against the flags
@@ -138,7 +137,7 @@ def test_guaranteed_success_with_wide_aperture():
 
 
 def test_swarm_size_report_shape():
-    report = run_swarm_size_sweep(small_sweep_config())
+    report = run_experiment(small_sweep_config())
     assert report.kind == "swarm_size"
     assert len(report.trials) == 6
     assert [r["n_spacecraft"] for r in report.aggregates] == [1, 2, 3]
@@ -147,21 +146,21 @@ def test_swarm_size_report_shape():
 
 
 def test_swarm_size_reproducible():
-    a = run_swarm_size_sweep(small_sweep_config())
-    b = run_swarm_size_sweep(small_sweep_config())
+    a = run_experiment(small_sweep_config())
+    b = run_experiment(small_sweep_config())
     assert a.trials == b.trials
     assert a.aggregates == b.aggregates
 
 
 def test_swarm_size_shared_pois_within_trial():
-    report = run_swarm_size_sweep(small_sweep_config())
+    report = run_experiment(small_sweep_config())
     for trial in (0, 1):
         seeds = {t["poi_seed"] for t in report.trials if t["trial"] == trial}
         assert len(seeds) == 1
 
 
 def test_swarm_size_pose_count_matches_n():
-    report = run_swarm_size_sweep(small_sweep_config())
+    report = run_experiment(small_sweep_config())
     for t in report.trials:
         assert len(t["final_poses"]) == t["n_spacecraft"]
 
@@ -194,7 +193,7 @@ def test_aggregate_swarm_size_arithmetic():
 
 
 def test_aggregate_permutation_invariant():
-    report = run_swarm_size_sweep(small_sweep_config())
+    report = run_experiment(small_sweep_config())
     shuffled = ExperimentReport("swarm_size", {}, list(reversed(report.trials)))
     assert aggregate(shuffled) == report.aggregates
 
@@ -212,8 +211,8 @@ def test_report_files(tmp_path):
         "view_probability": "radius,trials,p_pct,mean_coverage_pct,"
                             "std_coverage_pct",
     }
-    for report in (run_swarm_size_sweep(small_sweep_config()),
-                   run_view_probability(small_view_config(trials_per_radius=1))):
+    for report in (run_experiment(small_sweep_config()),
+                   run_experiment(small_view_config(trials_per_radius=1))):
         jpath, cpath = tmp_path / "report.json", tmp_path / "summary.csv"
         report.write_json(jpath)
         report.write_summary_csv(cpath)
@@ -320,6 +319,8 @@ def test_config_rejects_bad_camera_angles(base, key, value):
     (SWARM_BASE, "initial_distance_factors", [NAN, 3.0]),
     (SWARM_BASE, "initial_distance_factors", [6.0, 3.0]),
     (SWARM_BASE, "initial_distance_factors", [0.0, 0.0]),
+    # every start would lie within the degeneracy radius of the center
+    (SWARM_BASE, "sphere_radius", 1e-9),
     (VIEW_BASE, "sphere_radii", []), (VIEW_BASE, "sphere_radii", [NAN]),
     (VIEW_BASE, "sphere_radii", [50.0, 0.0]),
     (VIEW_BASE, "sphere_radii", [-50.0]),
@@ -328,6 +329,7 @@ def test_config_rejects_bad_camera_angles(base, key, value):
     (VIEW_BASE, "initial_distance_range", [0, 600])],
     ids=["sphere_radius-nan", "sphere_radius-inf", "kappa_weight-nan",
          "kappa_weight-inf", "factors-nan", "factors-reversed", "factors-zero",
+         "sphere_radius-degenerate",
          "sphere_radii-empty", "sphere_radii-nan", "sphere_radii-zero",
          "sphere_radii-negative", "iso_position-nan", "iso_position-2d",
          "distance_range-low-0"])
@@ -348,11 +350,23 @@ def test_load_experiment_config(tmp_path):
     assert cfg.sphere_radius == 100.0
 
 
-def test_run_experiment_dispatch():
-    report = run_experiment(small_sweep_config(trials=1, spacecraft_range=(1, 1)))
-    assert report.kind == "swarm_size"
+@pytest.mark.parametrize("config", [
+    small_view_config(sphere_radii=(50.0,), trials_per_radius=1),
+    small_sweep_config(trials=1, spacecraft_range=(1, 1))],
+    ids=["view_probability", "swarm_size"])
+def test_run_experiment_dispatch(config):
+    # the config class names its kind; the report, the config parser and the
+    # summary all key on it
+    report = run_experiment(config)
+    assert report.kind == config.kind
+    assert report.aggregates == aggregate(report)
+    base = SWARM_BASE if config.kind == "swarm_size" else VIEW_BASE
+    assert base["type"] == config.kind
+    assert type(config_from_dict(base)) is type(config)
     with pytest.raises(ConfigError):
         run_experiment(object())
+    with pytest.raises(ValueError, match="unknown report kind"):
+        aggregate(ExperimentReport("unknown", {}, report.trials))
 
 
 @pytest.mark.parametrize("threads", [0, -2])

@@ -21,7 +21,8 @@ from tests.conftest import TWO_CRAFT
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 NAN, INF = float("nan"), float("inf")
-VALUES = [None, True, "1", [], {}, NAN, INF, -1, 0, 0.5, 1e308, 2 ** 63]
+VALUES = [None, True, "1", [], {}, NAN, INF, -1, 0, 0.5, 1e308, 2 ** 63,
+          5e-324, 1e-300]
 
 # One trial on 20 POIs with a 5-iteration budget: a run takes milliseconds.
 SWARM = {"schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
@@ -50,7 +51,8 @@ REJECT = {"max_iterations": (0, -1, 0.5, 1e308), "n_pois": (0, -1, 0.5, None),
           "trials": (0, -1, 0.5, None), "trials_per_radius": (0, -1, 0.5),
           "f_tolerance": (-1, None), "x_tolerance": (-1, None),
           "theta_initial_step": (0, -1, None), "master_seed": (-1, 0.5),
-          "phi": (0, -1), "nu": (0, -1), "sphere_radius": (0, -1, 1e308),
+          "phi": (0, -1), "nu": (0, -1),
+          "sphere_radius": (0, -1, 1e308, 5e-324, 1e-300),
           "sphere_radii": (1e308,)}
 
 # At 2^63 these counts are valid, but that many cells would run for ever,
@@ -185,7 +187,7 @@ def test_input_file_of_the_wrong_shape(tmp_path, capsys, command, text):
 # FLAG_VALUES (as --flag=value, or in each slot of a three-value flag), on a
 # 200-POI file and TWO_CRAFT.
 FLAG_VALUES = ["nan", "inf", "-inf", "-1", "0", "0.5", "1e308", str(2 ** 63),
-               "true", ""]
+               "true", "", "5e-324", "1e-300"]
 BOUND_CONFIG = str(CONFIGS / "bound_example.json")
 
 # The README's computation errors: infeasible parameters, a time outside the
@@ -223,6 +225,8 @@ FLAGS = [
       for flag in ("--mc-samples", "--seed")),
     *(("bound", ["bound", "--config", BOUND_CONFIG, "-T", "5", FLAG], flag, 1)
       for flag in ("-D", "-T", "--v0", "--invert")),
+    ("bound-squared", ["bound", "--config", BOUND_CONFIG, "-T", "5",
+                       "--squared", FLAG], "-D", 1),
 ]
 
 
