@@ -149,8 +149,10 @@ def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
     template's center, phi and pair terms, the POI columns, the checked
-    orientation mode, the cost options and, for aimed cones, each cone's
-    hold distance from the center (geometry._hold_distance)."""
+    orientation mode, the cost options, for aimed cones each cone's hold
+    distance from the center (geometry._hold_distance), and the kernel's
+    one-slot memo of the four cones that last enclosed the center
+    (geometry.visible_mask's cover)."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
                  orientation_mode="aimed"):
@@ -167,16 +169,19 @@ class EvalPlan:
             _hold_distance(phi, self.columns[1]) for phi in self.phi]
         self.terms = _pair_terms(swarm.nu.tolist())
         self.kappa_weight, self.n = kappa_weight, len(pois)
+        self.cover = [()]
 
 
 def _cost(plan: EvalPlan, apexes, thetas, parts=False):
     """w * kappa_total - coverage of spacecraft at apexes (float 3-sequences)
     with thetas, or with parts its CostBreakdown: the pair loop's overlap
     sum and the kernel's count of POIs seen, the cones tilted by their
-    thetas in theta_tilt mode, else aimed with the plan's hold distances."""
+    thetas in theta_tilt mode, else aimed with the plan's hold distances,
+    and the whole-swarm cull hinted by the plan's memo."""
     kappa = _overlap_sum(thetas, plan.terms)
     count = visible_mask(plan.points, apexes, thetas if plan.tilted else None,
-                         plan.phi, plan.center, plan.columns, plan.holds, True)
+                         plan.phi, plan.center, plan.columns, plan.holds, True,
+                         plan.cover)
     pct = 100.0 * count / plan.n
     cost = plan.kappa_weight * kappa - pct
     return CostBreakdown(kappa, pct, cost, count, plan.n) if parts else cost

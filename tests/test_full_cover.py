@@ -1,0 +1,192 @@
+"""The whole-swarm cull of visible_mask against the un-culled kernel.
+
+Cones that test their plane alone (they hold the POI ball) see every POI
+once four of their apex - center vectors enclose the center: each POI u
+then has u . t >= 0 for one of them. The kernel takes the four from a memo
+the caller holds, checks them with geometry._encloses, and runs no product
+when they pass. Scenes put the center inside, on and just outside a face or
+an edge of the tetrahedron of four cones, and POIs on the directions the
+cones leave uncovered; every count and mask must equal unculled_mask's,
+whatever the memo holds.
+"""
+
+from itertools import combinations
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig,
+                           cost_breakdown)
+from isoswarm.geometry import (_hold_distance, poi_columns, unit_axis,
+                               visible_mask, wrap_theta)
+from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
+from tests.conftest import plan_mask, spy, unculled_mask
+from tests.test_cone_cull import CENTERS
+
+# barycentric weights of the center for the first one or two cones of the
+# tetrahedron: next to a face or an edge, inside (> 0), on it or outside
+EDGE_WEIGHTS = [1e-12, 1e-9, 1e-6, 0.0, -1e-12, -1e-9, -1e-6, -0.1]
+# apex distances in hold distances
+HOLDS = [1.0, 1.0 + 1e-9, 1.5, 3.0]
+TETRAHEDRON = [(1.0, 1.0, 1.0), (1.0, -1.0, -1.0), (-1.0, 1.0, -1.0),
+               (-1.0, -1.0, 1.0)]
+
+
+def unit(v):
+    return v / np.linalg.norm(v)
+
+
+def uncovered(t):
+    """Unit directions the plane tests of cones at the vectors t miss or
+    only graze: each -t_k, both normals of each pair of them, and both
+    normals of each face of the first four's tetrahedron (just outside a
+    face, the outer one is seen by none)."""
+    normals = [np.cross(a, b) for a, b in combinations(t, 2)] + [
+        np.cross(b - a, c - a) for a, b, c in combinations(t[:4], 3)]
+    return np.array([-unit(v) for v in t] + [
+        s * unit(v) for v in normals if v.any() for s in (1.0, -1.0)])
+
+
+def enclosing_vectors(rng, n, near, weight):
+    """n vectors: four whose hull holds the origin at barycentric weights
+    with the first near of them set to weight (then normalized), and n - 4
+    nonnegative combinations of two or three of those four, which enclose
+    the origin only with them."""
+    w = rng.standard_normal((4, 3))
+    lam = rng.dirichlet(np.ones(4))
+    lam[:near] = weight
+    lam /= lam.sum()
+    t = list(w - lam @ w)
+    for _ in range(n - 4):
+        pick = rng.choice(4, size=int(rng.integers(2, 4)), replace=False)
+        t.append(rng.random(len(pick)) @ np.array(t)[pick])
+    return t
+
+
+def kernel(points, apexes, phis, center, columns, holds, cover, count):
+    return visible_mask(points, apexes, None, phis, center, columns, holds,
+                        count, cover)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(4, 8), near=st.integers(0, 2),
+       weight=st.sampled_from(EDGE_WEIGHTS), seed=st.integers(0, 2 ** 32 - 1))
+def test_count_and_mask_match_unculled_whatever_the_memo(n, near, weight,
+                                                         seed):
+    """Held swarms around, on and beside the center, with POIs in a ball
+    and on the uncovered directions: with an empty, a stale, a garbage and
+    the kernel's own memo, count and mask equal unculled_mask's, and
+    whenever _encloses certifies four cones, unculled_mask sees every POI."""
+    rng = np.random.default_rng(seed)
+    center = CENTERS[rng.integers(len(CENTERS))]
+    r0 = 10.0 ** rng.uniform(-1.0, 3.0)
+    t = enclosing_vectors(rng, n, near, weight)
+    order = rng.permutation(n)
+    t = [t[k] for k in order]
+    d = rng.standard_normal((200, 3))
+    d = d / np.linalg.norm(d, axis=1, keepdims=True) * rng.random((200, 1))
+    points = center + r0 * np.vstack([d, uncovered(t)])
+    columns = poi_columns(points, center)
+    phis = [float(rng.choice([np.pi / 3.0, rng.uniform(0.5, 3.0)]))
+            for _ in range(n)]
+    holds = [_hold_distance(phi, columns[1]) for phi in phis]
+    apexes = np.array([center + hold * float(rng.choice(HOLDS)) * unit(v)
+                       for v, hold in zip(t, holds)])
+    axes = [unit_axis(a.tolist(), center.tolist()) for a in apexes]
+    want = unculled_mask(points, apexes, axes, phis, center)
+    memos = [[()], [tuple(rng.choice(n, 4, replace=False).tolist())],
+             [(0, 1, 2, n + 5)], [(-1, 0, 1, 2)], [(0, 0, 1, 2)], [(0, 1, 2)]]
+    args = points, apexes.tolist(), phis, center, columns, holds
+    with pytest.MonkeyPatch.context() as m:
+        verdicts = spy(m, "_encloses")
+        for cover in memos:
+            for _ in range(2):  # the first call may fill the memo
+                assert kernel(*args, cover, True) == np.count_nonzero(want)
+                np.testing.assert_array_equal(kernel(*args, cover, False),
+                                              want)
+    if any(fired for _, fired in verdicts):
+        assert want.all()
+
+
+def test_tetrahedron_of_held_cones_takes_the_cull(monkeypatch):
+    # four aimed 60 degree cones 3 R out at the corners of a regular
+    # tetrahedron: the first evaluation sees every POI by the product and
+    # remembers the four; the next passes the certificate and runs no
+    # product, so POI columns of NaN (which the product would score unseen)
+    # still give every POI
+    e = UncertaintyEllipsoid.sphere(100.0)
+    pois = sample_pois(e, 2000, 3)
+    radius = pois.columns(e.center)[1]
+    swarm = SwarmConfig([SpacecraftPose(3.0 * radius * unit(np.array(v)),
+                                        0.0, 0.5, np.pi / 3.0)
+                         for v in TETRAHEDRON], e)
+    plan, x = EvalPlan(swarm, pois), swarm.state.ravel().tolist()
+    assert cost_breakdown(plan, x).visible_count == len(pois)
+    assert plan.cover == [(0, 1, 2, 3)]
+    certified = spy(monkeypatch, "_encloses")
+    plan.columns = np.full((5, len(pois)), np.nan, np.float32), radius
+    assert cost_breakdown(plan, x).visible_count == len(pois)
+    assert [fired for _, fired in certified] == [True]
+    assert plan_mask(swarm, pois).all()
+
+
+@pytest.mark.parametrize("radius, factor", [(100.0, 1e120), (1e-120, 3.0)],
+                         ids=["overflow", "underflow"])
+def test_certificate_declines_beyond_float_range(monkeypatch, radius, factor):
+    # the tetrahedron's triple products overflow to inf (the product runs)
+    # or underflow to 0 (the float64 test runs, R lying below the float32
+    # columns' range): the certificate declines even the memo's quadruple,
+    # and every POI is still counted and seen
+    center, phis = np.zeros(3), [np.pi / 3.0] * 4
+    points = sample_pois(UncertaintyEllipsoid.sphere(radius), 500, 5).points
+    columns = poi_columns(points, center)
+    holds = [_hold_distance(phi, columns[1]) for phi in phis]
+    apexes = np.array([factor * columns[1] * unit(np.array(v))
+                       for v in TETRAHEDRON])
+    axes = [unit_axis(a.tolist(), center.tolist()) for a in apexes]
+    want = unculled_mask(points, apexes, axes, phis, center)
+    certified = spy(monkeypatch, "_encloses")
+    for count in (True, False):
+        cover = [(0, 1, 2, 3)]
+        seen = kernel(points, apexes.tolist(), phis, center, columns, holds,
+                      cover, count)
+        np.testing.assert_array_equal(seen, want.sum() if count else want)
+    assert want.all() and certified
+    assert not any(fired for _, fired in certified)
+
+
+@pytest.mark.parametrize("mode", ["aimed", "theta_tilt"])
+def test_only_plane_only_cones_join_the_certificate(monkeypatch, mode):
+    """Cone 3 of the tetrahedron cuts the ball (aimed from 1.2 R, or tilted
+    0.6 rad off the center), so its vector never reaches _encloses; cones
+    tilted 0.05 and 0.1 rad still hold it and join, and cone 4, held behind
+    cone 3 (4 R out), completes the quadruple."""
+    e = UncertaintyEllipsoid.sphere(100.0)
+    pois = sample_pois(e, 2000, 4)
+    radius = pois.columns(e.center)[1]
+    dirs = [unit(np.array(v)) for v in TETRAHEDRON + [TETRAHEDRON[3]]]
+    factors, thetas = [3.0, 3.0, 3.0, 3.0, 4.0], [0.0, 0.05, 0.1, 0.6, 0.0]
+    if mode == "aimed":
+        factors[3], thetas = 1.2, [0.0] * 5
+    swarm = SwarmConfig([SpacecraftPose(f * radius * v, theta, 0.5,
+                                        np.pi / 3.0)
+                         for f, v, theta in zip(factors, dirs, thetas)], e)
+    plan = EvalPlan(swarm, pois, orientation_mode=mode)
+    x = swarm.state.ravel().tolist()
+    plan.cover[0] = (0, 1, 2, 3)  # a memo naming the cut cone
+    certified = spy(monkeypatch, "_encloses")
+    assert cost_breakdown(plan, x).visible_count == len(pois)
+    assert plan.cover == [(0, 1, 2, 4)]
+    assert cost_breakdown(plan, x).visible_count == len(pois)
+    cut = tuple((swarm.state[3, :3] - e.center).tolist())
+    assert certified and all(cut not in args for args, _ in certified)
+    assert certified[-1][1] is True
+    axes = [unit_axis(row[:3].tolist(), e.center.tolist(),
+                      wrap_theta(row[3]) if mode == "theta_tilt" else None)
+            for row in swarm.state]
+    want = unculled_mask(pois.points, swarm.state[:, :3], axes, swarm.phi,
+                         e.center)
+    assert want.all()
+    np.testing.assert_array_equal(plan_mask(swarm, pois, mode), want)
