@@ -6,9 +6,8 @@ from .bound import (BoundResult, ContractionParams, NoiseProfile,
 from .cost import (CostBreakdown, SpacecraftPose, SwarmConfig,
                    information_cost, pair_overlap)
 from .geometry import visible_mask
-from .neldermead import (NelderMeadOptions, OptResult,
-                         expected_information_cost, nelder_mead,
-                         optimize_swarm)
+from .neldermead import (NelderMeadOptions, OptResult, lap_thetas,
+                         nelder_mead, optimize_swarm)
 from .sampling import (PoiSet, UncertaintyEllipsoid, load_pois, sample_pois,
                        save_pois)
 

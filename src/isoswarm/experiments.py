@@ -75,6 +75,13 @@ def _start_pose(rng, center, distance: float, config) -> SpacecraftPose:
                           rng.uniform(0.0, 2.0 * np.pi), config.nu, config.phi)
 
 
+def _nm_fields(result) -> dict:
+    """How a cell's Nelder-Mead run (an OptResult) ended, for its record."""
+    return {"evaluations": result.evaluation_count,
+            "iterations": result.iterations, "termination": result.termination,
+            "shrinks": result.shrinks, "final_diameter": result.final_diameter}
+
+
 @dataclass(frozen=True)
 class ViewProbabilityConfig:
     """Single-spacecraft view-probability campaign over several sphere radii."""
@@ -245,7 +252,7 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
         "coverage_pct": breakdown.epsilon_term,
         "minus_info_cost": -breakdown.information_cost,
         "success": success,
-        "evaluations": result.evaluation_count,
+        **_nm_fields(result),
     }
 
 
@@ -270,7 +277,7 @@ def _run_swarm_size_cell(config: SwarmSizeConfig, trial: int, n_sc: int,
             {"position": p.position.tolist(), "theta": p.theta}
             for p in best.spacecraft
         ],
-        "evaluations": result.evaluation_count,
+        **_nm_fields(result),
         "poi_seed": poi_seed,
     }
 

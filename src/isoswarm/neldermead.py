@@ -12,6 +12,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import partial, reduce
+from itertools import accumulate
 from operator import add
 from typing import Callable
 
@@ -39,7 +40,8 @@ class NelderMeadOptions:
     f_tolerance: float = 1e-8
     x_tolerance: float = 1e-8
     max_iterations: int | None = None  # defaults to 200 * dimension
-    theta_initial_step: float = 0.5  # absolute simplex step of an angle, rad
+    # absolute simplex step of an angle, rad; an aimed swarm searches none
+    theta_initial_step: float = 0.5
 
     def __post_init__(self):
         check_fields(self)
@@ -241,14 +243,14 @@ def swarm_objective(plan: EvalPlan, cost_mode=(0.0, 1, 0)
         add, map(score, (offsets + x).tolist()), 0.0) / n_samples
 
 
-def expected_information_cost(swarm: SwarmConfig, pois: PoiSet,
-                              position_stddev: float, n_samples: int,
-                              seed: int, **cost_kwargs) -> float:
-    """swarm_objective's expected cost at the swarm itself: the Monte Carlo
-    mean of the information cost under Gaussian position noise."""
-    objective = swarm_objective(EvalPlan(swarm, pois, **cost_kwargs),
-                                (position_stddev, n_samples, seed))
-    return objective(swarm.state.ravel().tolist())
+def lap_thetas(nu) -> list[float]:
+    """Thetas (wrapped) laying the arcs [theta_k +- nu_k] end to end from 0,
+    lap after lap. The summed pairwise overlap is the integral over the
+    circle of C(m, 2), m the count of arcs over an angle; C(m, 2) is convex
+    and m integrates to L = sum 2 nu_k, so the sum is least, k (k - 1) pi +
+    k (L - 2 pi k) for k = floor(L / 2 pi), where m is only k or k + 1."""
+    return [wrap_theta(end - half) for end, half in
+            zip(accumulate(2.0 * half for half in nu), nu)]
 
 
 def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
@@ -257,14 +259,28 @@ def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
     """Locally optimize spacecraft positions and orientations.
 
     cost_mode is swarm_objective's (position_stddev, n_samples, seed); a
-    zero stddev optimizes the information cost itself. Returns the optimized
-    swarm, its cost breakdown on the run's own plan (so under a zero stddev
-    its information_cost is the result's best_value, bit for bit), and the
-    raw optimizer result.
-    """
+    zero stddev optimizes the information cost itself. Aimed cones never
+    read their thetas, so the cost splits into w min kappa - max coverage:
+    lap_thetas sets the thetas and the search runs over the positions only.
+    Returns the optimized swarm, its cost breakdown on the run's own plan
+    (under a zero stddev its information_cost is best_value, bit for bit)
+    and the raw optimizer result, over the searched coordinates."""
     plan = EvalPlan(initial, pois, **cost_kwargs)
-    result = nelder_mead(swarm_objective(plan, cost_mode),
-                         initial.state.ravel(), opts,
-                         frozenset(range(3, 4 * len(initial), 4)), trace_sink)
-    best = SwarmConfig.from_state(result.best_point, initial)
-    return best, cost_breakdown(plan, result.best_point.tolist()), result
+    objective = swarm_objective(plan, cost_mode)
+    x = initial.state.ravel().tolist()
+    if plan.tilted:
+        result = nelder_mead(objective, x, opts,
+                             frozenset(range(3, len(x), 4)), trace_sink)
+        x = result.best_point.tolist()
+    else:
+        x[3::4] = lap_thetas(initial.nu.tolist())
+
+        def placed(p: list) -> list:
+            x[0::4], x[1::4], x[2::4] = p[0::3], p[1::3], p[2::3]
+            return x[:]
+
+        result = nelder_mead(lambda p: objective(placed(p)),
+                             initial.state[:, :3].ravel(), opts,
+                             trace_sink=trace_sink)
+        x = placed(result.best_point.tolist())
+    return SwarmConfig.from_state(x, initial), cost_breakdown(plan, x), result

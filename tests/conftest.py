@@ -8,13 +8,19 @@ from isoswarm.bound import ContractionParams, check_rate_matrix
 from isoswarm.cost import EvalPlan
 from isoswarm.geometry import _SLACK, relative_columns
 
-# The swarm file of CI's optimize runs: two spacecraft whose FOV intervals
-# overlap, so the simplex has a cost to lower.
+# The swarm files of CI's optimize runs. TWO_CRAFT: two spacecraft at 400
+# km, beyond their hold distance, whose given FOV intervals overlap; the
+# placed thetas do not, so the search starts on a coverage plateau and stops
+# after one iteration. CLOSE_CRAFT: the same two at 150 km, inside their
+# hold distance, where moving a cone changes what it sees.
 TWO_CRAFT = {"ellipsoid": {"center": [0, 0, 0], "radii": [100, 100, 100]},
              "spacecraft": [{"position": [400, 0, 0], "theta": 0.5,
                              "nu": 0.5, "phi": 1.0},
                             {"position": [0, 400, 0], "theta": 0.7,
                              "nu": 0.5, "phi": 1.0}]}
+CLOSE_CRAFT = {**TWO_CRAFT, "spacecraft": [
+    {**TWO_CRAFT["spacecraft"][0], "position": [150, 0, 0]},
+    {**TWO_CRAFT["spacecraft"][1], "position": [0, 150, 0]}]}
 
 
 def draw_feasible_params(rng: np.random.Generator) -> ContractionParams:

@@ -87,7 +87,8 @@ def cone_angles(apexes, axes, center):
 
 def reference_expected_cost(swarm, pois, position_stddev, n_samples, seed,
                             **cost_kwargs) -> float:
-    """expected_information_cost with a swarm object per sample."""
+    """swarm_objective's expected cost at the swarm, with a swarm object per
+    sample."""
     if position_stddev == 0.0:
         return reference_cost(swarm, pois, **cost_kwargs)
     rng = np.random.default_rng(seed)

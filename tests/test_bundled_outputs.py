@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from isoswarm.cli import EXIT_OK, main
-from tests.conftest import TWO_CRAFT
+from tests.conftest import CLOSE_CRAFT, TWO_CRAFT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -18,14 +18,14 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # positions but no summary column.
 DIGESTS = {
     "experiment1": (
-        "615c540ddc688e87a5705ed05b1cc5070065367551ef252e9f131ada3bfbcd38",
+        "7c6757a03a965aeb47824438bb04205bdba4de9bf9ff0a28657ef40ee8b47430",
         "44fff76fabab7b53aee7ec4d718e8510b02c8e1a921f92a078a31fd28b190381"),
     "experiment1_position2": (
-        "4bc73b0c54e41315e2bab7d9a871fcd4e7f1d18211263e1f4adff96fec50b8b1",
+        "6dd58afa13d28afb849c4673121f607db7494ab5734e3a9cbf38d6107aa39668",
         "44fff76fabab7b53aee7ec4d718e8510b02c8e1a921f92a078a31fd28b190381"),
     "experiment2": (
-        "bbb8100cd6ae711550a303545f629c849b9d5307d1330510c8890c593bfa1fb9",
-        "58a18d8b3be90a475a998ddcb5a169f1e3647746d0224bd9ceaaa5b188e35390"),
+        "dcaa1acfba8c2fb671c29bd48c4a652ae8fdf2c9fef26f36e7ff90df85497527",
+        "0adf26fa27dec031ef8675a48906a9660e105a8c2be228204117652689f73e58"),
 }
 
 
@@ -38,30 +38,37 @@ def test_bundled_campaign_outputs_are_pinned(tmp_path, capsys, name):
     assert got == DIGESTS[name]
 
 
-# sha256 of the -o output of `isoswarm optimize` on TWO_CRAFT over
-# `sample-pois --n 200 --seed 1`. At a 1 km noise the expected-cost run ends
-# where the deterministic one does; at 100 km its search takes another path.
+# sha256 of the -o output of `isoswarm optimize` on a swarm of tests/conftest
+# over `sample-pois --n 200 --seed 1`. TWO_CRAFT starts on a coverage
+# plateau with its placed thetas: the deterministic and 1 km noise runs stop
+# after one iteration, where they started, while the 100 km noise lets the
+# search move. CLOSE_CRAFT starts inside the hold distance and moves out.
 OPTIMIZE_DIGESTS = {
     "deterministic": (
-        ["--max-iterations", "50"],
-        "30513e538ff6322ceb703b136881903aefa803e91513f06467c59dc18cb15a53"),
+        TWO_CRAFT, ["--max-iterations", "50"],
+        "a57349448c2697249ee2b607c771849ba16525722989ec6ba8f55799a9c49002"),
     "expected-cost": (
-        ["--position-stddev", "1", "--mc-samples", "3", "--seed", "4"],
-        "30513e538ff6322ceb703b136881903aefa803e91513f06467c59dc18cb15a53"),
+        TWO_CRAFT, ["--position-stddev", "1", "--mc-samples", "3",
+                    "--seed", "4"],
+        "a57349448c2697249ee2b607c771849ba16525722989ec6ba8f55799a9c49002"),
     "expected-cost-wide": (
-        ["--position-stddev", "100", "--mc-samples", "3", "--seed", "4"],
-        "36a0959949c41072973c91d228af37d11a8145726eda1baec8943a32153f29cf"),
+        TWO_CRAFT, ["--position-stddev", "100", "--mc-samples", "3",
+                    "--seed", "4"],
+        "9ae0cd8cc647ed0f5d08ef8a85afadb5c4cf5bbf4c274cdf40f589828473416f"),
+    "deterministic-close": (
+        CLOSE_CRAFT, ["--max-iterations", "50"],
+        "1bc115d45ea7f75ee09adf0e16c34b6cb524cdfdf1cc104666c1c12bb93f1dee"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMIZE_DIGESTS))
 def test_optimize_output_is_pinned(tmp_path, capsys, name):
-    flags, digest = OPTIMIZE_DIGESTS[name]
+    template, flags, digest = OPTIMIZE_DIGESTS[name]
     pois, swarm, out = (tmp_path / f for f in ("p.csv", "swarm.json",
                                                "opt.json"))
     assert main(["-o", str(pois), "sample-pois", "--n", "200",
                  "--seed", "1"]) == EXIT_OK
-    swarm.write_text(json.dumps(TWO_CRAFT))
+    swarm.write_text(json.dumps(template))
     assert main(["-o", str(out), "optimize", "--pois", str(pois),
                  "--swarm", str(swarm), *flags]) == EXIT_OK
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

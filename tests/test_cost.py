@@ -9,7 +9,7 @@ from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, EvalPlan,
                            SpacecraftPose, SwarmConfig, evaluate,
                            information_cost, pair_overlap, wrap_theta)
 from isoswarm.geometry import TWO_PI, unit_axis
-from isoswarm.neldermead import expected_information_cost
+from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import arc_mask, plan_mask, unculled_mask
 from tests.reference import fov_interval
@@ -24,6 +24,13 @@ def pose(theta, position=(300.0, 0.0, 0.0), nu=NU, phi=PHI):
 
 def swarm(*poses, radius=100.0):
     return SwarmConfig(tuple(poses), UncertaintyEllipsoid.sphere(radius))
+
+
+def expected_cost(s, pois, stddev, n_samples, seed):
+    """The expected cost at the swarm s itself: swarm_objective on a plan of
+    s, at s's packed state."""
+    objective = swarm_objective(EvalPlan(s, pois), (stddev, n_samples, seed))
+    return objective(s.state.ravel().tolist())
 
 
 def kappa_total(s):
@@ -252,15 +259,15 @@ def test_expected_cost_zero_stddev_exact():
     s = swarm(pose(0.5, (300.0, 50.0, 0.0)), pose(2.5, (-250.0, 0.0, 80.0)),
               radius=50.0)
     det = information_cost(s, pois).information_cost
-    assert expected_information_cost(s, pois, 0.0, 10, 7) == det
+    assert expected_cost(s, pois, 0.0, 10, 7) == det
 
 
 def test_expected_cost_single_sample():
     e = UncertaintyEllipsoid.sphere(50.0)
     pois = sample_pois(e, 300, 4)
     s = swarm(pose(0.5, (300.0, 50.0, 0.0)), radius=50.0)
-    v1 = expected_information_cost(s, pois, 5.0, 1, 7)
-    v2 = expected_information_cost(s, pois, 5.0, 1, 7)
+    v1 = expected_cost(s, pois, 5.0, 1, 7)
+    v2 = expected_cost(s, pois, 5.0, 1, 7)
     assert v1 == v2  # deterministic in seed
 
 
@@ -269,10 +276,10 @@ def test_expected_cost_mc_self_consistency():
     pois = sample_pois(e, 500, 8)
     s = swarm(pose(0.5, (220.0, 30.0, 0.0)), radius=50.0)
     small = np.array([
-        expected_information_cost(s, pois, 5.0, 200, seed)
+        expected_cost(s, pois, 5.0, 200, seed)
         for seed in range(10)
     ])
-    big = expected_information_cost(s, pois, 5.0, 4000, 999)
+    big = expected_cost(s, pois, 5.0, 4000, 999)
     stderr = small.std(ddof=1) / np.sqrt(len(small))
     assert abs(small.mean() - big) < 4 * stderr + 0.5
 

@@ -15,8 +15,7 @@ from isoswarm.cost import (DEGENERACY_PENALTY, EvalPlan, SpacecraftPose,
                            SwarmConfig, evaluate, information_cost)
 from isoswarm import neldermead
 from isoswarm.geometry import TWO_PI
-from isoswarm.neldermead import (NelderMeadOptions, _wrap,
-                                 expected_information_cost, nelder_mead,
+from isoswarm.neldermead import (NelderMeadOptions, _wrap, nelder_mead,
                                  optimize_swarm, swarm_objective)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.reference import reference_cost, reference_objective
@@ -191,8 +190,8 @@ def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
     optimize_swarm(pois, template, NelderMeadOptions(max_iterations=5),
                    (3.0, 4, 1), **options)
     assert builds == [1, 1]
-    assert expected_information_cost(template, pois, 3.0, 4, 1,
-                                     **options) == objective(wrapped(x, 3))
+    assert plan_objective(pois, template, (3.0, 4, 1), **options)(
+        template.state.ravel().tolist()) == objective(wrapped(x, 3))
 
 
 def test_expected_cost_draws_its_noise_once(monkeypatch):
@@ -334,5 +333,5 @@ def test_final_breakdown_is_the_run_cost_at_its_best_point(monkeypatch,
     assert same(breakdown.information_cost, result.best_value)
     assert breakdown_bits(breakdown) == breakdown_bits(
         information_cost(best, pois, **options))
-    assert same(expected_information_cost(best, pois, 0.0, 5, 3, **options),
-                breakdown.information_cost)
+    assert same(plan_objective(pois, best, (0.0, 5, 3), **options)(
+        best.state.ravel().tolist()), breakdown.information_cost)

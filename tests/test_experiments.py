@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isoswarm import experiments
 from isoswarm.cost import SpacecraftPose, SwarmConfig, information_cost
 from isoswarm.experiments import (ConfigError, ExperimentReport,
                                   SwarmSizeConfig, ViewProbabilityConfig,
@@ -367,6 +368,28 @@ def test_run_experiment_dispatch(config):
         run_experiment(object())
     with pytest.raises(ValueError, match="unknown report kind"):
         aggregate(ExperimentReport("unknown", {}, report.trials))
+
+
+@pytest.mark.parametrize("config", [
+    small_view_config(sphere_radii=(50.0,), trials_per_radius=2),
+    small_sweep_config(trials=1)], ids=["view_probability", "swarm_size"])
+def test_records_say_how_each_search_ended(monkeypatch, config):
+    results, optimize = [], experiments.optimize_swarm
+
+    def spy(*args, **kwargs):
+        out = optimize(*args, **kwargs)
+        results.append(out[2])
+        return out
+
+    monkeypatch.setattr(experiments, "optimize_swarm", spy)
+    trials = run_experiment(config).trials
+    assert len(trials) == len(results)
+    for trial, result in zip(trials, results):
+        assert (trial["evaluations"], trial["iterations"],
+                trial["termination"], trial["shrinks"],
+                trial["final_diameter"]) == (
+            result.evaluation_count, result.iterations, result.termination,
+            result.shrinks, result.final_diameter)
 
 
 @pytest.mark.parametrize("threads", [0, -2])
