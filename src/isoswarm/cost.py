@@ -149,10 +149,11 @@ def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
     template's center, phi and pair terms, the POI columns, the checked
-    orientation mode, the cost options, for aimed cones each cone's hold
-    distance from the center (geometry._hold_distance), and the kernel's
-    one-slot memo of the four cones that last enclosed the center
-    (geometry.visible_mask's cover)."""
+    orientation mode, the cost options, for aimed cones the template's
+    thetas, their overlap sum kappa and each cone's hold distance from the
+    center (geometry._hold_distance), and the kernel's one-slot memo of the
+    four cones that last enclosed the center (geometry.visible_mask's
+    cover)."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
                  orientation_mode="aimed"):
@@ -161,40 +162,46 @@ class EvalPlan:
         if orientation_mode not in ("aimed", "theta_tilt"):
             raise ValueError(f"unknown orientation mode: {orientation_mode!r}")
         self.tilted = orientation_mode == "theta_tilt"
+        self.stride = 4 if self.tilted else 3
         self.center = swarm.ellipsoid.center
         self.c = self.center.tolist()
         self.points, self.columns = pois.points, pois.columns(self.center)
         self.phi = swarm.phi.tolist()
-        self.holds = None if self.tilted else [
-            _hold_distance(phi, self.columns[1]) for phi in self.phi]
         self.terms = _pair_terms(swarm.nu.tolist())
+        self.thetas = self.kappa = self.holds = None
+        if not self.tilted:
+            self.thetas = swarm.state[:, 3].tolist()
+            self.kappa = _overlap_sum(self.thetas, self.terms)
+            self.holds = [_hold_distance(p, self.columns[1]) for p in self.phi]
         self.kappa_weight, self.n = kappa_weight, len(pois)
         self.cover = [()]
 
 
-def _cost(plan: EvalPlan, apexes, thetas, parts=False):
+def _cost(plan: EvalPlan, apexes, x, parts=False):
     """w * kappa_total - coverage of spacecraft at apexes (float 3-sequences)
-    with thetas, or with parts its CostBreakdown: the pair loop's overlap
-    sum and the kernel's count of POIs seen, the cones tilted by their
-    thetas in theta_tilt mode, else aimed with the plan's hold distances,
-    and the whole-swarm cull hinted by the plan's memo."""
-    kappa = _overlap_sum(thetas, plan.terms)
-    count = visible_mask(plan.points, apexes, thetas if plan.tilted else None,
-                         plan.phi, plan.center, plan.columns, plan.holds, True,
-                         plan.cover)
+    from the decision list x, or with parts its CostBreakdown: in theta_tilt
+    mode the pair loop's overlap sum of x's thetas and the cones tilted by
+    them, else the plan's kappa and aimed cones with the plan's hold
+    distances; then the kernel's count of POIs seen, the whole-swarm cull
+    hinted by the plan's memo."""
+    thetas = x[3::4] if plan.tilted else None
+    kappa = plan.kappa if thetas is None else _overlap_sum(thetas, plan.terms)
+    count = visible_mask(plan.points, apexes, thetas, plan.phi, plan.center,
+                         plan.columns, plan.holds, True, plan.cover)
     pct = 100.0 * count / plan.n
     cost = plan.kappa_weight * kappa - pct
     return CostBreakdown(kappa, pct, cost, count, plan.n) if parts else cost
 
 
 def evaluate(plan: EvalPlan, x: list) -> float:
-    """The cost of the plan's swarm at the packed float list x, whose thetas
-    are already wrapped: DEGENERACY_PENALTY when a spacecraft stands within
+    """The cost of the plan's swarm at the float list x, its 3N positions
+    (the thetas are the plan's), or in theta_tilt mode its packed 4N rows
+    with wrapped thetas: DEGENERACY_PENALTY when a spacecraft stands within
     DEGENERACY_RADIUS_KM of the center, else a ValueError when a position is
     not finite, else DEGENERACY_PENALTY when a spacecraft's squared distance
-    from the center overflows (no axis has a finite norm there), else
-    _cost of x's (x, y, z) tuples and thetas."""
-    apexes = list(zip(x[0::4], x[1::4], x[2::4]))
+    from the center overflows (no axis has a finite norm there), else _cost."""
+    k = plan.stride
+    apexes = list(zip(x[0::k], x[1::k], x[2::k]))
     cx, cy, cz = plan.c
     finite, far = True, False
     for px, py, pz in apexes:
@@ -207,21 +214,21 @@ def evaluate(plan: EvalPlan, x: list) -> float:
             finite = finite and all(map(math.isfinite, (px, py, pz)))
     if not finite:
         raise ValueError("position must be three finite reals")
-    return DEGENERACY_PENALTY if far else _cost(plan, apexes, x[3::4])
+    return DEGENERACY_PENALTY if far else _cost(plan, apexes, x)
 
 
 def cost_breakdown(plan: EvalPlan, x: list) -> CostBreakdown:
-    """The CostBreakdown of the plan's swarm at the packed float list x,
-    whose thetas are already wrapped: evaluate's cost without its
-    degeneracy test."""
-    return _cost(plan, list(zip(x[0::4], x[1::4], x[2::4])), x[3::4], True)
+    """The CostBreakdown of the plan's swarm at the float list x, laid out
+    as evaluate reads it: evaluate's cost without its degeneracy test."""
+    k = plan.stride
+    return _cost(plan, list(zip(x[0::k], x[1::k], x[2::k])), x, True)
 
 
 def information_cost(swarm: SwarmConfig, pois: PoiSet,
                      kappa_weight: float = 1.0,
                      orientation_mode: str = "aimed") -> CostBreakdown:
     """Evaluate I = w * kappa_total - coverage for one configuration, with
-    coverage as the percentage of POIs seen (0-100): cost_breakdown of the
-    swarm's state on a fresh plan."""
+    coverage as the percentage of POIs seen (0-100): cost_breakdown on a
+    fresh plan of the swarm at its own positions (and thetas)."""
     plan = EvalPlan(swarm, pois, kappa_weight, orientation_mode)
-    return cost_breakdown(plan, swarm.state.ravel().tolist())
+    return cost_breakdown(plan, swarm.state[:, :plan.stride].ravel().tolist())

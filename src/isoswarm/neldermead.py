@@ -1,15 +1,16 @@
 """From-scratch Nelder-Mead simplex minimizer over swarm decision variables.
 
-The decision vector packs (x, y, z, theta) per spacecraft; theta coordinates
-are wrapped modulo 2 pi before every objective evaluation so orientations
-stay on [0, 2 pi). The simplex itself keeps unwrapped thetas, so vertices on
-either side of the 0 / 2 pi seam stay close and the simplex can shrink.
+The decision vector holds (x, y, z), in theta_tilt mode (x, y, z, theta),
+per spacecraft; thetas are wrapped modulo 2 pi before every evaluation so
+orientations stay on [0, 2 pi). The simplex itself keeps unwrapped thetas,
+so vertices on either side of the 0 / 2 pi seam stay close and it can shrink.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
+from copy import copy
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import accumulate
@@ -62,6 +63,7 @@ class OptResult:
     termination: str  # "f_tol", "x_tol" or "budget"
     shrinks: int
     final_diameter: float  # largest distance of a vertex from the best
+    best_at: int  # the first evaluation (from 1) that scored best_value
 
     @property
     def converged(self) -> bool:
@@ -116,7 +118,8 @@ def nelder_mead(objective: Callable[[list[float]], float], x0,
     diameter) once per iteration. The best point comes back with its thetas
     wrapped.
 
-    Vertices are float lists (the objective gets a wrapped copy); an array
+    Vertices are float lists; the objective gets a wrapped copy, or with no
+    theta_indices the vertex itself, which it must not mutate. An array
     of the same rows serves the centroid's and the diameter's reductions,
     and the x_tolerance test computes the diameter only when _far cannot
     settle it.
@@ -131,15 +134,18 @@ def nelder_mead(objective: Callable[[list[float]], float], x0,
         max_iter = 200 * n
     gap = max(opts.x_tolerance, _NORMAL_GAP)
 
-    evals = 0
+    # a value below the best vertex's always enters: best_value is the least
+    evals, low, best_at = 0, math.inf, 0
 
     def f(point: list) -> float:
-        nonlocal evals
-        x = _wrap(point, theta_idx)
+        nonlocal evals, low, best_at
+        x = _wrap(point, theta_idx) if theta_idx else point
         v = float(objective(x))
         evals += 1
         if not math.isfinite(v):
             raise ObjectiveDomainError(f"objective non-finite at {x}")
+        if v < low:
+            low, best_at = v, evals
         return v
 
     verts = [x0]
@@ -216,27 +222,28 @@ def nelder_mead(objective: Callable[[list[float]], float], x0,
     k = min(range(n + 1), key=values.__getitem__)
     final = _diameter(np.delete(simplex, k, 0), simplex[k])
     return OptResult(np.array(_wrap(verts[k], theta_idx)), values[k],
-                     iteration, evals, termination, shrinks, final)
+                     iteration, evals, termination, shrinks, final, best_at)
 
 
 def swarm_objective(plan: EvalPlan, cost_mode=(0.0, 1, 0)
                     ) -> Callable[[list[float]], float]:
-    """Objective over the wrapped decision vector as a float list, on the
-    evaluation plan: for cost_mode (position_stddev, n_samples, seed) the
-    expected cost, the mean of evaluate over n_samples copies of the vector
-    whose positions carry isotropic normal noise (km) drawn here, once; a
-    zero stddev gives evaluate itself."""
+    """Objective over the float list that evaluate reads on the evaluation
+    plan (an aimed swarm's 3N positions, else the 4N packed rows, thetas
+    wrapped): for cost_mode (position_stddev, n_samples, seed) the expected
+    cost, the mean of evaluate over n_samples copies of the vector whose
+    positions carry isotropic normal noise (km) drawn here, once, as
+    (n_samples, N, 3); a zero stddev gives evaluate itself."""
     stddev, n_samples, seed = cost_mode
     if n_samples < 1 or not 0.0 <= stddev < math.inf:
         raise ValueError("need n_samples >= 1, 0 <= position_stddev < inf")
     score = partial(evaluate, plan)
     if stddev == 0.0:
         return score
-    # each copy's position noise, and -0.0 (theta + -0.0 is theta) per theta
     n_craft = len(plan.phi)
-    offsets = np.full((n_samples, n_craft, 4), -0.0)
-    offsets[..., :3] = np.random.default_rng(seed).normal(
+    offsets = np.random.default_rng(seed).normal(
         0.0, stddev, (n_samples, n_craft, 3))
+    if plan.tilted:  # and -0.0 per theta: theta + -0.0 is theta
+        offsets = np.dstack((offsets, np.full((n_samples, n_craft), -0.0)))
     offsets = offsets.reshape(n_samples, -1)
     # reduce sums in order (sum() rounds otherwise from Python 3.12 on)
     return lambda x: reduce(
@@ -261,26 +268,22 @@ def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
     cost_mode is swarm_objective's (position_stddev, n_samples, seed); a
     zero stddev optimizes the information cost itself. Aimed cones never
     read their thetas, so the cost splits into w min kappa - max coverage:
-    lap_thetas sets the thetas and the search runs over the positions only.
-    Returns the optimized swarm, its cost breakdown on the run's own plan
-    (under a zero stddev its information_cost is best_value, bit for bit)
-    and the raw optimizer result, over the searched coordinates."""
-    plan = EvalPlan(initial, pois, **cost_kwargs)
-    objective = swarm_objective(plan, cost_mode)
-    x = initial.state.ravel().tolist()
-    if plan.tilted:
-        result = nelder_mead(objective, x, opts,
-                             frozenset(range(3, len(x), 4)), trace_sink)
-        x = result.best_point.tolist()
-    else:
-        x[3::4] = lap_thetas(initial.nu.tolist())
-
-        def placed(p: list) -> list:
-            x[0::4], x[1::4], x[2::4] = p[0::3], p[1::3], p[2::3]
-            return x[:]
-
-        result = nelder_mead(lambda p: objective(placed(p)),
-                             initial.state[:, :3].ravel(), opts,
-                             trace_sink=trace_sink)
-        x = placed(result.best_point.tolist())
-    return SwarmConfig.from_state(x, initial), cost_breakdown(plan, x), result
+    lap_thetas places the thetas, the run's plan is built from the placed
+    swarm, and the search runs over the 3N positions only. A theta_tilt run
+    searches the 4N packed rows. Returns the optimized swarm, its cost
+    breakdown on the run's own plan (under a zero stddev its
+    information_cost is best_value, bit for bit) and the raw optimizer
+    result, over the searched coordinates."""
+    placed = copy(initial)  # a plan reads state thetas, not the poses'
+    state = placed.state = initial.state.copy()
+    tilted = cost_kwargs.get("orientation_mode") == "theta_tilt"
+    if not tilted:
+        state[:, 3] = lap_thetas(initial.nu.tolist())
+    plan = EvalPlan(placed, pois, **cost_kwargs)
+    k, angles = plan.stride, range(3, state.size, 4) if tilted else ()
+    result = nelder_mead(swarm_objective(plan, cost_mode),
+                         state[:, :k].ravel(), opts, frozenset(angles),
+                         trace_sink)
+    state[:, :k] = result.best_point.reshape(-1, k)
+    return (SwarmConfig.from_state(state, initial),
+            cost_breakdown(plan, result.best_point.tolist()), result)

@@ -101,16 +101,35 @@ def reference_expected_cost(swarm, pois, position_stddev, n_samples, seed,
     return total / n_samples
 
 
+def packed(positions, thetas) -> list:
+    """The 4N (x, y, z, theta) rows of 3N positions and N thetas."""
+    rows = np.reshape(np.asarray(positions, dtype=float), (-1, 3))
+    return np.column_stack((rows, thetas)).ravel().tolist()
+
+
+def decision(x, mode="aimed") -> list:
+    """The float list evaluate reads from the packed 4N rows x (a swarm's
+    state, say) in mode: all of x in theta_tilt mode, else its 3N
+    positions."""
+    rows = np.reshape(np.asarray(x, dtype=float), (-1, 4))
+    return rows[:, :4 if mode == "theta_tilt" else 3].ravel().tolist()
+
+
 def reference_objective(pois, template, cost_mode=(0.0, 1, 0),
                         **cost_kwargs):
-    """The swarm objective with the degeneracy loop, then a swarm built by
-    SwarmConfig.from_state (which wraps the thetas again and rejects a
-    non-finite position), then DEGENERACY_PENALTY if a squared distance from
-    the center overflowed, else the expected cost of that swarm for
-    cost_mode (position_stddev, n_samples, seed)."""
+    """The swarm objective over the packed 4N rows of the decision vector
+    (in aimed mode the 3N positions with the template's thetas) with the
+    degeneracy loop, then a swarm built by SwarmConfig.from_state (which
+    wraps the thetas again and rejects a non-finite position), then
+    DEGENERACY_PENALTY if a squared distance from the center overflowed,
+    else the expected cost of that swarm for cost_mode (position_stddev,
+    n_samples, seed)."""
     cx, cy, cz = template.ellipsoid.center.tolist()
+    aimed = cost_kwargs.get("orientation_mode", "aimed") == "aimed"
 
     def objective(x):
+        if aimed:
+            x = packed(x, template.state[:, 3])
         far = False
         for px, py, pz, _ in np.reshape(x, (-1, 4)).tolist():
             dx, dy, dz = px - cx, py - cy, pz - cz

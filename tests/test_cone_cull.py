@@ -20,7 +20,7 @@ from isoswarm.geometry import (relative_columns, unit_axis, visible_mask,
                                wrap_theta)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import plan_mask, spy, unculled_mask
-from tests.reference import cone_angles, reference_cost
+from tests.reference import cone_angles, decision, reference_cost
 
 ISO = np.array([41784000.0, -98402000.0, -47133000.0])
 CENTERS = [np.zeros(3), np.array([-350.0, 20.0, 910.0]), ISO, 1e8 * np.ones(3)]
@@ -298,7 +298,7 @@ def test_swarm_size_geometry_takes_contains_branch(monkeypatch, rng):
             seen.append(1)
             return real(*args, **kw)
         monkeypatch.setattr(module, name, spy)
-    x = swarm.state.ravel().tolist()
+    x = decision(swarm.state)
     values = [evaluate(plan, x) for _ in range(3)]
     assert {name: len(seen) for name, seen in calls.items()} == {
         "unit_axis": 0, "_cone_holds_ball": 0, "_cut_rows": 0,

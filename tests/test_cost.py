@@ -12,7 +12,7 @@ from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import arc_mask, plan_mask, unculled_mask
-from tests.reference import fov_interval
+from tests.reference import decision, fov_interval
 
 NU = 0.3
 PHI = 1.0
@@ -27,10 +27,10 @@ def swarm(*poses, radius=100.0):
 
 
 def expected_cost(s, pois, stddev, n_samples, seed):
-    """The expected cost at the swarm s itself: swarm_objective on a plan of
-    s, at s's packed state."""
+    """The expected cost at the aimed swarm s itself: swarm_objective on a
+    plan of s, at s's positions."""
     objective = swarm_objective(EvalPlan(s, pois), (stddev, n_samples, seed))
-    return objective(s.state.ravel().tolist())
+    return objective(decision(s.state))
 
 
 def kappa_total(s):
@@ -427,7 +427,7 @@ def test_cost_never_below_closed_form_bound(data, n, mode, kappa_weight,
     cost = information_cost(s, pois, kappa_weight, mode).information_cost
     assert cost >= bound - slack
     plan = EvalPlan(s, pois, kappa_weight, mode)
-    assert evaluate(plan, s.state.ravel().tolist()) >= bound - slack
+    assert evaluate(plan, decision(s.state, mode)) >= bound - slack
 
 
 @pytest.mark.parametrize("n, nu", [(n, np.pi / 6) for n in range(2, 9)]

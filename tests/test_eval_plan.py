@@ -18,7 +18,7 @@ from isoswarm.geometry import TWO_PI
 from isoswarm.neldermead import (NelderMeadOptions, _wrap, nelder_mead,
                                  optimize_swarm, swarm_objective)
 from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
-from tests.reference import reference_cost, reference_objective
+from tests.reference import decision, reference_cost, reference_objective
 
 MODES = ("aimed", "theta_tilt")
 
@@ -66,24 +66,33 @@ def same(a, b):
     return float(a).hex() == float(b).hex()
 
 
+def scored_at(template, x, mode):
+    """(template, vector) that score the wrapped packed list x in mode: the
+    template and x in theta_tilt mode, else the template holding x's thetas
+    (the plan's) and x's positions."""
+    if mode == "theta_tilt":
+        return template, x
+    return SwarmConfig.from_state(x, template), decision(x)
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_plan_matches_reference_objective(mode):
     """Bit-equal values over 280 random scenes per mode, N = 1..7, each
-    scored at its template, at a moved point and with seam thetas."""
+    scored at its template, at a moved point and with seam thetas (an aimed
+    point's thetas are its plan's)."""
     rng = np.random.default_rng(2024 + len(mode))
     scenes = 0
     for n_craft in range(1, 8):
         for _ in range(40):
             pois, template, options = scene(rng, n_craft, mode)
-            ours = plan_objective(pois, template, **options)
-            ref = reference_objective(pois, template, **options)
             x0 = template.state.flatten()
             moved = x0 + rng.normal(0.0, 20.0, x0.shape)
             seam = x0.copy()
             seam[3::4] = rng.choice(SEAM_THETAS, n_craft)
             for x in (x0, moved, seam):
-                x = wrapped(x, n_craft)
-                assert same(ours(x), ref(x))
+                held, x = scored_at(template, wrapped(x, n_craft), mode)
+                assert same(plan_objective(pois, held, **options)(x),
+                            reference_objective(pois, held, **options)(x))
             scenes += 1
     assert scenes == 280
 
@@ -105,19 +114,19 @@ def test_degeneracy_penalty_before_finite_check(n_craft):
     objectives = (plan_objective(pois, template, **options),
                   reference_objective(pois, template, **options))
     center = template.ellipsoid.center
-    x = template.state.flatten()
-    x[-4:-1] = center + 1e-7  # the last spacecraft on the center
+    x = template.state[:, :3].flatten()
+    x[-3:] = center + 1e-7  # the last spacecraft on the center
     if n_craft > 1:  # behind a non-finite one, it still gets the penalty
         x[0] = np.nan
     for objective in objectives:
-        assert objective(wrapped(x, n_craft)) == DEGENERACY_PENALTY
-    x[-4:-1] = center + 10.0 * template.ellipsoid.radii[0]
+        assert objective(x.tolist()) == DEGENERACY_PENALTY
+    x[-3:] = center + 10.0 * template.ellipsoid.radii[0]
     for value in (np.nan, np.inf, -np.inf):
         x[0] = value
         for objective in objectives:
             with pytest.raises(ValueError,
                                match="position must be three finite reals"):
-                objective(wrapped(x, n_craft))
+                objective(x.tolist())
 
 
 @cache
@@ -137,17 +146,18 @@ COORDINATES = st.one_of(st.floats(allow_nan=False, allow_infinity=False),
 @settings(max_examples=300, deadline=None)
 @given(n_craft=st.sampled_from([1, 3]), data=st.data())
 def test_every_finite_vector_scores_as_the_reference(n_craft, data):
-    """For any finite packed vector, in both modes, evaluate returns a
-    finite value (the penalty among them) bit-equal to reference_objective's;
-    a squared distance that overflows scores the penalty in both."""
+    """For any finite packed vector, in both modes (aimed at its
+    positions), evaluate returns a finite value (the penalty among them)
+    bit-equal to reference_objective's; a squared distance that overflows
+    scores the penalty in both."""
     x = data.draw(st.lists(COORDINATES, min_size=4 * n_craft,
                            max_size=4 * n_craft))
     x = _wrap(x, range(3, 4 * n_craft, 4))
     for mode in MODES:
         plan, ref = fixed_scene(n_craft, mode)
-        got = evaluate(plan, x)
+        got = evaluate(plan, decision(x, mode))
         assert math.isfinite(got)
-        assert same(got, ref(x))
+        assert same(got, ref(decision(x, mode)))
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -155,11 +165,12 @@ def test_far_trial_point_scores_the_penalty(mode):
     # beyond about 1.3e154 km the squared distance overflows and no axis has
     # a finite norm: both modes score the penalty instead of raising
     pois, template, options = scene(np.random.default_rng(5), 2, mode)
-    far = [1e200, 0.0, 0.0, 0.0, 0.0, -2e154, 0.0, 1.0]
+    far = decision([1e200, 0.0, 0.0, 0.0, 0.0, -2e154, 0.0, 1.0], mode)
+    near = decision(template.state, mode)
+    k = len(far) // 2
     for make in (plan_objective, reference_objective):
         objective = make(pois, template, **options)
-        assert objective([*far[:4], *template.state.flatten()[4:]]) == \
-            DEGENERACY_PENALTY
+        assert objective([*far[:k], *near[k:]]) == DEGENERACY_PENALTY
         assert objective(far) == DEGENERACY_PENALTY
         assert make(pois, template, (2.0, 3, 5), **options)(far) == \
             DEGENERACY_PENALTY
@@ -183,15 +194,15 @@ def test_expected_cost_scores_from_the_objective_plan(monkeypatch):
     builds = count_plans(monkeypatch)
     pois, template, options = scene(np.random.default_rng(9), 3, "aimed")
     objective = plan_objective(pois, template, (3.0, 4, 1), **options)
-    x = template.state.flatten()
+    x = template.state[:, :3].flatten()
     for shift in range(5):
-        objective(wrapped(x + shift, 3))
+        objective((x + shift).tolist())
     assert builds == [1]
     optimize_swarm(pois, template, NelderMeadOptions(max_iterations=5),
                    (3.0, 4, 1), **options)
     assert builds == [1, 1]
     assert plan_objective(pois, template, (3.0, 4, 1), **options)(
-        template.state.ravel().tolist()) == objective(wrapped(x, 3))
+        decision(template.state)) == objective(x.tolist())
 
 
 def test_expected_cost_draws_its_noise_once(monkeypatch):
@@ -204,9 +215,9 @@ def test_expected_cost_draws_its_noise_once(monkeypatch):
 
     monkeypatch.setattr(neldermead.np.random, "default_rng", spy)
     objective = plan_objective(pois, template, (3.0, 4, 1), **options)
-    x = template.state.flatten()
+    x = template.state[:, :3].flatten()
     for shift in range(5):
-        objective(wrapped(x + shift, 3))
+        objective((x + shift).tolist())
     assert seeds == [1]
 
 
@@ -216,7 +227,7 @@ def test_noisy_copy_on_the_center_or_far_scores_the_penalty(monkeypatch,
     # the first of two copies moves its first spacecraft onto the center,
     # or beyond the distance whose square overflows; the second is exact
     pois, template, options = scene(np.random.default_rng(4), 2, "aimed")
-    x = template.state.flatten()
+    x = template.state[:, :3].flatten()
     noise = np.zeros((2, 2, 3))
     noise[0, 0] = template.ellipsoid.center - x[:3] + [offset, 0.0, 0.0]
 
@@ -231,7 +242,7 @@ def test_noisy_copy_on_the_center_or_far_scores_the_penalty(monkeypatch,
     monkeypatch.setattr(neldermead.np.random, "default_rng", Drawn)
     plan = EvalPlan(template, pois, **options)
     objective = swarm_objective(plan, (1.0, 2, 0))
-    x = wrapped(x, 2)
+    x = x.tolist()
     assert same(objective(x), (DEGENERACY_PENALTY + evaluate(plan, x)) / 2)
 
 
@@ -254,11 +265,11 @@ def test_expected_cost_matches_reference(mode, stddev):
         ref = reference_objective(pois, template, cost_mode, **options)
         x = template.state.flatten()
         for point in (x, x + rng.normal(0.0, 5.0, x.shape)):
-            point = wrapped(point, n_craft)
+            point = decision(wrapped(point, n_craft), mode)
             assert same(ours(point), ref(point))
 
 
-def run_recorded(objective, x0):
+def run_recorded(objective, x0, mode):
     points, values = [], []
 
     def f(x):
@@ -266,8 +277,9 @@ def run_recorded(objective, x0):
         values.append(objective(x))
         return values[-1]
 
+    thetas = range(3, len(x0), 4) if mode == "theta_tilt" else ()
     res = nelder_mead(f, x0, NelderMeadOptions(max_iterations=60),
-                      frozenset(range(3, len(x0), 4)))
+                      frozenset(thetas))
     return res, np.array(points), values
 
 
@@ -278,9 +290,9 @@ def run_recorded(objective, x0):
 def test_nelder_mead_runs_match(n_craft, mode, cost_mode):
     rng = np.random.default_rng(n_craft)
     pois, template, options = scene(rng, n_craft, mode)
-    x0 = template.state.flatten()
+    x0 = np.array(decision(template.state, mode))
     (got, points, values), (want, want_points, want_values) = (
-        run_recorded(make(pois, template, cost_mode, **options), x0)
+        run_recorded(make(pois, template, cost_mode, **options), x0, mode)
         for make in (plan_objective, reference_objective))
     np.testing.assert_array_equal(points.view(np.uint64),
                                   want_points.view(np.uint64))
@@ -334,4 +346,4 @@ def test_final_breakdown_is_the_run_cost_at_its_best_point(monkeypatch,
     assert breakdown_bits(breakdown) == breakdown_bits(
         information_cost(best, pois, **options))
     assert same(plan_objective(pois, best, (0.0, 5, 3), **options)(
-        best.state.ravel().tolist()), breakdown.information_cost)
+        decision(best.state, mode)), breakdown.information_cost)

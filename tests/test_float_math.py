@@ -11,6 +11,7 @@ from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
 from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
+from tests.reference import decision
 
 
 def _cross(a, b):
@@ -234,7 +235,7 @@ def test_kappa_total_edge_cases_match_array_formula_bit_for_bit():
         for w in array_arc_overlap(t[i], t[j], v[i], v[j]).tolist():
             want += w
         got = cost_breakdown(EvalPlan(swarm, pois),
-                             swarm.state.ravel().tolist()).kappa_total
+                             decision(swarm.state)).kappa_total
         assert bits(got) == bits(want)
 
 
@@ -245,17 +246,17 @@ def test_degeneracy_test_matches_array_norm(n_craft):
     rng = np.random.default_rng(5)
     ellipsoid = UncertaintyEllipsoid.sphere(1.0)
     pois = sample_pois(ellipsoid, 50, 1)
-    far = [5.0, 0.0, 0.0, 0.0]
-    template = SwarmConfig([SpacecraftPose(far[:3], 0.0, 0.5, 1.0)] * n_craft,
+    far = [5.0, 0.0, 0.0]
+    template = SwarmConfig([SpacecraftPose(far, 0.0, 0.5, 1.0)] * n_craft,
                            ellipsoid)
     objective = swarm_objective(EvalPlan(template, pois))
     hits = 0
     for _ in range(2000):
         x = np.tile(far, n_craft)
-        k = 4 * int(rng.integers(n_craft))
+        k = 3 * int(rng.integers(n_craft))
         scale = DEGENERACY_RADIUS_KM * (1.0 + rng.integers(-3, 4) * 1.1e-16)
         x[k:k + 3] = unit_rows(rng, 1)[0] * scale
-        offsets = x.reshape(-1, 4)[:, :3] - ellipsoid.center
+        offsets = x.reshape(-1, 3) - ellipsoid.center
         want = np.any(np.linalg.norm(offsets, axis=1) < DEGENERACY_RADIUS_KM)
         assert (objective(x.tolist()) == DEGENERACY_PENALTY) == want
         hits += want

@@ -23,6 +23,7 @@ from isoswarm.geometry import (_hold_distance, poi_columns, unit_axis,
                                visible_mask, wrap_theta)
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
 from tests.conftest import plan_mask, spy, unculled_mask
+from tests.reference import decision
 from tests.test_cone_cull import CENTERS
 
 # barycentric weights of the center for the first one or two cones of the
@@ -122,7 +123,7 @@ def test_tetrahedron_of_held_cones_takes_the_cull(monkeypatch):
     swarm = SwarmConfig([SpacecraftPose(3.0 * radius * unit(np.array(v)),
                                         0.0, 0.5, np.pi / 3.0)
                          for v in TETRAHEDRON], e)
-    plan, x = EvalPlan(swarm, pois), swarm.state.ravel().tolist()
+    plan, x = EvalPlan(swarm, pois), decision(swarm.state)
     assert cost_breakdown(plan, x).visible_count == len(pois)
     assert plan.cover == [(0, 1, 2, 3)]
     certified = spy(monkeypatch, "_encloses")
@@ -174,7 +175,7 @@ def test_only_plane_only_cones_join_the_certificate(monkeypatch, mode):
                                         np.pi / 3.0)
                          for f, v, theta in zip(factors, dirs, thetas)], e)
     plan = EvalPlan(swarm, pois, orientation_mode=mode)
-    x = swarm.state.ravel().tolist()
+    x = decision(swarm.state, mode)
     plan.cover[0] = (0, 1, 2, 3)  # a memo naming the cut cone
     certified = spy(monkeypatch, "_encloses")
     assert cost_breakdown(plan, x).visible_count == len(pois)

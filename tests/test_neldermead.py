@@ -226,8 +226,8 @@ def test_degeneracy_penalty_at_center():
     pois = sample_pois(e, 50, 1)
     s = SwarmConfig((SpacecraftPose(np.array([5.0, 0.0, 0.0]), 0.0, 0.3, 1.0),), e)
     obj = swarm_objective(EvalPlan(s, pois))
-    x = s.state.flatten()
-    x[:3] = e.center
+    x = s.state[:, :3].flatten()
+    x[:] = e.center
     assert obj(x.tolist()) == DEGENERACY_PENALTY
 
 
@@ -290,18 +290,18 @@ def reference_nelder_mead(objective, x0, opts, theta_indices=frozenset(),
     """nelder_mead with its NumPy bookkeeping (argsort, a fancy-indexed
     reorder, np.mean, np.linalg.norm, array trial points and a diameter at
     every iteration), kept as the reference that the list-backed loop must
-    reproduce bit for bit. The objective gets the wrapped point's tolist()."""
+    reproduce bit for bit. The objective gets the wrapped point's tolist();
+    best_at is the first evaluation whose value equals the final best."""
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     theta_idx = np.array(sorted(theta_indices), dtype=np.intp)
     max_iter = opts.max_iterations or 200 * n
-    evals = 0
+    scored = []
 
     def f(point):
-        nonlocal evals
         x = array_wrap(point, theta_idx)
         v = float(objective(x.tolist()))
-        evals += 1
+        scored.append(v)
         assert math.isfinite(v)
         return point, v
 
@@ -366,14 +366,15 @@ def reference_nelder_mead(objective, x0, opts, theta_indices=frozenset(),
 
     order = np.argsort(values, kind="stable")
     best = int(order[0])
-    return OptResult(array_wrap(simplex[best], theta_idx),
-                     float(values[best]), iteration, evals, termination,
-                     shrinks, diameter_of(simplex, best))
+    best_value = float(values[best])
+    return OptResult(array_wrap(simplex[best], theta_idx), best_value,
+                     iteration, len(scored), termination, shrinks,
+                     diameter_of(simplex, best), scored.index(best_value) + 1)
 
 
 def swarm_case(n_craft):
     """swarm_objective of n_craft aimed spacecraft 3 to 6 radii out around a
-    100 km sphere with 500 POIs, and its packed start."""
+    100 km sphere with 500 POIs, and its start: their 3 n_craft positions."""
     rng = np.random.default_rng(n_craft + 1)
     e = UncertaintyEllipsoid.sphere(100.0)
     d = rng.standard_normal((n_craft, 3))
@@ -382,7 +383,7 @@ def swarm_case(n_craft):
     init = SwarmConfig([SpacecraftPose(p, t, np.pi / 6, np.pi / 3) for p, t
                         in zip(d, rng.uniform(0, 2 * np.pi, n_craft))], e)
     return (swarm_objective(EvalPlan(init, sample_pois(e, 500, n_craft))),
-            init.state.flatten())
+            init.state[:, :3].flatten())
 
 
 def oracle_case(name):
@@ -409,8 +410,7 @@ def oracle_case(name):
                 [3.0, -2.0, 1.0, 0.0, 5.0], (),
                 dict(max_iterations=400, f_tolerance=0.0))
     objective, x0 = swarm_case(int(name[-1]))
-    return (objective, x0, range(3, len(x0), 4),
-            dict(theta_initial_step=0.5, max_iterations=150))
+    return objective, x0, (), dict(max_iterations=150)
 
 
 def run_solvers(objective, x0, theta, opts, traced):
@@ -441,9 +441,9 @@ def assert_same_runs(runs):
     np.testing.assert_array_equal(points.view(np.uint64),
                                   want_points.view(np.uint64))
     assert (got.evaluation_count, got.iterations, got.converged,
-            got.termination, got.shrinks) == \
+            got.termination, got.shrinks, got.best_at) == \
         (want.evaluation_count, want.iterations, want.converged,
-         want.termination, want.shrinks)
+         want.termination, want.shrinks, want.best_at)
     assert got.best_value.hex() == want.best_value.hex()
     assert got.final_diameter.hex() == want.final_diameter.hex()
     np.testing.assert_array_equal(got.best_point.view(np.uint64),
@@ -465,6 +465,21 @@ def test_matches_reference_loop_bit_for_bit(name):
         assert got.shrinks * len(x0) * 3 > got.evaluation_count
     if name == "seam":
         assert min(points[:, 3]) < 0.5 and max(points[:, 3]) > 5.5
+
+
+@pytest.mark.parametrize("name", ["quadratic", "rosenbrock", "ties", "seam",
+                                  "shrink", "swarm N=1", "swarm N=7"])
+def test_best_at_is_the_first_evaluation_of_the_best_value(name):
+    """Recorded over each oracle run: best_value is the least value scored,
+    and evaluation best_at (from 1) is the first to score it; where values
+    tie (the piecewise constant cases) earlier evaluations can score the
+    best value of a later vertex."""
+    objective, x0, theta, opts = oracle_case(name)
+    (res, _, _, values), _ = run_solvers(objective, x0, theta, opts, False)
+    assert len(values) == res.evaluation_count
+    assert res.best_value == min(values)
+    assert values.index(res.best_value) + 1 == res.best_at
+    assert 1 <= res.best_at <= res.evaluation_count
 
 
 @pytest.mark.parametrize("ending", ["budget", "f_tol", "x_tol"])
