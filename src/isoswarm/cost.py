@@ -151,9 +151,8 @@ class EvalPlan:
     template's center, phi and pair terms, the POI columns, the checked
     orientation mode, the cost options, for aimed cones the template's
     thetas, their overlap sum kappa and each cone's hold distance from the
-    center (geometry._hold_distance), and the kernel's one-slot memo of the
-    four cones that last enclosed the center (geometry.visible_mask's
-    cover)."""
+    center (geometry._hold_distance). Nothing writes to a plan once it is
+    built."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
                  orientation_mode="aimed"):
@@ -174,7 +173,6 @@ class EvalPlan:
             self.kappa = _overlap_sum(self.thetas, self.terms)
             self.holds = [_hold_distance(p, self.columns[1]) for p in self.phi]
         self.kappa_weight, self.n = kappa_weight, len(pois)
-        self.cover = [()]
 
 
 def _cost(plan: EvalPlan, apexes, x, parts=False):
@@ -182,12 +180,11 @@ def _cost(plan: EvalPlan, apexes, x, parts=False):
     from the decision list x, or with parts its CostBreakdown: in theta_tilt
     mode the pair loop's overlap sum of x's thetas and the cones tilted by
     them, else the plan's kappa and aimed cones with the plan's hold
-    distances; then the kernel's count of POIs seen, the whole-swarm cull
-    hinted by the plan's memo."""
+    distances; then the kernel's count of POIs seen."""
     thetas = x[3::4] if plan.tilted else None
     kappa = plan.kappa if thetas is None else _overlap_sum(thetas, plan.terms)
     count = visible_mask(plan.points, apexes, thetas, plan.phi, plan.center,
-                         plan.columns, plan.holds, True, plan.cover)
+                         plan.columns, plan.holds, True)
     pct = 100.0 * count / plan.n
     cost = plan.kappa_weight * kappa - pct
     return CostBreakdown(kappa, pct, cost, count, plan.n) if parts else cost

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .cost import DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig
-from .geometry import check_fields, visible_mask
+from .geometry import check_fields, fits, visible_mask
 from .neldermead import NelderMeadOptions, optimize_swarm
 from .sampling import UncertaintyEllipsoid, sample_pois
 
@@ -310,7 +310,7 @@ def config_from_dict(cfg: dict):
     NelderMeadOptions fields."""
     cfg = dict(cfg)
     version = cfg.pop("schema_version", None)
-    if version != 1:
+    if not (fits("int", version) and version == 1):
         raise ConfigError(f"unsupported schema_version: {version!r}")
     kind = cfg.pop("type", None)
     cls = _CONFIG_TYPES.get(kind) if isinstance(kind, str) else None

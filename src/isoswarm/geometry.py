@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 import sys
-from itertools import combinations
 from numbers import Real
 
 import numpy as np
@@ -261,26 +260,6 @@ def _exact(points, center, cones):
     return seen
 
 
-def _encloses(a, b, c, d):
-    """Whether the four vectors surely hold the origin strictly inside their
-    convex hull: det(b, c, d), -det(a, c, d), det(a, b, d) and -det(a, b,
-    c), the origin's barycentric weights times one factor (they sum the
-    vectors to 0), share a sign and each exceeds 2^-40 S^3, S = |a|_1 + ...
-    + |d|_1, or 2^-1022, more than its rounding with any underflow."""
-    (ax, ay, az), (bx, by, bz), (cx, cy, cz), (dx, dy, dz) = a, b, c, d
-    ex, ey, ez = cy * dz - cz * dy, cz * dx - cx * dz, cx * dy - cy * dx
-    fx, fy, fz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
-    dets = (bx * ex + by * ey + bz * ez, -(ax * ex + ay * ey + az * ez),
-            dx * fx + dy * fy + dz * fz, -(cx * fx + cy * fy + cz * fz))
-    low, high = min(dets), max(dets)
-    if not (low > 0.0 or high < 0.0):
-        return False
-    size = abs(ax) + abs(ay) + abs(az) + abs(bx) + abs(by) + abs(bz)
-    size += abs(cx) + abs(cy) + abs(cz) + abs(dx) + abs(dy) + abs(dz)
-    margin = max(2.0 ** -40 * size * size * size, 2.0 ** -1022)
-    return max(low, -high) > margin  # an overflow to inf declines
-
-
 def _held_cones(apexes, held, center):
     """_exact's cones (apex - center, D, None) of the cones indexed by held,
     which hold the ball: their float64 test is the plane test alone."""
@@ -293,7 +272,7 @@ def _held_cones(apexes, held, center):
 
 
 def visible_mask(points, apexes, tilts, apertures, center, columns=None,
-                 holds=None, count=False, cover=None):
+                 holds=None, count=False):
     """POIs seen by at least one of k cones: the cone test and the near
     half-space (point - center) . (apex - center) >= 0, both with the slack
     of _SLACK (center-plane points are visible). apexes are k float
@@ -311,17 +290,11 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
     cones. A POI scoring 1 or more is seen, one below -1 is not, and only
     those in between run the float64 test; a POI set or cone out of
     float32's range runs it on every POI. So the mask is the float64 test's,
-    bit for bit. cover, a one-slot list the caller keeps (None: no cull),
-    names four cones. When they test their plane alone (they hold the ball,
-    so |u| <= R < D) and _encloses their vectors t = apex - center, every u
-    has an exact u . t >= 0 for one of them, which its float64 plane test,
-    off by a few ulps of |u| D, passes with the slack s D^2 to spare: every
-    POI is seen, and no row is built. When the product sees every POI, the
-    first quadruple of such cones that _encloses is stored."""
+    bit for bit."""
     cols, radius = poi_columns(points, center) if columns is None else columns
     c, n = center.tolist(), len(points)
     cx, cy, cz = c
-    cones, held, planes, cuts, tests, planar = [], [], [], [], [], {}
+    cones, held, planes, cuts, tests = [], [], [], [], []
     exact = cols is None
     top = -math.inf if exact or holds is None else _SPAN[1] * radius
     for k, ((ax, ay, az), phi) in enumerate(zip(apexes, apertures)):
@@ -330,7 +303,6 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
         if dist < top and holds[k] <= dist:
             verdict = True
             held.append(k)  # its float64 test is built only if one runs
-            planar[k] = tx, ty, tz
         else:
             tilt = None if tilts is None else wrap_theta(tilts[k])
             axis = unit_axis((ax, ay, az), c, tilt)
@@ -338,8 +310,6 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
             verdict = _cone_holds_ball(dist, angle, axis, phi, radius)
             if verdict is False:
                 continue
-            if verdict:
-                planar[k] = tx, ty, tz
             cones.append(((tx, ty, tz), dist,
                           None if verdict else ((ax, ay, az), axis, phi)))
             if exact or not _SPAN[0] * radius < dist < _SPAN[1] * radius:
@@ -353,10 +323,6 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
             cuts += _cut_rows((tx, ty, tz), axis, phi, radius + dist)
     if not ((cones or held) and n):
         return 0 if count else np.zeros(n, dtype=bool)
-    if cover and cover[0]:
-        quad = [planar.get(k) for k in cover[0]]
-        if len(quad) == 4 and None not in quad and _encloses(*quad):
-            return n if count else np.ones(n, dtype=bool)
     if exact:
         seen = np.array(_exact(points.tolist(), c,
                                cones + _held_cones(apexes, held, c)),
@@ -390,11 +356,6 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
             sure[idx], hits = band, hits + sum(band)
         seen.append(sure)
         total += hits
-    if cover is not None and total == n:
-        for quad in combinations(planar, 4):
-            if _encloses(*(planar[j] for j in quad)):
-                cover[0] = quad
-                break
     if count:
         return int(total)
     return seen[0] if len(seen) == 1 else np.concatenate(seen)

@@ -109,19 +109,14 @@ def unculled_mask(points, apexes, axes, apertures, center):
 
 
 def plan_mask(swarm, pois, mode="aimed"):
-    """The mask of POIs the swarm sees: the kernel on the swarm's evaluation
-    plan (its POI columns, for aimed cones its hold distances, and its
-    memo), the mask whose count the cost takes. The call is made twice and
-    must give one mask: a first call that sees every POI with four held
-    cones around the center fills the memo, so the second takes the
-    whole-swarm cull."""
+    """The mask of POIs the swarm sees: one kernel call on the swarm's
+    evaluation plan (its POI columns and, for aimed cones, hold distances),
+    the mask whose count the cost takes."""
     plan, state = EvalPlan(swarm, pois, orientation_mode=mode), swarm.state
-    masks = [geometry.visible_mask(
+    return geometry.visible_mask(
         plan.points, state[:, :3].tolist(),
         state[:, 3].tolist() if plan.tilted else None, plan.phi, plan.center,
-        plan.columns, plan.holds, False, plan.cover) for _ in range(2)]
-    np.testing.assert_array_equal(*masks)
-    return masks[0]
+        plan.columns, plan.holds)
 
 
 def spy(monkeypatch, name):

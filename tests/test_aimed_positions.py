@@ -31,7 +31,7 @@ def packed_breakdown(plan, x):
     kappa = _overlap_sum(x[3::4], plan.terms)
     count = visible_mask(plan.points, list(zip(x[0::4], x[1::4], x[2::4])),
                          None, plan.phi, plan.center, plan.columns,
-                         plan.holds, True, plan.cover)
+                         plan.holds, True)
     pct = 100.0 * count / plan.n
     return CostBreakdown(kappa, pct, plan.kappa_weight * kappa - pct, count,
                          plan.n)

@@ -1,15 +1,14 @@
-"""The whole-swarm cull of visible_mask against the un-culled kernel.
+"""Swarms of held cones around the center against the un-culled kernel.
 
 Cones that test their plane alone (they hold the POI ball) see every POI
 once four of their apex - center vectors enclose the center: each POI u
-then has u . t >= 0 for one of them. The kernel takes the four from a memo
-the caller holds, checks them with geometry._encloses, and runs no product
-when they pass. Scenes put the center inside, on and just outside a face or
-an edge of the tetrahedron of four cones, and POIs on the directions the
-cones leave uncovered; every count and mask must equal unculled_mask's,
-whatever the memo holds.
+then has u . t >= 0 for one of them. Scenes put the center inside, on and
+just outside a face or an edge of the tetrahedron of four cones, and POIs on
+the directions the cones leave uncovered; every count and mask must equal
+unculled_mask's. Scoring such a swarm leaves its evaluation plan as built.
 """
 
+import pickle
 from itertools import combinations
 
 import numpy as np
@@ -18,11 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isoswarm.cost import (EvalPlan, SpacecraftPose, SwarmConfig,
-                           cost_breakdown)
+                           cost_breakdown, evaluate)
 from isoswarm.geometry import (_hold_distance, poi_columns, unit_axis,
-                               visible_mask, wrap_theta)
+                               visible_mask)
+from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
-from tests.conftest import plan_mask, spy, unculled_mask
+from tests.conftest import plan_mask, unculled_mask
 from tests.reference import decision
 from tests.test_cone_cull import CENTERS
 
@@ -66,9 +66,9 @@ def enclosing_vectors(rng, n, near, weight):
     return t
 
 
-def kernel(points, apexes, phis, center, columns, holds, cover, count):
+def kernel(points, apexes, phis, center, columns, holds, count):
     return visible_mask(points, apexes, None, phis, center, columns, holds,
-                        count, cover)
+                        count)
 
 
 @settings(max_examples=150, deadline=None)
@@ -77,9 +77,8 @@ def kernel(points, apexes, phis, center, columns, holds, cover, count):
 def test_count_and_mask_match_unculled_whatever_the_memo(n, near, weight,
                                                          seed):
     """Held swarms around, on and beside the center, with POIs in a ball
-    and on the uncovered directions: with an empty, a stale, a garbage and
-    the kernel's own memo, count and mask equal unculled_mask's, and
-    whenever _encloses certifies four cones, unculled_mask sees every POI."""
+    and on the uncovered directions: count and mask equal
+    unculled_mask's."""
     rng = np.random.default_rng(seed)
     center = CENTERS[rng.integers(len(CENTERS))]
     r0 = 10.0 ** rng.uniform(-1.0, 3.0)
@@ -97,49 +96,41 @@ def test_count_and_mask_match_unculled_whatever_the_memo(n, near, weight,
                        for v, hold in zip(t, holds)])
     axes = [unit_axis(a.tolist(), center.tolist()) for a in apexes]
     want = unculled_mask(points, apexes, axes, phis, center)
-    memos = [[()], [tuple(rng.choice(n, 4, replace=False).tolist())],
-             [(0, 1, 2, n + 5)], [(-1, 0, 1, 2)], [(0, 0, 1, 2)], [(0, 1, 2)]]
     args = points, apexes.tolist(), phis, center, columns, holds
-    with pytest.MonkeyPatch.context() as m:
-        verdicts = spy(m, "_encloses")
-        for cover in memos:
-            for _ in range(2):  # the first call may fill the memo
-                assert kernel(*args, cover, True) == np.count_nonzero(want)
-                np.testing.assert_array_equal(kernel(*args, cover, False),
-                                              want)
-    if any(fired for _, fired in verdicts):
-        assert want.all()
+    assert kernel(*args, True) == np.count_nonzero(want)
+    np.testing.assert_array_equal(kernel(*args, False), want)
 
 
-def test_tetrahedron_of_held_cones_takes_the_cull(monkeypatch):
-    # four aimed 60 degree cones 3 R out at the corners of a regular
-    # tetrahedron: the first evaluation sees every POI by the product and
-    # remembers the four; the next passes the certificate and runs no
-    # product, so POI columns of NaN (which the product would score unseen)
-    # still give every POI
+@pytest.mark.parametrize("mode", ["aimed", "theta_tilt"])
+def test_scoring_leaves_the_plan_as_built(mode):
+    # four 60 degree cones 3 R out at the corners of a regular tetrahedron
+    # see every POI; evaluate, cost_breakdown and a noisy objective score
+    # the swarm, and every attribute of the plan keeps its bytes
     e = UncertaintyEllipsoid.sphere(100.0)
     pois = sample_pois(e, 2000, 3)
     radius = pois.columns(e.center)[1]
     swarm = SwarmConfig([SpacecraftPose(3.0 * radius * unit(np.array(v)),
                                         0.0, 0.5, np.pi / 3.0)
                          for v in TETRAHEDRON], e)
-    plan, x = EvalPlan(swarm, pois), decision(swarm.state)
-    assert cost_breakdown(plan, x).visible_count == len(pois)
-    assert plan.cover == [(0, 1, 2, 3)]
-    certified = spy(monkeypatch, "_encloses")
-    plan.columns = np.full((5, len(pois)), np.nan, np.float32), radius
-    assert cost_breakdown(plan, x).visible_count == len(pois)
-    assert [fired for _, fired in certified] == [True]
-    assert plan_mask(swarm, pois).all()
+    plan, x = EvalPlan(swarm, pois, orientation_mode=mode), decision(
+        swarm.state, mode)
+    built = {name: pickle.dumps(v) for name, v in vars(plan).items()}
+    objective = swarm_objective(plan, (1.0, 3, 0))
+    for _ in range(2):
+        assert cost_breakdown(plan, x).visible_count == len(pois)
+        assert evaluate(plan, x) == cost_breakdown(plan, x).information_cost
+        objective(x)
+    assert {name: pickle.dumps(v) for name, v in vars(plan).items()} == built
+    assert plan_mask(swarm, pois, mode).all()
 
 
 @pytest.mark.parametrize("radius, factor", [(100.0, 1e120), (1e-120, 3.0)],
                          ids=["overflow", "underflow"])
-def test_certificate_declines_beyond_float_range(monkeypatch, radius, factor):
-    # the tetrahedron's triple products overflow to inf (the product runs)
-    # or underflow to 0 (the float64 test runs, R lying below the float32
-    # columns' range): the certificate declines even the memo's quadruple,
-    # and every POI is still counted and seen
+def test_certificate_declines_beyond_float_range(radius, factor):
+    # a tetrahedron so large that its triple products overflow to inf (the
+    # product runs) or so small that they underflow to 0 (the float64 test
+    # runs, R lying below the float32 columns' range): every POI is still
+    # counted and seen
     center, phis = np.zeros(3), [np.pi / 3.0] * 4
     points = sample_pois(UncertaintyEllipsoid.sphere(radius), 500, 5).points
     columns = poi_columns(points, center)
@@ -148,46 +139,8 @@ def test_certificate_declines_beyond_float_range(monkeypatch, radius, factor):
                        for v in TETRAHEDRON])
     axes = [unit_axis(a.tolist(), center.tolist()) for a in apexes]
     want = unculled_mask(points, apexes, axes, phis, center)
-    certified = spy(monkeypatch, "_encloses")
     for count in (True, False):
-        cover = [(0, 1, 2, 3)]
         seen = kernel(points, apexes.tolist(), phis, center, columns, holds,
-                      cover, count)
+                      count)
         np.testing.assert_array_equal(seen, want.sum() if count else want)
-    assert want.all() and certified
-    assert not any(fired for _, fired in certified)
-
-
-@pytest.mark.parametrize("mode", ["aimed", "theta_tilt"])
-def test_only_plane_only_cones_join_the_certificate(monkeypatch, mode):
-    """Cone 3 of the tetrahedron cuts the ball (aimed from 1.2 R, or tilted
-    0.6 rad off the center), so its vector never reaches _encloses; cones
-    tilted 0.05 and 0.1 rad still hold it and join, and cone 4, held behind
-    cone 3 (4 R out), completes the quadruple."""
-    e = UncertaintyEllipsoid.sphere(100.0)
-    pois = sample_pois(e, 2000, 4)
-    radius = pois.columns(e.center)[1]
-    dirs = [unit(np.array(v)) for v in TETRAHEDRON + [TETRAHEDRON[3]]]
-    factors, thetas = [3.0, 3.0, 3.0, 3.0, 4.0], [0.0, 0.05, 0.1, 0.6, 0.0]
-    if mode == "aimed":
-        factors[3], thetas = 1.2, [0.0] * 5
-    swarm = SwarmConfig([SpacecraftPose(f * radius * v, theta, 0.5,
-                                        np.pi / 3.0)
-                         for f, v, theta in zip(factors, dirs, thetas)], e)
-    plan = EvalPlan(swarm, pois, orientation_mode=mode)
-    x = decision(swarm.state, mode)
-    plan.cover[0] = (0, 1, 2, 3)  # a memo naming the cut cone
-    certified = spy(monkeypatch, "_encloses")
-    assert cost_breakdown(plan, x).visible_count == len(pois)
-    assert plan.cover == [(0, 1, 2, 4)]
-    assert cost_breakdown(plan, x).visible_count == len(pois)
-    cut = tuple((swarm.state[3, :3] - e.center).tolist())
-    assert certified and all(cut not in args for args, _ in certified)
-    assert certified[-1][1] is True
-    axes = [unit_axis(row[:3].tolist(), e.center.tolist(),
-                      wrap_theta(row[3]) if mode == "theta_tilt" else None)
-            for row in swarm.state]
-    want = unculled_mask(pois.points, swarm.state[:, :3], axes, swarm.phi,
-                         e.center)
     assert want.all()
-    np.testing.assert_array_equal(plan_mask(swarm, pois, mode), want)

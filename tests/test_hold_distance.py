@@ -142,9 +142,9 @@ def test_coverage_of_cones_straddling_the_hold_distance(monkeypatch, rng,
         np.testing.assert_array_equal(seen, want)
         assert information_cost(swarm, pois).visible_count == int(want.sum())
         # only the cones nearer than their hold distance get an axis and
-        # can cut the ball, in each of plan_mask's two kernel calls
-        assert len(axis_calls) == 2 * nearer
-        assert len(cut_rows) <= 2 * nearer
+        # can cut the ball
+        assert len(axis_calls) == nearer
+        assert len(cut_rows) <= nearer
         below, above, cut = below + nearer, above + n - nearer, cut + len(
-            cut_rows) // 2
+            cut_rows)
     assert below > 5 and above > 5 and cut > 5

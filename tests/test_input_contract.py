@@ -94,7 +94,7 @@ def replacements(base, key):
 def campaign_cases():
     for base in (SWARM, VIEW):
         for key in base:
-            if key not in ("schema_version", "type"):
+            if key != "type":
                 yield pytest.param(base, key, id=f"{base['type']}-{key}")
     for key in SWARM["nm_options"]:
         yield pytest.param(None, key, id=f"nm_options-{key}")
@@ -116,6 +116,15 @@ def test_campaign_config_field_contract(tmp_path, capsys, base, key):
         # 2^63 POIs cannot be allocated, and the config is otherwise valid
         compute = ("allocate", "dimension") if key == "n_pois" else ()
         check(code, stderr, key, value, compute)
+
+
+def test_schema_version_takes_no_float(tmp_path, capsys):
+    # 1.0 equals 1, but the schema version is an int field
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({**SWARM, "schema_version": 1.0}))
+    code, stderr = run(capsys, tmp_path, "experiment", "--config", str(path))
+    assert code == EXIT_USAGE
+    assert "schema_version" in stderr
 
 
 @pytest.mark.parametrize("config, key", [
