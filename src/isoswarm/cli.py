@@ -212,8 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kappa-weight", type=_finite_float, default=1.0)
     p.set_defaults(func=cmd_cost)
 
-    p = sub.add_parser("optimize", help="search the swarm's positions, with "
-                       "its thetas placed in closed form")
+    p = sub.add_parser("optimize", help="search the swarm's directions, each "
+                       "spacecraft at the larger of its start and hold "
+                       "distance (with --position-stddev, its positions), "
+                       "with its thetas placed in closed form")
     p.add_argument("--pois", required=True)
     p.add_argument("--swarm", required=True, help="initial swarm pose JSON")
     p.add_argument("--kappa-weight", type=_finite_float, default=1.0)

@@ -146,13 +146,44 @@ def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
     return float(_overlap_sum((pose_i.theta, pose_j.theta), terms, -0.0))
 
 
+def _chart(position, center, hold):
+    """The direction chart of an aimed spacecraft at position (float
+    3-sequences, as the center), a tuple (rho d, rho a, rho b) for the
+    orthonormal frame (d, a, b) at its direction d from the center and its
+    distance rho = max(start distance, hold), or the start distance when
+    hold is inf; chart_apexes maps (u, v) to center + rho (d + u a + v b) /
+    sqrt(1 + u^2 + v^2). A start within DEGENERACY_RADIUS_KM of the center
+    takes the x axis as its direction. None when no apex of the chart could
+    be scored: rho within the degeneracy radius of the center (plus the
+    rounding of center + rho d) or too far for (2 rho)^2 to be finite."""
+    (px, py, pz), (cx, cy, cz) = position, center
+    dx, dy, dz = px - cx, py - cy, pz - cz
+    dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if dist < DEGENERACY_RADIUS_KM:
+        dist, dx, dy, dz = 0.0, 1.0, 0.0, 0.0
+    rho = dist if hold == math.inf else max(dist, hold)
+    ulp = 2.0 ** -50 * max(abs(cx), abs(cy), abs(cz))
+    if not (DEGENERACY_RADIUS_KM + ulp < rho and 4.0 * rho * rho < math.inf):
+        return None
+    if dist:
+        dx, dy, dz = dx / dist, dy / dist, dz / dist
+    # a = d x r / |d x r| and b = d x a for r the z axis, x near the poles
+    r0, r1, r2 = (0.0, 0.0, 1.0) if abs(dz) < 0.9 else (1.0, 0.0, 0.0)
+    ax, ay, az = dy * r2 - dz * r1, dz * r0 - dx * r2, dx * r1 - dy * r0
+    norm = math.sqrt(ax * ax + ay * ay + az * az)
+    ax, ay, az = ax / norm, ay / norm, az / norm
+    bx, by, bz = dy * az - dz * ay, dz * ax - dx * az, dx * ay - dy * ax
+    return tuple(rho * e for e in (dx, dy, dz, ax, ay, az, bx, by, bz))
+
+
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
     template's center, phi and pair terms, the POI columns, the checked
     orientation mode, the cost options, for aimed cones the template's
-    thetas, their overlap sum kappa and each cone's hold distance from the
-    center (geometry._hold_distance). Nothing writes to a plan once it is
-    built."""
+    thetas, their overlap sum kappa, each cone's hold distance from the
+    center (geometry._hold_distance) and its direction chart at its
+    position in the template (_chart; charted says whether every
+    spacecraft has one). Nothing writes to a plan once it is built."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
                  orientation_mode="aimed"):
@@ -167,11 +198,15 @@ class EvalPlan:
         self.points, self.columns = pois.points, pois.columns(self.center)
         self.phi = swarm.phi.tolist()
         self.terms = _pair_terms(swarm.nu.tolist())
-        self.thetas = self.kappa = self.holds = None
+        self.thetas = self.kappa = self.holds = self.charts = None
+        self.charted = False
         if not self.tilted:
             self.thetas = swarm.state[:, 3].tolist()
             self.kappa = _overlap_sum(self.thetas, self.terms)
             self.holds = [_hold_distance(p, self.columns[1]) for p in self.phi]
+            self.charts = [_chart(p, self.c, hold) for p, hold in
+                           zip(swarm.state[:, :3].tolist(), self.holds)]
+            self.charted = None not in self.charts
         self.kappa_weight, self.n = kappa_weight, len(pois)
 
 
@@ -212,6 +247,40 @@ def evaluate(plan: EvalPlan, x: list) -> float:
     if not finite:
         raise ValueError("position must be three finite reals")
     return DEGENERACY_PENALTY if far else _cost(plan, apexes, x)
+
+
+def chart_apexes(plan: EvalPlan, x: list) -> list:
+    """The apexes (float 3-tuples) of the plan's aimed swarm at the chart
+    coordinates x, (u, v) per spacecraft: center + rho (d + u a + v b) /
+    sqrt(1 + u^2 + v^2) from each _chart, the three chart terms scaled by
+    1 / max(|u|, |v|) when u^2 + v^2 overflows. Every such apex stands rho
+    from the center, to rounding. ValueError for a non-finite coordinate."""
+    cx, cy, cz = plan.c
+    apexes = []
+    for (px, py, pz, ax, ay, az, bx, by, bz), u, v in zip(
+            plan.charts, x[0::2], x[1::2]):
+        q = 1.0 + u * u + v * v
+        if not q < math.inf:
+            if not (math.isfinite(u) and math.isfinite(v)):
+                raise ValueError("chart coordinates must be finite")
+            m = max(abs(u), abs(v))
+            u, v, px, py, pz = u / m, v / m, px / m, py / m, pz / m
+            q = 1.0 / m / m + u * u + v * v
+        s = math.sqrt(q)
+        apexes.append((cx + (px + u * ax + v * bx) / s,
+                       cy + (py + u * ay + v * by) / s,
+                       cz + (pz + u * az + v * bz) / s))
+    return apexes
+
+
+def evaluate_directions(plan: EvalPlan, x: list) -> float:
+    """The cost of the plan's aimed swarm at the chart coordinates x
+    (chart_apexes), or DEGENERACY_PENALTY when the plan is not charted.
+    Every chart apex stands at a scorable distance, so no degeneracy test
+    runs."""
+    if not plan.charted:
+        return DEGENERACY_PENALTY
+    return _cost(plan, chart_apexes(plan, x), x)
 
 
 def cost_breakdown(plan: EvalPlan, x: list) -> CostBreakdown:

@@ -79,7 +79,8 @@ def _nm_fields(result) -> dict:
     """How a cell's Nelder-Mead run (an OptResult) ended, for its record."""
     return {"evaluations": result.evaluation_count,
             "iterations": result.iterations, "termination": result.termination,
-            "shrinks": result.shrinks, "final_diameter": result.final_diameter}
+            "shrinks": result.shrinks, "final_diameter": result.final_diameter,
+            "best_at": result.best_at}
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
 """From-scratch Nelder-Mead simplex minimizer over swarm decision variables.
 
-The decision vector holds (x, y, z), in theta_tilt mode (x, y, z, theta),
-per spacecraft; thetas are wrapped modulo 2 pi before every evaluation so
-orientations stay on [0, 2 pi). The simplex itself keeps unwrapped thetas,
-so vertices on either side of the 0 / 2 pi seam stay close and it can shrink.
+The decision vector holds, per spacecraft, two chart coordinates (u, v) of
+its direction in a deterministic aimed search, else (x, y, z), in
+theta_tilt mode (x, y, z, theta); thetas are wrapped modulo 2 pi before
+every evaluation so orientations stay on [0, 2 pi). The simplex itself keeps
+unwrapped thetas, so vertices on either side of the 0 / 2 pi seam stay close
+and it can shrink.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import EvalPlan, SwarmConfig, cost_breakdown, evaluate
-from .geometry import TWO_PI, check_fields, wrap_theta
+from .cost import (EvalPlan, SwarmConfig, chart_apexes, cost_breakdown,
+                   evaluate, evaluate_directions)
+from .geometry import (TWO_PI, DegenerateGeometryError, check_fields,
+                       wrap_theta)
 from .sampling import PoiSet
 
 # Standard simplex coefficients, and the initial step of a position
@@ -42,6 +46,7 @@ class NelderMeadOptions:
     x_tolerance: float = 1e-8
     max_iterations: int | None = None  # defaults to 200 * dimension
     # absolute simplex step of an angle, rad; an aimed swarm searches none
+    # (its chart coordinates start at 0 and take the relative step, 0.05)
     theta_initial_step: float = 0.5
 
     def __post_init__(self):
@@ -268,10 +273,14 @@ def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
     cost_mode is swarm_objective's (position_stddev, n_samples, seed); a
     zero stddev optimizes the information cost itself. Aimed cones never
     read their thetas, so the cost splits into w min kappa - max coverage:
-    lap_thetas places the thetas, the run's plan is built from the placed
-    swarm, and the search runs over the 3N positions only. A theta_tilt run
-    searches the 4N packed rows. Returns the optimized swarm, its cost
-    breakdown on the run's own plan (under a zero stddev its
+    lap_thetas places the thetas and the run's plan is built from the placed
+    swarm. A held aimed cone sees a half-space that only its direction
+    sets, so a deterministic aimed run searches the 2N chart coordinates of
+    the plan's direction charts, each spacecraft at max(start distance,
+    hold distance) (cost._chart); it raises DegenerateGeometryError when a
+    spacecraft has no chart. A noisy aimed run searches the 3N positions,
+    a theta_tilt run the 4N packed rows. Returns the optimized swarm, its
+    cost breakdown on the run's own plan (under a zero stddev its
     information_cost is best_value, bit for bit) and the raw optimizer
     result, over the searched coordinates."""
     placed = copy(initial)  # a plan reads state thetas, not the poses'
@@ -280,10 +289,20 @@ def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
     if not tilted:
         state[:, 3] = lap_thetas(initial.nu.tolist())
     plan = EvalPlan(placed, pois, **cost_kwargs)
-    k, angles = plan.stride, range(3, state.size, 4) if tilted else ()
-    result = nelder_mead(swarm_objective(plan, cost_mode),
-                         state[:, :k].ravel(), opts, frozenset(angles),
-                         trace_sink)
-    state[:, :k] = result.best_point.reshape(-1, k)
+    objective = swarm_objective(plan, cost_mode)  # checks cost_mode
+    k, x0 = plan.stride, state[:, :plan.stride].ravel()
+    directions = not tilted and cost_mode[0] == 0.0
+    if directions:
+        if not plan.charted:
+            raise DegenerateGeometryError(
+                "a spacecraft at the center with no hold distance, or too "
+                "far for a finite norm, has no direction to search")
+        objective = partial(evaluate_directions, plan)
+        x0 = [0.0] * (2 * len(state))
+    angles = range(3, state.size, 4) if tilted else ()
+    result = nelder_mead(objective, x0, opts, frozenset(angles), trace_sink)
+    best = result.best_point
+    state[:, :k] = chart_apexes(plan, best.tolist()) if directions else \
+        best.reshape(-1, k)
     return (SwarmConfig.from_state(state, initial),
-            cost_breakdown(plan, result.best_point.tolist()), result)
+            cost_breakdown(plan, state[:, :k].ravel().tolist()), result)

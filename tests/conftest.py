@@ -10,9 +10,10 @@ from isoswarm.geometry import _SLACK, relative_columns
 
 # The swarm files of CI's optimize runs. TWO_CRAFT: two spacecraft at 400
 # km, beyond their hold distance, whose given FOV intervals overlap; the
-# placed thetas do not, so the search starts on a coverage plateau and stops
-# after one iteration. CLOSE_CRAFT: the same two at 150 km, inside their
-# hold distance, where moving a cone changes what it sees.
+# placed thetas do not, so a search over positions starts on a coverage
+# plateau and stops after one iteration. CLOSE_CRAFT: the same two at 150
+# km, inside their hold distance (about 208.6 km), which a deterministic
+# run places them at.
 TWO_CRAFT = {"ellipsoid": {"center": [0, 0, 0], "radii": [100, 100, 100]},
              "spacecraft": [{"position": [400, 0, 0], "theta": 0.5,
                              "nu": 0.5, "phi": 1.0},

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from isoswarm import cost
 from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
                            CostBreakdown, EvalPlan, SpacecraftPose,
-                           SwarmConfig, _overlap_sum, cost_breakdown, evaluate,
+                           SwarmConfig, _overlap_sum, chart_apexes,
+                           cost_breakdown, evaluate, evaluate_directions,
                            visible_mask)
 from isoswarm.geometry import TWO_PI
 from isoswarm.neldermead import (NelderMeadOptions, lap_thetas, nelder_mead,
@@ -184,9 +185,11 @@ def test_theta_tilt_run_sums_the_overlaps_per_evaluation(monkeypatch):
 
 @pytest.mark.parametrize("n, cost_mode", [(2, (0.0, 1, 0)), (4, (3.0, 3, 2))])
 def test_aimed_run_is_nelder_mead_over_the_placed_positions(n, cost_mode):
-    """optimize_swarm's aimed run is nelder_mead over the 3N positions on a
-    plan of the swarm with lap_thetas placed, bit for bit, and its swarm
-    holds those thetas at the best positions."""
+    """optimize_swarm's aimed run is nelder_mead on a plan of the swarm with
+    lap_thetas placed, bit for bit: over the 2N chart coordinates of
+    evaluate_directions from zero under a zero stddev, else over the 3N
+    positions; its swarm holds those thetas at the best point's
+    positions."""
     pois, swarm = scene(n, 10 + n)
     start = swarm.state.copy()
     opts = NelderMeadOptions(max_iterations=40)
@@ -196,14 +199,19 @@ def test_aimed_run_is_nelder_mead_over_the_placed_positions(n, cost_mode):
     state[:, 3] = lap_thetas(swarm.nu.tolist())
     placed = SwarmConfig.from_state(state, swarm)
     plan = EvalPlan(placed, pois)
-    want = nelder_mead(swarm_objective(plan, cost_mode), decision(state),
-                       opts)
+    if cost_mode[0] == 0.0:
+        want = nelder_mead(partial(evaluate_directions, plan), [0.0] * 2 * n,
+                           opts)
+        positions = np.ravel(chart_apexes(plan, want.best_point.tolist()))
+    else:
+        want = nelder_mead(swarm_objective(plan, cost_mode), decision(state),
+                           opts)
+        positions = want.best_point
     np.testing.assert_array_equal(result.best_point.view(np.uint64),
                                   want.best_point.view(np.uint64))
     assert (result.evaluation_count, result.best_at,
             result.best_value.hex()) == \
         (want.evaluation_count, want.best_at, want.best_value.hex())
-    np.testing.assert_array_equal(best.state[:, :3].ravel(), want.best_point)
+    np.testing.assert_array_equal(best.state[:, :3].ravel(), positions)
     np.testing.assert_array_equal(best.state[:, 3], state[:, 3])
-    assert bits(breakdown) == bits(cost_breakdown(
-        plan, want.best_point.tolist()))
+    assert bits(breakdown) == bits(cost_breakdown(plan, positions.tolist()))

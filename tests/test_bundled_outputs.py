@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from isoswarm.cli import EXIT_OK, main
+from isoswarm.experiments import load_experiment_config, run_experiment
 from tests.conftest import CLOSE_CRAFT, TWO_CRAFT
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -18,15 +19,29 @@ CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 # positions but no summary column.
 DIGESTS = {
     "experiment1": (
-        "7c6757a03a965aeb47824438bb04205bdba4de9bf9ff0a28657ef40ee8b47430",
+        "62793b678082e0bb73dd6d92664b5ac80b4e1348d4be10df6b530337ee79f0a1",
         "44fff76fabab7b53aee7ec4d718e8510b02c8e1a921f92a078a31fd28b190381"),
     "experiment1_position2": (
-        "6dd58afa13d28afb849c4673121f607db7494ab5734e3a9cbf38d6107aa39668",
+        "17c664191f79c0d074656409d05b386555421679b598e79869b5bf3f6a223291",
         "44fff76fabab7b53aee7ec4d718e8510b02c8e1a921f92a078a31fd28b190381"),
     "experiment2": (
-        "dcaa1acfba8c2fb671c29bd48c4a652ae8fdf2c9fef26f36e7ff90df85497527",
-        "0adf26fa27dec031ef8675a48906a9660e105a8c2be228204117652689f73e58"),
+        "eca28302c991f5df551adeae4524f6e9052d830cb1ca13f8d9ea38dc333d7b7a",
+        "2f67833b172cff8a47e1e6f730063eb55ca890292c1a29b5e82f7949010e70b6"),
 }
+
+
+def test_experiment1_differs_from_its_former_pin_in_best_at_only(tmp_path):
+    """experiment1's report with each trial's best_at dropped is the report
+    pinned before trial records had that field: its theta_tilt search did
+    not change."""
+    report = run_experiment(load_experiment_config(
+        CONFIGS / "experiment1.json"))
+    for trial in report.trials:
+        del trial["best_at"]
+    report.write_json(tmp_path / "report.json")
+    assert hashlib.sha256((tmp_path / "report.json").read_bytes()
+                          ).hexdigest() == \
+        "7c6757a03a965aeb47824438bb04205bdba4de9bf9ff0a28657ef40ee8b47430"
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
@@ -40,13 +55,15 @@ def test_bundled_campaign_outputs_are_pinned(tmp_path, capsys, name):
 
 # sha256 of the -o output of `isoswarm optimize` on a swarm of tests/conftest
 # over `sample-pois --n 200 --seed 1`. TWO_CRAFT starts on a coverage
-# plateau with its placed thetas: the deterministic and 1 km noise runs stop
-# after one iteration, where they started, while the 100 km noise lets the
-# search move. CLOSE_CRAFT starts inside the hold distance and moves out.
+# plateau with its placed thetas: the 1 km noise run, a search over
+# positions, stops after one iteration, where it started, while the 100 km
+# noise lets it move. The deterministic runs search directions: CLOSE_CRAFT
+# starts inside the hold distance and is placed at it, TWO_CRAFT keeps its
+# 400 km, and both turn to the same directions.
 OPTIMIZE_DIGESTS = {
     "deterministic": (
         TWO_CRAFT, ["--max-iterations", "50"],
-        "a57349448c2697249ee2b607c771849ba16525722989ec6ba8f55799a9c49002"),
+        "81945e2de8b8c9c57969f7fcab32e46e386a813d99fdeaf4fdfa3623021a49d2"),
     "expected-cost": (
         TWO_CRAFT, ["--position-stddev", "1", "--mc-samples", "3",
                     "--seed", "4"],
@@ -57,7 +74,7 @@ OPTIMIZE_DIGESTS = {
         "9ae0cd8cc647ed0f5d08ef8a85afadb5c4cf5bbf4c274cdf40f589828473416f"),
     "deterministic-close": (
         CLOSE_CRAFT, ["--max-iterations", "50"],
-        "1bc115d45ea7f75ee09adf0e16c34b6cb524cdfdf1cc104666c1c12bb93f1dee"),
+        "88af206bb82f2a0dbba4ad5a9e5e9a03048aaa0001780b360671ac595040aa75"),
 }
 
 

@@ -334,12 +334,14 @@ def test_final_breakdown_is_the_run_cost_at_its_best_point(monkeypatch,
     returns is the cost at the best point on that plan, so its
     information_cost is the run's best_value, and it equals information_cost
     of the best swarm, to the bit; so does the expected cost at a zero
-    stddev."""
+    stddev. A zero f_tolerance keeps each run going past a first plateau
+    (the aimed N = 1 scene's three start directions see the same count)."""
     builds = count_plans(monkeypatch)
     pois, template, options = scene(np.random.default_rng(42 + n_craft),
                                     n_craft, mode)
     best, breakdown, result = optimize_swarm(
-        pois, template, NelderMeadOptions(max_iterations=100), **options)
+        pois, template, NelderMeadOptions(f_tolerance=0.0,
+                                          max_iterations=100), **options)
     assert builds == [1]
     assert result.iterations > 1 and breakdown.visible_count > 0
     assert same(breakdown.information_cost, result.best_value)

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, EvalPlan,
                            SpacecraftPose, SwarmConfig, _overlap_sum,
-                           _pair_terms)
+                           _pair_terms, chart_apexes)
 from isoswarm.geometry import TWO_PI, wrap_theta
 from isoswarm.neldermead import (NelderMeadOptions, lap_thetas, nelder_mead,
                                  optimize_swarm, swarm_objective)
@@ -149,10 +149,12 @@ def test_optimized_kappa_is_the_closed_form(n):
     want = kappa_star(swarm.nu.tolist())
     assert want - ties(thetas) * DEFAULT_IDENTICAL_THETA_DELTA - 1e-12 \
         <= breakdown.kappa_total <= want + 1e-12
-    # the search ran over the 3 n positions only
-    assert result.best_point.shape == (3 * n,)
-    np.testing.assert_array_equal(result.best_point,
-                                  best.state[:, :3].ravel())
+    # the search ran over the 2 n chart coordinates only, and the swarm
+    # stands at their apexes
+    assert result.best_point.shape == (2 * n,)
+    np.testing.assert_array_equal(
+        chart_apexes(EvalPlan(swarm, pois), result.best_point.tolist()),
+        best.state[:, :3])
 
 
 def test_aimed_search_ignores_the_angle_step():

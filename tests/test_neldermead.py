@@ -1,5 +1,6 @@
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from isoswarm import neldermead
 from isoswarm.cost import (DEGENERACY_PENALTY, EvalPlan, SpacecraftPose,
                            SwarmConfig, _overlap_sum, _pair_terms,
-                           information_cost)
+                           evaluate_directions, information_cost)
 from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
                                  NelderMeadOptions, ObjectiveDomainError,
@@ -373,8 +374,9 @@ def reference_nelder_mead(objective, x0, opts, theta_indices=frozenset(),
 
 
 def swarm_case(n_craft):
-    """swarm_objective of n_craft aimed spacecraft 3 to 6 radii out around a
-    100 km sphere with 500 POIs, and its start: their 3 n_craft positions."""
+    """The objective of a deterministic aimed search, evaluate_directions, of
+    n_craft spacecraft 3 to 6 radii out around a 100 km sphere with 500 POIs,
+    and its start: 2 n_craft zero chart coordinates."""
     rng = np.random.default_rng(n_craft + 1)
     e = UncertaintyEllipsoid.sphere(100.0)
     d = rng.standard_normal((n_craft, 3))
@@ -382,8 +384,9 @@ def swarm_case(n_craft):
         d, axis=1, keepdims=True)
     init = SwarmConfig([SpacecraftPose(p, t, np.pi / 6, np.pi / 3) for p, t
                         in zip(d, rng.uniform(0, 2 * np.pi, n_craft))], e)
-    return (swarm_objective(EvalPlan(init, sample_pois(e, 500, n_craft))),
-            init.state[:, :3].flatten())
+    return (partial(evaluate_directions,
+                    EvalPlan(init, sample_pois(e, 500, n_craft))),
+            np.zeros(2 * n_craft))
 
 
 def oracle_case(name):
