@@ -14,8 +14,8 @@ from itertools import combinations
 
 import numpy as np
 
-from .geometry import (TWO_PI, _hold_distance, as_vec3, check_fields,
-                       visible_mask, wrap_theta)
+from .geometry import (TWO_PI, _hold_distance, _perpendicular, as_vec3,
+                       check_fields, visible_mask, wrap_theta)
 from .sampling import PoiSet
 
 # Perturbation applied when two spacecraft share an orientation, so their
@@ -92,48 +92,25 @@ class CostBreakdown:
         }
 
 
-def _pair_terms(nu):
-    """(i, j, nu[i] + nu[j], narrow, far) for each index pair i < j in
-    row-major order, as _overlap_sum reads them: narrow is min(2 nu[i], 2
-    nu[j]) (by its min), and far is False where the far piece adds nothing:
-    a reach of at most 3 < pi and a positive narrow, so the near piece is
-    never -0.0."""
-    terms = []
+def _overlap_sum(theta, nu, total=0.0):
+    """total plus, for each index pair i < j in row-major order, the length
+    of the intersection of the arcs [theta[i] +- nu[i]] and [theta[j] +-
+    nu[j]] on the circle; equal thetas get DEFAULT_IDENTICAL_THETA_DELTA
+    added to one. The thetas must be wrapped into [0, 2 pi) (or NaN): |ti -
+    tj| < 2 pi. The arcs can meet across both separations, sep and 2 pi -
+    sep, each piece at most the narrower arc; for equal widths nu <= pi / 2
+    the far piece is +0.0 and this is max(0, 2 nu - sep). Each min and max
+    takes the computed value first, so a NaN orientation stays NaN."""
     for i, j in combinations(range(len(nu)), 2):
-        narrow, wide = 2.0 * nu[i], 2.0 * nu[j]
-        narrow = wide if wide < narrow else narrow
-        reach = nu[i] + nu[j]
-        far = not (reach <= 3.0 and narrow > 0.0)
-        terms.append((i, j, reach, narrow, far))
-    return tuple(terms)
-
-
-def _overlap_sum(theta, terms, total=0.0):
-    """total plus, for each _pair_terms term in order, the length of the
-    intersection of the arcs [theta[i] +- nu[i]] and [theta[j] +- nu[j]] on
-    the circle; equal thetas get DEFAULT_IDENTICAL_THETA_DELTA added to one.
-    The thetas must be wrapped into [0, 2 pi) (or NaN): |ti - tj| < 2 pi.
-
-    The arcs can meet across both separations, sep and 2 pi - sep; for equal
-    widths nu <= pi / 2 the far piece is empty and this is max(0, 2 nu - sep).
-    `b if b < a else a` is min(a, b) to the bit: it keeps a when either is
-    NaN (a carries a NaN orientation) or both are zeros, and `0.0 if a < 0.0
-    else a` is max(a, 0.0) alike."""
-    for i, j, reach, narrow, far in terms:
         ti, tj = theta[i], theta[j]
         if ti == tj:
             tj += DEFAULT_IDENTICAL_THETA_DELTA
         d = abs(ti - tj)
-        sep = TWO_PI - d
-        sep = sep if sep < d else d
-        near = reach - sep
-        near = narrow if narrow < near else near
-        near = 0.0 if near < 0.0 else near
-        if far:
-            piece = reach - (TWO_PI - sep)
-            piece = narrow if narrow < piece else piece
-            near += 0.0 if piece < 0.0 else piece
-        total += near
+        sep = min(d, TWO_PI - d)
+        reach = nu[i] + nu[j]
+        narrow = min(2.0 * nu[i], 2.0 * nu[j])
+        total += (max(min(reach - sep, narrow), 0.0)
+                  + max(min(reach - (TWO_PI - sep), narrow), 0.0))
     return total
 
 
@@ -142,16 +119,17 @@ def pair_overlap(pose_i: SpacecraftPose, pose_j: SpacecraftPose) -> float:
     identical orientations are perturbed, not read as a zero. The one-pair
     sum starts at -0.0, which adds nothing to any float (0.0 would turn a
     -0.0 overlap into 0.0)."""
-    terms = _pair_terms((pose_i.nu, pose_j.nu))
-    return float(_overlap_sum((pose_i.theta, pose_j.theta), terms, -0.0))
+    return float(_overlap_sum((pose_i.theta, pose_j.theta),
+                              (pose_i.nu, pose_j.nu), -0.0))
 
 
 def _chart(position, center, hold):
     """The direction chart of an aimed spacecraft at position (float
     3-sequences, as the center), a tuple (rho d, rho a, rho b) for the
-    orthonormal frame (d, a, b) at its direction d from the center and its
-    distance rho = max(start distance, hold), or the start distance when
-    hold is inf; chart_apexes maps (u, v) to center + rho (d + u a + v b) /
+    orthonormal frame (d, a, b) at its direction d from the center, a =
+    geometry._perpendicular(d) and b = d x a, and its distance rho =
+    max(start distance, hold), or the start distance when hold is inf;
+    chart_apexes maps (u, v) to center + rho (d + u a + v b) /
     sqrt(1 + u^2 + v^2). A start within DEGENERACY_RADIUS_KM of the center
     takes the x axis as its direction. None when no apex of the chart could
     be scored: rho within the degeneracy radius of the center (plus the
@@ -167,20 +145,16 @@ def _chart(position, center, hold):
         return None
     if dist:
         dx, dy, dz = dx / dist, dy / dist, dz / dist
-    # a = d x r / |d x r| and b = d x a for r the z axis, x near the poles
-    r0, r1, r2 = (0.0, 0.0, 1.0) if abs(dz) < 0.9 else (1.0, 0.0, 0.0)
-    ax, ay, az = dy * r2 - dz * r1, dz * r0 - dx * r2, dx * r1 - dy * r0
-    norm = math.sqrt(ax * ax + ay * ay + az * az)
-    ax, ay, az = ax / norm, ay / norm, az / norm
+    ax, ay, az = _perpendicular(dx, dy, dz)
     bx, by, bz = dy * az - dz * ay, dz * ax - dx * az, dx * ay - dy * ax
     return tuple(rho * e for e in (dx, dy, dz, ax, ay, az, bx, by, bz))
 
 
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
-    template's center, phi and pair terms, the POI columns, the checked
-    orientation mode, the cost options, for aimed cones the template's
-    thetas, their overlap sum kappa, each cone's hold distance from the
+    template's center, phi and nu, the POI columns, the checked orientation
+    mode, the cost options, for aimed cones the overlap sum kappa of the
+    template's thetas (summed once here), each cone's hold distance from the
     center (geometry._hold_distance) and its direction chart at its
     position in the template (_chart; charted says whether every
     spacecraft has one). Nothing writes to a plan once it is built."""
@@ -196,13 +170,11 @@ class EvalPlan:
         self.center = swarm.ellipsoid.center
         self.c = self.center.tolist()
         self.points, self.columns = pois.points, pois.columns(self.center)
-        self.phi = swarm.phi.tolist()
-        self.terms = _pair_terms(swarm.nu.tolist())
-        self.thetas = self.kappa = self.holds = self.charts = None
+        self.phi, self.nu = swarm.phi.tolist(), swarm.nu.tolist()
+        self.kappa = self.holds = self.charts = None
         self.charted = False
         if not self.tilted:
-            self.thetas = swarm.state[:, 3].tolist()
-            self.kappa = _overlap_sum(self.thetas, self.terms)
+            self.kappa = _overlap_sum(swarm.state[:, 3].tolist(), self.nu)
             self.holds = [_hold_distance(p, self.columns[1]) for p in self.phi]
             self.charts = [_chart(p, self.c, hold) for p, hold in
                            zip(swarm.state[:, :3].tolist(), self.holds)]
@@ -217,7 +189,7 @@ def _cost(plan: EvalPlan, apexes, x, parts=False):
     them, else the plan's kappa and aimed cones with the plan's hold
     distances; then the kernel's count of POIs seen."""
     thetas = x[3::4] if plan.tilted else None
-    kappa = plan.kappa if thetas is None else _overlap_sum(thetas, plan.terms)
+    kappa = plan.kappa if thetas is None else _overlap_sum(thetas, plan.nu)
     count = visible_mask(plan.points, apexes, thetas, plan.phi, plan.center,
                          plan.columns, plan.holds, True)
     pct = 100.0 * count / plan.n

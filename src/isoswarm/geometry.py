@@ -134,12 +134,21 @@ def _dot3(a, b):
     return out
 
 
+def _perpendicular(x, y, z) -> tuple[float, float, float]:
+    """The unit v x r for v = (x, y, z) and r the z axis, or the x axis near
+    the poles (|z| >= 0.9), with np.cross's products in its order."""
+    r0, r1, r2 = (0.0, 0.0, 1.0) if abs(z) < 0.9 else (1.0, 0.0, 0.0)
+    ux, uy, uz = y * r2 - z * r1, z * r0 - x * r2, x * r1 - y * r0
+    norm = math.sqrt(ux * ux + uy * uy + uz * uz)
+    return ux / norm, uy / norm, uz / norm
+
+
 def unit_axis(apex, center, tilt=None) -> tuple[float, float, float]:
-    """Unit axis (x, y, z) of the cone at apex pointing at center, rotated by
-    tilt when given about a fixed perpendicular axis (from the z axis, x near
-    the poles), so the angle to the center direction is the tilt's circular
-    distance from zero. Apex and center are float 3-sequences; the products
-    are np.cross's, in its order."""
+    """Unit axis v = (x, y, z) of the cone at apex pointing at center,
+    rotated by tilt when given about u = _perpendicular(v), so the angle to
+    the center direction is the tilt's circular distance from zero. Apex and
+    center are float 3-sequences; the rotation's u x v is np.cross's, in its
+    order."""
     (ax, ay, az), (cx, cy, cz) = apex, center
     x, y, z = cx - ax, cy - ay, cz - az
     norm = math.sqrt(x * x + y * y + z * z)
@@ -149,10 +158,7 @@ def unit_axis(apex, center, tilt=None) -> tuple[float, float, float]:
     x, y, z = x / norm, y / norm, z / norm
     if tilt is None:
         return x, y, z
-    r0, r1, r2 = (0.0, 0.0, 1.0) if abs(z) < 0.9 else (1.0, 0.0, 0.0)
-    ux, uy, uz = y * r2 - z * r1, z * r0 - x * r2, x * r1 - y * r0
-    norm = math.sqrt(ux * ux + uy * uy + uz * uz)
-    ux, uy, uz = ux / norm, uy / norm, uz / norm
+    ux, uy, uz = _perpendicular(x, y, z)
     c, s = math.cos(tilt), math.sin(tilt)
     return (x * c + (uy * z - uz * y) * s, y * c + (uz * x - ux * z) * s,
             z * c + (ux * y - uy * x) * s)
@@ -260,17 +266,6 @@ def _exact(points, center, cones):
     return seen
 
 
-def _held_cones(apexes, held, center):
-    """_exact's cones (apex - center, D, None) of the cones indexed by held,
-    which hold the ball: their float64 test is the plane test alone."""
-    (cx, cy, cz), cones = center, []
-    for k in held:
-        ax, ay, az = apexes[k]
-        plane = ax - cx, ay - cy, az - cz
-        cones.append((plane, math.hypot(*plane), None))
-    return cones
-
-
 def visible_mask(points, apexes, tilts, apertures, center, columns=None,
                  holds=None, count=False):
     """POIs seen by at least one of k cones: the cone test and the near
@@ -294,7 +289,7 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
     cols, radius = poi_columns(points, center) if columns is None else columns
     c, n = center.tolist(), len(points)
     cx, cy, cz = c
-    cones, held, planes, cuts, tests = [], [], [], [], []
+    cones, planes, cuts, tests = [], [], [], []
     exact = cols is None
     top = -math.inf if exact or holds is None else _SPAN[1] * radius
     for k, ((ax, ay, az), phi) in enumerate(zip(apexes, apertures)):
@@ -302,7 +297,7 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
         dist = math.hypot(tx, ty, tz)
         if dist < top and holds[k] <= dist:
             verdict = True
-            held.append(k)  # its float64 test is built only if one runs
+            cones.append(((tx, ty, tz), dist, None))  # the plane test alone
         else:
             tilt = None if tilts is None else wrap_theta(tilts[k])
             axis = unit_axis((ax, ay, az), c, tilt)
@@ -321,12 +316,10 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
         if verdict is None:  # its rows follow the k plane rows
             tests.append((len(planes) // 4 - 1, len(cuts) // 5))
             cuts += _cut_rows((tx, ty, tz), axis, phi, radius + dist)
-    if not ((cones or held) and n):
+    if not (cones and n):
         return 0 if count else np.zeros(n, dtype=bool)
     if exact:
-        seen = np.array(_exact(points.tolist(), c,
-                               cones + _held_cones(apexes, held, c)),
-                        dtype=bool)
+        seen = np.array(_exact(points.tolist(), c, cones), dtype=bool)
         return int(np.count_nonzero(seen)) if count else seen
     k = len(planes) // 4
     if cuts:  # each plane row gets a 0 for |u|^2
@@ -351,8 +344,7 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
         # sure implies maybe, so equal counts leave nothing undecided
         if np.count_nonzero(maybe) != hits:
             idx = np.flatnonzero(maybe != sure)
-            band = _exact(points[lo + idx].tolist(), c,
-                          cones + _held_cones(apexes, held, c))
+            band = _exact(points[lo + idx].tolist(), c, cones)
             sure[idx], hits = band, hits + sum(band)
         seen.append(sure)
         total += hits

@@ -29,7 +29,7 @@ from tests.reference import decision, packed, reference_objective
 def packed_breakdown(plan, x):
     """The aimed CostBreakdown at the packed float list x: the overlap sum
     of x's thetas, then the kernel's count on x's apexes."""
-    kappa = _overlap_sum(x[3::4], plan.terms)
+    kappa = _overlap_sum(x[3::4], plan.nu)
     count = visible_mask(plan.points, list(zip(x[0::4], x[1::4], x[2::4])),
                          None, plan.phi, plan.center, plan.columns,
                          plan.holds, True)
@@ -113,7 +113,7 @@ def test_aimed_positions_score_as_the_packed_layout(n_craft, data):
         k = 3 * draw(st.integers(0, n_craft - 1))
         positions[k:k + 3] = center.tolist()
     plan, ref_plan = (EvalPlan(template, pois, **options) for _ in range(2))
-    x = packed(positions, plan.thetas)
+    x = packed(positions, template.state[:, 3])
 
     got = evaluate(plan, positions)
     assert math.isfinite(got)
@@ -169,7 +169,7 @@ def test_aimed_run_sums_the_overlaps_once(monkeypatch, n, cost_mode):
     _, breakdown, result = optimize_swarm(pois, swarm, BUDGET, cost_mode)
     assert result.evaluation_count > 30 and len(calls) == 1
     assert breakdown.kappa_total == _overlap_sum(
-        lap_thetas(swarm.nu.tolist()), cost._pair_terms(swarm.nu.tolist()))
+        lap_thetas(swarm.nu.tolist()), swarm.nu.tolist())
 
 
 def test_theta_tilt_run_sums_the_overlaps_per_evaluation(monkeypatch):

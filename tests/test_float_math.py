@@ -6,8 +6,8 @@ import pytest
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, DEGENERACY_PENALTY,
                            DEGENERACY_RADIUS_KM, EvalPlan, SpacecraftPose,
-                           SwarmConfig, _overlap_sum, _pair_terms,
-                           cost_breakdown, information_cost, pair_overlap)
+                           SwarmConfig, _overlap_sum, cost_breakdown,
+                           information_cost, pair_overlap)
 from isoswarm.geometry import TWO_PI, unit_axis
 from isoswarm.neldermead import swarm_objective
 from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
@@ -159,18 +159,18 @@ def test_kappa_total_matches_array_formula_bit_for_bit():
 
 def test_overlap_keeps_nan():
     # a pose rejects a NaN theta, but a packed trial point can carry one
-    terms = _pair_terms((0.5, 0.5))
     assert np.isnan(array_arc_overlap(np.nan, 1.0, 0.5, 0.5))
-    assert np.isnan(_overlap_sum((np.nan, 1.0), terms))
-    assert np.isnan(_overlap_sum((1.0, np.nan), terms))
+    assert np.isnan(_overlap_sum((np.nan, 1.0), (0.5, 0.5)))
+    assert np.isnan(_overlap_sum((1.0, np.nan), (0.5, 0.5)))
 
 
-# Orientations and widths whose overlaps hit the fused pair loop's edges:
-# equal thetas (the delta path), NaN orientations, zero widths of either sign
+# Orientations and widths whose overlaps hit the pair loop's edges: equal
+# thetas (the delta path), NaN orientations, zero widths of either sign
 # (-0.0 overlaps), widths above pi / 2 (the far piece, up to 6 for a far
 # piece wider than the near one), widths a hair below pi, and 1.5 and its
-# neighbours, whose sums straddle the reach of 3 up to which the loop skips
-# the far piece.
+# neighbours, whose sums straddle a reach of 3 (< pi). The loop always adds
+# the far piece; below a reach of pi it is +0.0, and the sum must keep the
+# array formula's bits on both sides.
 EDGE_THETAS = [0.0, 1e-300, 0.5, 1.0, np.pi / 2, np.pi, 4.0, 1.5 * np.pi,
                np.nextafter(TWO_PI, 0), np.nan]
 EDGE_NUS = [-0.0, 0.0, 1e-9, 0.5, np.nextafter(1.5, 0), 1.5,
@@ -189,7 +189,7 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
     ti, tj, nu_i, nu_j = edge_rows()
     want = array_arc_overlap(ti, tj, nu_i, nu_j)
     # the one-pair sum, started at -0.0 as pair_overlap starts it
-    got = [_overlap_sum((a, b), _pair_terms((u, v)), -0.0)
+    got = [_overlap_sum((a, b), (u, v), -0.0)
            for a, b, u, v in zip(ti.tolist(), tj.tolist(), nu_i.tolist(),
                                  nu_j.tolist())]
     np.testing.assert_array_equal(bits(got), bits(want))
@@ -209,7 +209,7 @@ def test_overlap_edge_cases_match_array_formula_bit_for_bit():
     assert np.count_nonzero(np.isnan(want)) > 100
     assert np.count_nonzero(np.signbit(want) & (want == 0)) > 10
     assert np.count_nonzero(far[valid] > 0) > 100
-    reach = nu_i + nu_j  # both sides of the skip's bound of 3
+    reach = nu_i + nu_j  # both sides of a reach of 3
     assert np.count_nonzero(reach == 3.0) >= 100
     assert np.count_nonzero(reach == np.nextafter(3.0, 4.0)) >= 100
     assert np.count_nonzero(reach == np.nextafter(3.0, 0.0)) >= 100

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from isoswarm.cost import (DEFAULT_IDENTICAL_THETA_DELTA, EvalPlan,
                            SpacecraftPose, SwarmConfig, _overlap_sum,
-                           _pair_terms, chart_apexes)
+                           chart_apexes)
 from isoswarm.geometry import TWO_PI, wrap_theta
 from isoswarm.neldermead import (NelderMeadOptions, lap_thetas, nelder_mead,
                                  optimize_swarm, swarm_objective)
@@ -21,7 +21,7 @@ from isoswarm.sampling import UncertaintyEllipsoid, sample_pois
 
 def kappa(thetas, nu):
     """The summed pairwise overlap the cost takes (kappa_total)."""
-    return _overlap_sum([wrap_theta(t) for t in thetas], _pair_terms(nu))
+    return _overlap_sum([wrap_theta(t) for t in thetas], nu)
 
 
 def kappa_star(nu):

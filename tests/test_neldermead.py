@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from isoswarm import neldermead
 from isoswarm.cost import (DEGENERACY_PENALTY, EvalPlan, SpacecraftPose,
-                           SwarmConfig, _overlap_sum, _pair_terms,
-                           evaluate_directions, information_cost)
+                           SwarmConfig, _overlap_sum, evaluate_directions,
+                           information_cost)
 from isoswarm.neldermead import (CONTRACTION, EXPANSION,
                                  INITIAL_SIMPLEX_SCALE, REFLECTION, SHRINK,
                                  NelderMeadOptions, ObjectiveDomainError,
@@ -117,8 +117,7 @@ def seam_objective(mode):
         row = list(x)
         miss = sum((a - b) ** 2 for a, b in zip(row[:3], SEAM_TARGET)) / 1e4
         if mode == "aimed":
-            overlap = _overlap_sum((row[3], SEAM_THETA),
-                                   _pair_terms((nu, nu)))
+            overlap = _overlap_sum((row[3], SEAM_THETA), (nu, nu))
             return miss + (2.0 * nu - overlap) ** 2
         axis = row_axis(row, center, mode)
         return miss + 1.0 - sum(a * b for a, b in zip(axis, ref))
