@@ -128,11 +128,8 @@ def cmd_optimize(args) -> int:
         pois, swarm, opts, cost_mode, kappa_weight=args.kappa_weight
     )
     payload = {
-        "spacecraft": [
-            {"position": p.position.tolist(), "theta": p.theta,
-             "nu": p.nu, "phi": p.phi}
-            for p in best.spacecraft
-        ],
+        "spacecraft": [{"position": p.position.tolist(), "theta": p.theta,
+                        "nu": p.nu, "phi": p.phi} for p in best.spacecraft],
         "cost": breakdown.to_json_dict(),
         "iterations": result.iterations,
         "evaluations": result.evaluation_count,

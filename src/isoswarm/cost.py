@@ -9,7 +9,7 @@ Lower is better; experiment reports use -I.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -47,12 +47,12 @@ class SpacecraftPose:
 
 
 class SwarmConfig:
-    """An ordered swarm of spacecraft (poses `spacecraft`) observing one
-    uncertainty ellipsoid, packed as the optimizer sees it: `state` rows
-    (x, y, z, theta in [0, 2 pi)) and arrays `nu` and `phi`."""
+    """An ordered swarm of spacecraft observing one uncertainty ellipsoid,
+    held as the optimizer sees it: `state` rows (x, y, z, theta in [0, 2
+    pi)) and arrays `nu` and `phi`. Its checked poses are `spacecraft`."""
 
     def __init__(self, spacecraft, ellipsoid):
-        self.spacecraft = poses = tuple(spacecraft)
+        poses = tuple(spacecraft)
         if len(poses) < 1:
             raise ValueError("swarm needs at least one spacecraft")
         self.state = np.array([[*p.position, p.theta] for p in poses])
@@ -60,13 +60,30 @@ class SwarmConfig:
         self.ellipsoid = ellipsoid
 
     @classmethod
+    def from_arrays(cls, state, nu, phi, ellipsoid) -> SwarmConfig:
+        """The swarm of packed rows state (x, y, z, theta) and arrays nu and
+        phi, its thetas wrapped, checked by one NumPy test (finite rows, nu
+        and phi in (0, pi)); on a failure SpacecraftPose names the field."""
+        swarm = cls.__new__(cls)
+        swarm.nu, swarm.phi = arcs = np.array((nu, phi), dtype=float)
+        swarm.state = state = np.array(state, float).reshape(len(nu), 4)
+        swarm.ellipsoid = ellipsoid
+        if not (np.isfinite(state).all()
+                and ((0.0 < arcs) & (arcs < np.pi)).all()):
+            swarm.spacecraft  # raises for the first bad field
+        state[:, 3] = wrap_theta(state[:, 3])
+        return swarm
+
+    @classmethod
     def from_state(cls, x, template: SwarmConfig) -> SwarmConfig:
-        """The template's spacecraft moved to the packed vector x, each pose
-        checked (and its theta wrapped) by SpacecraftPose."""
-        state = np.array(x, dtype=float).reshape(len(template), 4)
-        return cls((replace(p, position=row[:3], theta=row[3])
-                    for p, row in zip(template.spacecraft, state)),
-                   template.ellipsoid)
+        """from_arrays of x on the template's nu, phi and ellipsoid."""
+        return cls.from_arrays(x, template.nu, template.phi, template.ellipsoid)
+
+    @property
+    def spacecraft(self) -> tuple[SpacecraftPose, ...]:
+        """The swarm's poses, each checked by SpacecraftPose."""
+        rows = zip(self.state.tolist(), self.nu.tolist(), self.phi.tolist())
+        return tuple(SpacecraftPose(r[:3], r[3], nu, phi) for r, nu, phi in rows)
 
     def __len__(self):
         return len(self.state)
@@ -155,9 +172,9 @@ class EvalPlan:
     template's center, phi and nu, the POI columns, the checked orientation
     mode, the cost options, for aimed cones the overlap sum kappa of the
     template's thetas (summed once here), each cone's hold distance from the
-    center (geometry._hold_distance) and its direction chart at its
-    position in the template (_chart; charted says whether every
-    spacecraft has one). Nothing writes to a plan once it is built."""
+    center (geometry._hold_distance, once per aperture) and its direction
+    chart at its position in the template (_chart; charted says whether
+    every spacecraft has one). Nothing writes to a plan once it is built."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
                  orientation_mode="aimed"):
@@ -175,7 +192,8 @@ class EvalPlan:
         self.charted = False
         if not self.tilted:
             self.kappa = _overlap_sum(swarm.state[:, 3].tolist(), self.nu)
-            self.holds = [_hold_distance(p, self.columns[1]) for p in self.phi]
+            holds = {p: _hold_distance(p, self.columns[1]) for p in {*self.phi}}
+            self.holds = [holds[p] for p in self.phi]
             self.charts = [_chart(p, self.c, hold) for p, hold in
                            zip(swarm.state[:, :3].tolist(), self.holds)]
             self.charted = None not in self.charts

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from .cost import DEGENERACY_RADIUS_KM, SpacecraftPose, SwarmConfig
+from .cost import DEGENERACY_RADIUS_KM, SwarmConfig
 from .geometry import check_fields, fits, visible_mask
 from .neldermead import NelderMeadOptions, optimize_swarm
 from .sampling import UncertaintyEllipsoid, sample_pois
@@ -67,12 +67,15 @@ def _random_unit(rng: np.random.Generator) -> np.ndarray:
     return v / math.sqrt(x * x + y * y + z * z)
 
 
-def _start_pose(rng, center, distance: float, config) -> SpacecraftPose:
-    """A start distance from center in a random direction with a random
-    theta; the caller draws the distance, so the stream reads distance,
-    direction, theta."""
-    return SpacecraftPose(center + _random_unit(rng) * distance,
-                          rng.uniform(0.0, 2.0 * np.pi), config.nu, config.phi)
+def _start_swarm(rng, ellipsoid, distances, config) -> SwarmConfig:
+    """A cell's start swarm: per item d of distances (which may draw from
+    rng as it is iterated) a spacecraft d from the center in a random
+    direction with a random theta, so the stream reads d, direction, theta."""
+    rows = [[*(ellipsoid.center + _random_unit(rng) * d).tolist(),
+             rng.uniform(0.0, 2.0 * np.pi)] for d in distances]
+    n = len(rows)
+    return SwarmConfig.from_arrays(rows, [config.nu] * n, [config.phi] * n,
+                                   ellipsoid)
 
 
 def _nm_fields(result) -> dict:
@@ -226,30 +229,28 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
     rng = _cell_rng(config.master_seed, 1, r_idx, trial, 1)
     lo, hi = config.initial_distance_range
     distance = float(rng.integers(lo, hi + 1))
-    start = _start_pose(rng, center, distance, config)
+    start = _start_swarm(rng, ellipsoid, [distance], config)
     best, breakdown, result = optimize_swarm(
-        pois, SwarmConfig((start,), ellipsoid), config.nm_options,
-        orientation_mode="theta_tilt"
-    )
-    pose = best.spacecraft[0]
+        pois, start, config.nm_options, orientation_mode="theta_tilt")
+    *initial, initial_theta = start.state[0].tolist()
+    *final, final_theta = best.state[0].tolist()
     if config.success_criterion == "center":
         target = center
     else:
         target = center + _random_unit(rng) * radius * rng.random() ** (1.0 / 3.0)
-    success = visible_mask(target[None], best.state[:, :3].tolist(),
-                           best.state[:, 3].tolist(), best.phi.tolist(),
-                           center, count=True) == 1
+    success = visible_mask(target[None], [final], [final_theta],
+                           best.phi.tolist(), center, count=True) == 1
 
     return {
         "radius": radius,
         "trial": trial,
         "poi_seed": poi_seed,
         "initial_distance": distance,
-        "initial_position": (iso_position + start.position).tolist(),
-        "initial_theta": start.theta,
-        "final_position": (iso_position + pose.position).tolist(),
-        "final_position_relative": pose.position.tolist(),
-        "final_theta": pose.theta,
+        "initial_position": (iso_position + initial).tolist(),
+        "initial_theta": initial_theta,
+        "final_position": (iso_position + final).tolist(),
+        "final_position_relative": final,
+        "final_theta": final_theta,
         "coverage_pct": breakdown.epsilon_term,
         "minus_info_cost": -breakdown.information_cost,
         "success": success,
@@ -262,22 +263,18 @@ def _run_swarm_size_cell(config: SwarmSizeConfig, trial: int, n_sc: int,
     rng = _cell_rng(config.master_seed, 2, trial, n_sc)
     r = config.sphere_radius
     lo, hi = (f * r for f in config.initial_distance_factors)
-    initial = SwarmConfig(tuple(
-        _start_pose(rng, pois.ellipsoid.center, rng.uniform(lo, hi), config)
-        for _ in range(n_sc)), pois.ellipsoid)
+    initial = _start_swarm(rng, pois.ellipsoid, (
+        rng.uniform(lo, hi) for _ in range(n_sc)), config)
     best, breakdown, result = optimize_swarm(
-        pois, initial, config.nm_options, kappa_weight=config.kappa_weight
-    )
+        pois, initial, config.nm_options, kappa_weight=config.kappa_weight)
     return {
         "trial": trial,
         "n_spacecraft": n_sc,
         "coverage_pct": breakdown.epsilon_term,
         "kappa_total": breakdown.kappa_total,
         "minus_info_cost": -breakdown.information_cost,
-        "final_poses": [
-            {"position": p.position.tolist(), "theta": p.theta}
-            for p in best.spacecraft
-        ],
+        "final_poses": [{"position": row[:3], "theta": row[3]}
+                        for row in best.state.tolist()],
         **_nm_fields(result),
         "poi_seed": poi_seed,
     }
@@ -285,7 +282,8 @@ def _run_swarm_size_cell(config: SwarmSizeConfig, trial: int, n_sc: int,
 
 def aggregate(report: ExperimentReport) -> list[dict]:
     """Per-cell mean and standard deviation, recomputed from per-trial rows,
-    as the summary of the report kind's config class lists them."""
+    as the summary of the report kind's config class lists them: np.mean's
+    and np.std's own ufunc steps, bit for bit, without their wrappers."""
     if not report.trials:
         raise ValueError("report has no trials")
     if report.kind not in _CONFIG_TYPES:
@@ -298,9 +296,11 @@ def aggregate(report: ExperimentReport) -> list[dict]:
         if with_p:
             row["p_pct"] = 100.0 * sum(t["success"] for t in cell) / len(cell)
         for name in fields:
-            xs = [t[name] for t in cell]
-            row[f"mean_{name}"] = float(np.mean(xs))
-            row[f"std_{name}"] = float(np.std(xs))
+            xs = np.array([t[name] for t in cell], dtype=float)
+            mean = np.add.reduce(xs) / len(xs)
+            row[f"mean_{name}"] = float(mean)
+            row[f"std_{name}"] = math.sqrt(
+                np.add.reduce(np.square(xs - mean)) / len(xs))
         rows.append(row)
     return rows
 

@@ -283,7 +283,7 @@ def optimize_swarm(pois: PoiSet, initial: SwarmConfig,
     cost breakdown on the run's own plan (under a zero stddev its
     information_cost is best_value, bit for bit) and the raw optimizer
     result, over the searched coordinates."""
-    placed = copy(initial)  # a plan reads state thetas, not the poses'
+    placed = copy(initial)
     state = placed.state = initial.state.copy()
     tilted = cost_kwargs.get("orientation_mode") == "theta_tilt"
     if not tilted:

@@ -14,6 +14,7 @@ from isoswarm.sampling import PoiSet, UncertaintyEllipsoid, sample_pois
 from tests.conftest import arc_mask, plan_mask, unculled_mask
 from tests.reference import decision, fov_interval
 
+NAN, INF = float("nan"), float("inf")
 NU = 0.3
 PHI = 1.0
 
@@ -90,6 +91,58 @@ def test_from_state_rejects_non_finite_theta(theta):
     with pytest.raises(ValueError, match="position must be three finite reals"):
         SwarmConfig.from_state([[300.0, theta, 0.0, theta],
                                 [300.0, 0.0, 0.0, 0.5]], template)
+
+
+def bits(values):
+    """The IEEE bits of float values, so -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+# thetas at the 0 / 2 pi seam, tiny negatives among them
+SEAM = st.sampled_from([*TINY_NEGATIVE, 0.0, -0.0, TWO_PI, -TWO_PI,
+                        float(np.nextafter(TWO_PI, 0.0)), 4.0 * TWO_PI])
+ARC = st.floats(0.0, np.pi, exclude_min=True, exclude_max=True)
+ROW = st.tuples(FINITE, FINITE, FINITE, st.one_of(FINITE, SEAM), ARC, ARC)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ROW, min_size=1, max_size=7))
+def test_from_arrays_is_the_pose_swarm_bit_for_bit(rows):
+    """The one-test array constructor gives the state, nu, phi and derived
+    poses of the swarm of checked SpacecraftPoses, bit for bit."""
+    e = UncertaintyEllipsoid.sphere(10.0)
+    want = SwarmConfig([SpacecraftPose(r[:3], *r[3:]) for r in rows], e)
+    got = SwarmConfig.from_arrays([r[:4] for r in rows], [r[4] for r in rows],
+                                  [r[5] for r in rows], e)
+    assert got.ellipsoid is e and len(got) == len(rows)
+    for name in ("state", "nu", "phi"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and bits(a) == bits(b)
+    for p, q in zip(got.spacecraft, want.spacecraft, strict=True):
+        assert bits(p.position) == bits(q.position)
+        assert bits([p.theta, p.nu, p.phi]) == bits([q.theta, q.nu, q.phi])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ROW, min_size=1, max_size=5), st.data())
+def test_from_arrays_raises_the_pose_error(rows, data):
+    """A non-finite entry in any slot (or nu or phi out of (0, pi)) raises
+    SpacecraftPose's own error for the first bad field of the first bad
+    row: a position before its theta."""
+    rows = [list(r) for r in rows]
+    for _ in range(data.draw(st.integers(1, 3))):
+        k = data.draw(st.integers(0, len(rows) - 1))
+        slot = data.draw(st.integers(0, 5))
+        bad = [NAN, INF, -INF] + [0.0, -1.0, np.pi, 4.0] * (slot >= 4)
+        rows[k][slot] = data.draw(st.sampled_from(bad))
+    with pytest.raises(ValueError) as want:
+        [SpacecraftPose(r[:3], *r[3:]) for r in rows]
+    with pytest.raises(ValueError) as got:
+        SwarmConfig.from_arrays([r[:4] for r in rows], [r[4] for r in rows],
+                                [r[5] for r in rows],
+                                UncertaintyEllipsoid.sphere(10.0))
+    assert str(got.value) == str(want.value)
 
 
 def test_wrap_theta_keeps_other_remainders(rng):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isoswarm import experiments
 from isoswarm.cost import SpacecraftPose, SwarmConfig, information_cost
@@ -191,6 +193,85 @@ def test_aggregate_swarm_size_arithmetic():
     assert rows[0]["std_coverage_pct"] == 10.0
     assert rows[0]["mean_minus_info_cost"] == 45.0
     assert rows[1]["mean_coverage_pct"] == 80.0
+
+
+# Small campaigns of each kind, as parsed from a config file.
+SMALL_CONFIGS = {
+    "view_probability": {
+        "schema_version": 1, "type": "view_probability",
+        "iso_terminal_position": [1.0e6, -2.0e6, 0.5e6],
+        "sphere_radii": [50.0, 500.0], "trials_per_radius": 2,
+        "n_pois": 200, "master_seed": 7, "success_criterion": "sampled_truth",
+        "nm_options": {"max_iterations": 60}},
+    "swarm_size": {
+        "schema_version": 1, "type": "swarm_size", "sphere_radius": 100.0,
+        "n_pois": 200, "spacecraft_range": [1, 4], "trials": 1,
+        "master_seed": 3, "nm_options": {"max_iterations": 60}},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SMALL_CONFIGS))
+def test_campaigns_build_no_pose(kind, monkeypatch):
+    """Numbers are checked where they enter: a campaign builds its swarms
+    from arrays and writes its records from them, and builds no
+    SpacecraftPose (each of which would run the generic field check)."""
+    config = config_from_dict(SMALL_CONFIGS[kind])
+    calls = []
+    check = SpacecraftPose.__post_init__
+    monkeypatch.setattr(SpacecraftPose, "__post_init__",
+                        lambda self: calls.append(self) or check(self))
+    report = run_experiment(config)
+    assert calls == [] and report.trials
+    SpacecraftPose([300.0, 0.0, 0.0], 0.0, 0.5, 1.0)  # the patch counts
+    assert len(calls) == 1
+
+
+def np_moments(xs):
+    """np.mean and np.std of xs, as Python floats."""
+    with np.errstate(all="ignore"):  # a square may overflow, as in aggregate
+        return float(np.mean(xs)), float(np.std(xs))
+
+
+def aggregated(xs):
+    """aggregate's mean and std of one swarm-size cell holding the values xs
+    (and -xs as its second field)."""
+    trials = [{"n_spacecraft": 1, "coverage_pct": x, "minus_info_cost": -x}
+              for x in xs]
+    with np.errstate(all="ignore"):
+        row, = aggregate(ExperimentReport("swarm_size", {}, trials))
+    names = ("coverage_pct", "minus_info_cost")
+    return [row[f"{stat}_{name}"] for name in names for stat in ("mean", "std")]
+
+
+def assert_moments_bit_for_bit(xs):
+    xs = np.array(xs, dtype=float)
+    want = [*np_moments(xs), *np_moments(-xs)]
+    got = aggregated(xs.tolist())
+    assert all(type(v) is float for v in got)
+    assert (np.array(got).view(np.uint64).tolist()
+            == np.array(want).view(np.uint64).tolist())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 1000), st.integers(-300, 300), st.integers(0, 600),
+       st.floats(0.0, 1.0), st.integers(0, 2 ** 32 - 1))
+def test_aggregate_is_np_mean_and_std_bit_for_bit(n, low, spread, zeros,
+                                                  seed):
+    """Groups of 1-1000 values whose magnitudes span 1e-300 to 1e300, some
+    of them -0.0: aggregate's steps give np.mean's and np.std's bits."""
+    rng = np.random.default_rng(seed)
+    exponents = rng.integers(low, min(low + spread, 300), n, endpoint=True)
+    xs = rng.standard_normal(n) * 10.0 ** exponents
+    xs[rng.random(n) < zeros] = -0.0
+    assert_moments_bit_for_bit(xs)
+
+
+@pytest.mark.parametrize("xs", [
+    [-0.0], [-0.0, -0.0], [0.0, -0.0], [5e-324], [1e-300, -1e-300],
+    [1e300] * 1000, [-1e300, 1e300, 3e299], [1.0] * 999 + [1e-16],
+    list(range(1000))])
+def test_aggregate_edge_groups_bit_for_bit(xs):
+    assert_moments_bit_for_bit(xs)
 
 
 def test_aggregate_permutation_invariant():
