@@ -227,19 +227,18 @@ def _numerator(t: float, v0_expected: float, params: ContractionParams,
 
 
 def evaluate_bound(D: float, t: float, v0_expected: float,
-                   params: ContractionParams, noise: NoiseProfile,
-                   squared_distance: bool = False) -> BoundResult:
+                   params: ContractionParams, noise: NoiseProfile) -> BoundResult:
     """Evaluate the failure and success probability bounds at distance D.
 
-    The denominator is D * m_lower as printed in the source bound;
-    squared_distance switches to the dimensionally conventional D**2 form.
+    Markov's inequality with V >= m_lower |x|^2: the numerator bounds E[V(t)],
+    so P(|x(t)| >= D) <= numerator / (D^2 m_lower), in any unit of length.
     """
     if not 0.0 < D < math.inf:
         raise ValueError("failure distance D must be finite and positive")
     _require_feasible(params)
-    denom = (D * D if squared_distance else D) * params.m_lower_combined
     zeta = zeta_integral(t, params, noise)
-    fail_raw = _quotient(_numerator(t, v0_expected, params, zeta), denom,
+    fail_raw = _quotient(_numerator(t, v0_expected, params, zeta),
+                         D * D * params.m_lower_combined,
                          "bound failure probability")
     success_raw = 1.0 - fail_raw
     clamp = lambda p: min(1.0, max(0.0, p))
@@ -253,8 +252,8 @@ def radius_for_success_probability(p_target: float, T: float,
                                    noise: NoiseProfile) -> float:
     """Smallest D whose success bound certifies probability p_target.
 
-    Inverts the success bound: D = B / ((1 - p_target) * m_lower), where B is
-    the bound numerator at time T. B = 0 returns D = 0 (perfect delivery).
+    Inverts the success bound: D = sqrt(B / ((1 - p_target) * m_lower)), where
+    B is the bound numerator at time T. B = 0 returns D = 0 (perfect delivery).
     """
     if not 0.0 < p_target < 1.0:
         raise ValueError("target probability must lie in (0, 1); the bound "
@@ -263,7 +262,8 @@ def radius_for_success_probability(p_target: float, T: float,
     B = _numerator(T, v0_expected, params, zeta_integral(T, params, noise))
     if B == 0.0:
         return 0.0
-    return _quotient(B, (1.0 - p_target) * params.m_lower_combined, "radius")
+    return math.sqrt(_quotient(B, (1.0 - p_target) * params.m_lower_combined,
+                               "radius"))
 
 
 def load_bound_config(path) -> tuple[ContractionParams, NoiseProfile]:

@@ -139,9 +139,6 @@ def cmd_optimize(args) -> int:
 
 
 def cmd_bound(args) -> int:
-    if args.invert is not None and args.distance is not None:
-        raise CliError("argument --invert: not allowed with argument "
-                       "--distance/-D")
     params, noise = _read(bound_mod.load_bound_config, args.config,
                           "bound config")
     try:
@@ -150,9 +147,9 @@ def cmd_bound(args) -> int:
                 args.invert, args.time, args.v0, params, noise)
             payload = {"target_probability": args.invert, "radius": D}
         else:
-            payload = bound_mod.evaluate_bound(
-                args.distance or 1.0, args.time, args.v0, params, noise,
-                squared_distance=args.squared).to_json_dict()
+            payload = bound_mod.evaluate_bound(args.distance, args.time,
+                                               args.v0, params,
+                                               noise).to_json_dict()
     except bound_mod.InfeasibleParamsError as err:
         raise CliError(f"infeasible parameters: {err}", EXIT_COMPUTE)
     except bound_mod.ExtrapolationError as err:
@@ -229,17 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="evaluate the encounter probability bound")
     p.add_argument("--config", required=True,
                    help="JSON with contraction scalars and a noise history")
-    p.add_argument("--distance", "-D", type=_positive_float, default=None,
-                   help="evaluate at this distance (default 1.0); not with "
-                        "--invert")
     p.add_argument("--time", "-T", type=_finite_float, default=0.0)
     p.add_argument("--v0", type=_nonnegative_float, default=0.0,
                    help="expected initial Lyapunov value")
     only = p.add_mutually_exclusive_group()
+    only.add_argument("--distance", "-D", type=_positive_float, default=1.0,
+                      help="evaluate at this distance (default 1.0)")
     only.add_argument("--invert", type=_probability, default=None, metavar="P",
                       help="print the radius certifying success probability P")
-    only.add_argument("--squared", action="store_true",
-                      help="use the squared-distance denominator")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("experiment", help="run a simulation campaign")

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ def write_swarm(path, spacecraft, radius=50.0, center=(0.0, 0.0, 0.0)):
     }))
 
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 BOUND_CFG = dict(alpha_c=1.0, alpha_e=1.0, m_c_lower=1.0, m_c_upper=1.0,
                  m_e_lower=1.0, m_e_upper=1.0, eps_c=0.0, eps_e=0.1,
                  g_bar=1.0, u_bar=0.0, h_bar=1.0, ell_bar=1.0,
@@ -173,20 +175,35 @@ def test_bound_writes_output_file(tmp_path, capsys, flags):
 
 
 def test_bound_invert_rejects_squared(tmp_path, capsys):
-    # the inversion has no squared-distance form: refuse, do not ignore
+    # the bound has one form, Markov's D^2 form: --squared is an unknown
+    # flag, with --invert or without it
     cfg = tmp_path / "bound.json"
     cfg.write_text(json.dumps(BOUND_CFG))
-    code, stdout, stderr = run(capsys, "bound", "--config", str(cfg),
-                               "--invert", "0.5", "-T", "0", "--v0", "1",
-                               "--squared")
-    assert code == EXIT_USAGE
-    assert stdout == ""
-    assert "--squared" in stderr
+    for flags in (["--invert", "0.5"], ["-D", "2"], []):
+        code, stdout, stderr = run(capsys, "bound", "--config", str(cfg),
+                                   *flags, "-T", "0", "--v0", "1", "--squared")
+        assert code == EXIT_USAGE
+        assert stdout == ""
+        assert "unrecognized arguments: --squared" in stderr
+
+
+@pytest.mark.parametrize("p", ["0.5", "0.9", "0.99"])
+def test_bound_invert_round_trip(capsys, p):
+    """-D at the radius that --invert prints certifies that probability."""
+    cfg = str(CONFIGS / "bound_example.json")
+    code, stdout, _ = run(capsys, "bound", "--config", cfg, "--invert", p,
+                          "-T", "5", "--v0", "0.3")
+    assert code == EXIT_OK
+    radius = json.loads(stdout)["radius"]
+    code, stdout, _ = run(capsys, "bound", "--config", cfg, "-D", repr(radius),
+                          "-T", "5", "--v0", "0.3")
+    assert code == EXIT_OK
+    assert abs(json.loads(stdout)["success_prob_raw"] - float(p)) <= 1e-9
 
 
 def test_bound_invert_rejects_distance(tmp_path, capsys):
     # the inversion finds the distance: a given -D is refused, not ignored,
-    # before the config is read; without --invert, -D and --squared combine
+    # before the config is read; without --invert, -D is 1.0 when not given
     cfg = tmp_path / "bound.json"
     cfg.write_text(json.dumps(BOUND_CFG))
     for config in (str(cfg), str(tmp_path / "missing.json")):
@@ -198,9 +215,12 @@ def test_bound_invert_rejects_distance(tmp_path, capsys):
         assert "--invert" in stderr and "--distance/-D" in stderr
     outputs = [run(capsys, "bound", "--config", str(cfg), "-T", "5", "--v0",
                    "0.3", *flags)
-               for flags in ([], ["-D", "1.0"], ["-D", "2", "--squared"])]
+               for flags in ([], ["-D", "1.0"], ["-D", "2"])]
     assert [code for code, _, _ in outputs] == [EXIT_OK] * 3
     assert outputs[0][1] == outputs[1][1] != outputs[2][1]
+    one, two = (json.loads(out)["failure_prob_raw"]
+                for _, out, _ in outputs[1:])
+    assert two == one / 4.0
 
 
 def test_global_format_flag_removed(tmp_path, capsys):
@@ -620,10 +640,9 @@ def test_printed_floats_round_trip_bit_for_bit(tmp_path, capsys):
         "noise": [[0.0, 0.01], [5.0, 0.02], [10.0, 0.01]]}))
     params, noise = bound.load_bound_config(cfg)
     code, stdout, _ = run(capsys, "bound", "--config", str(cfg),
-                          "-D", "0.3", "-T", "7.5", "--v0", "0.2", "--squared")
+                          "-D", "0.3", "-T", "7.5", "--v0", "0.2")
     assert code == EXIT_OK
-    want = bound.evaluate_bound(0.3, 7.5, 0.2, params, noise,
-                                squared_distance=True)
+    want = bound.evaluate_bound(0.3, 7.5, 0.2, params, noise)
     assert want.failure_prob_raw > 1.0
     assert_same_floats(json.loads(stdout), want.to_json_dict())
     code, stdout, _ = run(capsys, "bound", "--config", str(cfg),

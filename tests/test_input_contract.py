@@ -234,8 +234,6 @@ FLAGS = [
       for flag in ("--mc-samples", "--seed")),
     *(("bound", ["bound", "--config", BOUND_CONFIG, "-T", "5", FLAG], flag, 1)
       for flag in ("-D", "-T", "--v0", "--invert")),
-    ("bound-squared", ["bound", "--config", BOUND_CONFIG, "-T", "5",
-                       "--squared", FLAG], "-D", 1),
 ]
 
 
