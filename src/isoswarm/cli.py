@@ -134,6 +134,8 @@ def cmd_optimize(args) -> int:
         "iterations": result.iterations,
         "evaluations": result.evaluation_count,
         "converged": result.converged,
+        "termination": result.termination,
+        "best_at": result.best_at,
     }
     return _emit(payload, args.output)
 

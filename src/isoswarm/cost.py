@@ -170,11 +170,12 @@ def _chart(position, center, hold):
 class EvalPlan:
     """The constants of the cost of one swarm layout on one POI set: the
     template's center, phi and nu, the POI columns, the checked orientation
-    mode, the cost options, for aimed cones the overlap sum kappa of the
-    template's thetas (summed once here), each cone's hold distance from the
-    center (geometry._hold_distance, once per aperture) and its direction
-    chart at its position in the template (_chart; charted says whether
-    every spacecraft has one). Nothing writes to a plan once it is built."""
+    mode, the cost options, the overlap sum kappa of the template's thetas
+    (summed once here) for aimed cones or a swarm of one (no pair), and for
+    aimed cones each cone's hold distance from the center
+    (geometry._hold_distance, once per aperture) and its direction chart at
+    its position in the template (_chart; charted says whether every
+    spacecraft has one). Nothing writes to a plan once it is built."""
 
     def __init__(self, swarm: SwarmConfig, pois: PoiSet, kappa_weight=1.0,
                  orientation_mode="aimed"):
@@ -190,8 +191,9 @@ class EvalPlan:
         self.phi, self.nu = swarm.phi.tolist(), swarm.nu.tolist()
         self.kappa = self.holds = self.charts = None
         self.charted = False
-        if not self.tilted:
+        if not self.tilted or len(self.nu) == 1:
             self.kappa = _overlap_sum(swarm.state[:, 3].tolist(), self.nu)
+        if not self.tilted:
             holds = {p: _hold_distance(p, self.columns[1]) for p in {*self.phi}}
             self.holds = [holds[p] for p in self.phi]
             self.charts = [_chart(p, self.c, hold) for p, hold in
@@ -202,12 +204,12 @@ class EvalPlan:
 
 def _cost(plan: EvalPlan, apexes, x, parts=False):
     """w * kappa_total - coverage of spacecraft at apexes (float 3-sequences)
-    from the decision list x, or with parts its CostBreakdown: in theta_tilt
-    mode the pair loop's overlap sum of x's thetas and the cones tilted by
-    them, else the plan's kappa and aimed cones with the plan's hold
+    from the decision list x, or with parts its CostBreakdown: the plan's
+    kappa, else the pair loop's overlap sum of x's thetas; in theta_tilt mode
+    the cones tilted by x's thetas, else aimed cones with the plan's hold
     distances; then the kernel's count of POIs seen."""
     thetas = x[3::4] if plan.tilted else None
-    kappa = plan.kappa if thetas is None else _overlap_sum(thetas, plan.nu)
+    kappa = _overlap_sum(thetas, plan.nu) if plan.kappa is None else plan.kappa
     count = visible_mask(plan.points, apexes, thetas, plan.phi, plan.center,
                          plan.columns, plan.holds, True)
     pct = 100.0 * count / plan.n
@@ -222,18 +224,18 @@ def evaluate(plan: EvalPlan, x: list) -> float:
     DEGENERACY_RADIUS_KM of the center, else a ValueError when a position is
     not finite, else DEGENERACY_PENALTY when a spacecraft's squared distance
     from the center overflows (no axis has a finite norm there), else _cost."""
-    k = plan.stride
-    apexes = list(zip(x[0::k], x[1::k], x[2::k]))
-    cx, cy, cz = plan.c
+    (cx, cy, cz), apexes = plan.c, []
     finite, far = True, False
-    for px, py, pz in apexes:
+    for i in range(0, len(x), plan.stride):
+        px, py, pz = apex = x[i:i + 3]
+        apexes.append(apex)
         dx, dy, dz = px - cx, py - cy, pz - cz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         if dist < DEGENERACY_RADIUS_KM:
             return DEGENERACY_PENALTY
         if not dist < math.inf:  # a non-finite coordinate, or a far one
             far = True
-            finite = finite and all(map(math.isfinite, (px, py, pz)))
+            finite = finite and all(map(math.isfinite, apex))
     if not finite:
         raise ValueError("position must be three finite reals")
     return DEGENERACY_PENALTY if far else _cost(plan, apexes, x)

@@ -127,9 +127,12 @@ class ViewProbabilityConfig:
         """One record per trial, radius by radius: fresh POIs, a random start
         an integer distance from the center, an optimized pose, and whether
         the center (or a sampled true ISO position) is visible from it."""
-        return [_run_view_probability_trial(self, r_idx, radius, trial)
-                for r_idx, radius in enumerate(self.sphere_radii)
-                for trial in range(self.trials_per_radius)]
+        records = []
+        for r_idx, radius in enumerate(self.sphere_radii):
+            sphere = UncertaintyEllipsoid.sphere(radius)
+            records += [_run_view_probability_trial(self, r_idx, sphere, trial)
+                        for trial in range(self.trials_per_radius)]
+        return records
 
 
 @dataclass(frozen=True)
@@ -216,13 +219,13 @@ class ExperimentReport:
 
 
 def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
-                                radius: float, trial: int) -> dict:
+                                ellipsoid: UncertaintyEllipsoid,
+                                trial: int) -> dict:
     # Optimize in sphere-centered coordinates (the cost is translation
     # invariant) so the simplex steps scale with the encounter geometry, not
     # with the heliocentric magnitude of the ISO terminal position.
     iso_position = np.asarray(config.iso_terminal_position, dtype=float)
-    center = np.zeros(3)
-    ellipsoid = UncertaintyEllipsoid.sphere(radius, center)
+    radius, center = ellipsoid.radii[0], ellipsoid.center
     poi_seed = _cell_seed(config.master_seed, 1, r_idx, trial, 0)
     pois = sample_pois(ellipsoid, config.n_pois, poi_seed)
 

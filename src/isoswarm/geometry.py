@@ -35,8 +35,10 @@ _BLOCK = 8192
 # by the root and its C |rel|^2 row by the whole of 2^-19 L^2 (|axis|_1^2 +
 # C + 1), L = R + D. Each width is more than twice the rounding of the
 # float32 score plus that of the float64 test, so a score of at least 1 is
-# seen and one below -1 is not; the POIs in between run the float64 test.
+# seen and one below -1 is not (float32 bounds compare faster than Python
+# floats); the POIs in between run the float64 test.
 _WIDTH = 2.0 ** -19
+_SEEN, _UNSEEN = np.float32(1.0), np.float32(-1.0)
 # Float32 columns exist only for a bounding radius R inside _RADII (km), and
 # a cone takes float32 rows only while D / R lies inside _SPAN: every
 # float32 entry then stays below 2^80 and an underflowing entry moves a
@@ -312,20 +314,18 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
                 continue
         bias = _SLACK * dist * dist
         w = _WIDTH * ((abs(tx) + abs(ty) + abs(tz)) * radius + bias)
-        planes += tx / w, ty / w, tz / w, bias / w
+        planes += tx / w, ty / w, tz / w, bias / w, 0.0  # 0 for |u|^2
         if verdict is None:  # its rows follow the k plane rows
-            tests.append((len(planes) // 4 - 1, len(cuts) // 5))
+            tests.append((len(planes) // 5 - 1, len(cuts) // 5))
             cuts += _cut_rows((tx, ty, tz), axis, phi, radius + dist)
     if not (cones and n):
         return 0 if count else np.zeros(n, dtype=bool)
     if exact:
         seen = np.array(_exact(points.tolist(), c, cones), dtype=bool)
         return int(np.count_nonzero(seen)) if count else seen
-    k = len(planes) // 4
-    if cuts:  # each plane row gets a 0 for |u|^2
-        for i in range(4 * k, 0, -4):
-            planes.insert(i, 0.0)
-    else:  # the plane rows read only [u; 1]
+    k = len(planes) // 5
+    if not cuts:  # the plane rows read only [u; 1]
+        del planes[4::5]
         cols = cols[:4]
     rows = np.array(planes + cuts, dtype=np.float32).reshape(-1, len(cols))
     seen, total = [], 0
@@ -338,16 +338,17 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
             np.minimum(prod[i], d, out=prod[i])
         # one cone's row is the union; a reduction would only copy it
         score = prod[0] if k == 1 else prod[:k].max(axis=0)
-        sure = score >= 1.0
-        maybe = score >= -1.0
+        sure = score >= _SEEN
+        maybe = score >= _UNSEEN
         hits = np.count_nonzero(sure)
         # sure implies maybe, so equal counts leave nothing undecided
         if np.count_nonzero(maybe) != hits:
             idx = np.flatnonzero(maybe != sure)
             band = _exact(points[lo + idx].tolist(), c, cones)
             sure[idx], hits = band, hits + sum(band)
-        seen.append(sure)
         total += hits
+        if not count:
+            seen.append(sure)
     if count:
         return int(total)
     return seen[0] if len(seen) == 1 else np.concatenate(seen)

@@ -187,7 +187,8 @@ def nelder_mead(objective: Callable[[list[float]], float], x0,
             termination = "f_tol" if spread < opts.f_tolerance else "x_tol"
             break
 
-        centroid = (np.add.reduce(simplex[:-1], axis=0) / n).tolist()
+        total = np.add.reduce(simplex[:-1], axis=0).tolist()
+        centroid = [t / n for t in total]  # float / int rounds as NumPy's
         xr = [c + REFLECTION * (c - w) for c, w in zip(centroid, worst)]
         fr = f(xr)
         if fr < values[0]:

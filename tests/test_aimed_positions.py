@@ -18,7 +18,7 @@ from isoswarm.cost import (DEGENERACY_PENALTY, DEGENERACY_RADIUS_KM,
                            CostBreakdown, EvalPlan, SpacecraftPose,
                            SwarmConfig, _overlap_sum, chart_apexes,
                            cost_breakdown, evaluate, evaluate_directions,
-                           visible_mask)
+                           information_cost, visible_mask)
 from isoswarm.geometry import TWO_PI
 from isoswarm.neldermead import (NelderMeadOptions, lap_thetas, nelder_mead,
                                  optimize_swarm, swarm_objective)
@@ -181,6 +181,23 @@ def test_theta_tilt_run_sums_the_overlaps_per_evaluation(monkeypatch):
                                   orientation_mode="theta_tilt")
     assert result.evaluation_count > 30
     assert len(calls) == result.evaluation_count + 1
+
+
+def test_theta_tilt_run_of_one_takes_the_plans_kappa(monkeypatch):
+    """A swarm of one has no pair, so no theta can change its kappa: a
+    theta_tilt run sums the overlaps at most once, when its plan is built,
+    and its breakdown's kappa_total is +0.0, the bits of information_cost's
+    at the best swarm."""
+    calls = count_overlap_sums(monkeypatch)
+    pois, swarm = scene(1, 4)
+    best, breakdown, result = optimize_swarm(pois, swarm, BUDGET,
+                                             orientation_mode="theta_tilt")
+    assert result.evaluation_count > 30
+    assert len(calls) <= 1
+    want = information_cost(best, pois, orientation_mode="theta_tilt")
+    assert breakdown.kappa_total.hex() == want.kappa_total.hex() == \
+        (0.0).hex()
+    assert breakdown.information_cost == result.best_value
 
 
 @pytest.mark.parametrize("n, cost_mode", [(2, (0.0, 1, 0)), (4, (3.0, 3, 2))])

@@ -53,34 +53,35 @@ def test_bundled_campaign_outputs_are_pinned(tmp_path, capsys, name):
     assert got == DIGESTS[name]
 
 
-# sha256 of the -o output of `isoswarm optimize` on a swarm of tests/conftest
-# over `sample-pois --n 200 --seed 1`. TWO_CRAFT starts on a coverage
-# plateau with its placed thetas: the 1 km noise run, a search over
-# positions, stops after one iteration, where it started, while the 100 km
-# noise lets it move. The deterministic runs search directions: CLOSE_CRAFT
-# starts inside the hold distance and is placed at it, TWO_CRAFT keeps its
-# 400 km, and both turn to the same directions.
+# How `isoswarm optimize` on a swarm of tests/conftest over `sample-pois --n
+# 200 --seed 1` ended (its termination and best_at), and the sha256 of its
+# -o output. TWO_CRAFT starts on a coverage plateau with its placed
+# thetas: the 1 km noise run, a search over positions, stops after one
+# iteration, where it started, while the 100 km noise lets it move. The
+# deterministic runs search directions: CLOSE_CRAFT starts inside the hold
+# distance and is placed at it, TWO_CRAFT keeps its 400 km, and both turn
+# to the same directions.
 OPTIMIZE_DIGESTS = {
     "deterministic": (
-        TWO_CRAFT, ["--max-iterations", "50"],
-        "81945e2de8b8c9c57969f7fcab32e46e386a813d99fdeaf4fdfa3623021a49d2"),
+        TWO_CRAFT, ["--max-iterations", "50"], ("f_tol", 8),
+        "5b090fd5c590fc57600c9712e81cd68f0b87b42d89e6f1899deede70735987f1"),
     "expected-cost": (
         TWO_CRAFT, ["--position-stddev", "1", "--mc-samples", "3",
-                    "--seed", "4"],
-        "a57349448c2697249ee2b607c771849ba16525722989ec6ba8f55799a9c49002"),
+                    "--seed", "4"], ("f_tol", 1),
+        "4b2ab0216895956d012c6c36d626469527fb60bff851337f80edb65741ec9fed"),
     "expected-cost-wide": (
         TWO_CRAFT, ["--position-stddev", "100", "--mc-samples", "3",
-                    "--seed", "4"],
-        "9ae0cd8cc647ed0f5d08ef8a85afadb5c4cf5bbf4c274cdf40f589828473416f"),
+                    "--seed", "4"], ("f_tol", 15),
+        "ab37de879c96ff10e57b870fcb3ba528f3d5929009b811b93f17ff3b37fe1efa"),
     "deterministic-close": (
-        CLOSE_CRAFT, ["--max-iterations", "50"],
-        "88af206bb82f2a0dbba4ad5a9e5e9a03048aaa0001780b360671ac595040aa75"),
+        CLOSE_CRAFT, ["--max-iterations", "50"], ("f_tol", 8),
+        "0133c580bb111ca61ca9148dcc2b44451e43776ce2fbad5e18230c4e4e3d5216"),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMIZE_DIGESTS))
 def test_optimize_output_is_pinned(tmp_path, capsys, name):
-    template, flags, digest = OPTIMIZE_DIGESTS[name]
+    template, flags, ended, digest = OPTIMIZE_DIGESTS[name]
     pois, swarm, out = (tmp_path / f for f in ("p.csv", "swarm.json",
                                                "opt.json"))
     assert main(["-o", str(pois), "sample-pois", "--n", "200",
@@ -88,4 +89,6 @@ def test_optimize_output_is_pinned(tmp_path, capsys, name):
     swarm.write_text(json.dumps(template))
     assert main(["-o", str(out), "optimize", "--pois", str(pois),
                  "--swarm", str(swarm), *flags]) == EXIT_OK
+    payload = json.loads(out.read_text())
+    assert (payload["termination"], payload["best_at"]) == ended
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest

@@ -9,6 +9,7 @@ from isoswarm.cli import EXIT_COMPUTE, EXIT_OK, EXIT_USAGE, _load_swarm, main
 from isoswarm.cost import information_cost
 from isoswarm.neldermead import NelderMeadOptions, optimize_swarm
 from isoswarm.sampling import load_pois
+from tests.conftest import TWO_CRAFT
 
 
 def run(capsys, *argv):
@@ -137,6 +138,34 @@ def test_optimize_writes_result(tmp_path, capsys):
     assert payload["iterations"] >= 1
     assert isinstance(payload["converged"], bool)
     assert json.loads(stdout) == payload
+
+
+def test_optimize_reports_how_its_run_ended(tmp_path, capsys):
+    """optimize writes its OptResult's termination and best_at, those of a
+    direct optimize_swarm run on the same files: one ended by its budget,
+    one by a tolerance."""
+    pois_path = tmp_path / "pois.csv"
+    run(capsys, "-o", str(pois_path), "sample-pois", "--n", "300",
+        "--radius", "100", "--seed", "3")
+    swarm_path = tmp_path / "swarm.json"
+    swarm_path.write_text(json.dumps(TWO_CRAFT))
+    pois, swarm = load_pois(pois_path), _load_swarm(swarm_path)
+    ended = set()
+    for budget in ("2", "500"):
+        code, stdout, _ = run(capsys, "optimize", "--pois", str(pois_path),
+                              "--swarm", str(swarm_path), "--max-iterations",
+                              budget)
+        assert code == EXIT_OK
+        payload = json.loads(stdout)
+        _, _, want = optimize_swarm(
+            pois, swarm, NelderMeadOptions(max_iterations=int(budget)))
+        assert (payload["termination"], payload["best_at"],
+                payload["evaluations"], payload["converged"]) == (
+            want.termination, want.best_at, want.evaluation_count,
+            want.converged)
+        assert 1 <= payload["best_at"] <= payload["evaluations"]
+        ended.add(payload["termination"])
+    assert "budget" in ended and len(ended) == 2
 
 
 def test_bound_zero_noise_success_one(tmp_path, capsys):

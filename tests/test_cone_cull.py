@@ -334,3 +334,36 @@ def test_scalar_visible_culls_holding_and_missing_cones(monkeypatch, rng):
             hits += got
         # the holding cone sees the POIs on its side of the center plane
         assert 0 < hits < 50 if holds else hits == 0
+
+
+def test_campaign_geometry_reaches_every_kernel_branch(monkeypatch, rng):
+    # view-probability draws: one pi / 3 cone 100-600 km from the center of
+    # a 50, 500 or 1000 km sphere of 2000 POIs, tilted over [0, 2 pi). The
+    # cull cuts every apex inside the POI ball and finds cones outside it
+    # that cut, hold and miss it; every count is the un-culled kernel's
+    verdicts = spy(monkeypatch, "_cone_holds_ball")
+    bands = spy(monkeypatch, "_exact")
+    seen = {"inside": 0, None: 0, True: 0, False: 0, "band": 0}
+    for radius in (50.0, 500.0, 1000.0):
+        e = UncertaintyEllipsoid.sphere(radius)
+        pois = sample_pois(e, 2000, int(radius))
+        cols = pois.columns(e.center)
+        for _ in range(80):
+            apex = unit(rng.standard_normal(3)) * rng.uniform(100.0, 600.0)
+            tilt = rng.uniform(0.0, 2.0 * np.pi)
+            verdicts.clear()
+            bands.clear()
+            got = visible_mask(pois.points, [apex.tolist()], [tilt],
+                               [np.pi / 3.0], e.center, cols, None, True)
+            want = unculled_mask(pois.points, apex[None],
+                                 [axis_of(apex, e.center, tilt)],
+                                 [np.pi / 3.0], e.center)
+            assert type(got) is int and got == np.count_nonzero(want)
+            assert len(verdicts) == 1
+            if math.hypot(*apex.tolist()) > cols[1]:
+                seen[verdicts[0][1]] += 1
+            else:
+                assert verdicts[0][1] is None
+                seen["inside"] += 1
+            seen["band"] += len(bands) > 0
+    assert min(seen.values()) > 0, seen

@@ -55,6 +55,15 @@ def test_view_probability_report_shape():
         assert 0.0 <= row["p_pct"] <= 100.0
 
 
+def test_view_probability_reports_each_radius_as_its_spheres_float():
+    # the record reads its radius from the trial's sphere, so a radius
+    # written as an integer is reported as the float the sphere holds
+    report = run_experiment(small_view_config(sphere_radii=(50, 500)))
+    rows = report.trials + report.aggregates
+    assert {type(row["radius"]) for row in rows} == {float}
+    assert [row["radius"] for row in report.aggregates] == [50.0, 500.0]
+
+
 def test_view_probability_reproducible():
     a = run_experiment(small_view_config())
     b = run_experiment(small_view_config())
