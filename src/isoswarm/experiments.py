@@ -241,8 +241,11 @@ def _run_view_probability_trial(config: ViewProbabilityConfig, r_idx: int,
         target = center
     else:
         target = center + _random_unit(rng) * radius * rng.random() ** (1.0 / 3.0)
+    x, y, z = (target - center).tolist()  # poi_columns' R, not its columns
     success = visible_mask(target[None], [final], [final_theta],
-                           best.phi.tolist(), center, count=True) == 1
+                           best.phi.tolist(), center,
+                           (None, math.sqrt((x * x + y * y) + z * z)),
+                           count=True) == 1
 
     return {
         "radius": radius,

@@ -104,19 +104,18 @@ def relative_columns(points: np.ndarray, origin) -> np.ndarray:
 
 def poi_columns(points, center) -> tuple[np.ndarray | None, float]:
     """The read-only float32 (5, n) columns [u; 1; |u|^2] of u = point -
-    center (a row (b, e, c) times them gives b . u + e + c |u|^2; a row of
-    four reads the prefix [u; 1]) and the POIs' bounding radius R = max |u|,
-    both from the float64 u, built a block at a time. None in place of the
-    columns when R lies outside _RADII, where float32 would overflow or
-    underflow."""
+    center (a row (b, e, c) times them gives b . u + e + c |u|^2) and the
+    POIs' bounding radius R = max |u|, both from the float64 u, built a
+    block at a time. None in place of the columns when R lies outside
+    _RADII, where float32 would overflow or underflow."""
     out = np.empty((5, len(points)), dtype=np.float32)
     out[3], top = 1.0, 0.0
     for lo in range(0, len(points), _BLOCK):
         block = slice(lo, lo + _BLOCK)
         rel = relative_columns(points[block], center)
         with np.errstate(over="ignore"):  # an inf leaves R out of range
-            sq = _dot3(rel, rel)
-        top = max(top, sq.max())
+            sq = squared_norms(rel)
+        top = max(top, np.maximum.reduce(sq))
         if top < _RADII[1] ** 2:  # so the casts cannot overflow
             out[:3, block], out[4, block] = rel, sq
     radius = math.sqrt(top)
@@ -126,13 +125,13 @@ def poi_columns(points, center) -> tuple[np.ndarray | None, float]:
     return out, radius
 
 
-def _dot3(a, b):
-    """a . b over three components indexed first (3-vectors or (3, n) rows),
-    elementwise: a point gets the same bits alone or in any batch, which a
-    BLAS matrix-vector product (fusing multiply-adds per row) does not give."""
-    out = a[0] * b[0]
-    out += a[1] * b[1]
-    out += a[2] * b[2]
+def squared_norms(rows):
+    """(x*x + y*y) + z*z of the (3, n) rows x, y, z, elementwise, so a point
+    gets the same bits alone or in any batch; row by row, as freeing one
+    np.square(rows) buffer made glibc trim and refault the heap."""
+    out = rows[0] * rows[0]
+    out += rows[1] * rows[1]
+    out += rows[2] * rows[2]
     return out
 
 
@@ -324,10 +323,7 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
         seen = np.array(_exact(points.tolist(), c, cones), dtype=bool)
         return int(np.count_nonzero(seen)) if count else seen
     k = len(planes) // 5
-    if not cuts:  # the plane rows read only [u; 1]
-        del planes[4::5]
-        cols = cols[:4]
-    rows = np.array(planes + cuts, dtype=np.float32).reshape(-1, len(cols))
+    rows = np.array(planes + cuts, dtype=np.float32).reshape(-1, 5)
     seen, total = [], 0
     for lo in range(0, n, _BLOCK):
         prod = rows @ cols[:, lo:lo + _BLOCK]
@@ -343,9 +339,11 @@ def visible_mask(points, apexes, tilts, apertures, center, columns=None,
         hits = np.count_nonzero(sure)
         # sure implies maybe, so equal counts leave nothing undecided
         if np.count_nonzero(maybe) != hits:
-            idx = np.flatnonzero(maybe != sure)
+            idx = (maybe ^ sure).nonzero()[0]
             band = _exact(points[lo + idx].tolist(), c, cones)
-            sure[idx], hits = band, hits + sum(band)
+            hits += sum(band)
+            if not count:
+                sure[idx] = band
         total += hits
         if not count:
             seen.append(sure)

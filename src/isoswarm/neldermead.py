@@ -226,7 +226,8 @@ def nelder_mead(objective: Callable[[list[float]], float], x0,
             simplex[p] = x_new
 
     k = min(range(n + 1), key=values.__getitem__)
-    final = _diameter(np.delete(simplex, k, 0), simplex[k])
+    final = _diameter(np.concatenate((simplex[:k], simplex[k + 1:])),
+                      simplex[k])
     return OptResult(np.array(_wrap(verts[k], theta_idx)), values[k],
                      iteration, evals, termination, shrinks, final, best_at)
 

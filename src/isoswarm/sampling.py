@@ -12,7 +12,7 @@ from itertools import chain
 
 import numpy as np
 
-from .geometry import as_vec3, poi_columns
+from .geometry import as_vec3, poi_columns, squared_norms
 
 
 class EmptySampleError(ValueError):
@@ -80,14 +80,12 @@ def sample_pois(ellipsoid: UncertaintyEllipsoid, n: int, seed: int) -> PoiSet:
     Uses the direction-radius construction: a normalized Gaussian triple for
     the direction, radius u**(1/3) for uniformity in the unit ball, then a
     componentwise stretch by the semi-axes. It works on contiguous x, y, z
-    rows, with np.linalg.norm's order of sums; the points are their transpose.
-    """
+    rows, their norms by squared_norms; the points are their transpose."""
     if n < 1:
         raise EmptySampleError("need at least one POI")
     rng = np.random.default_rng(seed)
     rows = rng.standard_normal((n, 3)).T.copy()
-    x, y, z = rows
-    rows /= np.sqrt(x * x + y * y + z * z)
+    rows /= np.sqrt(squared_norms(rows))
     rows *= rng.random(n) ** (1.0 / 3.0)
     rows *= np.array(ellipsoid.radii)[:, None]
     rows += ellipsoid.center[:, None]

@@ -157,6 +157,36 @@ def test_scores_match_the_float64_test_in_the_band(monkeypatch, rng,
     assert (False in seen) == (n_cones > 1)
 
 
+SMALL_BLOCK = 64
+
+
+@pytest.mark.parametrize("n_cones", [1, 3, 7])
+def test_count_adds_the_band_of_later_blocks(monkeypatch, rng, n_cones):
+    # count mode adds each block's band verdicts to its count and writes no
+    # mask; the band POIs come after the scene's 300 ball POIs, so with
+    # small blocks they are tested from blocks past the first, at the
+    # block's offset
+    monkeypatch.setattr(geometry, "_BLOCK", SMALL_BLOCK)
+    band = spy(monkeypatch, "_exact")
+    later = 0
+    for _ in range(6):
+        points, apexes, tilts, axes, phis, center = random_scene(rng,
+                                                                 n_cones)
+        blocks = {}
+        for i, p in enumerate(points.tolist()):
+            blocks.setdefault(tuple(p), set()).add(i // SMALL_BLOCK)
+        want = unculled_mask(points, apexes, axes, phis, center)
+        band.clear()
+        assert visible_mask(points, apexes, tilts, phis, center,
+                            count=True) == int(want.sum())
+        later += sum(min(set().union(*(blocks[tuple(p)] for p in args[0])))
+                     > 0 for args, _ in band)
+        # the mask of the same call keeps its bits
+        np.testing.assert_array_equal(
+            visible_mask(points, apexes, tilts, phis, center), want)
+    assert later > 0, "no band POI was tested from a later block"
+
+
 def test_scores_are_independent_of_the_row_count_on_random_swarms(rng):
     # plain random swarms, no POIs placed at a width: each cone's mask
     # alone, ORed, must equal the mask of the whole swarm

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from isoswarm import geometry
-from isoswarm.geometry import DegenerateGeometryError, unit_axis, visible_mask
+from isoswarm.geometry import (DegenerateGeometryError, squared_norms,
+                               unit_axis, visible_mask)
 from tests.conftest import unculled_mask
 from tests.reference import axial_distance, in_near_hemisphere
 
@@ -209,3 +210,31 @@ def test_tilted_axis_angle_equals_tilt(rng):
         assert np.linalg.norm(tilted) == pytest.approx(1.0, abs=1e-12)
         assert np.arccos(np.clip(toward @ tilted, -1, 1)) == pytest.approx(
             tilt, abs=1e-9)
+
+
+# any finite float, with moderate ones, signed zeros, subnormals and values
+# whose squares overflow drawn often
+component = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e3, 1e3),
+    st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 2.0 ** -1060, 1e-160,
+                     1.3e154, -1e200, 1.7976931348623157e308]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(component, component, component), min_size=1,
+                max_size=24))
+@example([(-0.0, -0.0, -0.0), (0.0, -0.0, 5e-324)])
+@example([(1e-310, -5e-324, 2.0 ** -1060), (1e-160, 1e-160, -1e-160)])
+@example([(1e200, 0.0, 0.0), (1e154, 1e154, 1e154), (-1.7e308, 1.0, 2.0)])
+@example([(-0.967, 0.627, 0.826)])  # other orders of the sum round apart
+def test_squared_norms_are_the_ordered_sum_bit_for_bit(points):
+    rows = np.array(points).T.copy()  # (3, n), as its callers pass them
+    with np.errstate(over="ignore", under="ignore"):
+        want = (rows[0] * rows[0] + rows[1] * rows[1]) + rows[2] * rows[2]
+        got = squared_norms(rows)
+        alone = [squared_norms(rows[:, i:i + 1])[0]
+                 for i in range(len(points))]
+    assert rows.tobytes() == np.array(points).T.tobytes()  # left unchanged
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert np.array(alone).tobytes() == want.tobytes()

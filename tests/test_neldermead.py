@@ -602,3 +602,32 @@ def test_best_point_theta_stays_below_two_pi():
     """A start a hair below 0 wraps to 0.0, not to 2 pi."""
     res = solve(lambda x: 0.0, [-1e-17, 5.0], theta=frozenset({0}))
     assert res.converged and res.best_point[0] == 0.0
+
+
+@pytest.mark.parametrize("best", [0, 1, 2, 3],
+                         ids=["first", "second", "third", "last"])
+def test_final_diameter_takes_the_best_vertex_out_wherever_it_lies(best):
+    # n = 3 and a budget of one iteration: the reflection and the inside
+    # contraction score worst, so the run ends on a shrink, whose three
+    # scripted values put the least value at simplex row `best`. The steps
+    # of x0 (50, 5 and 0.5) spread the vertices' distances from the best,
+    # the largest mostly beside it, so a slice off by a row changes the
+    # diameter.
+    shrunk = [5.0, 6.0, 7.0]
+    if best:
+        shrunk[best - 1] = 0.5
+    values = iter([1.0, 2.0, 3.0, 4.0, 10.0, 10.0, *shrunk])
+    scored = []
+
+    def objective(x):
+        scored.append(list(x))
+        return next(values)
+
+    x0 = [1000.0, 100.0, 10.0]
+    res = nelder_mead(objective, np.array(x0), NelderMeadOptions(
+        max_iterations=1))
+    assert res.termination == "budget" and res.shrinks == 1
+    simplex = np.array([x0, *scored[-3:]])
+    assert res.best_point.tolist() == simplex[best].tolist()
+    want = _diameter(np.delete(simplex, best, 0), simplex[best])
+    assert res.final_diameter.hex() == want.hex()
